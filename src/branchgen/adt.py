@@ -19,7 +19,10 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 GROUND_ATOMS = ("Int", "Double", "Char", "Unit")
 
@@ -27,9 +30,16 @@ FAMILY = "family"
 FOREIGN = "foreign"
 GROUND = "ground"
 
+# Field modes in compiled field rows; a ground atom's mode follows its
+# position in GROUND_ATOMS.
+MODE_FAMILY = 0
+MODE_FOREIGN = 1
+MODE_GROUND = {atom: 2 + i for i, atom in enumerate(GROUND_ATOMS)}
+
 PROB_SUM_TOL = 1e-9
 
 _MAX_INSTANTIATIONS = 4096
+_MAX_NESTING = 100
 
 
 class AdtError(ValueError):
@@ -127,10 +137,7 @@ class ADTUniverse:
         return tuple(qualify(type_id, c.name) for c in decl.constructors)
 
     def family_constructors(self) -> tuple[str, ...]:
-        out = []
-        for tid in self.family:
-            out.extend(self.constructors_of(tid))
-        return tuple(out)
+        return self.compiled.ctors[:self.compiled.nfamily_ctors]
 
     def ctor_decl(self, ctor_id: str) -> ConstructorDecl:
         try:
@@ -146,6 +153,11 @@ class ADTUniverse:
 
     def has_ctor(self, ctor_id: str) -> bool:
         return ctor_id in self._ctor_index
+
+    @cached_property
+    def compiled(self) -> "CompiledUniverse":
+        """The universe's numeric form, built on first use and kept."""
+        return CompiledUniverse(self)
 
 
 def qualify(type_id: str, ctor_name: str) -> str:
@@ -282,16 +294,19 @@ class _Parser:
             fields.append(self.parse_field())
         return tok.text, tuple(fields)
 
-    def parse_field(self) -> _FieldSyn:
+    def parse_field(self, depth: int = 0) -> _FieldSyn:
         tok = self.next()
         if tok.text == "(":
+            if depth >= _MAX_NESTING:
+                raise ParseError(f"type application nested deeper than {_MAX_NESTING} levels",
+                                 tok.line, tok.column)
             head = self.next()
             if not head.text[0].isupper():
                 raise ParseError(f"generic application must name a type: {head.text!r}",
                                  head.line, head.column)
-            args = [self.parse_field()]
+            args = [self.parse_field(depth + 1)]
             while self.peek() is not None and self.peek().text != ")":
-                args.append(self.parse_field())
+                args.append(self.parse_field(depth + 1))
             self.expect(")")
             return _FieldSyn("app", head.text, tuple(args))
         if tok.text[0].isupper():
@@ -310,51 +325,53 @@ class _Parser:
 _Target = tuple[str, str]
 
 
+# A type to fill in: (type id, declaration, type-variable substitution, and
+# (template name, argument type ids) for an instantiation or None).
+_Job = tuple[str, _RawDecl, dict[str, _Target], tuple[str, tuple[str, ...]] | None]
+
+
 class _Monomorphizer:
+    """Fills in every concrete declaration and the generic instantiations
+    they reach, depth-first in reference order (which fixes the family
+    order), on an explicit stack so that only ``_MAX_INSTANTIATIONS``
+    bounds how deep instantiations nest."""
+
     def __init__(self, raw: Mapping[str, _RawDecl]):
-        self.raw = raw
         self.templates = {n: d for n, d in raw.items() if d.params}
         self.concrete = {n: d for n, d in raw.items() if not d.params}
-        # id -> (origin, [(ctor name, [target])]); insertion order is kept
-        # so monomorphized types get a stable position for family ordering.
+        # id -> (origin, [(ctor name, [target])]), in visiting order
         self.out: dict[str, tuple[tuple[str, tuple[str, ...]] | None,
                                   list[tuple[str, list[_Target]]]]] = {}
 
     def run(self) -> None:
-        for name in self.concrete:
-            self.type_id_for(name)
+        stack = [iter([(name, decl, {}, None) for name, decl in self.concrete.items()])]
+        while stack:
+            job = next(stack[-1], None)
+            if job is None:
+                stack.pop()
+            elif job[0] not in self.out:
+                stack.append(self._open(job))
 
-    def type_id_for(self, name: str) -> str:
-        if name in self.out:
-            return name
-        decl = self.concrete[name]
-        self.out[name] = (None, [])
-        self._fill(name, decl, {})
-        return name
-
-    def instantiate(self, template: str, args: tuple[_Target, ...]) -> str:
-        decl = self.templates[template]
-        tid = f"{template}<{','.join(self._render(a) for a in args)}>"
-        if tid in self.out:
-            return tid
-        if len(self.out) >= _MAX_INSTANTIATIONS:
+    def _open(self, job: _Job):
+        tid, decl, subst, origin = job
+        if origin is not None and len(self.out) >= _MAX_INSTANTIATIONS:
             raise AdtError(
                 f"too many generic instantiations (>{_MAX_INSTANTIATIONS}); "
                 "polymorphic recursion is not supported")
-        self.out[tid] = ((template, tuple(self._render(a) for a in args)), [])
-        self._fill(tid, decl, dict(zip(decl.params, args)))
-        return tid
+        ctors: list[tuple[str, list[_Target]]] = []
+        self.out[tid] = (origin, ctors)
+        return self._fill(decl, subst, ctors)
 
-    @staticmethod
-    def _render(target: _Target) -> str:
-        return target[1]
-
-    def _fill(self, tid: str, decl: _RawDecl, subst: dict[str, _Target]) -> None:
-        ctors = self.out[tid][1]
+    def _fill(self, decl: _RawDecl, subst: dict[str, _Target], ctors: list):
+        """Resolve each constructor's fields, yielding the types they
+        reference in resolution order."""
         for cname, fsyns in decl.constructors:
-            ctors.append((cname, [self._resolve(f, subst, decl.name) for f in fsyns]))
+            refs: list[_Job] = []
+            ctors.append((cname, [self._resolve(f, subst, decl.name, refs) for f in fsyns]))
+            yield from refs
 
-    def _resolve(self, syn: _FieldSyn, subst: dict[str, _Target], where: str) -> _Target:
+    def _resolve(self, syn: _FieldSyn, subst: dict[str, _Target], where: str,
+                 refs: list[_Job]) -> _Target:
         if syn.kind == "var":
             if syn.name not in subst:
                 raise AdtError(f"unbound type variable {syn.name!r} in {where}")
@@ -363,7 +380,8 @@ class _Monomorphizer:
             if syn.name in GROUND_ATOMS:
                 return ("g", syn.name)
             if syn.name in self.concrete:
-                return ("t", self.type_id_for(syn.name))
+                refs.append((syn.name, self.concrete[syn.name], {}, None))
+                return ("t", syn.name)
             if syn.name in self.templates:
                 n = len(self.templates[syn.name].params)
                 raise AdtError(f"generic type {syn.name} used without its {n} argument(s) in {where}")
@@ -378,8 +396,11 @@ class _Monomorphizer:
             raise AdtError(
                 f"{syn.name} expects {len(template.params)} argument(s), "
                 f"got {len(syn.args)} in {where}")
-        args = tuple(self._resolve(a, subst, where) for a in syn.args)
-        return ("t", self.instantiate(syn.name, args))
+        args = tuple(self._resolve(a, subst, where, refs) for a in syn.args)
+        rendered = tuple(a[1] for a in args)
+        tid = f"{syn.name}<{','.join(rendered)}>"
+        refs.append((tid, template, dict(zip(template.params, args)), (syn.name, rendered)))
+        return ("t", tid)
 
 
 def strongly_connected_components(
@@ -551,7 +572,9 @@ def universe_hash(u: ADTUniverse) -> str:
 # ---------------------------------------------------------------------------
 
 def branching_factor(ctor_id: str, type_id: str, u: ADTUniverse) -> int:
-    """Number of fields of ``ctor_id`` whose type is ``type_id``."""
+    """Number of fields of ``ctor_id`` whose type is ``type_id``. It reads
+    the declarations, not ``u.compiled``: with ``mean_matrix_constructors``
+    it is the reference route the tests compare against."""
     decl = u.ctor_decl(ctor_id)
     if type_id not in u.decls:
         raise AdtError(f"unknown type: {type_id}")
@@ -601,6 +624,54 @@ def reachable_foreign_types(u: ADTUniverse) -> tuple[str, ...]:
     return tuple(order)
 
 
+class CompiledUniverse:
+    """The branching structure of a universe in numeric form; prediction,
+    sampling and the CDG read only this. Build it through ``u.compiled``,
+    which keeps it.
+
+    Types in play are the family, then the reachable foreign types in
+    ``reachable_foreign_types`` order. Constructors follow their types in
+    declaration order, so each type's constructors are contiguous.
+    """
+
+    def __init__(self, u: ADTUniverse):
+        self.types = u.family + reachable_foreign_types(u)
+        self.nfamily = len(u.family)
+        self.index = {tid: t for t, tid in enumerate(self.types)}
+        ctors: list[str] = []
+        owner: list[int] = []
+        slices: list[slice] = []
+        rows: list[tuple[tuple[int, int], ...]] = []
+        for t, tid in enumerate(self.types):
+            start = len(ctors)
+            for ctor in u.decls[tid].constructors:
+                ctors.append(qualify(tid, ctor.name))
+                owner.append(t)
+                rows.append(tuple(
+                    (MODE_GROUND[f.target], -1) if f.kind == GROUND
+                    else (MODE_FAMILY if f.kind == FAMILY else MODE_FOREIGN, self.index[f.target])
+                    for f in ctor.fields))
+            slices.append(slice(start, len(ctors)))
+        self.ctors = tuple(ctors)                        # qualified ids
+        self.owner = np.array(owner, dtype=np.intp)      # constructor -> its type
+        self.slices = tuple(slices)                      # type -> its constructors
+        self.rows = tuple(rows)                          # per field: (mode, target or -1)
+        self.nfamily_ctors = slices[self.nfamily - 1].stop
+
+        # counts[c, t]: non-ground fields of constructor c with type t;
+        # pairs: each (constructor, family-field target), in field order
+        self.counts = np.zeros((len(ctors), len(self.types)), dtype=np.int64)
+        pairs = []
+        for c, row in enumerate(rows):
+            for mode, target in row:
+                if target >= 0:
+                    self.counts[c, target] += 1
+                if mode == MODE_FAMILY:
+                    pairs.append((c, target))
+        self.terminal = ~self.counts[:, :self.nfamily].any(axis=1)
+        self.pair_ctor, self.pair_target = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 @dataclass(frozen=True)
 class CdgEdge:
     """Dependency edge: generating ``parent`` forces ``multiplicity``
@@ -623,22 +694,14 @@ class CDG:
 
 
 def build_cdg(u: ADTUniverse) -> CDG:
-    foreign_order = reachable_foreign_types(u)
-    nodes = list(u.family_constructors())
-    for tid in foreign_order:
-        nodes.extend(u.constructors_of(tid))
-
-    edges: list[CdgEdge] = []
-    for parent in nodes:
-        decl = u.ctor_decl(parent)
-        mult: dict[str, int] = {}
-        for f in decl.fields:
-            if f.kind == FOREIGN:
-                mult[f.target] = mult.get(f.target, 0) + 1
-        for target, m in mult.items():
-            for child in u.constructors_of(target):
-                edges.append(CdgEdge(parent, child, m, child))
-    return CDG(tuple(nodes), tuple(edges))
+    cu = u.compiled
+    edges = [
+        CdgEdge(parent, child, int(cu.counts[c, t]), child)
+        for c, parent in enumerate(cu.ctors)
+        for t in dict.fromkeys(t for mode, t in cu.rows[c] if mode == MODE_FOREIGN)
+        for child in cu.ctors[cu.slices[t]]
+    ]
+    return CDG(cu.ctors, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ expected generation is g0'·M^k and the expected population up to level k is
 the running sum of those terms. Terminal constructors get an extra
 last-level term because the final level can only draw terminals, with
 probabilities renormalized within each type's terminal set.
+
+Everything here reads ``u.compiled``, built once per universe and shared
+with the samplers, and sums in declaration order. The constructor-level
+route (``mean_matrix_constructors``) reads the declarations instead: it is
+the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,14 +22,12 @@ from typing import Mapping
 import numpy as np
 
 from .adt import (
-    FAMILY,
-    FOREIGN,
+    MODE_FAMILY,
+    MODE_FOREIGN,
     ADTUniverse,
     AdtError,
+    CompiledUniverse,
     branching_factor,
-    qualify,
-    reachable_foreign_types,
-    terminal_constructors,
     uniform_probmap,
     warn_probability,
 )
@@ -84,9 +87,17 @@ def _require_probs(probs: Mapping[str, float], ctors: tuple[str, ...]) -> None:
         raise AdtError(f"missing probability entries: {missing}")
 
 
+def _family_probs(cu: CompiledUniverse, probs: Mapping[str, float]) -> np.ndarray:
+    """The family constructors' probabilities as a vector."""
+    ctors = cu.ctors[:cu.nfamily_ctors]
+    _require_probs(probs, ctors)
+    return np.array([probs[c] for c in ctors], dtype=float)
+
+
 def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
     """Offspring means over the family's constructors:
-    entry (i, j) = branching_factor(type(j), i) * p(j)."""
+    entry (i, j) = branching_factor(type(j), i) * p(j). It reads the
+    declarations, not ``u.compiled``: this is the reference route."""
     ctors = u.family_constructors()
     _require_probs(probs, ctors)
     n = len(ctors)
@@ -99,36 +110,31 @@ def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> Mean
     return MeanMatrix(CONSTRUCTOR, ctors, m)
 
 
+def _type_matrix(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+    nf, nfc = cu.nfamily, cu.nfamily_ctors
+    m = np.zeros((nf, nf))
+    np.add.at(m, cu.owner[:nfc], cu.counts[:nfc, :nf] * p[:, None])
+    return m
+
+
 def mean_matrix_types(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
     """Offspring means over the family's types:
     entry (u, v) = sum over constructors C of u of branching_factor(v, C) * p(C)."""
-    types = u.family
-    _require_probs(probs, u.family_constructors())
-    n = len(types)
-    m = np.zeros((n, n))
-    for i, tu in enumerate(types):
-        for ctor in u.decls[tu].constructors:
-            cid = qualify(tu, ctor.name)
-            for j, tv in enumerate(types):
-                beta = sum(1 for f in ctor.fields if f.kind == FAMILY and f.target == tv)
-                if beta:
-                    m[i, j] += beta * probs[cid]
-    return MeanMatrix(TYPE, types, m)
+    cu = u.compiled
+    return MeanMatrix(TYPE, u.family, _type_matrix(cu, _family_probs(cu, probs)))
 
 
 def initial_population(u: ADTUniverse, probs: Mapping[str, float],
                        granularity: str = CONSTRUCTOR) -> PopulationVector:
     """Level-0 expectations: the root type's constructor probabilities at
     constructor granularity, or a unit mass at the root type."""
+    cu = u.compiled
+    root = cu.index[u.root]
     if granularity == CONSTRUCTOR:
-        ctors = u.family_constructors()
-        _require_probs(probs, ctors)
-        root_ctors = set(u.constructors_of(u.root))
-        values = [probs[c] if c in root_ctors else 0.0 for c in ctors]
-        return PopulationVector(ctors, np.array(values))
+        p = _family_probs(cu, probs)
+        return PopulationVector(cu.ctors[:len(p)], np.where(cu.owner[:len(p)] == root, p, 0.0))
     if granularity == TYPE:
-        values = [1.0 if t == u.root else 0.0 for t in u.family]
-        return PopulationVector(u.family, np.array(values))
+        return PopulationVector(u.family, np.arange(cu.nfamily) == root)
     raise AdtError(f"unknown granularity: {granularity!r}")
 
 
@@ -163,6 +169,29 @@ def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> Populati
     return PopulationVector(g0.index, acc)
 
 
+def _star_vector(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+    """p* over the family constructors, zero for non-terminals."""
+    nfc = len(p)
+    owner, term = cu.owner[:nfc], cu.terminal[:nfc]
+    nterms = np.bincount(owner[term], minlength=cu.nfamily)
+    if not nterms.all():
+        t = np.flatnonzero(nterms == 0)[0]
+        raise AdtError(f"family type {cu.types[t]} has no terminal constructor; "
+                       "generation cannot terminate")
+    mass = np.zeros(cu.nfamily)
+    np.add.at(mass, owner[term], p[term])
+    stars = np.zeros(nfc)
+    live = term & (mass[owner] > 0.0)
+    stars[live] = p[live] / mass[owner[live]]
+    for t in np.flatnonzero(mass == 0.0):
+        if p[cu.slices[t]].sum() > 0.0:
+            warn_probability(
+                f"all terminal constructors of {cu.types[t]} have probability 0; "
+                "using a uniform terminal distribution at the last level")
+        stars[term & (owner == t)] = 1.0 / nterms[t]
+    return stars
+
+
 def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     """Per-type renormalized terminal probabilities, used when the remaining
     size is zero: p*(C) = p(C) / sum of p over the type's terminals.
@@ -172,26 +201,9 @@ def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     probability the distribution falls back to uniform over its terminals
     (with a warning): the generator must still be able to stop.
     """
-    _require_probs(probs, u.family_constructors())
-    stars: dict[str, float] = {}
-    for tid in u.family:
-        terms = terminal_constructors(tid, u)
-        if not terms:
-            raise AdtError(
-                f"family type {tid} has no terminal constructor; generation cannot terminate")
-        mass = sum(probs[c] for c in terms)
-        if mass > 0.0:
-            for c in terms:
-                stars[c] = probs[c] / mass
-        else:
-            type_mass = sum(probs[c] for c in u.constructors_of(tid))
-            if type_mass > 0.0:
-                warn_probability(
-                    f"all terminal constructors of {tid} have probability 0; "
-                    "using a uniform terminal distribution at the last level")
-            for c in terms:
-                stars[c] = 1.0 / len(terms)
-    return stars
+    cu = u.compiled
+    stars = _star_vector(cu, _family_probs(cu, probs)).tolist()
+    return {cid: stars[c] for c, cid in enumerate(cu.ctors[:len(stars)]) if cu.terminal[c]}
 
 
 @dataclass(frozen=True)
@@ -229,42 +241,25 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     """
     if size < 1:
         raise AdtError("size must be a positive integer")
-    mt = mean_matrix_types(u, probs)
-    g = initial_population(u, probs, TYPE)
-    pop = g.values.copy()
-    v = g.values
+    cu = u.compiled
+    p = _family_probs(cu, probs)
+    m = _type_matrix(cu, p)
+    v = initial_population(u, probs, TYPE).values
+    pop = v.copy()
     for _ in range(size - 1):
-        v = v @ mt.entries
+        v = v @ m
         pop += v
-    last_gen = v  # E[G_{size-1}] per family type
-
-    stars = star_probs(u, probs)
-    tpos = {t: i for i, t in enumerate(u.family)}
+    owner = cu.owner[:len(p)]
 
     # Placeholders of each type at the final level, spawned by the
-    # non-terminal constructors present at level size-1.
-    fill = np.zeros(len(u.family))
-    for tid in u.family:
-        for ctor in u.decls[tid].constructors:
-            if ctor.family_arity() == 0:
-                continue
-            cid = qualify(tid, ctor.name)
-            weight = last_gen[tpos[tid]] * probs[cid]
-            if weight == 0.0:
-                continue
-            for f in ctor.fields:
-                if f.kind == FAMILY:
-                    fill[tpos[f.target]] += weight
+    # non-terminal constructors present at level size-1 (v).
+    fill = np.zeros(cu.nfamily)
+    np.add.at(fill, cu.pair_target, (v[owner] * p)[cu.pair_ctor])
 
-    report: dict[str, ConstructorExpectation] = {}
-    for tid in u.family:
-        for ctor in u.decls[tid].constructors:
-            cid = qualify(tid, ctor.name)
-            branching = pop[tpos[tid]] * probs[cid]
-            last = 0.0
-            if ctor.family_arity() == 0:
-                last = stars[cid] * fill[tpos[tid]]
-            report[cid] = ConstructorExpectation(float(branching), float(last))
+    branching = (pop[owner] * p).tolist()
+    last = np.where(cu.terminal[:len(p)], _star_vector(cu, p) * fill[owner], 0.0).tolist()
+    report = {cid: ConstructorExpectation(b, l)
+              for cid, b, l in zip(cu.ctors, branching, last)}
     return PredictionReport(size, report)
 
 
@@ -277,33 +272,26 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
 
     The result is also recorded on ``report.per_foreign``.
     """
-    order = reachable_foreign_types(u)
-    if not order:
-        report.per_foreign = {}
-        return {}
+    cu = u.compiled
+    nfc = cu.nfamily_ctors
     if foreign_probs is None:
-        foreign_probs = uniform_probmap(u, order)
-    _require_probs(foreign_probs, tuple(c for t in order for c in u.constructors_of(t)))
+        foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
+    _require_probs(foreign_probs, cu.ctors[nfc:])
 
-    placeholders = {t: 0.0 for t in order}
+    # Types are in topological order, so each foreign type has all of its
+    # placeholders before its own constructors are reached.
+    placeholders = [0.0] * len(cu.types)
     totals = report.totals()
-    for tid in u.family:
-        for ctor in u.decls[tid].constructors:
-            cid = qualify(tid, ctor.name)
-            expected = totals[cid]
-            for f in ctor.fields:
-                if f.kind == FOREIGN:
-                    placeholders[f.target] += expected
-
     out: dict[str, float] = {}
-    for tid in order:
-        for ctor in u.decls[tid].constructors:
-            cid = qualify(tid, ctor.name)
-            expected = placeholders[tid] * foreign_probs[cid]
+    for c, cid in enumerate(cu.ctors):
+        if c < nfc:
+            expected = totals[cid]
+        else:
+            expected = placeholders[cu.owner[c]] * foreign_probs[cid]
             out[cid] = expected
-            for f in ctor.fields:
-                if f.kind == FOREIGN:
-                    placeholders[f.target] += expected
+        for mode, target in cu.rows[c]:
+            if mode == MODE_FOREIGN:
+                placeholders[target] += expected
     report.per_foreign = dict(out)
     return out
 
@@ -316,24 +304,21 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
     from the zero vector. Foreign and ground fields always terminate and
     contribute factor 1.
     """
-    _require_probs(probs, u.family_constructors())
-    tpos = {t: i for i, t in enumerate(u.family)}
-    q = np.zeros(len(u.family))
+    cu = u.compiled
+    p = _family_probs(cu, probs).tolist()
+    owner = cu.owner.tolist()
+    family_fields = [[t for mode, t in cu.rows[c] if mode == MODE_FAMILY] for c in range(len(p))]
+    q = [0.0] * cu.nfamily
     for _ in range(EXTINCTION_MAX_ITER):
-        nxt = np.zeros_like(q)
-        for tid in u.family:
-            acc = 0.0
-            for ctor in u.decls[tid].constructors:
-                term = probs[qualify(tid, ctor.name)]
-                for f in ctor.fields:
-                    if f.kind == FAMILY:
-                        term *= q[tpos[f.target]]
-                acc += term
-            nxt[tpos[tid]] = acc
-        if np.max(np.abs(nxt - q)) < EXTINCTION_TOL:
-            q = nxt
-            break
+        nxt = [0.0] * cu.nfamily
+        for c, term in enumerate(p):
+            for t in family_fields[c]:
+                term *= q[t]
+            nxt[owner[c]] += term
+        converged = max(abs(a - b) for a, b in zip(nxt, q)) < EXTINCTION_TOL
         q = nxt
+        if converged:
+            break
     return PopulationVector(u.family, np.clip(q, 0.0, 1.0))
 
 

@@ -26,13 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .adt import (
-    FAMILY,
-    GROUND,
+    MODE_FAMILY,
+    MODE_FOREIGN,
+    MODE_GROUND,
     ADTUniverse,
     AdtError,
-    qualify,
-    reachable_foreign_types,
-    terminal_constructors,
     uniform_probmap,
     unqualify,
     universe_hash,
@@ -53,15 +51,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 
-# field modes inside sampler tables
-_F_FAMILY = 0
-_F_FOREIGN = 1
-_F_INT = 2
-_F_DOUBLE = 3
-_F_CHAR = 4
-_F_UNIT = 5
-
-_GROUND_MODE = {"Int": _F_INT, "Double": _F_DOUBLE, "Char": _F_CHAR, "Unit": _F_UNIT}
+_F_INT, _F_DOUBLE, _F_CHAR = (MODE_GROUND[atom] for atom in ("Int", "Double", "Char"))
 
 # family-child size rules
 _SIZE_DECREMENT = 0
@@ -103,18 +93,21 @@ class BudgetExhausted:
 
 
 class _Tables:
-    """Per-type choice tables compiled for one sampling configuration."""
+    """Choice tables for one sampling configuration: the cumulative weights
+    per type, over the universe's compiled types and field rows."""
 
-    __slots__ = ("ids", "pos", "ctor_ids", "cum_any", "cum_final", "fields",
+    __slots__ = ("types", "pos", "ctor_ids", "rows", "cum_any", "cum_final",
                  "size_rule")
 
     def __init__(self, u: ADTUniverse, strategy: str,
                  probs: Mapping[str, float] | None,
                  stars: Mapping[str, float] | None,
                  foreign_probs: Mapping[str, float] | None):
-        foreign = reachable_foreign_types(u)
-        self.ids = list(u.family) + list(foreign)
-        self.pos = {tid: i for i, tid in enumerate(self.ids)}
+        cu = u.compiled
+        self.types = cu.types
+        self.pos = cu.index
+        self.ctor_ids = [cu.ctors[s] for s in cu.slices]
+        self.rows = [cu.rows[s] for s in cu.slices]
         if strategy == STRATEGY_DRAGEN:
             self.size_rule = _SIZE_DECREMENT
         elif strategy == STRATEGY_MEGADETH:
@@ -123,59 +116,38 @@ class _Tables:
             self.size_rule = _SIZE_NONE
 
         if foreign_probs is None:
-            foreign_probs = uniform_probmap(u, foreign)
+            foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
 
-        self.ctor_ids: list[list[str]] = []
         self.cum_any: list[list[float]] = []
         self.cum_final: list[list[float]] = []
-        self.fields: list[list[tuple[tuple[int, int], ...]]] = []
-
-        for tid in self.ids:
-            ctors = u.decls[tid].constructors
-            cids = [qualify(tid, c.name) for c in ctors]
-            is_family = u.is_family(tid)
-
-            if strategy == STRATEGY_DRAGEN and is_family:
-                weights = [probs[c] for c in cids]
-            elif is_family and strategy in (STRATEGY_MEGADETH, STRATEGY_DERIVE):
-                weights = [1.0] * len(cids)
-            else:
+        for t, cids in enumerate(self.ctor_ids):
+            is_family = t < cu.nfamily
+            if not is_family:
                 weights = [foreign_probs[c] for c in cids]
-            self.cum_any.append(_cumulative(weights, cids, tid))
+            elif strategy == STRATEGY_DRAGEN:
+                weights = [probs[c] for c in cids]
+            else:
+                weights = [1.0] * len(cids)
+            self.cum_any.append(_cumulative(weights))
 
             if is_family and strategy != STRATEGY_DERIVE:
-                terms = set(terminal_constructors(tid, u))
-                if not terms:
+                terms = cu.terminal[cu.slices[t]].tolist()
+                if not any(terms):
                     raise AdtError(
-                        f"family type {tid} has no terminal constructor; "
+                        f"family type {cu.types[t]} has no terminal constructor; "
                         "size-bounded generation cannot terminate")
-                if strategy == STRATEGY_DRAGEN:
-                    final = [stars.get(c, 0.0) if c in terms else 0.0 for c in cids]
-                else:
-                    final = [1.0 if c in terms else 0.0 for c in cids]
-                self.cum_final.append(_cumulative(final, cids, tid))
+                final = [(stars.get(c, 0.0) if strategy == STRATEGY_DRAGEN else 1.0)
+                         if term else 0.0 for c, term in zip(cids, terms)]
+                self.cum_final.append(_cumulative(final))
             else:
                 self.cum_final.append(self.cum_any[-1])
 
-            self.ctor_ids.append(cids)
-            per_ctor = []
-            for ctor in ctors:
-                row = []
-                for f in ctor.fields:
-                    if f.kind == GROUND:
-                        row.append((_GROUND_MODE[f.target], -1))
-                    elif f.kind == FAMILY:
-                        row.append((_F_FAMILY, self.pos[f.target]))
-                    else:
-                        row.append((_F_FOREIGN, self.pos[f.target]))
-                per_ctor.append(tuple(row))
-            self.fields.append(per_ctor)
 
-
-def _cumulative(weights: list[float], cids: list[str], tid: str) -> list[float]:
+def _cumulative(weights: list[float]) -> list[float]:
     total = sum(weights)
     if total <= 0.0:
-        # Never drawn from in a valid configuration; make any hit loud.
+        # A dead type: drawing from it indexes past its constructors, which
+        # the walks report as an error.
         return [-1.0] * len(weights)
     acc = 0.0
     out = []
@@ -208,40 +180,44 @@ def _count_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
     cum_any = tables.cum_any
     cum_final = tables.cum_final
     ctor_ids = tables.ctor_ids
-    fields = tables.fields
+    rows = tables.rows
     size_rule = tables.size_rule
     emitted = 0
     stack: list[tuple[int, int]] = [(root_pos, size)]
-    while stack:
-        t, sz = stack.pop()
-        cum = cum_final[t] if sz == 0 else cum_any[t]
-        i = bisect_right(cum, rand())
-        cid = ctor_ids[t][i]
-        counts[cid] = counts.get(cid, 0) + 1
-        if budget is not None:
-            emitted += 1
-            if emitted > budget:
-                return False
-        row = fields[t][i]
-        if not row:
-            continue
-        if size_rule == _SIZE_DECREMENT:
-            child_sz = sz - 1
-        elif size_rule == _SIZE_HALVE:
-            child_sz = sz // 2
-        else:
-            child_sz = -1
-        # Walk fields left to right (ground atoms drawn in field order, to
-        # match the tree-building walk's stream), then expand depth-first.
-        pushes = []
-        for mode, target in row:
-            if mode == _F_FAMILY:
-                pushes.append((target, child_sz))
-            elif mode == _F_FOREIGN:
-                pushes.append((target, -1))
+    try:
+        while stack:
+            t, sz = stack.pop()
+            cum = cum_final[t] if sz == 0 else cum_any[t]
+            i = bisect_right(cum, rand())
+            cid = ctor_ids[t][i]
+            counts[cid] = counts.get(cid, 0) + 1
+            if budget is not None:
+                emitted += 1
+                if emitted > budget:
+                    return False
+            row = rows[t][i]
+            if not row:
+                continue
+            if size_rule == _SIZE_DECREMENT:
+                child_sz = sz - 1
+            elif size_rule == _SIZE_HALVE:
+                child_sz = sz // 2
             else:
-                _draw_ground(mode, rng)
-        stack.extend(reversed(pushes))
+                child_sz = -1
+            # Walk fields left to right (ground atoms drawn in field order, to
+            # match the tree-building walk's stream), then expand depth-first.
+            pushes = []
+            for mode, target in row:
+                if mode == MODE_FAMILY:
+                    pushes.append((target, child_sz))
+                elif mode == MODE_FOREIGN:
+                    pushes.append((target, -1))
+                else:
+                    _draw_ground(mode, rng)
+            stack.extend(reversed(pushes))
+    except IndexError:  # drew from a dead type's table (see _cumulative)
+        raise AdtError(f"generation reached type {tables.types[t]}, whose "
+                       "constructors all have probability 0") from None
     return True
 
 
@@ -252,32 +228,36 @@ def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
     holder: list = [None]
     emitted = 0
     stack: list[tuple[int, int, list, int]] = [(root_pos, size, holder, 0)]
-    while stack:
-        t, sz, sink, slot = stack.pop()
-        cum = tables.cum_final[t] if sz == 0 else tables.cum_any[t]
-        i = bisect_right(cum, rand())
-        if budget is not None:
-            emitted += 1
-            if emitted > budget:
-                return BudgetExhausted(budget)
-        row = tables.fields[t][i]
-        children: list = [None] * len(row)
-        if tables.size_rule == _SIZE_DECREMENT:
-            child_sz = sz - 1
-        elif tables.size_rule == _SIZE_HALVE:
-            child_sz = sz // 2
-        else:
-            child_sz = -1
-        pending = []
-        for k, (mode, target) in enumerate(row):
-            if mode == _F_FAMILY:
-                pending.append((target, child_sz, children, k))
-            elif mode == _F_FOREIGN:
-                pending.append((target, -1, children, k))
+    try:
+        while stack:
+            t, sz, sink, slot = stack.pop()
+            cum = tables.cum_final[t] if sz == 0 else tables.cum_any[t]
+            i = bisect_right(cum, rand())
+            if budget is not None:
+                emitted += 1
+                if emitted > budget:
+                    return BudgetExhausted(budget)
+            row = tables.rows[t][i]
+            children: list = [None] * len(row)
+            if tables.size_rule == _SIZE_DECREMENT:
+                child_sz = sz - 1
+            elif tables.size_rule == _SIZE_HALVE:
+                child_sz = sz // 2
             else:
-                children[k] = _draw_ground(mode, rng)
-        stack.extend(reversed(pending))
-        sink[slot] = (tables.ctor_ids[t][i], children)
+                child_sz = -1
+            pending = []
+            for k, (mode, target) in enumerate(row):
+                if mode == MODE_FAMILY:
+                    pending.append((target, child_sz, children, k))
+                elif mode == MODE_FOREIGN:
+                    pending.append((target, -1, children, k))
+                else:
+                    children[k] = _draw_ground(mode, rng)
+            stack.extend(reversed(pending))
+            sink[slot] = (tables.ctor_ids[t][i], children)
+    except IndexError:  # drew from a dead type's table (see _cumulative)
+        raise AdtError(f"generation reached type {tables.types[t]}, whose "
+                       "constructors all have probability 0") from None
 
     def freeze(node) -> Value:
         # two-phase: expand, then assemble bottom-up
@@ -299,23 +279,17 @@ def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
     return freeze(holder[0])
 
 
-def _tables_for_spec(u: ADTUniverse, spec: GenSpec,
+def _tables_for_spec(u: ADTUniverse, spec: GenSpec, strategy: str,
                      foreign_probs: Mapping[str, float] | None) -> _Tables:
     if spec.root != u.root:
         raise AdtError(f"spec root {spec.root} does not match universe root {u.root}")
-    if spec.strategy == STRATEGY_DRAGEN:
-        return _Tables(u, STRATEGY_DRAGEN, spec.probabilities,
-                       spec.star_probabilities, foreign_probs)
-    return _Tables(u, spec.strategy, None, None, foreign_probs)
+    return _Tables(u, strategy, spec.probabilities, spec.star_probabilities, foreign_probs)
 
 
 def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
                   foreign_probs: Mapping[str, float] | None = None) -> Value:
     """One value from a tuned size-bounded generator."""
-    if spec.root != u.root:
-        raise AdtError(f"spec root {spec.root} does not match universe root {u.root}")
-    tables = _Tables(u, STRATEGY_DRAGEN, spec.probabilities,
-                     spec.star_probabilities, foreign_probs)
+    tables = _tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs)
     rng = random.Random(stream_seed(seed, index))
     v = _build_walk(tables, tables.pos[u.root], spec.size, rng)
     assert isinstance(v, Value)
@@ -398,11 +372,11 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
         return _derive_stats(u, samples, seed,
                              budget if budget is not None else DEFAULT_DERIVE_BUDGET)
 
-    tables = _tables_for_spec(u, spec, foreign_probs)
+    tables = _tables_for_spec(u, spec, spec.strategy, foreign_probs)
     root_pos = tables.pos[u.root]
-    all_ctors = [c for cids in tables.ctor_ids for c in cids]
-    sums = {c: 0.0 for c in all_ctors}
-    sumsq = {c: 0.0 for c in all_ctors}
+    all_ctors = u.compiled.ctors
+    sums = dict.fromkeys(all_ctors, 0)
+    sumsq = dict.fromkeys(all_ctors, 0)
     hist: dict[int, int] = {}
     for i in range(samples):
         rng = random.Random(stream_seed(seed, i))
@@ -418,55 +392,31 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
 
 
 def _finish_stats(samples, ctors, sums, sumsq, hist, aborted) -> SampleStats:
+    """Means and standard errors from integer sums. The sample variance
+    (n·Σx² − (Σx)²) / (n(n−1)) is evaluated exactly and rounded once."""
     n = samples - aborted
-    means = {}
-    errs = {}
-    for c in ctors:
-        if n == 0:
-            means[c] = 0.0
-            errs[c] = 0.0
-            continue
-        mean = sums[c] / n
-        means[c] = mean
-        if n > 1:
-            var = max(0.0, (sumsq[c] - n * mean * mean) / (n - 1))
-            errs[c] = sqrt(var / n)
-        else:
-            errs[c] = 0.0
+    means = {c: sums[c] / n if n else 0.0 for c in ctors}
+    errs = {c: sqrt((n * sumsq[c] - sums[c] ** 2) / (n * n * (n - 1))) if n > 1 else 0.0
+            for c in ctors}
     return SampleStats(samples, means, errs, hist, aborted)
 
 
 def _derive_stats(u: ADTUniverse, samples: int, seed: int, budget: int) -> SampleStats:
     if budget < 1:
         raise AdtError("budget must be a positive integer")
-    foreign = reachable_foreign_types(u)
-    type_ids = list(u.family) + list(foreign)
-    pos = {tid: i for i, tid in enumerate(type_ids)}
-    nt = len(type_ids)
+    cu = u.compiled
+    nt = len(cu.types)
+    ctor_names = cu.ctors
+    slices = cu.slices
+    pvals = [np.full(s.stop - s.start, 1.0 / (s.stop - s.start)) for s in slices]
+    child_mat = [cu.counts[s] for s in slices]
 
-    ctor_names: list[str] = []
-    pvals: list[np.ndarray] = []
-    child_mat: list[np.ndarray] = []
-    slices: list[slice] = []
-    for tid in type_ids:
-        ctors = u.decls[tid].constructors
-        start = len(ctor_names)
-        ctor_names.extend(qualify(tid, c.name) for c in ctors)
-        slices.append(slice(start, len(ctor_names)))
-        pvals.append(np.full(len(ctors), 1.0 / len(ctors)))
-        cm = np.zeros((len(ctors), nt), dtype=np.int64)
-        for ci, ctor in enumerate(ctors):
-            for f in ctor.fields:
-                if f.kind != GROUND:
-                    cm[ci, pos[f.target]] += 1
-        child_mat.append(cm)
-
-    sums = {c: 0.0 for c in ctor_names}
-    sumsq = {c: 0.0 for c in ctor_names}
+    sums = dict.fromkeys(ctor_names, 0)
+    sumsq = dict.fromkeys(ctor_names, 0)
     hist: dict[int, int] = {}
     aborted = 0
     nc = len(ctor_names)
-    root_pos = pos[u.root]
+    root_pos = cu.index[u.root]
 
     for i in range(samples):
         rng = np.random.Generator(np.random.PCG64(stream_seed(seed, i)))

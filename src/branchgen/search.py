@@ -68,19 +68,11 @@ def _quantized(probs: Mapping[str, float], order: tuple[str, ...], quantum: floa
     return tuple(round(probs[c] / quantum) for c in order)
 
 
-def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
-              pinned: frozenset[str] | set[str] = frozenset(),
-              quantum: float = 1e-6) -> list[dict[str, float]]:
-    """Candidate probability maps one delta-step away.
-
-    Constructors are bumped in sorted-id order, +delta before -delta, so
-    the returned order is deterministic; candidates that quantize to the
-    focus map or to an earlier candidate are dropped.
-    """
+def _keyed_neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
+                     pinned: frozenset[str] | set[str], quantum: float):
+    """Yield (quantized key, candidate) pairs in ``neighbors`` order."""
     order = tuple(sorted(probs))
-    focus_key = _quantized(probs, order, quantum)
-    seen = {focus_key}
-    out: list[dict[str, float]] = []
+    seen = {_quantized(probs, order, quantum)}
     by_type: dict[str, list[str]] = {}
     for cid in order:
         by_type.setdefault(u.ctor_type(cid), []).append(cid)
@@ -102,8 +94,19 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
             if key in seen:
                 continue
             seen.add(key)
-            out.append(candidate)
-    return out
+            yield key, candidate
+
+
+def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
+              pinned: frozenset[str] | set[str] = frozenset(),
+              quantum: float = 1e-6) -> list[dict[str, float]]:
+    """Candidate probability maps one delta-step away.
+
+    Constructors are bumped in sorted-id order, +delta before -delta, so
+    the returned order is deterministic; candidates that quantize to the
+    focus map or to an earlier candidate are dropped.
+    """
+    return [cand for _, cand in _keyed_neighbors(u, probs, delta, pinned, quantum)]
 
 
 def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
@@ -121,18 +124,16 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             raise AdtError(f"initial probability map violates pinned constraint on {cid}")
 
     u = cost.universe
-    order = tuple(sorted(init))
     focus = dict(init)
     focus_cost = cost(size, focus)
     evaluations = 1
-    visited = {_quantized(focus, order, cfg.quantum)}
+    visited = {_quantized(focus, tuple(sorted(init)), cfg.quantum)}
     steps: list[tuple[dict[str, float], float]] = [(dict(focus), focus_cost)]
 
     outcome = STEP_CAP
     for _ in range(cfg.max_steps):
         fresh = []
-        for cand in neighbors(u, focus, cfg.delta, cost.pinned, cfg.quantum):
-            key = _quantized(cand, order, cfg.quantum)
+        for key, cand in _keyed_neighbors(u, focus, cfg.delta, cost.pinned, cfg.quantum):
             if key not in visited:
                 visited.add(key)
                 fresh.append(cand)

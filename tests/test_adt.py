@@ -6,19 +6,26 @@ import helpers
 from branchgen import (
     AdtError,
     ParseError,
+    adhoc_genspec,
     branching_factor,
     build_cdg,
+    extinction_probability,
     load_probmap,
     parse_universe,
+    predict_constructors,
+    predict_foreign,
     print_universe,
     probmap_to_json,
     renormalize_probmap,
     resolve_constructor,
+    sample_dragen,
     terminal_constructors,
     uniform_probmap,
     universe_hash,
     validate_probmap,
 )
+from branchgen import adt
+from branchgen.adt import reachable_foreign_types
 from conftest import COMPOSITE_SRC, T1T2_SRC, TREE_SRC, TREEPP_SRC
 
 
@@ -143,6 +150,20 @@ class TestParseErrors:
         with pytest.raises(AdtError, match="recursive type component outside"):
             parse_universe(src, "T")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        src = "data T = A " + "(M " * 5000 + "T" + ")" * 5000
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parse_universe(src, "T")
+        assert exc.value.line == 1
+
+    def test_polymorphic_recursion_hits_instantiation_cap(self):
+        src = """
+        data P a = PN | PC (P (P a))
+        data T = TT (P T) | TL
+        """
+        with pytest.raises(AdtError, match="too many generic instantiations"):
+            parse_universe(src, "T")
+
     def test_unreachable_recursive_component_allowed(self):
         src = """
         data Loop = Self Loop | Stop
@@ -221,6 +242,42 @@ class TestCdg:
 
     def test_no_foreign_no_edges(self, tree_u):
         assert build_cdg(tree_u).edges == ()
+
+
+class TestCompiled:
+    def test_layout(self, composite_u):
+        cu = composite_u.compiled
+        assert cu.types[:cu.nfamily] == composite_u.family
+        assert cu.types[cu.nfamily:] == reachable_foreign_types(composite_u)
+        for t, tid in enumerate(cu.types):
+            assert cu.ctors[cu.slices[t]] == composite_u.constructors_of(tid)
+            assert (cu.owner[cu.slices[t]] == t).all()
+        for c, cid in enumerate(cu.ctors):
+            for t, tid in enumerate(cu.types):
+                assert cu.counts[c, t] == branching_factor(cid, tid, composite_u)
+            decl = composite_u.ctor_decl(cid)
+            assert len(cu.rows[c]) == len(decl.fields)
+            assert cu.terminal[c] == (decl.family_arity() == 0)
+
+    def test_built_once_and_shared(self, monkeypatch):
+        calls = []
+
+        class Counting(adt.CompiledUniverse):
+            def __init__(self, u):
+                calls.append(u)
+                super().__init__(u)
+
+        monkeypatch.setattr(adt, "CompiledUniverse", Counting)
+        u = parse_universe(COMPOSITE_SRC, "Tree")
+        probs = uniform_probmap(u, u.family)
+        for size in (1, 5):
+            predict_foreign(u, predict_constructors(u, probs, size))
+        extinction_probability(u, probs)
+        spec = adhoc_genspec(u, 4, "dragen")
+        for i in range(3):
+            sample_dragen(u, spec, seed=1, index=i)
+        build_cdg(u)
+        assert calls == [u]
 
 
 class TestProbMaps:

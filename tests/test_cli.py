@@ -58,6 +58,17 @@ class TestCheck:
         assert out == ""
         assert "line 1" in err
 
+    @pytest.mark.parametrize("src", [
+        "data T = A " + "(M " * 5000 + "T" + ")" * 5000,
+        "data P a = PN | PC (P (P a))\ndata T = TT (P T) | TL",
+    ], ids=["deep-nesting", "polymorphic-recursion"])
+    def test_malformed_nesting_fails_cleanly(self, capsys, tmp_path, src):
+        path = tmp_path / "deep.adt"
+        path.write_text(src)
+        code, out, err = run(capsys, "check", "-f", str(path), "--root", "T")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "-f", "/nonexistent.adt", "--root", "T")
         assert code == 1 and "cannot read" in err
@@ -184,6 +195,17 @@ class TestSample:
                            "--seed", "0", "--budget", "8")
         assert code == 0
         assert "(#budget-exhausted)" in out
+
+    def test_dead_type_reached(self, capsys, tmp_path):
+        path = tmp_path / "ab.adt"
+        path.write_text("data A = LA | NA B A\ndata B = LB | NB A\n")
+        probs = tmp_path / "p.json"
+        probs.write_text(json.dumps({"probabilities": {
+            "A.LA": 0.5, "A.NA": 0.5, "B.LB": 0.0, "B.NB": 0.0}}))
+        code, _, err = run(capsys, "sample", "-f", str(path), "--root", "A",
+                           "--size", "5", "--probs", str(probs), "--count", "20")
+        assert code == 1
+        assert err.startswith("error:") and "type B" in err
 
     def test_spec_hash_mismatch(self, capsys, tree_file, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,4 +1,7 @@
+import math
 import random
+import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +25,7 @@ from branchgen import (
     value_to_json,
     value_to_sexp,
 )
-from branchgen.sampling import _Tables, _count_walk, stream_seed
+from branchgen.sampling import _Tables, _count_walk, _finish_stats, stream_seed
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 
@@ -97,6 +100,17 @@ class TestDragen:
                 rng = random.Random(stream_seed(17, i))
                 _count_walk(tables, tables.pos[u.root], 8, rng, counts)
                 assert counts == count_constructors(v)
+
+
+    def test_dead_type_reached_is_an_error(self):
+        u = parse_universe("data A = LA | NA B A\ndata B = LB | NB A", "A")
+        probs = {"A.LA": 0.5, "A.NA": 0.5, "B.LB": 0.0, "B.NB": 0.0}
+        spec = dragen_spec(u, 5, probs)
+        with pytest.raises(AdtError, match="reached type B"):
+            for i in range(20):
+                sample_dragen(u, spec, seed=0, index=i)
+        with pytest.raises(AdtError, match="reached type B"):
+            empirical_stats(u, spec, 20, seed=0)
 
 
 class TestMegadeth:
@@ -210,6 +224,15 @@ class TestEmpiricalStats:
     def test_rejects_bad_counts(self, tree_u):
         with pytest.raises(AdtError):
             empirical_stats(tree_u, dragen_spec(tree_u, 5), 0, seed=0)
+
+
+    def test_std_err_is_exact_for_large_counts(self):
+        xs = [10 ** 7 + (i % 3 == 0) for i in range(30)]
+        stats = _finish_stats(len(xs), ["C"], {"C": sum(xs)},
+                              {"C": sum(x * x for x in xs)}, {}, 0)
+        var = statistics.variance([Fraction(x) for x in xs])
+        assert stats.std_err["C"] == math.sqrt(var / len(xs))
+        assert stats.mean_counts["C"] == float(statistics.mean(Fraction(x) for x in xs))
 
 
 class TestPredictionAgreement:
