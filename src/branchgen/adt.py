@@ -775,7 +775,10 @@ def probmap_to_json(probs: Mapping[str, float]) -> dict:
 def load_probmap(data, u: ADTUniverse) -> dict[str, float]:
     """Load a probability map from a JSON document (dict or text)."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise AdtError(f"probability file is not JSON: {exc}") from None
     if not isinstance(data, dict) or "probabilities" not in data:
         raise AdtError('probability file must be {"probabilities": {...}}')
     entries = data["probabilities"]
@@ -785,7 +788,10 @@ def load_probmap(data, u: ADTUniverse) -> dict[str, float]:
     for cid, p in entries.items():
         if not u.has_ctor(cid):
             raise AdtError(f"unknown constructor: {cid}")
-        probs[cid] = float(p)
+        try:
+            probs[cid] = float(p)
+        except (TypeError, ValueError):
+            raise AdtError(f"probability of {cid} must be a number, got {p!r}") from None
     validate_probmap(u, probs)
     return probs
 

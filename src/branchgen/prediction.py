@@ -325,14 +325,20 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
 def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int,
                            foreign_probs: Mapping[str, float] | None = None) -> dict:
     """Assemble the full report document: expected totals, last-level terms,
-    foreign expectations, and per-type extinction probabilities."""
-    report = predict_constructors(u, probs, size)
+    foreign expectations, and per-type extinction probabilities. Raises
+    AdtError when an expectation overflows a double, which JSON cannot hold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = predict_constructors(u, probs, size)
     foreign = predict_foreign(u, report, foreign_probs)
+    expected = {cid: e.total for cid, e in sorted(report.per_constructor.items())}
+    last = {cid: e.last_level for cid, e in sorted(report.per_constructor.items())}
+    if not np.isfinite([*expected.values(), *last.values(), *foreign.values()]).all():
+        raise AdtError(f"expected constructor counts at size {size} overflow a double")
     extinction = extinction_probability(u, probs)
     return {
         "size": size,
-        "expected": {cid: e.total for cid, e in sorted(report.per_constructor.items())},
-        "lastLevel": {cid: e.last_level for cid, e in sorted(report.per_constructor.items())},
+        "expected": expected,
+        "lastLevel": last,
         "foreign": dict(sorted(foreign.items())),
         "extinction": {tid: extinction.get(tid) for tid in u.family},
     }

@@ -8,10 +8,12 @@ Strategies:
   derive   - unbounded uniform choice; aborts once the emitted constructor
              count exceeds a budget.
 
-Randomness contract: per-sample streams are derived with splitmix64 from
-(seed, sample index); tree walks consume them through random.Random
-(MT19937) and the derive statistics path through numpy PCG64. Identical
-seeds reproduce identical values.
+Randomness contract: streams are derived with splitmix64 from a base seed
+and an index. Values come from tree walks, one random.Random (MT19937)
+stream per sample index. Statistics come from a level-wise simulation, one
+numpy PCG64 stream per block of samples: it has the tree walk's
+constructor-count distribution but does not replay its draws. Identical
+seeds reproduce identical values and identical statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import sqrt
 from typing import Mapping
 
@@ -53,10 +57,20 @@ _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 
 _F_INT, _F_DOUBLE, _F_CHAR = (MODE_GROUND[atom] for atom in ("Int", "Double", "Char"))
 
-# family-child size rules
-_SIZE_DECREMENT = 0
-_SIZE_HALVE = 1
-_SIZE_NONE = 2
+# remaining size of a node's family children, given the node's size
+_CHILD_SIZE = {
+    STRATEGY_DRAGEN: lambda sz: sz - 1,
+    STRATEGY_MEGADETH: lambda sz: sz // 2,
+    STRATEGY_DERIVE: lambda sz: -1,
+}
+
+# Samples the statistics engine simulates together: its working arrays are
+# bounded by this, not by the sample count.
+_BLOCK = 4096
+# Per-block sums of squares are exact in int64 while every count is below
+# this (_BLOCK * _SQUARE_SAFE**2 < 2**63); larger counts are squared as
+# Python ints.
+_SQUARE_SAFE = 1 << 25
 
 
 def splitmix64(x: int) -> int:
@@ -93,31 +107,29 @@ class BudgetExhausted:
 
 
 class _Tables:
-    """Choice tables for one sampling configuration: the cumulative weights
-    per type, over the universe's compiled types and field rows."""
+    """Choice tables for one sampling configuration, over the universe's
+    compiled types and field rows. Per type, ``p_any`` and ``p_final`` hold
+    the constructor probabilities at any size and at size 0, normalized and
+    cut after the last positive entry (empty for a dead type); ``cum_any``
+    and ``cum_final`` are the tree walk's bisect tables derived from them."""
 
-    __slots__ = ("types", "pos", "ctor_ids", "rows", "cum_any", "cum_final",
-                 "size_rule")
+    __slots__ = ("cu", "ctor_ids", "rows", "p_any", "p_final", "cum_any",
+                 "cum_final", "child_size")
 
     def __init__(self, u: ADTUniverse, strategy: str,
                  probs: Mapping[str, float] | None,
                  stars: Mapping[str, float] | None,
                  foreign_probs: Mapping[str, float] | None):
-        cu = u.compiled
-        self.types = cu.types
-        self.pos = cu.index
+        cu = self.cu = u.compiled
         self.ctor_ids = [cu.ctors[s] for s in cu.slices]
         self.rows = [cu.rows[s] for s in cu.slices]
-        if strategy == STRATEGY_DRAGEN:
-            self.size_rule = _SIZE_DECREMENT
-        elif strategy == STRATEGY_MEGADETH:
-            self.size_rule = _SIZE_HALVE
-        else:
-            self.size_rule = _SIZE_NONE
+        self.child_size = _CHILD_SIZE[strategy]
 
         if foreign_probs is None:
             foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
 
+        self.p_any: list[list[float]] = []
+        self.p_final: list[list[float]] = []
         self.cum_any: list[list[float]] = []
         self.cum_final: list[list[float]] = []
         for t, cids in enumerate(self.ctor_ids):
@@ -128,7 +140,9 @@ class _Tables:
                 weights = [probs[c] for c in cids]
             else:
                 weights = [1.0] * len(cids)
-            self.cum_any.append(_cumulative(weights))
+            p_any = _normalized(weights)
+            self.p_any.append(p_any)
+            self.cum_any.append(_cumulative(p_any, len(cids)))
 
             if is_family and strategy != STRATEGY_DERIVE:
                 terms = cu.terminal[cu.slices[t]].tolist()
@@ -138,27 +152,37 @@ class _Tables:
                         "size-bounded generation cannot terminate")
                 final = [(stars.get(c, 0.0) if strategy == STRATEGY_DRAGEN else 1.0)
                          if term else 0.0 for c, term in zip(cids, terms)]
-                self.cum_final.append(_cumulative(final))
+                p_final = _normalized(final)
+                self.p_final.append(p_final)
+                self.cum_final.append(_cumulative(p_final, len(cids)))
             else:
+                self.p_final.append(p_any)
                 self.cum_final.append(self.cum_any[-1])
 
+    def dead_type_error(self, t: int) -> AdtError:
+        return AdtError(f"generation reached type {self.cu.types[t]}, whose "
+                        "constructors all have probability 0")
 
-def _cumulative(weights: list[float]) -> list[float]:
+
+def _normalized(weights: list[float]) -> list[float]:
+    """Weights divided by their total, cut after the last positive weight, so
+    that no draw can land in a zero-probability tail; empty when no weight is
+    positive."""
     total = sum(weights)
     if total <= 0.0:
-        # A dead type: drawing from it indexes past its constructors, which
-        # the walks report as an error.
-        return [-1.0] * len(weights)
-    acc = 0.0
-    out = []
-    for w in weights:
-        acc += w / total
-        out.append(acc)
-    # Clamp from the last positive weight onward so rounding in the running
-    # sum can never push a draw past it into a zero-probability tail entry.
+        return []
     last_pos = max(i for i, w in enumerate(weights) if w > 0)
-    for i in range(last_pos, len(out)):
-        out[i] = 1.0
+    return [w / total for w in weights[:last_pos + 1]]
+
+
+def _cumulative(p: list[float], n: int) -> list[float]:
+    """Running sums of p, with the last set to 1.0 so rounding can never push a
+    draw past it. A dead type gets n entries below every draw, which makes the
+    walk index past its constructors."""
+    if not p:
+        return [-1.0] * n
+    out = list(accumulate(p))
+    out[-1] = 1.0
     return out
 
 
@@ -172,59 +196,12 @@ def _draw_ground(mode: int, rng: random.Random):
     return None  # Unit consumes no randomness
 
 
-def _count_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
-                counts: dict[str, int], budget: int | None = None) -> bool:
-    """Run one generation, recording constructor counts only. Returns False
-    when a budget is given and was exhausted."""
-    rand = rng.random
-    cum_any = tables.cum_any
-    cum_final = tables.cum_final
-    ctor_ids = tables.ctor_ids
-    rows = tables.rows
-    size_rule = tables.size_rule
-    emitted = 0
-    stack: list[tuple[int, int]] = [(root_pos, size)]
-    try:
-        while stack:
-            t, sz = stack.pop()
-            cum = cum_final[t] if sz == 0 else cum_any[t]
-            i = bisect_right(cum, rand())
-            cid = ctor_ids[t][i]
-            counts[cid] = counts.get(cid, 0) + 1
-            if budget is not None:
-                emitted += 1
-                if emitted > budget:
-                    return False
-            row = rows[t][i]
-            if not row:
-                continue
-            if size_rule == _SIZE_DECREMENT:
-                child_sz = sz - 1
-            elif size_rule == _SIZE_HALVE:
-                child_sz = sz // 2
-            else:
-                child_sz = -1
-            # Walk fields left to right (ground atoms drawn in field order, to
-            # match the tree-building walk's stream), then expand depth-first.
-            pushes = []
-            for mode, target in row:
-                if mode == MODE_FAMILY:
-                    pushes.append((target, child_sz))
-                elif mode == MODE_FOREIGN:
-                    pushes.append((target, -1))
-                else:
-                    _draw_ground(mode, rng)
-            stack.extend(reversed(pushes))
-    except IndexError:  # drew from a dead type's table (see _cumulative)
-        raise AdtError(f"generation reached type {tables.types[t]}, whose "
-                       "constructors all have probability 0") from None
-    return True
-
-
 def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
                 budget: int | None = None) -> Value | BudgetExhausted:
-    """Same choice sequence as _count_walk, materializing the value tree."""
+    """Run one generation on ``rng``, materializing the value tree; the only
+    tree walker."""
     rand = rng.random
+    child_size = tables.child_size
     holder: list = [None]
     emitted = 0
     stack: list[tuple[int, int, list, int]] = [(root_pos, size, holder, 0)]
@@ -239,12 +216,7 @@ def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
                     return BudgetExhausted(budget)
             row = tables.rows[t][i]
             children: list = [None] * len(row)
-            if tables.size_rule == _SIZE_DECREMENT:
-                child_sz = sz - 1
-            elif tables.size_rule == _SIZE_HALVE:
-                child_sz = sz // 2
-            else:
-                child_sz = -1
+            child_sz = child_size(sz)
             pending = []
             for k, (mode, target) in enumerate(row):
                 if mode == MODE_FAMILY:
@@ -256,8 +228,7 @@ def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
             stack.extend(reversed(pending))
             sink[slot] = (tables.ctor_ids[t][i], children)
     except IndexError:  # drew from a dead type's table (see _cumulative)
-        raise AdtError(f"generation reached type {tables.types[t]}, whose "
-                       "constructors all have probability 0") from None
+        raise tables.dead_type_error(t) from None
 
     def freeze(node) -> Value:
         # two-phase: expand, then assemble bottom-up
@@ -291,7 +262,7 @@ def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
     """One value from a tuned size-bounded generator."""
     tables = _tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs)
     rng = random.Random(stream_seed(seed, index))
-    v = _build_walk(tables, tables.pos[u.root], spec.size, rng)
+    v = _build_walk(tables, tables.cu.index[u.root], spec.size, rng)
     assert isinstance(v, Value)
     return v
 
@@ -302,7 +273,7 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
     (choices are uniform) and is accepted only for interface parity."""
     tables = _Tables(u, STRATEGY_MEGADETH, None, None, None)
     rng = random.Random(stream_seed(seed, index))
-    v = _build_walk(tables, tables.pos[u.root], size, rng)
+    v = _build_walk(tables, tables.cu.index[u.root], size, rng)
     assert isinstance(v, Value)
     return v
 
@@ -314,7 +285,7 @@ def sample_derive(u: ADTUniverse, budget: int, seed: int,
         raise AdtError("budget must be a positive integer")
     tables = _Tables(u, STRATEGY_DERIVE, None, None, None)
     rng = random.Random(stream_seed(seed, index))
-    return _build_walk(tables, tables.pos[u.root], -1, rng, budget=budget)
+    return _build_walk(tables, tables.cu.index[u.root], -1, rng, budget=budget)
 
 
 def count_constructors(v: Value) -> dict[str, int]:
@@ -358,37 +329,88 @@ class SampleStats:
 def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
                     foreign_probs: Mapping[str, float] | None = None,
                     budget: int | None = None) -> SampleStats:
-    """Sample ``samples`` values on independent per-index streams and
-    aggregate means, standard errors and the size histogram.
+    """Simulate ``samples`` generations and aggregate means, standard errors
+    and the size histogram; ``budget`` applies to the derive strategy only.
 
-    The derive strategy is simulated level-by-level with multinomial draws
-    (same count distribution as the tree walk, tractable at large budgets).
+    Generations are simulated level by level (see _block_counts), block by
+    block, block b on the PCG64 stream ``stream_seed(seed, b)``. The counts
+    have the distribution of the tree walk's (``sample_*``) counts, but
+    sample i's statistics do not replay the value of index i.
     """
     if samples < 1:
         raise AdtError("sample count must be a positive integer")
     if spec.strategy not in STRATEGIES:
         raise AdtError(f"unknown strategy {spec.strategy!r}")
+    size = spec.size
     if spec.strategy == STRATEGY_DERIVE:
-        return _derive_stats(u, samples, seed,
-                             budget if budget is not None else DEFAULT_DERIVE_BUDGET)
-
+        budget = DEFAULT_DERIVE_BUDGET if budget is None else budget
+        if budget < 1:
+            raise AdtError("budget must be a positive integer")
+        size = -1
+    else:
+        budget = None
     tables = _tables_for_spec(u, spec, spec.strategy, foreign_probs)
-    root_pos = tables.pos[u.root]
-    all_ctors = u.compiled.ctors
-    sums = dict.fromkeys(all_ctors, 0)
-    sumsq = dict.fromkeys(all_ctors, 0)
-    hist: dict[int, int] = {}
-    for i in range(samples):
-        rng = random.Random(stream_seed(seed, i))
-        counts: dict[str, int] = {}
-        _count_walk(tables, root_pos, spec.size, rng, counts)
-        total = 0
-        for cid, n in counts.items():
-            sums[cid] += n
-            sumsq[cid] += n * n
-            total += n
-        hist[total] = hist.get(total, 0) + 1
-    return _finish_stats(samples, all_ctors, sums, sumsq, hist, 0)
+    ctors = tables.cu.ctors
+    sums = [0] * len(ctors)
+    sumsq = [0] * len(ctors)
+    hist: Counter[int] = Counter()
+    aborted = 0
+    for b, start in enumerate(range(0, samples, _BLOCK)):
+        rng = np.random.Generator(np.random.PCG64(stream_seed(seed, b)))
+        counts, over = _block_counts(tables, tables.cu.index[u.root], size,
+                                     min(_BLOCK, samples - start), budget, rng)
+        done = counts[~over]
+        aborted += int(over.sum())
+        hist.update(done.sum(axis=1).tolist())
+        if done.size and done.max() >= _SQUARE_SAFE:
+            done = done.astype(object)
+        for c, (x, xx) in enumerate(zip(done.sum(axis=0).tolist(),
+                                        (done * done).sum(axis=0).tolist())):
+            sums[c] += x
+            sumsq[c] += xx
+    return _finish_stats(samples, ctors, dict(zip(ctors, sums)),
+                         dict(zip(ctors, sumsq)), dict(hist), aborted)
+
+
+def _block_counts(tables: _Tables, root_pos: int, size: int, n: int,
+                  budget: int | None, rng: np.random.Generator):
+    """Simulate n generations from ``root_pos`` at ``size`` and return their
+    (n x constructors) counts and the mask of those that passed ``budget``.
+
+    Level k holds the placeholders at depth k. They share one remaining size,
+    and each is an independent draw from its type's table, so a type's
+    constructor counts at a level are one multinomial draw per generation.
+    Only generations with placeholders left stay in the working arrays.
+    """
+    cu = tables.cu
+    counts = np.zeros((n, len(cu.ctors)), dtype=np.int64)
+    over = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    todo = np.zeros((n, len(cu.types)), dtype=np.int64)
+    todo[:, root_pos] = 1
+    emitted = np.zeros(n, dtype=np.int64)
+    limit = np.inf if budget is None else budget
+    sz = size
+    while live.size:
+        emitted += todo.sum(axis=1)
+        passed = emitted > limit
+        over[live[passed]] = True
+        todo[passed] = 0
+        tables_at = tables.p_final if sz == 0 else tables.p_any
+        nxt = np.zeros_like(todo)
+        for t in np.flatnonzero(todo.any(axis=0)):
+            p = tables_at[t]
+            if not p:
+                raise tables.dead_type_error(t)
+            start = cu.slices[t].start
+            cols = slice(start, start + len(p))
+            draws = rng.multinomial(todo[:, t], p)
+            counts[live, cols] += draws
+            nxt += draws @ cu.counts[cols]
+        going = nxt.any(axis=1)
+        live, todo, emitted = live[going], nxt[going], emitted[going]
+        sz = tables.child_size(sz)
+    return counts, over
 
 
 def _finish_stats(samples, ctors, sums, sumsq, hist, aborted) -> SampleStats:
@@ -399,57 +421,6 @@ def _finish_stats(samples, ctors, sums, sumsq, hist, aborted) -> SampleStats:
     errs = {c: sqrt((n * sumsq[c] - sums[c] ** 2) / (n * n * (n - 1))) if n > 1 else 0.0
             for c in ctors}
     return SampleStats(samples, means, errs, hist, aborted)
-
-
-def _derive_stats(u: ADTUniverse, samples: int, seed: int, budget: int) -> SampleStats:
-    if budget < 1:
-        raise AdtError("budget must be a positive integer")
-    cu = u.compiled
-    nt = len(cu.types)
-    ctor_names = cu.ctors
-    slices = cu.slices
-    pvals = [np.full(s.stop - s.start, 1.0 / (s.stop - s.start)) for s in slices]
-    child_mat = [cu.counts[s] for s in slices]
-
-    sums = dict.fromkeys(ctor_names, 0)
-    sumsq = dict.fromkeys(ctor_names, 0)
-    hist: dict[int, int] = {}
-    aborted = 0
-    nc = len(ctor_names)
-    root_pos = cu.index[u.root]
-
-    for i in range(samples):
-        rng = np.random.Generator(np.random.PCG64(stream_seed(seed, i)))
-        counts = np.zeros(nc, dtype=np.int64)
-        placeholders = np.zeros(nt, dtype=np.int64)
-        placeholders[root_pos] = 1
-        emitted = 0
-        ok = True
-        while placeholders.any():
-            emitted += int(placeholders.sum())
-            if emitted > budget:
-                ok = False
-                break
-            nxt = np.zeros(nt, dtype=np.int64)
-            for t in range(nt):
-                k = int(placeholders[t])
-                if k == 0:
-                    continue
-                draws = rng.multinomial(k, pvals[t])
-                counts[slices[t]] += draws
-                nxt += draws @ child_mat[t]
-            placeholders = nxt
-        if not ok:
-            aborted += 1
-            continue
-        total = int(counts.sum())
-        hist[total] = hist.get(total, 0) + 1
-        for ci in np.nonzero(counts)[0]:
-            c = ctor_names[ci]
-            n = int(counts[ci])
-            sums[c] += n
-            sumsq[c] += n * n
-    return _finish_stats(samples, ctor_names, sums, sumsq, hist, aborted)
 
 
 # ---------------------------------------------------------------------------

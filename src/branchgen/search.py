@@ -189,7 +189,7 @@ class GenSpec:
                 star_probabilities={k: float(v) for k, v in data["starProbabilities"].items()},
                 universe_hash=data["universeHash"],
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AdtError(f"malformed generator spec: {exc!r}") from None
         if spec.strategy not in STRATEGIES:
             raise AdtError(f"unknown strategy {spec.strategy!r}")

@@ -117,10 +117,41 @@ class TestPredict:
         for cid, expected in want.items():
             assert doc["expected"][cid] == pytest.approx(expected, abs=1e-12)
 
+    def test_overflowing_expectation_fails_cleanly(self, capsys, tree_file, tmp_path):
+        probs = tmp_path / "p.json"
+        probs.write_text(json.dumps({"probabilities": {
+            "Tree.LeafA": 0.2, "Tree.LeafB": 0.1, "Tree.LeafC": 0.1, "Tree.Node": 0.6}}))
+        code, out, err = run(capsys, "predict", "-f", tree_file, "--root", "Tree",
+                             "--size", "100000", "--probs", str(probs))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "size 100000" in err
+
     def test_usage_error(self, capsys, tree_file):
         code = main(["predict", "-f", tree_file, "--root", "Tree"])
         capsys.readouterr()
         assert code == 2
+
+
+UNIFORM_TREE = {"Tree.LeafA": 0.25, "Tree.LeafB": 0.25, "Tree.LeafC": 0.25,
+                "Tree.Node": 0.25}
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--probs", json.dumps({"probabilities": {**UNIFORM_TREE, "Tree.Node": "abc"}})),
+    ("--probs", json.dumps({"probabilities": {**UNIFORM_TREE, "Tree.Node": None}})),
+    ("--probs", json.dumps({"probabilities": {**UNIFORM_TREE, "Tree.Node": [1]}})),
+    ("--probs", '{"probabilities": '),
+    ("--spec", json.dumps({"root": "Tree", "size": "x", "strategy": "dragen",
+                           "probabilities": UNIFORM_TREE, "starProbabilities": {},
+                           "universeHash": ""})),
+], ids=["probs-string", "probs-null", "probs-list", "probs-not-json", "spec-size-string"])
+def test_malformed_input_fails_cleanly(capsys, tree_file, tmp_path, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "sample", "-f", tree_file, "--root", "Tree",
+                         "--size", "3", flag, str(path), "--count", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 class TestOptimize:

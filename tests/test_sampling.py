@@ -1,5 +1,4 @@
 import math
-import random
 import statistics
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from branchgen import (
     value_to_json,
     value_to_sexp,
 )
-from branchgen.sampling import _Tables, _count_walk, _finish_stats, stream_seed
+from branchgen.sampling import _BLOCK, _finish_stats, stream_seed
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 
@@ -88,19 +87,6 @@ class TestDragen:
         assert a == b
         c = [sample_dragen(tree_u, spec, seed=43, index=i) for i in range(10)]
         assert a != c
-
-    def test_count_walk_matches_tree_walk(self, tree_u, composite_u, t1t2_u):
-        for u in (tree_u, composite_u, t1t2_u):
-            spec = dragen_spec(u, 8)
-            tables = _Tables(u, "dragen", spec.probabilities,
-                             spec.star_probabilities, None)
-            for i in range(40):
-                v = sample_dragen(u, spec, seed=17, index=i)
-                counts = {}
-                rng = random.Random(stream_seed(17, i))
-                _count_walk(tables, tables.pos[u.root], 8, rng, counts)
-                assert counts == count_constructors(v)
-
 
     def test_dead_type_reached_is_an_error(self):
         u = parse_universe("data A = LA | NA B A\ndata B = LB | NB A", "A")
@@ -193,14 +179,6 @@ class TestDerive:
 
 
 class TestEmpiricalStats:
-    def test_one_sample_equals_its_counts(self, tree_u):
-        spec = dragen_spec(tree_u, 10)
-        stats = empirical_stats(tree_u, spec, 1, seed=21)
-        counts = count_constructors(sample_dragen(tree_u, spec, seed=21, index=0))
-        for cid, mean in stats.mean_counts.items():
-            assert mean == float(counts.get(cid, 0))
-        assert all(se == 0.0 for se in stats.std_err.values())
-
     def test_histogram_totals(self, tree_u):
         spec = dragen_spec(tree_u, 10)
         stats = empirical_stats(tree_u, spec, 500, seed=1)
@@ -233,6 +211,63 @@ class TestEmpiricalStats:
         var = statistics.variance([Fraction(x) for x in xs])
         assert stats.std_err["C"] == math.sqrt(var / len(xs))
         assert stats.mean_counts["C"] == float(statistics.mean(Fraction(x) for x in xs))
+
+
+class TestEngineMatchesTreeWalk:
+    # Two-sample tests: constructor means of values from the tree walk
+    # (sample_*) against the level-wise statistics engine, each within 4
+    # standard errors of the pooled difference.
+    N = 3000
+
+    @staticmethod
+    def assert_means_agree(values, stats):
+        rows = [count_constructors(v) for v in values]
+        for cid, got in stats.mean_counts.items():
+            xs = [r.get(cid, 0) for r in rows]
+            se = math.hypot(statistics.stdev(xs) / math.sqrt(len(xs)), stats.std_err[cid])
+            assert abs(statistics.fmean(xs) - got) <= 4 * se + 1e-12, (cid, xs, got, se)
+
+    def test_dragen_foreign_and_ground(self):
+        # the composite universe, with LeafC given a foreign field whose
+        # constructors carry every ground atom
+        u = parse_universe("""
+            data Bool = True | False
+            data Maybe a = Nothing | Just a
+            data Atom = AInt Int | ADouble Double | AChar Char | AUnit Unit
+            data Tree = LeafA (Maybe Bool) | LeafB Bool Bool | LeafC Atom | Node Tree Tree
+            """, "Tree")
+        spec = dragen_spec(u, 6)
+        values = [sample_dragen(u, spec, seed=23, index=i) for i in range(self.N)]
+        self.assert_means_agree(values, empirical_stats(u, spec, self.N, seed=23))
+
+    def test_megadeth(self, t1t2_u):
+        spec = adhoc_genspec(t1t2_u, 10, "megadeth")
+        probs = uniform_probmap(t1t2_u, t1t2_u.family)
+        values = [sample_megadeth(t1t2_u, probs, 10, seed=24, index=i) for i in range(self.N)]
+        self.assert_means_agree(values, empirical_stats(t1t2_u, spec, self.N, seed=24))
+
+    def test_derive_with_aborts(self, derive_u):
+        budget = 15
+        results = [sample_derive(derive_u, budget, seed=25, index=i) for i in range(self.N)]
+        values = [r for r in results if isinstance(r, Value)]
+        stats = empirical_stats(derive_u, adhoc_genspec(derive_u, 0, "derive"),
+                                self.N, seed=25, budget=budget)
+        self.assert_means_agree(values, stats)
+        # a generation of exactly `budget` constructors still finishes
+        assert max(stats.size_histogram) == budget
+        walk_frac = 1 - len(values) / self.N
+        frac = stats.budget_exhausted / self.N
+        pooled = (walk_frac + frac) / 2
+        assert 0 < pooled < 1
+        assert abs(walk_frac - frac) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / self.N)
+
+    def test_several_blocks(self, tree_u):
+        spec = dragen_spec(tree_u, 6)
+        samples = _BLOCK + 100
+        stats = empirical_stats(tree_u, spec, samples, seed=26)
+        assert sum(stats.size_histogram.values()) == samples
+        assert empirical_stats(tree_u, spec, samples, seed=26) == stats
+        assert empirical_stats(tree_u, spec, samples, seed=27) != stats
 
 
 class TestPredictionAgreement:
