@@ -3,9 +3,12 @@ distribution sits from a target distribution, via the chi-square statistic."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .adt import (
     FAMILY,
@@ -14,7 +17,7 @@ from .adt import (
     resolve_constructor,
     terminal_constructors,
 )
-from .prediction import predict_constructors
+from .prediction import predict_batch
 
 
 class ConstraintError(AdtError):
@@ -22,13 +25,18 @@ class ConstraintError(AdtError):
 
 
 def chi_square(observed: Sequence[float], expected: Sequence[float]) -> float:
-    """sum((obs - exp)^2 / exp); expected entries must be positive."""
+    """sum((obs - exp)^2 / exp); expected entries must be positive and
+    finite (an infinite one, such as a huge weight times the size, would
+    make the sum NaN).
+
+    An observed entry may be a numpy array of values of one target; the
+    result is then an array, each element summed in the same order."""
     if len(observed) != len(expected):
         raise AdtError("observed and expected lengths differ")
     total = 0.0
     for o, e in zip(observed, expected):
-        if e <= 0.0:
-            raise AdtError(f"expected entries must be positive, got {e}")
+        if not 0.0 < e < math.inf:
+            raise AdtError(f"expected entries must be positive and finite, got {e}")
         d = o - e
         total += d * d / e
     return total
@@ -49,10 +57,18 @@ class CostFunction:
     pinned: frozenset[str]
 
     def __call__(self, size: int, probs: Mapping[str, float]) -> float:
-        report = predict_constructors(self.universe, probs, size)
-        observed = [report.per_constructor[c].total for c, _ in self.targets]
+        return self.scores(size, [probs])[0]
+
+    def scores(self, size: int, maps: Sequence[Mapping[str, float]]) -> list[float]:
+        """The cost of each map, from one batched prediction. Each equals
+        ``chi_square`` on that map's totals alone, bit for bit."""
+        branching, last = predict_batch(self.universe, maps, size)
+        totals = branching + last
+        column = {cid: c for c, cid in enumerate(self.universe.compiled.ctors)}
+        observed = [totals[:, column[c]] for c, _ in self.targets]
         expected = [w * size for _, w in self.targets]
-        return chi_square(observed, expected)
+        # chi_square is the float 0.0, not an array, when there are no targets
+        return (np.zeros(len(maps)) + chi_square(observed, expected)).tolist()
 
 
 def _decl_order(u: ADTUniverse, ctors: Iterable[str]) -> tuple[str, ...]:
@@ -77,8 +93,8 @@ def weighted_cost(u: ADTUniverse, weights: Mapping[str, float]) -> CostFunction:
         cid = resolve_constructor(u, name)
         if cid not in family:
             raise ConstraintError(f"{cid} is not in the branching family")
-        if w <= 0:
-            raise AdtError(f"weight for {cid} must be positive, got {w}")
+        if not 0.0 < w < math.inf:
+            raise AdtError(f"weight for {cid} must be positive and finite, got {w}")
         resolved[cid] = float(w)
     targets = tuple((c, resolved[c]) for c in _decl_order(u, resolved))
     label = "weighted(" + ",".join(f"{c}={w:g}" for c, w in targets) + ")"

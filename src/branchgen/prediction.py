@@ -17,7 +17,7 @@ the independent reference the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -87,11 +87,13 @@ def _require_probs(probs: Mapping[str, float], ctors: tuple[str, ...]) -> None:
         raise AdtError(f"missing probability entries: {missing}")
 
 
-def _family_probs(cu: CompiledUniverse, probs: Mapping[str, float]) -> np.ndarray:
-    """The family constructors' probabilities as a vector."""
+def _family_probs(cu: CompiledUniverse, maps: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """The family constructors' probabilities, one row per map."""
     ctors = cu.ctors[:cu.nfamily_ctors]
-    _require_probs(probs, ctors)
-    return np.array([probs[c] for c in ctors], dtype=float)
+    for probs in maps:
+        _require_probs(probs, ctors)
+    rows = [[probs[c] for c in ctors] for probs in maps]
+    return np.array(rows, dtype=float).reshape(len(maps), len(ctors))
 
 
 def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
@@ -110,10 +112,12 @@ def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> Mean
     return MeanMatrix(CONSTRUCTOR, ctors, m)
 
 
-def _type_matrix(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+    """One type mean matrix per row of ``p``, each summed constructor by
+    constructor in declaration order."""
     nf, nfc = cu.nfamily, cu.nfamily_ctors
-    m = np.zeros((nf, nf))
-    np.add.at(m, cu.owner[:nfc], cu.counts[:nfc, :nf] * p[:, None])
+    m = np.zeros((len(p), nf, nf))
+    np.add.at(m, (slice(None), cu.owner[:nfc]), cu.counts[:nfc, :nf] * p[:, :, None])
     return m
 
 
@@ -121,7 +125,7 @@ def mean_matrix_types(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
     """Offspring means over the family's types:
     entry (u, v) = sum over constructors C of u of branching_factor(v, C) * p(C)."""
     cu = u.compiled
-    return MeanMatrix(TYPE, u.family, _type_matrix(cu, _family_probs(cu, probs)))
+    return MeanMatrix(TYPE, u.family, _type_matrices(cu, _family_probs(cu, [probs]))[0])
 
 
 def initial_population(u: ADTUniverse, probs: Mapping[str, float],
@@ -131,7 +135,7 @@ def initial_population(u: ADTUniverse, probs: Mapping[str, float],
     cu = u.compiled
     root = cu.index[u.root]
     if granularity == CONSTRUCTOR:
-        p = _family_probs(cu, probs)
+        p = _family_probs(cu, [probs])[0]
         return PopulationVector(cu.ctors[:len(p)], np.where(cu.owner[:len(p)] == root, p, 0.0))
     if granularity == TYPE:
         return PopulationVector(u.family, np.arange(cu.nfamily) == root)
@@ -169,26 +173,30 @@ def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> Populati
     return PopulationVector(g0.index, acc)
 
 
-def _star_vector(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
-    """p* over the family constructors, zero for non-terminals."""
-    nfc = len(p)
+def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+    """p* over the family constructors, one row per row of ``p``, zero for
+    non-terminals."""
+    nfc = p.shape[1]
     owner, term = cu.owner[:nfc], cu.terminal[:nfc]
     nterms = np.bincount(owner[term], minlength=cu.nfamily)
     if not nterms.all():
         t = np.flatnonzero(nterms == 0)[0]
         raise AdtError(f"family type {cu.types[t]} has no terminal constructor; "
                        "generation cannot terminate")
-    mass = np.zeros(cu.nfamily)
-    np.add.at(mass, owner[term], p[term])
-    stars = np.zeros(nfc)
-    live = term & (mass[owner] > 0.0)
-    stars[live] = p[live] / mass[owner[live]]
-    for t in np.flatnonzero(mass == 0.0):
-        if p[cu.slices[t]].sum() > 0.0:
+    mass = np.zeros((len(p), cu.nfamily))
+    np.add.at(mass, (slice(None), owner[term]), p[:, term])
+    own_mass = mass[:, owner]
+    stars = np.zeros(p.shape)
+    live = term & (own_mass > 0.0)
+    stars[live] = p[live] / own_mass[live]
+    if mass.all():
+        return stars
+    for r, t in np.argwhere(mass == 0.0).tolist():
+        if p[r, cu.slices[t]].sum() > 0.0:
             warn_probability(
                 f"all terminal constructors of {cu.types[t]} have probability 0; "
                 "using a uniform terminal distribution at the last level")
-        stars[term & (owner == t)] = 1.0 / nterms[t]
+        stars[r, term & (owner == t)] = 1.0 / nterms[t]
     return stars
 
 
@@ -202,7 +210,7 @@ def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     (with a warning): the generator must still be able to stop.
     """
     cu = u.compiled
-    stars = _star_vector(cu, _family_probs(cu, probs)).tolist()
+    stars = _star_vectors(cu, _family_probs(cu, [probs]))[0].tolist()
     return {cid: stars[c] for c, cid in enumerate(cu.ctors[:len(stars)]) if cu.terminal[c]}
 
 
@@ -228,6 +236,41 @@ class PredictionReport:
         return {cid: e.total for cid, e in self.per_constructor.items()}
 
 
+def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]],
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expected branching and last-level counts of the family constructors
+    (columns in ``u.compiled.ctors`` order), one row per probability map.
+
+    All maps share one level loop over stacked type matrices. Every row is
+    computed with the same operations in the same order as a batch of one,
+    so a map's numbers do not depend on the batch it is scored in.
+    """
+    if size < 1:
+        raise AdtError("size must be a positive integer")
+    cu = u.compiled
+    p = _family_probs(cu, maps)
+    m = _type_matrices(cu, p)
+    # One row vector per map: (maps, 1, types), so each level is one
+    # stacked vector-matrix product.
+    v = np.zeros((len(p), 1, cu.nfamily))
+    v[:, 0, cu.index[u.root]] = 1.0
+    pop = v.copy()
+    for _ in range(size - 1):
+        v = v @ m
+        pop += v
+    v, pop = v[:, 0], pop[:, 0]
+    owner = cu.owner[:cu.nfamily_ctors]
+
+    # Placeholders of each type at the final level, spawned by the
+    # non-terminal constructors present at level size-1 (v).
+    fill = np.zeros_like(v)
+    np.add.at(fill, (slice(None), cu.pair_target), (v[:, owner] * p)[:, cu.pair_ctor])
+
+    branching = pop[:, owner] * p
+    last = np.where(cu.terminal[:cu.nfamily_ctors], _star_vectors(cu, p) * fill[:, owner], 0.0)
+    return branching, last
+
+
 def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
                          size: int) -> PredictionReport:
     """Expected constructor counts for a run at the given size.
@@ -237,29 +280,11 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     the placeholders of T spawned into level `size` by the non-terminals
     at level size-1. Constructor expectations are derived from type-level
     quantities; the result agrees with the direct constructor-matrix
-    computation.
+    computation. This is ``predict_batch`` on one map.
     """
-    if size < 1:
-        raise AdtError("size must be a positive integer")
-    cu = u.compiled
-    p = _family_probs(cu, probs)
-    m = _type_matrix(cu, p)
-    v = initial_population(u, probs, TYPE).values
-    pop = v.copy()
-    for _ in range(size - 1):
-        v = v @ m
-        pop += v
-    owner = cu.owner[:len(p)]
-
-    # Placeholders of each type at the final level, spawned by the
-    # non-terminal constructors present at level size-1 (v).
-    fill = np.zeros(cu.nfamily)
-    np.add.at(fill, cu.pair_target, (v[owner] * p)[cu.pair_ctor])
-
-    branching = (pop[owner] * p).tolist()
-    last = np.where(cu.terminal[:len(p)], _star_vector(cu, p) * fill[owner], 0.0).tolist()
+    branching, last = predict_batch(u, [probs], size)
     report = {cid: ConstructorExpectation(b, l)
-              for cid, b, l in zip(cu.ctors, branching, last)}
+              for cid, b, l in zip(u.compiled.ctors, branching[0].tolist(), last[0].tolist())}
     return PredictionReport(size, report)
 
 
@@ -305,7 +330,7 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
     contribute factor 1.
     """
     cu = u.compiled
-    p = _family_probs(cu, probs).tolist()
+    p = _family_probs(cu, [probs])[0].tolist()
     owner = cu.owner.tolist()
     family_fields = [[t for mode, t in cu.rows[c] if mode == MODE_FAMILY] for c in range(len(p))]
     q = [0.0] * cu.nfamily

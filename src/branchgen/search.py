@@ -9,6 +9,8 @@ neighbor while each move improves the cost by more than epsilon.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -42,12 +44,12 @@ class SearchConfig:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise AdtError("delta must be in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise AdtError("epsilon must be positive")
-        if self.max_steps < 1:
-            raise AdtError("max_steps must be at least 1")
-        if self.quantum <= 0.0:
-            raise AdtError("quantum must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise AdtError("epsilon must be positive and finite")
+        if not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1:
+            raise AdtError("max_steps must be an integer of at least 1")
+        if not 0.0 < self.quantum < math.inf:
+            raise AdtError("quantum must be positive and finite")
 
 
 @dataclass
@@ -115,8 +117,10 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
 
     Every evaluated neighbor joins the visited set (keyed by its quantized
     probabilities), so no map is scored twice; ties between equally cheap
-    neighbors resolve to the first in enumeration order. Returns the best
-    map found and the trace of accepted steps.
+    neighbors resolve to the first in enumeration order. A stock
+    ``CostFunction`` scores each step's fresh neighbors in one
+    ``scores`` call. Returns the best map found and the trace of accepted
+    steps.
     """
     cfg = config or SearchConfig()
     for cid in cost.pinned:
@@ -124,6 +128,9 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             raise AdtError(f"initial probability map violates pinned constraint on {cid}")
 
     u = cost.universe
+    # Any other callable (a subclass with its own __call__, or a wrapper
+    # that forwards calls) is opaque and can only be called once per map.
+    batched = type(cost).__call__ is CostFunction.__call__
     focus = dict(init)
     focus_cost = cost(size, focus)
     evaluations = 1
@@ -140,7 +147,8 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
         if not fresh:
             outcome = LOCAL_MINIMUM
             break
-        scored = [(cost(size, cand), i) for i, cand in enumerate(fresh)]
+        costs = cost.scores(size, fresh) if batched else [cost(size, c) for c in fresh]
+        scored = [(c, i) for i, c in enumerate(costs)]
         evaluations += len(fresh)
         best_cost, best_i = min(scored)
         gain = focus_cost - best_cost

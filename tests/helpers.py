@@ -9,9 +9,12 @@ mean matrix instead of the type-level one the implementation uses.
 import itertools
 import random
 
+import numpy as np
+
 from branchgen import (
     Value,
     branching_factor,
+    chi_square,
     expected_generation,
     expected_population,
     initial_population,
@@ -123,6 +126,48 @@ def predict_via_constructor_matrix(u, probs, size):
             total += stars[cid] * fill
         totals[cid] = total
     return totals
+
+
+def scalar_cost(cost, size, probs):
+    """``cost`` on one map by the scalar route the batched prediction
+    replaced, read from the declarations: the type mean matrix summed
+    constructor by constructor (field count times probability), the fill
+    summed field by field, both in declaration order, one vector-matrix
+    product per level, and terminal probabilities renormalized per type
+    (uniform when a type's terminals carry no mass). The library must
+    match it bit for bit."""
+    u = cost.universe
+    ctors = u.family_constructors()
+    index = {tid: t for t, tid in enumerate(u.family)}
+    owner = {c: index[u.ctor_type(c)] for c in ctors}
+    fields = {c: [index[f.target] for f in u.ctor_decl(c).fields if f.kind == FAMILY]
+              for c in ctors}
+    m = np.zeros((len(index), len(index)))
+    for c in ctors:
+        for t in sorted(set(fields[c])):
+            m[owner[c], t] += fields[c].count(t) * probs[c]
+    v = np.zeros(len(index))
+    v[index[u.root]] = 1.0
+    pop = v.copy()
+    for _ in range(size - 1):
+        v = v @ m
+        pop += v
+    fill = [0.0] * len(index)
+    for c in ctors:
+        for t in fields[c]:
+            fill[t] += v[owner[c]] * probs[c]
+    totals = {}
+    for c in ctors:
+        totals[c] = pop[owner[c]] * probs[c]
+        if not fields[c]:
+            terms = terminal_constructors(u.ctor_type(c), u)
+            mass = 0.0
+            for d in terms:
+                mass += probs[d]
+            star = probs[c] / mass if mass > 0.0 else 1.0 / len(terms)
+            totals[c] += star * fill[owner[c]]
+    return chi_square([totals[c] for c, _ in cost.targets],
+                      [w * size for _, w in cost.targets])
 
 
 def value_depth(v, u):

@@ -187,6 +187,18 @@ class TestOptimize:
                            "--size", "10", "--cost", "fancy(1,2)")
         assert code == 1 and "unknown cost" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--cost", "weighted(Tree.Node=nan)"),
+        ("--cost", "weighted(Tree.Node=inf)"),
+        ("--cost", "weighted(Tree.Node=1e308)"),
+        ("--epsilon", "nan"),
+    ], ids=["weight-nan", "weight-inf", "weight-times-size-overflows", "epsilon-nan"])
+    def test_malformed_input_fails_cleanly(self, capsys, tree_file, flag, value):
+        code, out, err = run(capsys, "optimize", "-f", tree_file, "--root", "Tree",
+                             "--size", "10", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
 
 class TestSample:
     def test_deterministic_under_seed(self, capsys, tree_file, tmp_path):

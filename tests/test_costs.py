@@ -1,19 +1,22 @@
 import random
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from branchgen import (
     AdtError,
     ConstraintError,
     chi_square,
+    neighbors,
     only_cost,
     only_types_cost,
     parse_cost_expression,
     parse_universe,
     predict_constructors,
     renormalize_probmap,
+    terminal_constructors,
     uniform_cost,
     uniform_probmap,
     weighted_cost,
@@ -219,3 +222,66 @@ class TestCostExpressions:
         for text in ("nope", "weighted(X)", "weighted(LeafA=much)", "only()(", ""):
             with pytest.raises(AdtError):
                 parse_cost_expression(tree_u, text)
+
+
+def _random_cost(rng, u, kind):
+    """uniform, or only/without over a random set of constructors. Every
+    type keeps its first constructor, which random_universe makes a
+    terminal, so the exclusion is always viable."""
+    if kind == "uniform":
+        return uniform_cost(u)
+    chosen = [c for tid in u.family for c in u.constructors_of(tid)[1:] if rng.random() < 0.5]
+    if kind == "only":
+        return only_cost(u, [u.constructors_of(tid)[0] for tid in u.family] + chosen)
+    return without_cost(u, chosen)
+
+
+def _without_terminal_mass(u, probs, pinned):
+    """For each type with an unpinned non-terminal, ``probs`` with that
+    type's terminals set to 0 and the type renormalized over the rest."""
+    out = []
+    for tid in u.family:
+        ctors = u.constructors_of(tid)
+        terms = set(terminal_constructors(tid, u))
+        if any(c not in terms and c not in pinned for c in ctors):
+            starved = dict(probs)
+            for c in terms:
+                starved[c] = 0.0
+            total = sum(starved[c] for c in ctors)
+            for c in ctors:
+                starved[c] /= total
+            out.append(starved)
+    return out
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, [str(w.message) for w in caught]
+
+
+class TestBatchedScores:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           size=st.integers(1, 12), zero_terminal_mass=st.booleans())
+    def test_equal_to_one_map_at_a_time(self, seed, kind, size, zero_terminal_mass):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng)
+        cost = _random_cost(rng, u, kind)
+        probs = renormalize_probmap(u, helpers.random_probmap(rng, u), cost.pinned)
+        maps = neighbors(u, probs, 0.05, cost.pinned)
+        starved = _without_terminal_mass(u, probs, cost.pinned) if zero_terminal_mass else []
+        for m in starved:
+            maps.insert(rng.randint(0, len(maps)), m)
+
+        batched, batched_warnings = _recorded(lambda: cost.scores(size, maps))
+        single, single_warnings = _recorded(lambda: [cost(size, m) for m in maps])
+        assert batched == single
+        assert batched == [helpers.scalar_cost(cost, size, m) for m in maps]
+        assert batched_warnings == single_warnings
+        assert len(batched_warnings) >= len(starved)
+
+    def test_empty_batch(self, tree_u):
+        assert uniform_cost(tree_u).scores(10, []) == []

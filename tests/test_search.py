@@ -23,6 +23,7 @@ from branchgen import (
 )
 from branchgen.costs import CostFunction
 from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP
+from test_acceptance import TABLE_CFG, TABLE_ROWS
 
 
 class TestNeighbors:
@@ -171,6 +172,67 @@ class TestOptimize:
             SearchConfig(epsilon=0.0)
         with pytest.raises(AdtError):
             SearchConfig(max_steps=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(AdtError):
+                SearchConfig(epsilon=bad)
+            with pytest.raises(AdtError):
+                SearchConfig(quantum=bad)
+            with pytest.raises(AdtError):
+                SearchConfig(max_steps=bad)
+
+
+class Forwarding:
+    """A wrapper shaped like a tracing one: it forwards only calls and the
+    attributes ``optimize`` reads, so the optimizer must call it per map."""
+
+    def __init__(self, cost):
+        self._cost = cost
+        self.label = cost.label
+        self.universe = cost.universe
+        self.targets = cost.targets
+        self.pinned = cost.pinned
+
+    def __call__(self, size, probs):
+        return self._cost(size, probs)
+
+
+def _run(cost, size, init, config):
+    best, trace = optimize(cost, size, init, config)
+    return best, trace.steps, trace.outcome, trace.evaluations
+
+
+class TestScoringRoutes:
+    """The batched route (stock CostFunction) and the per-map route (any
+    other callable) give the same search."""
+
+    @pytest.mark.parametrize("make_cost", [make for _, make, _ in TABLE_ROWS],
+                             ids=[name for name, _, _ in TABLE_ROWS])
+    def test_table_one_rows(self, tree_u, make_cost):
+        cost = make_cost(tree_u)
+        init = renormalize_probmap(tree_u, uniform_probmap(tree_u), cost.pinned)
+        assert _run(Forwarding(cost), 10, init, TABLE_CFG) == _run(cost, 10, init, TABLE_CFG)
+
+    def test_ten_type_family(self):
+        u, _ = helpers.random_universe(random.Random(5), max_types=10, max_ctors=60)
+        assert len(u.family) == 10
+        cost = uniform_cost(u)
+        config = SearchConfig(max_steps=8)
+        init = uniform_probmap(u, u.family)
+        assert _run(Forwarding(cost), 10, init, config) == _run(cost, 10, init, config)
+
+    def test_stock_cost_scores_each_step_in_one_batch(self, tree_u):
+        batches = []
+        inner = uniform_cost(tree_u)
+
+        class Counting(CostFunction):
+            def scores(self, size, maps):
+                batches.append(len(maps))
+                return super().scores(size, maps)
+
+        cost = Counting(inner.label, inner.universe, inner.targets, inner.pinned)
+        _, trace = optimize(cost, 10, uniform_probmap(tree_u))
+        assert sum(batches) == trace.evaluations
+        assert len(batches) <= len(trace.steps) + 1 < trace.evaluations
 
 
 class TestTableOneLandscape:
