@@ -62,6 +62,7 @@ from .sampling import (
     sample_derive,
     sample_dragen,
     sample_megadeth,
+    sample_values,
     value_to_json,
     value_to_sexp,
 )

@@ -36,9 +36,7 @@ from .sampling import (
     adhoc_genspec,
     empirical_stats,
     histogram_csv,
-    sample_derive,
-    sample_dragen,
-    sample_megadeth,
+    sample_values,
     value_to_json,
     value_to_sexp,
 )
@@ -46,7 +44,6 @@ from .search import (
     STRATEGIES,
     STRATEGY_DERIVE,
     STRATEGY_DRAGEN,
-    STRATEGY_MEGADETH,
     GenSpec,
     SearchConfig,
     derive_generator_with_trace,
@@ -235,13 +232,7 @@ def _cmd_sample(args) -> int:
     u, spec = _universe_and_spec(args)
     seed = _seed_of(args)
     render = value_to_sexp if args.format == "sexp" else value_to_json
-    for i in range(args.count):
-        if spec.strategy == STRATEGY_DRAGEN:
-            value = sample_dragen(u, spec, seed, i)
-        elif spec.strategy == STRATEGY_MEGADETH:
-            value = sample_megadeth(u, spec.probabilities, spec.size, seed, i)
-        else:
-            value = sample_derive(u, args.budget, seed, i)
+    for value in sample_values(u, spec, seed, args.count, args.budget):
         if isinstance(value, BudgetExhausted):
             line = ('{"budgetExhausted": true}' if args.format == "json"
                     else "(#budget-exhausted)")

@@ -59,9 +59,11 @@ class CostFunction:
     def __call__(self, size: int, probs: Mapping[str, float]) -> float:
         return self.scores(size, [probs])[0]
 
-    def scores(self, size: int, maps: Sequence[Mapping[str, float]]) -> list[float]:
-        """The cost of each map, from one batched prediction. Each equals
-        ``chi_square`` on that map's totals alone, bit for bit."""
+    def scores(self, size: int,
+               maps: Sequence[Mapping[str, float]] | np.ndarray) -> list[float]:
+        """The cost of each map, from one batched prediction; ``maps`` may
+        also be a family-probability matrix (see ``predict_batch``). Each
+        equals ``chi_square`` on that map's totals alone, bit for bit."""
         branching, last = predict_batch(self.universe, maps, size)
         totals = branching + last
         column = {cid: c for c, cid in enumerate(self.universe.compiled.ctors)}

@@ -236,10 +236,12 @@ class PredictionReport:
         return {cid: e.total for cid, e in self.per_constructor.items()}
 
 
-def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]],
+def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarray,
                   size: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected branching and last-level counts of the family constructors
     (columns in ``u.compiled.ctors`` order), one row per probability map.
+    ``maps`` is a sequence of maps or a matrix of the family constructors'
+    probabilities, one row per map, in the same column order.
 
     All maps share one level loop over stacked type matrices. Every row is
     computed with the same operations in the same order as a batch of one,
@@ -248,7 +250,13 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]],
     if size < 1:
         raise AdtError("size must be a positive integer")
     cu = u.compiled
-    p = _family_probs(cu, maps)
+    if isinstance(maps, np.ndarray):
+        p = maps.astype(float, copy=False)
+        if p.ndim != 2 or p.shape[1] != cu.nfamily_ctors:
+            raise AdtError(f"probability matrix of shape {p.shape} does not have "
+                           f"one column per family constructor ({cu.nfamily_ctors})")
+    else:
+        p = _family_probs(cu, maps)
     m = _type_matrices(cu, p)
     # One row vector per map: (maps, 1, types), so each level is one
     # stacked vector-matrix product.

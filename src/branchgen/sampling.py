@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import sqrt
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -257,12 +257,24 @@ def _tables_for_spec(u: ADTUniverse, spec: GenSpec, strategy: str,
     return _Tables(u, strategy, spec.probabilities, spec.star_probabilities, foreign_probs)
 
 
+def _walk(tables: _Tables, u: ADTUniverse, size: int, seed: int, index: int,
+          budget: int | None = None) -> Value | BudgetExhausted:
+    """Value ``index`` of ``seed`` on ``tables``: one tree walk on its own stream."""
+    rng = random.Random(stream_seed(seed, index))
+    return _build_walk(tables, tables.cu.index[u.root], size, rng, budget)
+
+
+def _derive_tables(u: ADTUniverse, budget: int) -> _Tables:
+    if budget < 1:
+        raise AdtError("budget must be a positive integer")
+    return _Tables(u, STRATEGY_DERIVE, None, None, None)
+
+
 def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
                   foreign_probs: Mapping[str, float] | None = None) -> Value:
     """One value from a tuned size-bounded generator."""
-    tables = _tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs)
-    rng = random.Random(stream_seed(seed, index))
-    v = _build_walk(tables, tables.cu.index[u.root], spec.size, rng)
+    v = _walk(_tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs), u, spec.size,
+              seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -271,9 +283,7 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
                     seed: int, index: int = 0) -> Value:
     """One value from the halving generator; the probability map is ignored
     (choices are uniform) and is accepted only for interface parity."""
-    tables = _Tables(u, STRATEGY_MEGADETH, None, None, None)
-    rng = random.Random(stream_seed(seed, index))
-    v = _build_walk(tables, tables.cu.index[u.root], size, rng)
+    v = _walk(_Tables(u, STRATEGY_MEGADETH, None, None, None), u, size, seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -281,11 +291,22 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
 def sample_derive(u: ADTUniverse, budget: int, seed: int,
                   index: int = 0) -> Value | BudgetExhausted:
     """One value from the unbounded uniform generator, or BudgetExhausted."""
-    if budget < 1:
-        raise AdtError("budget must be a positive integer")
-    tables = _Tables(u, STRATEGY_DERIVE, None, None, None)
-    rng = random.Random(stream_seed(seed, index))
-    return _build_walk(tables, tables.cu.index[u.root], -1, rng, budget=budget)
+    return _walk(_derive_tables(u, budget), u, -1, seed, index, budget)
+
+
+def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
+                  budget: int = DEFAULT_DERIVE_BUDGET) -> Iterator[Value | BudgetExhausted]:
+    """Values 0 .. count-1 of ``spec``'s strategy, with its choice tables
+    built once. Value i is what ``sample_dragen(u, spec, seed, i)``,
+    ``sample_megadeth(u, spec.probabilities, spec.size, seed, i)`` or
+    ``sample_derive(u, budget, seed, i)`` returns."""
+    if spec.strategy == STRATEGY_DRAGEN:
+        tables, size, budget = _tables_for_spec(u, spec, STRATEGY_DRAGEN, None), spec.size, None
+    elif spec.strategy == STRATEGY_MEGADETH:
+        tables, size, budget = _Tables(u, STRATEGY_MEGADETH, None, None, None), spec.size, None
+    else:
+        tables, size = _derive_tables(u, budget), -1
+    return (_walk(tables, u, size, seed, i, budget) for i in range(count))
 
 
 def count_constructors(v: Value) -> dict[str, int]:

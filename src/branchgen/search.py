@@ -12,7 +12,9 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .adt import (
     ADTUniverse,
@@ -34,6 +36,14 @@ STRATEGY_DERIVE = "derive"
 STRATEGIES = (STRATEGY_DRAGEN, STRATEGY_MEGADETH, STRATEGY_DERIVE)
 
 
+def _check_quantum(quantum: float) -> None:
+    if not 0.0 < quantum < math.inf:
+        raise AdtError("quantum must be positive and finite")
+    if not math.isfinite(1.0 / quantum):
+        # p / quantum would overflow, and every map would quantize alike
+        raise AdtError(f"quantum {quantum!r} is too small: its reciprocal overflows")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     delta: float = 0.01
@@ -48,8 +58,7 @@ class SearchConfig:
             raise AdtError("epsilon must be positive and finite")
         if not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1:
             raise AdtError("max_steps must be an integer of at least 1")
-        if not 0.0 < self.quantum < math.inf:
-            raise AdtError("quantum must be positive and finite")
+        _check_quantum(self.quantum)
 
 
 @dataclass
@@ -66,37 +75,88 @@ class SearchTrace:
     evaluations: int = 0
 
 
-def _quantized(probs: Mapping[str, float], order: tuple[str, ...], quantum: float):
-    return tuple(round(probs[c] / quantum) for c in order)
+def _keys(rows: np.ndarray, quantum: float) -> list[bytes]:
+    """Each row's quantized key: round(p / quantum) per entry, half to even
+    as ``round`` does, as bytes (+ 0.0 folds -0.0 into 0.0)."""
+    keys = np.rint(rows / quantum) + 0.0
+    width = keys.shape[1] * keys.itemsize
+    buf = keys.tobytes()
+    return [buf[i * width:(i + 1) * width] for i in range(len(keys))]
 
 
-def _keyed_neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
-                     pinned: frozenset[str] | set[str], quantum: float):
-    """Yield (quantized key, candidate) pairs in ``neighbors`` order."""
-    order = tuple(sorted(probs))
-    seen = {_quantized(probs, order, quantum)}
-    by_type: dict[str, list[str]] = {}
-    for cid in order:
-        by_type.setdefault(u.ctor_type(cid), []).append(cid)
+class _Rows:
+    """Probability maps over one key set as float rows, one column per key
+    in sorted-id order. A search step bumps every unpinned column by +delta
+    and then by -delta; the candidates are built as one matrix, and a dict
+    is made only for a row that leaves the search."""
 
-    for cid in order:
-        if cid in pinned:
-            continue
-        siblings = by_type[u.ctor_type(cid)]
-        free = [c for c in siblings if c not in pinned]
-        for sign in (1.0, -1.0):
-            candidate = dict(probs)
-            candidate[cid] = max(0.0, probs[cid] + sign * delta)
-            total = sum(candidate[c] for c in free)
-            if total <= 0.0:
-                continue
-            for c in free:
-                candidate[c] = candidate[c] / total
-            key = _quantized(candidate, order, quantum)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield key, candidate
+    def __init__(self, u: ADTUniverse, keys: Iterable[str],
+                 pinned: frozenset[str] | set[str]):
+        self.keys = tuple(keys)
+        self.order = tuple(sorted(self.keys))
+        self.column = {cid: i for i, cid in enumerate(self.order)}
+        self.to_keys = np.array([self.column[k] for k in self.keys], dtype=np.intp)
+        n = len(self.order)
+        types = [u.ctor_type(cid) for cid in self.order]
+        free: dict[str, list[int]] = {}
+        for i, cid in enumerate(self.order):
+            if cid not in pinned:
+                free.setdefault(types[i], []).append(i)
+        bumped = [i for i, cid in enumerate(self.order) if cid not in pinned]
+        width = max(map(len, free.values()), default=0)
+        # each bumped column's free siblings (itself included), padded with
+        # column n, which is zero in every candidate matrix
+        siblings = [free[types[i]] + [n] * (width - len(free[types[i]])) for i in bumped]
+        # two candidates per bumped column: +delta, then -delta
+        self.bumped = np.repeat(np.array(bumped, dtype=np.intp), 2)
+        self.siblings = np.repeat(np.array(siblings, dtype=np.intp).reshape(-1, width), 2, axis=0)
+        self.sign = np.tile([1.0, -1.0], len(bumped))
+        self.at = np.arange(len(self.bumped))
+
+    def row(self, probs: Mapping[str, float]) -> np.ndarray:
+        x = np.array([probs[cid] for cid in self.order], dtype=float)
+        if not np.isfinite(x).all():
+            raise AdtError("probabilities must be finite")
+        return x
+
+    def as_dict(self, row: np.ndarray) -> dict[str, float]:
+        return dict(zip(self.keys, row[self.to_keys].tolist()))
+
+    def fresh(self, x: np.ndarray, delta: float, quantum: float,
+              seen: set[bytes]) -> np.ndarray:
+        """The candidates one step from ``x`` whose keys are not in ``seen``,
+        in enumeration order; their keys join ``seen``.
+
+        A candidate sets the bumped entry to max(0, p ± delta) and divides
+        the bumped type's free entries by their total, which is summed left
+        to right in column order (as ``sum`` does), so every value equals
+        the one-map-at-a-time arithmetic bit for bit. A candidate whose
+        total is not positive is skipped."""
+        n, k = len(x), len(self.at)
+        if not k:
+            return np.empty((0, n))
+        rows = np.empty((k, n + 1))
+        rows[:, :n] = x
+        rows[:, n] = 0.0
+        moved = x[self.bumped] + self.sign * delta
+        rows[self.at, self.bumped] = np.where(moved > 0.0, moved, 0.0)
+        at = self.at[:, None]
+        entries = rows[at, self.siblings]
+        # cumsum adds sequentially; the zero padding leaves a total unchanged
+        total = np.cumsum(entries, axis=1)[:, -1]
+        live = total > 0.0
+        if live.all():
+            rows[at, self.siblings] = entries / total[:, None]
+        else:
+            rows, entries, total = rows[live], entries[live], total[live]
+            rows[at[:len(rows)], self.siblings[live]] = entries / total[:, None]
+        rows = rows[:, :n]
+        new = []
+        for i, key in enumerate(_keys(rows, quantum)):
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        return rows[new]
 
 
 def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
@@ -106,9 +166,13 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
 
     Constructors are bumped in sorted-id order, +delta before -delta, so
     the returned order is deterministic; candidates that quantize to the
-    focus map or to an earlier candidate are dropped.
+    focus map or to an earlier candidate are dropped. Each map has the key
+    order of ``probs``.
     """
-    return [cand for _, cand in _keyed_neighbors(u, probs, delta, pinned, quantum)]
+    _check_quantum(quantum)
+    rows = _Rows(u, probs, pinned)
+    x = rows.row(probs)
+    return [rows.as_dict(r) for r in rows.fresh(x, delta, quantum, set(_keys(x[None], quantum)))]
 
 
 def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
@@ -117,10 +181,11 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
 
     Every evaluated neighbor joins the visited set (keyed by its quantized
     probabilities), so no map is scored twice; ties between equally cheap
-    neighbors resolve to the first in enumeration order. A stock
-    ``CostFunction`` scores each step's fresh neighbors in one
-    ``scores`` call. Returns the best map found and the trace of accepted
-    steps.
+    neighbors resolve to the first in enumeration order. The search runs on
+    rows (see ``_Rows``), and a stock ``CostFunction`` scores each step's
+    fresh rows in one ``scores`` call, as a family-probability matrix.
+    Returns the best map found and the trace of accepted steps, whose maps
+    have the key order of ``init``.
     """
     cfg = config or SearchConfig()
     for cid in cost.pinned:
@@ -131,26 +196,28 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     # Any other callable (a subclass with its own __call__, or a wrapper
     # that forwards calls) is opaque and can only be called once per map.
     batched = type(cost).__call__ is CostFunction.__call__
-    focus = dict(init)
-    focus_cost = cost(size, focus)
+    focus_cost = cost(size, init)
     evaluations = 1
-    visited = {_quantized(focus, tuple(sorted(init)), cfg.quantum)}
-    steps: list[tuple[dict[str, float], float]] = [(dict(focus), focus_cost)]
+    steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
+    rows = _Rows(u, init, cost.pinned)
+    x = rows.row(init)
+    visited = set(_keys(x[None], cfg.quantum))
+    if batched:
+        cu = u.compiled
+        family = [rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]]
 
     outcome = STEP_CAP
     for _ in range(cfg.max_steps):
-        fresh = []
-        for key, cand in _keyed_neighbors(u, focus, cfg.delta, cost.pinned, cfg.quantum):
-            if key not in visited:
-                visited.add(key)
-                fresh.append(cand)
-        if not fresh:
+        fresh = rows.fresh(x, cfg.delta, cfg.quantum, visited)
+        if not len(fresh):
             outcome = LOCAL_MINIMUM
             break
-        costs = cost.scores(size, fresh) if batched else [cost(size, c) for c in fresh]
-        scored = [(c, i) for i, c in enumerate(costs)]
+        if batched:
+            costs = cost.scores(size, fresh[:, family])
+        else:
+            costs = [cost(size, rows.as_dict(r)) for r in fresh]
         evaluations += len(fresh)
-        best_cost, best_i = min(scored)
+        best_cost, best_i = min((c, i) for i, c in enumerate(costs))
         gain = focus_cost - best_cost
         if gain <= 0.0:
             outcome = LOCAL_MINIMUM
@@ -158,11 +225,11 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
         if gain <= cfg.epsilon:
             outcome = EPSILON_STOP
             break
-        focus = fresh[best_i]
+        x = fresh[best_i]
         focus_cost = best_cost
-        steps.append((dict(focus), focus_cost))
+        steps.append((rows.as_dict(x), focus_cost))
 
-    return focus, SearchTrace(steps, outcome, evaluations)
+    return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
 
 
 @dataclass

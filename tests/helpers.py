@@ -170,6 +170,82 @@ def scalar_cost(cost, size, probs):
                       [w * size for _, w in cost.targets])
 
 
+def _quantized(probs, order, quantum):
+    return tuple(round(probs[c] / quantum) for c in order)
+
+
+def _reference_keyed(u, probs, delta, pinned, quantum):
+    """Yield (quantized key, candidate) pairs in enumeration order, one dict
+    per candidate: bump each unpinned constructor (sorted ids) by +delta,
+    then -delta, clamped at 0, and divide its type's unpinned entries by
+    their total. The total is added left to right in an explicit loop,
+    which is what ``sum`` does for floats up to Python 3.11."""
+    order = tuple(sorted(probs))
+    seen = {_quantized(probs, order, quantum)}
+    by_type = {}
+    for cid in order:
+        by_type.setdefault(u.ctor_type(cid), []).append(cid)
+    for cid in order:
+        if cid in pinned:
+            continue
+        free = [c for c in by_type[u.ctor_type(cid)] if c not in pinned]
+        for sign in (1.0, -1.0):
+            candidate = dict(probs)
+            candidate[cid] = max(0.0, probs[cid] + sign * delta)
+            total = 0.0
+            for c in free:
+                total += candidate[c]
+            if total <= 0.0:
+                continue
+            for c in free:
+                candidate[c] = candidate[c] / total
+            key = _quantized(candidate, order, quantum)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield key, candidate
+
+
+def reference_neighbors(u, probs, delta, pinned=frozenset(), quantum=1e-6):
+    """What ``neighbors`` must return, built one dict at a time."""
+    return [cand for _, cand in _reference_keyed(u, probs, delta, pinned, quantum)]
+
+
+def reference_optimize(cost, size, init, config):
+    """Best-improvement descent on the dict enumeration, calling ``cost``
+    once per map; returns (best map, steps, outcome, evaluations), which
+    ``optimize`` must match."""
+    focus = dict(init)
+    focus_cost = cost(size, focus)
+    evaluations = 1
+    visited = {_quantized(focus, tuple(sorted(init)), config.quantum)}
+    steps = [(dict(focus), focus_cost)]
+    outcome = "StepCap"
+    for _ in range(config.max_steps):
+        fresh = []
+        for key, cand in _reference_keyed(cost.universe, focus, config.delta,
+                                          cost.pinned, config.quantum):
+            if key not in visited:
+                visited.add(key)
+                fresh.append(cand)
+        if not fresh:
+            outcome = "LocalMinimum"
+            break
+        evaluations += len(fresh)
+        best_cost, best_i = min((cost(size, c), i) for i, c in enumerate(fresh))
+        gain = focus_cost - best_cost
+        if gain <= 0.0:
+            outcome = "LocalMinimum"
+            break
+        if gain <= config.epsilon:
+            outcome = "EpsilonStop"
+            break
+        focus = fresh[best_i]
+        focus_cost = best_cost
+        steps.append((dict(focus), focus_cost))
+    return focus, steps, outcome, evaluations
+
+
 def value_depth(v, u):
     """Longest chain of family constructors from the root of a value."""
     best = 0

@@ -2,6 +2,15 @@ import json
 
 import pytest
 
+from branchgen import (
+    BudgetExhausted,
+    adhoc_genspec,
+    parse_universe,
+    sample_derive,
+    sample_dragen,
+    sample_megadeth,
+    value_to_sexp,
+)
 from branchgen.cli import main
 from conftest import COMPOSITE_SRC, DERIVE_SRC, T1T2_SRC, TREE_SRC, TREEP_SRC
 
@@ -238,6 +247,34 @@ class TestSample:
                            "--seed", "0", "--budget", "8")
         assert code == 0
         assert "(#budget-exhausted)" in out
+
+    @pytest.mark.parametrize("strategy,src,root", [
+        ("dragen", COMPOSITE_SRC, "Tree"),
+        ("megadeth", T1T2_SRC, "T1"),
+        ("derive", DERIVE_SRC, "T"),
+    ])
+    def test_each_line_is_that_index_sample(self, capsys, tmp_path, strategy, src, root):
+        path = tmp_path / "u.adt"
+        path.write_text(src)
+        code, out, _ = run(capsys, "sample", "-f", str(path), "--root", root, "--size", "4",
+                           "--strategy", strategy, "--count", "40", "--seed", "3",
+                           "--budget", "12")
+        assert code == 0
+        u = parse_universe(src, root)
+        spec = adhoc_genspec(u, 4, strategy)
+        want = []
+        for i in range(40):
+            if strategy == "dragen":
+                v = sample_dragen(u, spec, 3, i)
+            elif strategy == "megadeth":
+                v = sample_megadeth(u, spec.probabilities, 4, 3, i)
+            else:
+                v = sample_derive(u, 12, 3, i)
+            want.append("(#budget-exhausted)" if isinstance(v, BudgetExhausted)
+                        else value_to_sexp(v))
+        assert out.splitlines() == want
+        if strategy == "derive":
+            assert 0 < want.count("(#budget-exhausted)") < len(want)
 
     def test_dead_type_reached(self, capsys, tmp_path):
         path = tmp_path / "ab.adt"

@@ -1,6 +1,7 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -285,3 +286,18 @@ class TestBatchedScores:
 
     def test_empty_batch(self, tree_u):
         assert uniform_cost(tree_u).scores(10, []) == []
+
+    def test_probability_matrix_equals_maps(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            u, _ = helpers.random_universe(rng, max_types=6, max_ctors=20)
+            cost = uniform_cost(u)
+            maps = neighbors(u, helpers.random_probmap(rng, u), 0.05)
+            cu = u.compiled
+            ctors = cu.ctors[:cu.nfamily_ctors]
+            matrix = np.array([[m[c] for c in ctors] for m in maps]).reshape(-1, len(ctors))
+            assert cost.scores(7, matrix) == cost.scores(7, maps)
+
+    def test_probability_matrix_needs_one_column_per_constructor(self, tree_u):
+        with pytest.raises(AdtError, match="one column per family constructor"):
+            uniform_cost(tree_u).scores(10, np.full((2, 3), 0.25))

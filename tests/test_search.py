@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from branchgen import (
@@ -20,6 +21,7 @@ from branchgen import (
     universe_hash,
     validate_probmap,
     weighted_cost,
+    without_cost,
 )
 from branchgen.costs import CostFunction
 from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP
@@ -179,6 +181,112 @@ class TestOptimize:
                 SearchConfig(quantum=bad)
             with pytest.raises(AdtError):
                 SearchConfig(max_steps=bad)
+
+
+    def test_quantum_reciprocal_must_be_finite(self, tree_u):
+        with pytest.raises(AdtError, match="reciprocal"):
+            SearchConfig(quantum=1e-320)
+        with pytest.raises(AdtError, match="reciprocal"):
+            neighbors(tree_u, uniform_probmap(tree_u), 0.01, quantum=1e-320)
+        assert SearchConfig(quantum=1e-300).quantum == 1e-300
+
+    def test_non_finite_probability_is_an_error(self, tree_u):
+        for bad in (float("nan"), float("inf")):
+            probs = dict(uniform_probmap(tree_u), **{"Tree.Node": bad})
+            with pytest.raises(AdtError, match="finite"):
+                neighbors(tree_u, probs, 0.01)
+
+
+def _search_input(rng, u, delta):
+    """A map over ``u``'s family with random pins, some unpinned entries at
+    0 or exactly delta (so their -delta bump clamps to 0), every pinned
+    entry 0, and a shuffled key order. Each type's first constructor, a
+    terminal, stays positive and unpinned."""
+    probs = helpers.random_probmap(rng, u)
+    pinned = set()
+    for tid in u.family:
+        for cid in u.constructors_of(tid)[1:]:
+            r = rng.random()
+            if r < 0.15:
+                pinned.add(cid)
+                probs[cid] = 0.0
+            elif r < 0.3:
+                probs[cid] = 0.0
+            elif r < 0.45:
+                probs[cid] = delta
+    keys = list(probs)
+    rng.shuffle(keys)
+    return {k: probs[k] for k in keys}, frozenset(pinned)
+
+
+def _random_cost(rng, u, kind):
+    """uniform, or only/without over random non-first constructors, so
+    every type keeps a terminal."""
+    if kind == "uniform":
+        return uniform_cost(u)
+    chosen = [c for tid in u.family for c in u.constructors_of(tid)[1:] if rng.random() < 0.5]
+    if kind == "only":
+        return only_cost(u, [u.constructors_of(tid)[0] for tid in u.family] + chosen)
+    return without_cost(u, chosen)
+
+
+def _items(m):
+    return list(m.items())
+
+
+class TestRowsMatchReference:
+    """The row-based enumeration and search equal the dict-based reference
+    in ``helpers``: same maps with ``==``, same key order, same path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           delta=st.sampled_from([0.002, 0.01, 0.05, 0.3]),
+           quantum=st.sampled_from([1e-6, 1e-3, 0.02]),
+           wide=st.booleans())
+    def test_neighbors(self, seed, delta, quantum, wide):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, *((10, 40) if wide else (4, 8)))
+        probs, pinned = _search_input(rng, u, delta)
+        got = neighbors(u, probs, delta, pinned, quantum)
+        want = helpers.reference_neighbors(u, probs, delta, pinned, quantum)
+        assert [_items(m) for m in got] == [_items(m) for m in want]
+
+    def test_keys_round_half_to_even(self):
+        # at quantum 1 the focus entry 0.5 quantizes to 0, as round() does,
+        # so a candidate at (0.4, 0.2, 0.4) repeats the focus key
+        u = parse_universe("data U = A | B | C", "U")
+        probs = {"U.A": 0.25, "U.B": 0.25, "U.C": 0.5}
+        got = neighbors(u, probs, 0.25, quantum=1.0)
+        assert got == helpers.reference_neighbors(u, probs, 0.25, quantum=1.0)
+        assert {"U.A": 0.4, "U.B": 0.2, "U.C": 0.4} not in got
+
+    def test_negative_zero_keys_like_zero(self):
+        # A's -delta bump clamps -0.0 to 0.0 and leaves the map unchanged
+        u = parse_universe("data U = A | B | C", "U")
+        probs = {"U.A": -0.0, "U.B": 0.5, "U.C": 0.5}
+        got = neighbors(u, probs, 0.1)
+        assert got == helpers.reference_neighbors(u, probs, 0.1)
+        assert len(got) == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           delta=st.sampled_from([0.01, 0.05]),
+           quantum=st.sampled_from([1e-6, 1e-3, 0.02]),
+           size=st.integers(1, 10))
+    def test_optimize(self, seed, kind, delta, quantum, size):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng)
+        cost = _random_cost(rng, u, kind)
+        probs, _ = _search_input(rng, u, delta)
+        init = renormalize_probmap(u, probs, cost.pinned)
+        config = SearchConfig(delta=delta, quantum=quantum, max_steps=40)
+        best, trace = optimize(cost, size, init, config)
+        ref_best, ref_steps, ref_outcome, ref_evaluations = helpers.reference_optimize(
+            cost, size, init, config)
+        assert _items(best) == _items(ref_best)
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref_steps]
+        assert (trace.outcome, trace.evaluations) == (ref_outcome, ref_evaluations)
 
 
 class Forwarding:
