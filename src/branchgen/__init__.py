@@ -67,13 +67,19 @@ from .sampling import (
     value_to_sexp,
 )
 from .search import (
-    GenSpec,
     SearchConfig,
     SearchTrace,
     derive_generator,
     derive_generator_with_trace,
     neighbors,
     optimize,
+)
+from .spec import (
+    STRATEGIES,
+    STRATEGY_DERIVE,
+    STRATEGY_DRAGEN,
+    STRATEGY_MEGADETH,
+    GenSpec,
 )
 
 __version__ = "0.1.0"

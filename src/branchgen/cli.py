@@ -40,14 +40,8 @@ from .sampling import (
     value_to_json,
     value_to_sexp,
 )
-from .search import (
-    STRATEGIES,
-    STRATEGY_DERIVE,
-    STRATEGY_DRAGEN,
-    GenSpec,
-    SearchConfig,
-    derive_generator_with_trace,
-)
+from .search import SearchConfig, derive_generator_with_trace
+from .spec import STRATEGIES, STRATEGY_DERIVE, STRATEGY_DRAGEN, GenSpec
 
 VERIFY_SE_MULTIPLE = 4.0
 _VERIFY_EPS = 1e-9

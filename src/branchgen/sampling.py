@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import sqrt
 from typing import Iterator, Mapping
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -35,12 +36,13 @@ from .adt import (
     MODE_GROUND,
     ADTUniverse,
     AdtError,
+    CompiledUniverse,
     uniform_probmap,
     unqualify,
     universe_hash,
 )
 from .prediction import star_probs
-from .search import (
+from .spec import (
     STRATEGIES,
     STRATEGY_DERIVE,
     STRATEGY_DRAGEN,
@@ -111,9 +113,11 @@ class _Tables:
     compiled types and field rows. Per type, ``p_any`` and ``p_final`` hold
     the constructor probabilities at any size and at size 0, normalized and
     cut after the last positive entry (empty for a dead type); ``cum_any``
-    and ``cum_final`` are the tree walk's bisect tables derived from them."""
+    and ``cum_final`` are the tree walk's bisect tables derived from them,
+    and ``nodes`` says how it builds each constructor's node (see
+    ``_node_plan``)."""
 
-    __slots__ = ("cu", "ctor_ids", "rows", "p_any", "p_final", "cum_any",
+    __slots__ = ("cu", "ctor_ids", "nodes", "p_any", "p_final", "cum_any",
                  "cum_final", "child_size")
 
     def __init__(self, u: ADTUniverse, strategy: str,
@@ -122,7 +126,7 @@ class _Tables:
                  foreign_probs: Mapping[str, float] | None):
         cu = self.cu = u.compiled
         self.ctor_ids = [cu.ctors[s] for s in cu.slices]
-        self.rows = [cu.rows[s] for s in cu.slices]
+        self.nodes = _node_plans(cu)
         self.child_size = _CHILD_SIZE[strategy]
 
         if foreign_probs is None:
@@ -196,58 +200,95 @@ def _draw_ground(mode: int, rng: random.Random):
     return None  # Unit consumes no randomness
 
 
+def _node_plan(cid: str, row: tuple[tuple[int, int], ...]):
+    """How the tree walk builds a node of constructor ``cid`` with field row
+    ``row``: a nullary constructor's one shared ``Value`` (Values are
+    immutable), else ``(cid, arity, ground, kids, slots)``. ``ground`` lists
+    the (position, mode) of the ground fields in field order; ``kids`` lists
+    the (type, is family) of the other fields right to left, the order their
+    visits are pushed in; ``slots`` is their positions left to right."""
+    if not row:
+        return Value(cid)
+    slots = tuple(k for k, (mode, _) in enumerate(row) if mode in (MODE_FAMILY, MODE_FOREIGN))
+    ground = tuple((k, mode) for k, (mode, _) in enumerate(row) if k not in slots)
+    kids = tuple((row[k][1], row[k][0] == MODE_FAMILY) for k in reversed(slots))
+    return cid, len(row), ground, kids, slots
+
+
+_PLANS: WeakKeyDictionary[CompiledUniverse, tuple[tuple, ...]] = WeakKeyDictionary()
+
+
+def _node_plans(cu: CompiledUniverse) -> tuple[tuple, ...]:
+    """Per type, each constructor's ``_node_plan``; built once per compiled
+    universe."""
+    plans = _PLANS.get(cu)
+    if plans is None:
+        plans = _PLANS[cu] = tuple(
+            tuple(_node_plan(cu.ctors[c], cu.rows[c]) for c in range(s.start, s.stop))
+            for s in cu.slices)
+    return plans
+
+
 def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
                 budget: int | None = None) -> Value | BudgetExhausted:
-    """Run one generation on ``rng``, materializing the value tree; the only
-    tree walker."""
+    """Run one generation on ``rng`` and build its frozen value tree; the only
+    tree walker.
+
+    The stack holds ``(type, size)`` visits and three-item assemble entries.
+    A node with family or foreign children pushes its assemble entry below
+    their visits. Values are built in post-order onto ``built``, so when an
+    assemble entry is popped its children are the last values there, left
+    to right. Each node draws its constructor, then its ground atoms in
+    field order; children are visited depth-first from left to right.
+    """
     rand = rng.random
     child_size = tables.child_size
-    holder: list = [None]
+    nodes, cum_any, cum_final = tables.nodes, tables.cum_any, tables.cum_final
+    built: list = []
     emitted = 0
-    stack: list[tuple[int, int, list, int]] = [(root_pos, size, holder, 0)]
+    stack: list[tuple] = [(root_pos, size)]
     try:
         while stack:
-            t, sz, sink, slot = stack.pop()
-            cum = tables.cum_final[t] if sz == 0 else tables.cum_any[t]
-            i = bisect_right(cum, rand())
+            entry = stack.pop()
+            if len(entry) == 3:
+                # (cid, None, n): the node's fields are its n children;
+                # (cid, fields, slots): its children go to fields[slots]
+                cid, fields, slots = entry
+                if fields is None:
+                    built[-slots:] = [Value(cid, tuple(built[-slots:]))]
+                else:
+                    n = len(slots)
+                    for k, child in zip(slots, built[-n:]):
+                        fields[k] = child
+                    built[-n:] = [Value(cid, tuple(fields))]
+                continue
+            t, sz = entry
+            i = bisect_right(cum_final[t] if sz == 0 else cum_any[t], rand())
             if budget is not None:
                 emitted += 1
                 if emitted > budget:
                     return BudgetExhausted(budget)
-            row = tables.rows[t][i]
-            children: list = [None] * len(row)
+            node = nodes[t][i]
+            if node.__class__ is Value:
+                built.append(node)
+                continue
+            cid, arity, ground, kids, slots = node
+            if ground:
+                fields = [None] * arity
+                for k, mode in ground:
+                    fields[k] = _draw_ground(mode, rng)
+                if not kids:
+                    built.append(Value(cid, tuple(fields)))
+                    continue
+                stack.append((cid, fields, slots))
+            else:
+                stack.append((cid, None, arity))
             child_sz = child_size(sz)
-            pending = []
-            for k, (mode, target) in enumerate(row):
-                if mode == MODE_FAMILY:
-                    pending.append((target, child_sz, children, k))
-                elif mode == MODE_FOREIGN:
-                    pending.append((target, -1, children, k))
-                else:
-                    children[k] = _draw_ground(mode, rng)
-            stack.extend(reversed(pending))
-            sink[slot] = (tables.ctor_ids[t][i], children)
+            for target, family in kids:
+                stack.append((target, child_sz if family else -1))
     except IndexError:  # drew from a dead type's table (see _cumulative)
         raise tables.dead_type_error(t) from None
-
-    def freeze(node) -> Value:
-        # two-phase: expand, then assemble bottom-up
-        order = []
-        todo = [node]
-        while todo:
-            cur = todo.pop()
-            order.append(cur)
-            for ch in cur[1]:
-                if isinstance(ch, tuple):
-                    todo.append(ch)
-        frozen: dict[int, Value] = {}
-        for cur in reversed(order):
-            kids = tuple(frozen[id(ch)] if isinstance(ch, tuple) else ch
-                         for ch in cur[1])
-            frozen[id(cur)] = Value(cur[0], kids)
-        return frozen[id(node)]
-
-    return freeze(holder[0])
+    return built[0]
 
 
 def _tables_for_spec(u: ADTUniverse, spec: GenSpec, strategy: str,
@@ -264,6 +305,14 @@ def _walk(tables: _Tables, u: ADTUniverse, size: int, seed: int, index: int,
     return _build_walk(tables, tables.cu.index[u.root], size, rng, budget)
 
 
+def _bounded_size(size: int) -> int:
+    """``size`` for a size-bounded strategy, which never reaches size 0 from
+    a negative size and would run unbounded."""
+    if size < 0:
+        raise AdtError("generator size must be nonnegative")
+    return size
+
+
 def _derive_tables(u: ADTUniverse, budget: int) -> _Tables:
     if budget < 1:
         raise AdtError("budget must be a positive integer")
@@ -273,8 +322,8 @@ def _derive_tables(u: ADTUniverse, budget: int) -> _Tables:
 def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
                   foreign_probs: Mapping[str, float] | None = None) -> Value:
     """One value from a tuned size-bounded generator."""
-    v = _walk(_tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs), u, spec.size,
-              seed, index)
+    v = _walk(_tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs), u,
+              _bounded_size(spec.size), seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -283,7 +332,8 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
                     seed: int, index: int = 0) -> Value:
     """One value from the halving generator; the probability map is ignored
     (choices are uniform) and is accepted only for interface parity."""
-    v = _walk(_Tables(u, STRATEGY_MEGADETH, None, None, None), u, size, seed, index)
+    v = _walk(_Tables(u, STRATEGY_MEGADETH, None, None, None), u, _bounded_size(size),
+              seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -301,9 +351,11 @@ def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
     ``sample_megadeth(u, spec.probabilities, spec.size, seed, i)`` or
     ``sample_derive(u, budget, seed, i)`` returns."""
     if spec.strategy == STRATEGY_DRAGEN:
-        tables, size, budget = _tables_for_spec(u, spec, STRATEGY_DRAGEN, None), spec.size, None
+        tables = _tables_for_spec(u, spec, STRATEGY_DRAGEN, None)
+        size, budget = _bounded_size(spec.size), None
     elif spec.strategy == STRATEGY_MEGADETH:
-        tables, size, budget = _Tables(u, STRATEGY_MEGADETH, None, None, None), spec.size, None
+        tables = _Tables(u, STRATEGY_MEGADETH, None, None, None)
+        size, budget = _bounded_size(spec.size), None
     else:
         tables, size = _derive_tables(u, budget), -1
     return (_walk(tables, u, size, seed, i, budget) for i in range(count))
@@ -369,6 +421,7 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
             raise AdtError("budget must be a positive integer")
         size = -1
     else:
+        size = _bounded_size(size)
         budget = None
     tables = _tables_for_spec(u, spec, spec.strategy, foreign_probs)
     ctors = tables.cu.ctors
@@ -458,27 +511,43 @@ def _atom_sexp(atom) -> str:
     return str(atom)
 
 
+# Per constructor id, computed once: the piece that opens a node with
+# children and the piece that prints a nullary node whole. A sexp piece
+# starts with the space that separates the node from its left sibling; JSON
+# keeps both pieces plain, then both after ", ".
+_SEXP_PIECES: dict[str, tuple[str, str]] = {}
+_JSON_PIECES: dict[str, tuple[str, str, str, str]] = {}
+# stack marker for the end of a node's children
+_CLOSE = object()
+
+
+def _sexp_pieces(cid: str) -> tuple[str, str]:
+    head = " (" + unqualify(cid)
+    pieces = _SEXP_PIECES[cid] = (head, head + ")")
+    return pieces
+
+
 def value_to_sexp(v: Value) -> str:
     """Render as (Ctor child ...) with unqualified constructor names."""
     out: list[str] = []
     stack: list = [v]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Value):
-            out.append("(" + unqualify(node.constructor))
-            stack.append(")")
-            for ch in reversed(node.children):
-                stack.append(ch if isinstance(ch, Value) else _atom_sexp(ch))
+        if isinstance(node, Value):
+            children = node.children
+            head, leaf = _SEXP_PIECES.get(node.constructor) or _sexp_pieces(node.constructor)
+            if children:
+                out.append(head)
+                stack.append(_CLOSE)
+                stack.extend(reversed(children))
+            else:
+                out.append(leaf)
+        elif node is _CLOSE:
+            out.append(")")
         else:
-            out.append(_atom_sexp(node))
-    text = []
-    for piece in out:
-        if text and piece != ")":
-            text.append(" ")
-        text.append(piece)
-    return "".join(text)
+            out.append(" " + _atom_sexp(node))
+    out[0] = out[0][1:]  # the root has no left sibling
+    return "".join(out)
 
 
 def _atom_json(atom) -> str:
@@ -491,24 +560,38 @@ def _atom_json(atom) -> str:
     return str(atom)
 
 
+def _json_pieces(cid: str) -> tuple[str, str, str, str]:
+    head = '{"constructor": "' + cid + '", "children": ['
+    pieces = _JSON_PIECES[cid] = (head, head + "]}", ", " + head, ", " + head + "]}")
+    return pieces
+
+
 def value_to_json(v: Value) -> str:
     """Render as nested {"constructor": ..., "children": [...]} objects,
     built iteratively so arbitrarily deep values serialize safely."""
     out: list[str] = []
     stack: list = [v]
+    first = True  # the next node opens its parent's children: no ", "
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Value):
-            out.append('{"constructor": "%s", "children": [' % node.constructor)
-            stack.append("]}")
-            for k, ch in enumerate(reversed(node.children)):
-                if k > 0:
-                    stack.append(", ")
-                stack.append(ch if isinstance(ch, Value) else _atom_json(ch))
-        else:
+        if isinstance(node, Value):
+            children = node.children
+            pieces = _JSON_PIECES.get(node.constructor) or _json_pieces(node.constructor)
+            k = 0 if first else 2
+            if children:
+                out.append(pieces[k])
+                stack.append(_CLOSE)
+                stack.extend(reversed(children))
+                first = True
+                continue
+            out.append(pieces[k + 1])
+        elif node is _CLOSE:
+            out.append("]}")
+        elif first:
             out.append(_atom_json(node))
+        else:
+            out.append(", " + _atom_json(node))
+        first = False
     return "".join(out)
 
 
@@ -526,6 +609,8 @@ def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
     given) for direct sampling without an optimizer run."""
     if strategy not in STRATEGIES:
         raise AdtError(f"unknown strategy {strategy!r}")
+    if strategy != STRATEGY_DERIVE:
+        _bounded_size(size)
     family_probs = {c: p for c, p in (probs or uniform_probmap(u, u.family)).items()
                     if u.is_family(u.ctor_type(c))}
     stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, family_probs)

@@ -8,7 +8,6 @@ neighbor while each move improves the cost by more than epsilon.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,15 +24,17 @@ from .adt import (
 )
 from .costs import CostFunction
 from .prediction import star_probs
+from .spec import (  # GenSpec and the strategies are re-exported from here
+    STRATEGIES,
+    STRATEGY_DERIVE,
+    STRATEGY_DRAGEN,
+    STRATEGY_MEGADETH,
+    GenSpec,
+)
 
 LOCAL_MINIMUM = "LocalMinimum"
 EPSILON_STOP = "EpsilonStop"
 STEP_CAP = "StepCap"
-
-STRATEGY_DRAGEN = "dragen"
-STRATEGY_MEGADETH = "megadeth"
-STRATEGY_DERIVE = "derive"
-STRATEGIES = (STRATEGY_DRAGEN, STRATEGY_MEGADETH, STRATEGY_DERIVE)
 
 
 def _check_quantum(quantum: float) -> None:
@@ -230,63 +231,6 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
         steps.append((rows.as_dict(x), focus_cost))
 
     return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
-
-
-@dataclass
-class GenSpec:
-    """A tuned generator: root, size, strategy, and its probability maps."""
-
-    root: str
-    size: int
-    strategy: str
-    probabilities: dict[str, float]
-    star_probabilities: dict[str, float]
-    universe_hash: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "size": self.size,
-            "strategy": self.strategy,
-            "probabilities": dict(sorted(self.probabilities.items())),
-            "starProbabilities": dict(sorted(self.star_probabilities.items())),
-            "universeHash": self.universe_hash,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GenSpec":
-        try:
-            spec = cls(
-                root=data["root"],
-                size=int(data["size"]),
-                strategy=data["strategy"],
-                probabilities={k: float(v) for k, v in data["probabilities"].items()},
-                star_probabilities={k: float(v) for k, v in data["starProbabilities"].items()},
-                universe_hash=data["universeHash"],
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise AdtError(f"malformed generator spec: {exc!r}") from None
-        if spec.strategy not in STRATEGIES:
-            raise AdtError(f"unknown strategy {spec.strategy!r}")
-        if spec.size < 0:
-            raise AdtError("generator size must be nonnegative")
-        return spec
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "GenSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise AdtError(f"cannot read {path}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise AdtError(f"malformed generator spec {path}: {exc}") from None
-        return cls.from_json_dict(data)
 
 
 def derive_generator_with_trace(

@@ -7,7 +7,9 @@ mean matrix instead of the type-level one the implementation uses.
 """
 
 import itertools
+import json
 import random
+from bisect import bisect_right
 
 import numpy as np
 
@@ -23,7 +25,8 @@ from branchgen import (
     star_probs,
     terminal_constructors,
 )
-from branchgen.adt import FAMILY
+from branchgen.adt import FAMILY, MODE_FAMILY, MODE_FOREIGN, MODE_GROUND, unqualify
+from branchgen.sampling import BudgetExhausted, _Tables, stream_seed
 
 
 def random_universe(rng: random.Random, max_types: int = 4, max_ctors: int = 8):
@@ -280,3 +283,163 @@ def typecheck_value(v, u):
                 assert isinstance(ch, Value)
                 assert u.ctor_type(ch.constructor) == f.target
                 stack.append(ch)
+
+
+# ---------------------------------------------------------------------------
+# Reference tree walk and serializers: the two-phase forms that the one-pass
+# walk and the table-driven serializers replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+_PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
+
+
+def _reference_ground(mode, rng):
+    if mode == MODE_GROUND["Int"]:
+        return rng.randint(-100, 100)
+    if mode == MODE_GROUND["Double"]:
+        return rng.random()
+    if mode == MODE_GROUND["Char"]:
+        return rng.choice(_PRINTABLE)
+    return None  # Unit consumes no randomness
+
+
+def reference_walk(tables, root_pos, size, rng, budget=None):
+    """Expand one generation into mutable (constructor id, children) nodes,
+    then freeze them bottom-up through an ``id()``-keyed dict. The draws are
+    the tree walk's: the constructor, the node's ground atoms in field
+    order, then the children depth-first from left to right."""
+    cu = tables.cu
+    rows = [cu.rows[s] for s in cu.slices]
+    rand = rng.random
+    holder = [None]
+    emitted = 0
+    stack = [(root_pos, size, holder, 0)]
+    while stack:
+        t, sz, sink, slot = stack.pop()
+        cum = tables.cum_final[t] if sz == 0 else tables.cum_any[t]
+        i = bisect_right(cum, rand())
+        if budget is not None:
+            emitted += 1
+            if emitted > budget:
+                return BudgetExhausted(budget)
+        row = rows[t][i]
+        children = [None] * len(row)
+        child_sz = tables.child_size(sz)
+        pending = []
+        for k, (mode, target) in enumerate(row):
+            if mode == MODE_FAMILY:
+                pending.append((target, child_sz, children, k))
+            elif mode == MODE_FOREIGN:
+                pending.append((target, -1, children, k))
+            else:
+                children[k] = _reference_ground(mode, rng)
+        stack.extend(reversed(pending))
+        sink[slot] = (tables.ctor_ids[t][i], children)
+
+    order = []
+    todo = [holder[0]]
+    while todo:
+        cur = todo.pop()
+        order.append(cur)
+        for ch in cur[1]:
+            if isinstance(ch, tuple):
+                todo.append(ch)
+    frozen = {}
+    for cur in reversed(order):
+        kids = tuple(frozen[id(ch)] if isinstance(ch, tuple) else ch for ch in cur[1])
+        frozen[id(cur)] = Value(cur[0], kids)
+    return frozen[id(holder[0])]
+
+
+def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None):
+    """Value ``index`` of ``seed`` by ``reference_walk``: ``spec`` for dragen
+    (its size is used), ``size`` for megadeth, ``budget`` for derive."""
+    if strategy == "dragen":
+        tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities, None)
+        size = spec.size
+    else:
+        tables = _Tables(u, strategy, None, None, None)
+    if strategy == "derive":
+        size = -1
+    rng = random.Random(stream_seed(seed, index))
+    return reference_walk(tables, tables.cu.index[u.root], size, rng, budget)
+
+
+def _reference_atom_sexp(atom):
+    if atom is None:
+        return "()"
+    if isinstance(atom, str):
+        return f"'{atom}'"
+    if isinstance(atom, float):
+        return repr(atom)
+    return str(atom)
+
+
+def reference_sexp(v):
+    """(Ctor child ...) by a pass that collects pieces and a second pass
+    that joins them with spaces."""
+    out = []
+    stack = [v]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Value):
+            out.append("(" + unqualify(node.constructor))
+            stack.append(")")
+            for ch in reversed(node.children):
+                stack.append(ch if isinstance(ch, Value) else _reference_atom_sexp(ch))
+        else:
+            out.append(_reference_atom_sexp(node))
+    text = []
+    for piece in out:
+        if text and piece != ")":
+            text.append(" ")
+        text.append(piece)
+    return "".join(text)
+
+
+def _reference_atom_json(atom):
+    if atom is None:
+        return "null"
+    if isinstance(atom, str):
+        return json.dumps(atom)
+    if isinstance(atom, float):
+        return repr(atom)
+    return str(atom)
+
+
+def reference_json(v):
+    """Nested {"constructor": ..., "children": [...]} objects, formatted
+    node by node."""
+    out = []
+    stack = [v]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Value):
+            out.append('{"constructor": "%s", "children": [' % node.constructor)
+            stack.append("]}")
+            for k, ch in enumerate(reversed(node.children)):
+                if k > 0:
+                    stack.append(", ")
+                stack.append(ch if isinstance(ch, Value) else _reference_atom_json(ch))
+        else:
+            out.append(_reference_atom_json(node))
+    return "".join(out)
+
+
+def same_value(a, b):
+    """``a == b`` for Values and atoms, compared iteratively, so that values
+    too deep for the recursive dataclass ``==`` compare too."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Value) and isinstance(y, Value):
+            if x.constructor != y.constructor or len(x.children) != len(y.children):
+                return False
+            stack.extend(zip(x.children, y.children))
+        elif isinstance(x, Value) or isinstance(y, Value) or not x == y:
+            return False
+    return True

@@ -276,6 +276,18 @@ class TestSample:
         if strategy == "derive":
             assert 0 < want.count("(#budget-exhausted)") < len(want)
 
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    def test_negative_size_rejected(self, capsys, tree_file, strategy):
+        code, out, err = run(capsys, "sample", "-f", tree_file, "--root", "Tree",
+                             "--size", "-1", "--strategy", strategy, "--count", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nonnegative" in err
+
+    def test_derive_ignores_size(self, capsys, tree_file):
+        code, out, _ = run(capsys, "sample", "-f", tree_file, "--root", "Tree",
+                           "--size", "-1", "--strategy", "derive", "--count", "5")
+        assert code == 0 and len(out.splitlines()) == 5
+
     def test_dead_type_reached(self, capsys, tmp_path):
         path = tmp_path / "ab.adt"
         path.write_text("data A = LA | NA B A\ndata B = LB | NB A\n")
@@ -350,6 +362,13 @@ class TestHistogram:
                 (line.split(",") for line in lines[1:])}
         small = sum(n for size, n in hist.items() if size <= 5)
         assert small / 4000 >= 0.6
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    def test_negative_size_rejected(self, capsys, tree_file, strategy):
+        code, out, err = run(capsys, "histogram", "-f", tree_file, "--root", "Tree",
+                             "--size", "-1", "--strategy", strategy, "--count", "200")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nonnegative" in err
 
     def test_empty_universe_file(self, capsys, tmp_path):
         path = tmp_path / "empty.adt"

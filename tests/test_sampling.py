@@ -1,8 +1,10 @@
 import math
+import random
 import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from branchgen import (
@@ -20,6 +22,7 @@ from branchgen import (
     sample_derive,
     sample_dragen,
     sample_megadeth,
+    sample_values,
     uniform_probmap,
     value_to_json,
     value_to_sexp,
@@ -27,6 +30,16 @@ from branchgen import (
 from branchgen.sampling import _BLOCK, _finish_stats, stream_seed
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
+
+# the composite universe with a foreign type of every ground atom, and a
+# constructor that mixes atoms, family and foreign fields
+ATOMS_SRC = """
+data Bool = True | False
+data Maybe a = Nothing | Just a
+data Atom = AInt Int | ADouble Double | AChar Char | AUnit Unit
+data Tree = LeafA (Maybe Bool) | LeafB Bool Bool | LeafC Atom | Node Tree Tree
+          | Mixed Int Tree Char Atom Double Tree Unit
+"""
 
 
 def dragen_spec(u, size, probs=None):
@@ -97,6 +110,23 @@ class TestDragen:
                 sample_dragen(u, spec, seed=0, index=i)
         with pytest.raises(AdtError, match="reached type B"):
             empirical_stats(u, spec, 20, seed=0)
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    def test_negative_size_is_an_error(self, tree_u, strategy):
+        with pytest.raises(AdtError, match="nonnegative"):
+            adhoc_genspec(tree_u, -1, strategy)
+        spec = adhoc_genspec(tree_u, 3, strategy)
+        spec.size = -1
+        calls = [lambda: sample_values(tree_u, spec, 0, 5),
+                 lambda: empirical_stats(tree_u, spec, 10, 0),
+                 lambda: sample_dragen(tree_u, spec, 0),
+                 lambda: sample_megadeth(tree_u, spec.probabilities, -1, 0)]
+        for call in calls:
+            with pytest.raises(AdtError, match="nonnegative"):
+                call()
+        spec.strategy = "derive"
+        assert len(list(sample_values(tree_u, spec, 0, 5))) == 5
+        assert empirical_stats(tree_u, spec, 10, 0).samples == 10
 
 
 class TestMegadeth:
@@ -337,6 +367,116 @@ class TestSerialization:
         lines = csv.strip().splitlines()
         assert lines[0] == "constructors,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 100
+
+
+def _sample(u, strategy, seed, index, spec, size, budget):
+    if strategy == "dragen":
+        return sample_dragen(u, spec, seed, index)
+    if strategy == "megadeth":
+        return sample_megadeth(u, spec.probabilities, size, seed, index)
+    return sample_derive(u, budget, seed, index)
+
+
+def _assert_matches_reference(u, strategy, seed, count, spec, size, budget):
+    """sample_* and sample_values against helpers.reference_walk, value by
+    value with ==, and each value's renderings against the reference
+    serializers; returns the number of aborted draws."""
+    run_spec = adhoc_genspec(u, size, strategy, spec.probabilities)
+    if strategy == "dragen":
+        run_spec = spec
+    batch = list(sample_values(u, run_spec, seed, count, budget))
+    aborted = 0
+    for i in range(count):
+        want = helpers.reference_sample(u, strategy, seed, i, size=size, spec=spec,
+                                        budget=budget)
+        got = _sample(u, strategy, seed, i, spec, size, budget)
+        if isinstance(want, BudgetExhausted):
+            assert isinstance(got, BudgetExhausted) and isinstance(batch[i], BudgetExhausted)
+            aborted += 1
+            continue
+        assert got == want and batch[i] == want
+        assert value_to_sexp(got) == helpers.reference_sexp(want)
+        assert value_to_json(got) == helpers.reference_json(want)
+    return aborted
+
+
+class TestWalkMatchesReference:
+    """The one-pass walk and the piece-table serializers equal the two-phase
+    walk and the node-by-node serializers in ``helpers``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           strategy=st.sampled_from(["dragen", "megadeth", "derive"]),
+           size=st.integers(0, 5))
+    def test_random_universe(self, seed, strategy, size):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng)
+        spec = dragen_spec(u, size, helpers.random_probmap(rng, u))
+        _assert_matches_reference(u, strategy, seed, 8, spec, size, 300)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           strategy=st.sampled_from(["dragen", "megadeth", "derive"]),
+           size=st.integers(0, 6))
+    def test_every_ground_atom(self, seed, strategy, size):
+        u = parse_universe(ATOMS_SRC, "Tree")
+        _assert_matches_reference(u, strategy, seed, 10, dragen_spec(u, size), size, 500)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_derive_aborts_at_the_same_indices(self, seed, derive_u):
+        spec = dragen_spec(derive_u, 0)
+        _assert_matches_reference(derive_u, "derive", seed, 30, spec, 0, 12)
+
+    def test_derive_mixes_aborts_and_values(self, derive_u):
+        spec = dragen_spec(derive_u, 0)
+        aborted = _assert_matches_reference(derive_u, "derive", 3, 40, spec, 0, 12)
+        assert 0 < aborted < 40
+
+    def test_atoms_are_sampled(self):
+        u = parse_universe(ATOMS_SRC, "Tree")
+        text = " ".join(value_to_sexp(v) for v in sample_values(u, dragen_spec(u, 6), 5, 200))
+        for piece in ("(AChar '", "(AInt -", "(ADouble 0.", "(AUnit ())", "(Mixed "):
+            assert piece in text
+
+    def test_deep_chain(self):
+        u = parse_universe("data W = Stop | N W", "W")
+        depth = 10 ** 5
+        spec = dragen_spec(u, depth, {"W.Stop": 1e-12, "W.N": 1.0 - 1e-12})
+        v = sample_dragen(u, spec, 0)
+        assert count_constructors(v) == {"W.N": depth, "W.Stop": 1}
+        want = helpers.reference_sample(u, "dragen", 0, 0, spec=spec)
+        assert helpers.same_value(v, want)
+        assert value_to_sexp(v) == helpers.reference_sexp(want)
+        assert value_to_json(v) == helpers.reference_json(want)
+
+
+_ATOMS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False),
+    st.characters(),
+    st.sampled_from(['"', "\\", "'", ")", "(", " ", ","]),
+    st.none(),
+)
+_VALUES = st.recursive(
+    st.builds(Value, st.sampled_from(["T.A", "T.B", "U.C", "M.T.Long_name'"])),
+    lambda kids: st.builds(Value, st.sampled_from(["T.N", "U.M"]),
+                           st.lists(st.one_of(kids, _ATOMS), max_size=4).map(tuple)),
+    max_leaves=30)
+
+
+class TestSerializersMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(v=_VALUES)
+    def test_any_value(self, v):
+        assert value_to_sexp(v) == helpers.reference_sexp(v)
+        assert value_to_json(v) == helpers.reference_json(v)
+
+    def test_quotes_backslashes_and_signs(self):
+        v = Value("T.X", ('"', "\\", "'", -3, -0.5, None))
+        assert value_to_sexp(v) == helpers.reference_sexp(v) == """(X '"' '\\' ''' -3 -0.5 ())"""
+        assert value_to_json(v) == helpers.reference_json(v) == (
+            """{"constructor": "T.X", "children": ["\\"", "\\\\", "'", -3, -0.5, null]}""")
 
 
 class TestStreams:
