@@ -16,8 +16,10 @@ constructors of their own.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -106,9 +108,9 @@ class _RawDecl:
 class ADTUniverse:
     """A monomorphized set of declarations bound to a generation root.
 
-    ``family`` is the strongly connected component of ``root`` in the
-    type-reference graph; every other reachable type is foreign and must
-    be non-recursive.
+    ``family`` holds the types that are reachable from ``root`` in the
+    type-reference graph and can reach it again; every other reachable
+    type is foreign and must be non-recursive.
     """
 
     decls: dict[str, TypeDecl]
@@ -124,6 +126,7 @@ class ADTUniverse:
             for ctor in decl.constructors:
                 index[qualify(tid, ctor.name)] = (tid, ctor)
         self._ctor_index = index
+        self._foreign = _foreign_order(self.root, self._family_set, self.type_graph)
 
     # -- lookups ------------------------------------------------------------
 
@@ -403,50 +406,6 @@ class _Monomorphizer:
         return ("t", tid)
 
 
-def strongly_connected_components(
-        vertices: Iterable[str],
-        edges: Mapping[str, Iterable[str]]) -> list[set[str]]:
-    """SCCs of a directed graph, via iterative path-based DFS."""
-    identified: set[str] = set()
-    stack: list[str] = []
-    index: dict[str, int] = {}
-    boundaries: list[int] = []
-    sccs: list[set[str]] = []
-
-    def dfs(root: str) -> None:
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = len(stack)
-        stack.append(root)
-        boundaries.append(index[root])
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = len(stack)
-                    stack.append(w)
-                    boundaries.append(index[w])
-                    work.append((w, iter(edges.get(w, ()))))
-                    advanced = True
-                    break
-                elif w not in identified:
-                    while index[w] < boundaries[-1]:
-                        boundaries.pop()
-            if not advanced:
-                work.pop()
-                if boundaries[-1] == index[v]:
-                    boundaries.pop()
-                    scc = set(stack[index[v]:])
-                    del stack[index[v]:]
-                    identified.update(scc)
-                    sccs.append(scc)
-
-    for v in vertices:
-        if v not in index:
-            dfs(v)
-    return sccs
-
-
 def _reachable(start: Iterable[str], edges: Mapping[str, Iterable[str]]) -> set[str]:
     seen = set(start)
     todo = list(seen)
@@ -457,6 +416,31 @@ def _reachable(start: Iterable[str], edges: Mapping[str, Iterable[str]]) -> set[
                 seen.add(w)
                 todo.append(w)
     return seen
+
+
+def _foreign_order(root: str, family: frozenset[str],
+                   graph: Mapping[str, Iterable[str]]) -> tuple[str, ...]:
+    """The types reachable from ``root`` outside ``family``, topologically
+    sorted so that every referrer precedes what it references, ties broken
+    by name. The sort fails exactly when one of them lies on a cycle; the
+    error names every such type."""
+    reach = _reachable([root], graph) - family
+    indegree = Counter(w for t in reach for w in graph.get(t, ()) if w in reach)
+    ready = sorted(t for t in reach if not indegree[t])
+    order: list[str] = []
+    while ready:
+        t = heapq.heappop(ready)
+        order.append(t)
+        for w in graph.get(t, ()):
+            if w in reach:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    heapq.heappush(ready, w)
+    if len(order) != len(reach):
+        cyclic = sorted(t for t in reach if t in _reachable(graph.get(t, ()), graph))
+        raise AdtError("unsupported: recursive type component outside the root's family: "
+                       + ", ".join(cyclic))
+    return tuple(order)
 
 
 def parse_universe(source: str, root: str) -> ADTUniverse:
@@ -502,19 +486,14 @@ def parse_universe(source: str, root: str) -> ADTUniverse:
             targets.extend(t for kind, t in fields if kind == "t")
         graph[tid] = tuple(dict.fromkeys(targets))
 
-    sccs = strongly_connected_components(list(mono.out), graph)
-    family_scc = next(s for s in sccs if root in s)
-    reachable = _reachable([root], graph)
-    for scc in sccs:
-        if scc is family_scc or not (scc & reachable):
-            continue
-        recursive = len(scc) > 1 or next(iter(scc)) in graph.get(next(iter(scc)), ())
-        if recursive:
-            raise AdtError(
-                "unsupported: recursive type component outside the root's family: "
-                + ", ".join(sorted(scc)))
-
-    family = tuple(tid for tid in mono.out if tid in family_scc)
+    # The family is the root's strongly connected component: the types
+    # reachable from the root that can also reach it.
+    referrers: dict[str, list[str]] = {}
+    for tid, targets in graph.items():
+        for target in targets:
+            referrers.setdefault(target, []).append(tid)
+    family_set = _reachable([root], graph) & _reachable([root], referrers)
+    family = tuple(tid for tid in mono.out if tid in family_set)
 
     decls: dict[str, TypeDecl] = {}
     for tid, (origin, ctors) in mono.out.items():
@@ -522,7 +501,7 @@ def parse_universe(source: str, root: str) -> ADTUniverse:
         for cname, fields in ctors:
             rfields = tuple(
                 Field(GROUND, t) if kind == "g"
-                else Field(FAMILY if t in family_scc else FOREIGN, t)
+                else Field(FAMILY if t in family_set else FOREIGN, t)
                 for kind, t in fields)
             resolved.append(ConstructorDecl(cname, rfields))
         decls[tid] = TypeDecl(tid, (), tuple(resolved), origin)
@@ -592,36 +571,8 @@ def terminal_constructors(type_id: str, u: ADTUniverse) -> tuple[str, ...]:
 
 
 def reachable_foreign_types(u: ADTUniverse) -> tuple[str, ...]:
-    """Foreign types reachable from the family, topologically sorted so that
-    every referrer precedes what it references. Raises on a cycle."""
-    start: set[str] = set()
-    for tid in u.family:
-        for target in u.type_graph.get(tid, ()):
-            if not u.is_family(target):
-                start.add(target)
-    reach = _reachable(sorted(start), u.type_graph)
-    reach = {t for t in reach if not u.is_family(t)}
-
-    indegree = {t: 0 for t in reach}
-    for t in reach:
-        for w in u.type_graph.get(t, ()):
-            if w in indegree:
-                indegree[w] += 1
-    ready = sorted(t for t, d in indegree.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        t = ready.pop(0)
-        order.append(t)
-        for w in u.type_graph.get(t, ()):
-            if w in indegree:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    ready.append(w)
-        ready.sort()
-    if len(order) != len(reach):
-        cyclic = sorted(set(reach) - set(order))
-        raise AdtError("cycle detected among foreign types: " + ", ".join(cyclic))
-    return tuple(order)
+    """Foreign types reachable from the family, in ``_foreign_order``."""
+    return u._foreign
 
 
 class CompiledUniverse:

@@ -41,7 +41,7 @@ from .sampling import (
     value_to_sexp,
 )
 from .search import SearchConfig, derive_generator_with_trace
-from .spec import STRATEGIES, STRATEGY_DERIVE, STRATEGY_DRAGEN, GenSpec
+from .spec import STRATEGIES, STRATEGY_DRAGEN, GenSpec
 
 VERIFY_SE_MULTIPLE = 4.0
 _VERIFY_EPS = 1e-9
@@ -275,8 +275,7 @@ def _cmd_histogram(args) -> int:
         raise AdtError("--count must be at least 1")
     u, spec = _universe_and_spec(args)
     seed = _seed_of(args)
-    budget = args.budget if spec.strategy == STRATEGY_DERIVE else None
-    stats = empirical_stats(u, spec, args.count, seed, budget=budget)
+    stats = empirical_stats(u, spec, args.count, seed, budget=args.budget)
     sys.stdout.write(histogram_csv(stats))
     return 0
 

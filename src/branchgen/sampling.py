@@ -73,6 +73,7 @@ _BLOCK = 4096
 # this (_BLOCK * _SQUARE_SAFE**2 < 2**63); larger counts are squared as
 # Python ints.
 _SQUARE_SAFE = 1 << 25
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def splitmix64(x: int) -> int:
@@ -88,13 +89,52 @@ def stream_seed(seed: int, index: int) -> int:
     return splitmix64((seed + (index + 1) * _GOLDEN) & _M64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Value:
     """A sampled constructor tree; children mix Values and ground atoms
-    (int, float, one-character str, or None for Unit)."""
+    (int, float, one-character str, or None for Unit). ``==``, ``hash`` and
+    ``repr`` act as the dataclass-generated ones, at any depth."""
 
     constructor: str
     children: tuple = ()
+
+    def _key(self) -> tuple:
+        """The tree in pre-order: ``(constructor, child count)`` for a node,
+        the atom itself for an atom. Equal keys mean equal trees."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Value:
+                out.append((node.constructor, len(node.children)))
+                stack.extend(reversed(node.children))
+            else:
+                out.append(node)
+        return tuple(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+                continue
+            children = node.children
+            out.append(f"{node.__class__.__qualname__}"
+                       f"(constructor={node.constructor!r}, children=(")
+            stack.append(",))" if len(children) == 1 else "))")
+            for k, ch in reversed(list(enumerate(children))):
+                stack.append(ch if ch.__class__ is Value else repr(ch))
+                if k:
+                    stack.append(", ")
+        return "".join(out)
 
 
 class BudgetExhausted:
@@ -291,13 +331,6 @@ def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
     return built[0]
 
 
-def _tables_for_spec(u: ADTUniverse, spec: GenSpec, strategy: str,
-                     foreign_probs: Mapping[str, float] | None) -> _Tables:
-    if spec.root != u.root:
-        raise AdtError(f"spec root {spec.root} does not match universe root {u.root}")
-    return _Tables(u, strategy, spec.probabilities, spec.star_probabilities, foreign_probs)
-
-
 def _walk(tables: _Tables, u: ADTUniverse, size: int, seed: int, index: int,
           budget: int | None = None) -> Value | BudgetExhausted:
     """Value ``index`` of ``seed`` on ``tables``: one tree walk on its own stream."""
@@ -313,17 +346,36 @@ def _bounded_size(size: int) -> int:
     return size
 
 
-def _derive_tables(u: ADTUniverse, budget: int) -> _Tables:
+def _positive_budget(budget: int) -> int:
     if budget < 1:
         raise AdtError("budget must be a positive integer")
-    return _Tables(u, STRATEGY_DERIVE, None, None, None)
+    return budget
+
+
+def _sampler(u: ADTUniverse, spec: GenSpec, strategy: str,
+             foreign_probs: Mapping[str, float] | None = None,
+             budget: int | None = None) -> tuple[_Tables, int, int | None]:
+    """Checked choice tables, size and budget for sampling ``spec`` under
+    ``strategy``; derive samples at size -1 within ``budget`` (default
+    ``DEFAULT_DERIVE_BUDGET``), the size-bounded strategies with no budget."""
+    if strategy not in STRATEGIES:
+        raise AdtError(f"unknown strategy {strategy!r}")
+    if spec.root != u.root:
+        raise AdtError(f"spec root {spec.root} does not match universe root {u.root}")
+    if strategy == STRATEGY_DERIVE:
+        size = -1
+        budget = _positive_budget(DEFAULT_DERIVE_BUDGET if budget is None else budget)
+    else:
+        size, budget = _bounded_size(spec.size), None
+    tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities, foreign_probs)
+    return tables, size, budget
 
 
 def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
                   foreign_probs: Mapping[str, float] | None = None) -> Value:
     """One value from a tuned size-bounded generator."""
-    v = _walk(_tables_for_spec(u, spec, STRATEGY_DRAGEN, foreign_probs), u,
-              _bounded_size(spec.size), seed, index)
+    tables, size, _ = _sampler(u, spec, STRATEGY_DRAGEN, foreign_probs)
+    v = _walk(tables, u, size, seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -341,7 +393,8 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
 def sample_derive(u: ADTUniverse, budget: int, seed: int,
                   index: int = 0) -> Value | BudgetExhausted:
     """One value from the unbounded uniform generator, or BudgetExhausted."""
-    return _walk(_derive_tables(u, budget), u, -1, seed, index, budget)
+    return _walk(_Tables(u, STRATEGY_DERIVE, None, None, None), u, -1, seed, index,
+                 _positive_budget(budget))
 
 
 def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
@@ -350,14 +403,7 @@ def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
     built once. Value i is what ``sample_dragen(u, spec, seed, i)``,
     ``sample_megadeth(u, spec.probabilities, spec.size, seed, i)`` or
     ``sample_derive(u, budget, seed, i)`` returns."""
-    if spec.strategy == STRATEGY_DRAGEN:
-        tables = _tables_for_spec(u, spec, STRATEGY_DRAGEN, None)
-        size, budget = _bounded_size(spec.size), None
-    elif spec.strategy == STRATEGY_MEGADETH:
-        tables = _Tables(u, STRATEGY_MEGADETH, None, None, None)
-        size, budget = _bounded_size(spec.size), None
-    else:
-        tables, size = _derive_tables(u, budget), -1
+    tables, size, budget = _sampler(u, spec, spec.strategy, budget=budget)
     return (_walk(tables, u, size, seed, i, budget) for i in range(count))
 
 
@@ -412,18 +458,7 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
     """
     if samples < 1:
         raise AdtError("sample count must be a positive integer")
-    if spec.strategy not in STRATEGIES:
-        raise AdtError(f"unknown strategy {spec.strategy!r}")
-    size = spec.size
-    if spec.strategy == STRATEGY_DERIVE:
-        budget = DEFAULT_DERIVE_BUDGET if budget is None else budget
-        if budget < 1:
-            raise AdtError("budget must be a positive integer")
-        size = -1
-    else:
-        size = _bounded_size(size)
-        budget = None
-    tables = _tables_for_spec(u, spec, spec.strategy, foreign_probs)
+    tables, size, budget = _sampler(u, spec, spec.strategy, foreign_probs, budget)
     ctors = tables.cu.ctors
     sums = [0] * len(ctors)
     sumsq = [0] * len(ctors)
@@ -455,8 +490,15 @@ def _block_counts(tables: _Tables, root_pos: int, size: int, n: int,
     and each is an independent draw from its type's table, so a type's
     constructor counts at a level are one multinomial draw per generation.
     Only generations with placeholders left stay in the working arrays.
+
+    A level whose counts could pass int64 is expanded in Python ints, and a
+    count past 2**63 - 1 is an error: no count wraps.
     """
     cu = tables.cu
+    # A level leaves each generation at most emitted + todo * fan <= emitted
+    # * (1 + fan) constructors, so levels with emitted <= safe fit in int64.
+    fan = int(cu.counts.sum(axis=1).max(initial=0))
+    safe = _INT64_MAX // (1 + fan)
     counts = np.zeros((n, len(cu.ctors)), dtype=np.int64)
     over = np.zeros(n, dtype=bool)
     live = np.arange(n)
@@ -470,8 +512,10 @@ def _block_counts(tables: _Tables, root_pos: int, size: int, n: int,
         passed = emitted > limit
         over[live[passed]] = True
         todo[passed] = 0
+        exact = emitted.max() > safe
+        fields = cu.counts.astype(object) if exact else cu.counts
         tables_at = tables.p_final if sz == 0 else tables.p_any
-        nxt = np.zeros_like(todo)
+        nxt = np.zeros(todo.shape, dtype=fields.dtype)
         for t in np.flatnonzero(todo.any(axis=0)):
             p = tables_at[t]
             if not p:
@@ -480,9 +524,13 @@ def _block_counts(tables: _Tables, root_pos: int, size: int, n: int,
             cols = slice(start, start + len(p))
             draws = rng.multinomial(todo[:, t], p)
             counts[live, cols] += draws
-            nxt += draws @ cu.counts[cols]
+            nxt += draws @ fields[cols]
+        if exact and (nxt.sum(axis=1) > _INT64_MAX - emitted).any():
+            raise AdtError("constructor counts overflow 64-bit integers "
+                           + (f"at size {size}" if budget is None else f"within budget {budget}"))
         going = nxt.any(axis=1)
-        live, todo, emitted = live[going], nxt[going], emitted[going]
+        live, emitted = live[going], emitted[going]
+        todo = nxt[going].astype(np.int64, copy=False)
         sz = tables.child_size(sz)
     return counts, over
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,3 +444,43 @@ def same_value(a, b):
         elif isinstance(x, Value) or isinstance(y, Value) or not x == y:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class _DataclassValue:
+    constructor: str
+    children: tuple = ()
+
+
+_DataclassValue.__qualname__ = "Value"
+
+
+def dataclass_twin(v):
+    """``v`` rebuilt, recursively, as a plain frozen dataclass with Value's
+    fields and name, whose generated ``==``, ``hash`` and ``repr`` are the
+    reference for Value's. Only for values shallow enough to recurse."""
+    if not isinstance(v, Value):
+        return v
+    return _DataclassValue(v.constructor, tuple(dataclass_twin(c) for c in v.children))
+
+
+def closure(names, edges):
+    """Reachability over ``names`` by boolean matrix closure: returns
+    (reach, cyclic), where ``reach[a]`` is the set of names reachable from
+    ``a`` by zero or more edges and ``cyclic`` the names on a cycle (reachable
+    from themselves by one or more edges). ``edges`` maps a name to the names
+    it references."""
+    pos = {n: i for i, n in enumerate(names)}
+    step = np.zeros((len(names), len(names)), dtype=bool)
+    for a, targets in edges.items():
+        for b in targets:
+            step[pos[a], pos[b]] = True
+    star = step | np.eye(len(names), dtype=bool)
+    while True:
+        wider = (star.astype(np.int64) @ star.astype(np.int64)) > 0
+        if (wider == star).all():
+            break
+        star = wider
+    plus = (step.astype(np.int64) @ star.astype(np.int64)) > 0
+    reach = {a: {b for b in names if star[pos[a], pos[b]]} for a in names}
+    return reach, {a for a in names if plus[pos[a], pos[a]]}

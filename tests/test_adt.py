@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from branchgen import (
@@ -25,7 +26,7 @@ from branchgen import (
     validate_probmap,
 )
 from branchgen import adt
-from branchgen.adt import reachable_foreign_types
+from branchgen.adt import ADTUniverse, reachable_foreign_types
 from conftest import COMPOSITE_SRC, T1T2_SRC, TREE_SRC, TREEPP_SRC
 
 
@@ -222,6 +223,111 @@ class TestStructure:
                             reach.add(w)
                             todo.append(w)
                 assert u.root in reach or tid == u.root
+
+
+RECURSIVE_OUTSIDE = "unsupported: recursive type component outside the root's family: "
+
+# A field: ("t", i) names type Ti, ("maybe", i) and ("list", i) apply the
+# generic Maybe and List to Ti, ("g", atom) is a ground atom.
+_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["t", "t", "maybe", "list"]), st.integers(0, 5)),
+    st.tuples(st.just("g"), st.sampled_from(["Int", "Unit"])),
+)
+_DECLS = st.lists(st.lists(st.lists(_FIELDS, max_size=3), min_size=1, max_size=3),
+                  min_size=1, max_size=6)
+
+
+def _declaration_set(types, root_pick):
+    """DSL text, root, and the type-reference edges of a random declaration
+    set, the edges worked out here from the field choices."""
+    n = len(types)
+    edges: dict[str, set[str]] = {}
+    alts_of = []
+    for i, ctors in enumerate(types):
+        tname = f"T{i}"
+        edges.setdefault(tname, set())
+        alts = []
+        for j, fields in enumerate(ctors):
+            words = [f"C{i}_{j}"]
+            for kind, k in fields:
+                if kind == "g":
+                    words.append(k)
+                    continue
+                target = f"T{k % n}"
+                if kind == "t":
+                    words.append(target)
+                    edges[tname].add(target)
+                    continue
+                generic = "Maybe" if kind == "maybe" else "List"
+                inst = f"{generic}<{target}>"
+                words.append(f"({generic} {target})")
+                edges[tname].add(inst)
+                edges.setdefault(inst, set()).add(target)
+                if generic == "List":
+                    edges[inst].add(inst)
+            alts.append(" ".join(words))
+        alts_of.append(f"data {tname} = " + " | ".join(alts))
+    text = "\n".join(alts_of + ["data Maybe a = Nothing | Just a",
+                                "data List a = Nil | Cons a (List a)"])
+    return text, f"T{root_pick % n}", edges
+
+
+class TestFamilyAndForeign:
+    """The family and the foreign types against a boolean-matrix closure of
+    the reference graph (``helpers.closure``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(types=_DECLS, root_pick=st.integers(0, 5))
+    def test_against_closure(self, types, root_pick):
+        text, root, edges = _declaration_set(types, root_pick)
+        names = sorted(edges)
+        reach, cyclic = helpers.closure(names, edges)
+        family = {t for t in reach[root] if root in reach[t]}
+        foreign = reach[root] - family
+        on_cycle = sorted(foreign & cyclic)
+        if on_cycle:
+            with pytest.raises(AdtError) as exc:
+                parse_universe(text, root)
+            assert str(exc.value) == RECURSIVE_OUTSIDE + ", ".join(on_cycle)
+            return
+        u = parse_universe(text, root)
+        assert set(u.family) == family and len(u.family) == len(family)
+        order = reachable_foreign_types(u)
+        assert sorted(order) == sorted(foreign)
+        # the smallest name whose foreign referrers all come earlier, each time
+        for i, t in enumerate(order):
+            ready = [s for s in foreign - set(order[:i])
+                     if not any(s in edges[r] for r in foreign - set(order[:i]))]
+            assert t == min(ready)
+        assert u.compiled.types == u.family + order
+
+    def test_list_of_atom_type_names_only_the_list(self):
+        src = """
+        data Bool = True | False
+        data List a = Nil | Cons a (List a)
+        data X = X (List Bool) | Y
+        """
+        with pytest.raises(AdtError) as exc:
+            parse_universe(src, "X")
+        assert str(exc.value) == RECURSIVE_OUTSIDE + "List<Bool>"
+
+    def test_two_recursive_components_both_named(self):
+        src = """
+        data List a = Nil | Cons a (List a)
+        data Loop = Again Loop | Stop
+        data T = A (List Int) | B Loop | C T | D
+        """
+        with pytest.raises(AdtError) as exc:
+            parse_universe(src, "T")
+        assert str(exc.value) == RECURSIVE_OUTSIDE + "List<Int>, Loop"
+
+    def test_universe_built_directly(self, composite_u):
+        u = ADTUniverse(composite_u.decls, composite_u.root, composite_u.family,
+                        composite_u.type_graph)
+        assert reachable_foreign_types(u) == ("Maybe<Bool>", "Bool")
+        graph = dict(composite_u.type_graph, Bool=("Bool",))
+        with pytest.raises(AdtError, match=RECURSIVE_OUTSIDE + "Bool$"):
+            ADTUniverse(composite_u.decls, composite_u.root, composite_u.family, graph)
 
 
 class TestCdg:

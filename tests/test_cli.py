@@ -370,9 +370,29 @@ class TestHistogram:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "nonnegative" in err
 
+    def test_budget_applies_to_derive_only(self, capsys, tree_file):
+        args = ("histogram", "-f", tree_file, "--root", "Tree", "--size", "5",
+                "--count", "10", "--budget", "0")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out.startswith("constructors,count")
+        code, out, err = run(capsys, *args, "--strategy", "derive")
+        assert code == 1 and out == "" and "budget" in err
+
     def test_empty_universe_file(self, capsys, tmp_path):
         path = tmp_path / "empty.adt"
         path.write_text("-- nothing here\n")
         code, _, err = run(capsys, "histogram", "-f", str(path), "--root", "T",
                            "--count", "10", "--size", "5")
         assert code == 1 and "not declared" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "histogram"])
+def test_overflowing_counts_fail_cleanly(capsys, tree_file, tmp_path, command):
+    # Node = 0.9 doubles most nodes: at size 100 the counts pass 2**63 - 1
+    probs = tmp_path / "p.json"
+    probs.write_text(json.dumps({"probabilities": {
+        "Tree.LeafA": 0.05, "Tree.LeafB": 0.025, "Tree.LeafC": 0.025, "Tree.Node": 0.9}}))
+    code, out, err = run(capsys, command, "-f", tree_file, "--root", "Tree", "--size", "100",
+                         "--probs", str(probs), "--count", "100", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "overflow" in err and "size 100" in err

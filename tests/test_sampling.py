@@ -27,9 +27,13 @@ from branchgen import (
     value_to_json,
     value_to_sexp,
 )
+from branchgen import sampling
 from branchgen.sampling import _BLOCK, _finish_stats, stream_seed
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
+# Tree with mean offspring 1.8: counts grow ~1.8x per level
+SUPERCRITICAL_P = {"Tree.LeafA": 0.05, "Tree.LeafB": 0.025, "Tree.LeafC": 0.025,
+                   "Tree.Node": 0.9}
 
 # the composite universe with a foreign type of every ground atom, and a
 # constructor that mixes atoms, family and foreign fields
@@ -234,6 +238,36 @@ class TestEmpiricalStats:
             empirical_stats(tree_u, dragen_spec(tree_u, 5), 0, seed=0)
 
 
+    def test_overflowing_counts_are_an_error(self, tree_u):
+        spec = dragen_spec(tree_u, 100, SUPERCRITICAL_P)
+        with pytest.raises(AdtError, match="overflow 64-bit integers at size 100"):
+            empirical_stats(tree_u, spec, 100, seed=1)
+
+    def test_counts_up_to_the_limit_are_kept(self, tree_u, monkeypatch):
+        # With the int64 limit lowered to this run's largest count, the last
+        # levels' bound passes it, so they are expanded in Python ints: the
+        # statistics stay the same. One below, that count is an error.
+        spec = dragen_spec(tree_u, 12, SUPERCRITICAL_P)
+        stats = empirical_stats(tree_u, spec, 300, seed=2)
+        top = max(stats.size_histogram)
+        monkeypatch.setattr(sampling, "_INT64_MAX", top)
+        assert empirical_stats(tree_u, spec, 300, seed=2) == stats
+        monkeypatch.setattr(sampling, "_INT64_MAX", top - 1)
+        with pytest.raises(AdtError, match="overflow 64-bit integers at size 12"):
+            empirical_stats(tree_u, spec, 300, seed=2)
+
+    def test_one_level_past_the_limit(self):
+        # Wide has 64 W fields and probability 1: level k holds 64**k nodes,
+        # so at size 10 the last level holds 2**60 leaves, and at size 11
+        # one level's children alone number 2**66
+        u = parse_universe("data W = Stop | Wide" + " W" * 64, "W")
+        probs = {"W.Stop": 0.0, "W.Wide": 1.0}
+        stats = empirical_stats(u, dragen_spec(u, 10, probs), 5, seed=0)
+        assert stats.mean_counts == {"W.Stop": 2.0 ** 60, "W.Wide": (64 ** 10 - 1) / 63}
+        assert stats.std_err == {"W.Stop": 0.0, "W.Wide": 0.0}
+        with pytest.raises(AdtError, match="overflow 64-bit integers at size 11"):
+            empirical_stats(u, dragen_spec(u, 11, probs), 5, seed=0)
+
     def test_std_err_is_exact_for_large_counts(self):
         xs = [10 ** 7 + (i % 3 == 0) for i in range(30)]
         stats = _finish_stats(len(xs), ["C"], {"C": sum(xs)},
@@ -241,6 +275,28 @@ class TestEmpiricalStats:
         var = statistics.variance([Fraction(x) for x in xs])
         assert stats.std_err["C"] == math.sqrt(var / len(xs))
         assert stats.mean_counts["C"] == float(statistics.mean(Fraction(x) for x in xs))
+
+
+class TestSamplerSetup:
+    # sample_values and empirical_stats check a spec the same way
+    @staticmethod
+    def calls(u, spec):
+        return [lambda: sample_values(u, spec, 0, 3), lambda: empirical_stats(u, spec, 10, 0)]
+
+    def test_unknown_strategy(self, tree_u):
+        spec = dragen_spec(tree_u, 3)
+        spec.strategy = "quickcheck"
+        for call in self.calls(tree_u, spec):
+            with pytest.raises(AdtError, match="unknown strategy 'quickcheck'"):
+                call()
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth", "derive"])
+    def test_root_mismatch(self, tree_u, strategy):
+        spec = adhoc_genspec(tree_u, 3, strategy)
+        spec.root = "Other"
+        for call in self.calls(tree_u, spec):
+            with pytest.raises(AdtError, match="spec root Other does not match"):
+                call()
 
 
 class TestEngineMatchesTreeWalk:
@@ -449,6 +505,11 @@ class TestWalkMatchesReference:
         assert helpers.same_value(v, want)
         assert value_to_sexp(v) == helpers.reference_sexp(want)
         assert value_to_json(v) == helpers.reference_json(want)
+        assert v == want and not v != want
+        assert v != Value("W.N", (want,))
+        assert hash(v) == hash(want)
+        assert repr(v) == ("Value(constructor='W.N', children=(" * depth
+                           + "Value(constructor='W.Stop', children=())" + ",))" * depth)
 
 
 _ATOMS = st.one_of(
@@ -477,6 +538,41 @@ class TestSerializersMatchReference:
         assert value_to_sexp(v) == helpers.reference_sexp(v) == """(X '"' '\\' ''' -3 -0.5 ())"""
         assert value_to_json(v) == helpers.reference_json(v) == (
             """{"constructor": "T.X", "children": ["\\"", "\\\\", "'", -3, -0.5, null]}""")
+
+
+def _rebuilt(v):
+    """An equal copy of ``v`` that shares no node with it."""
+    if not isinstance(v, Value):
+        return v
+    return Value(v.constructor, tuple(_rebuilt(c) for c in v.children))
+
+
+class TestValueMethods:
+    # ==, != and hash against the iterative helpers.same_value and the
+    # dataclass-generated methods (helpers.dataclass_twin); repr against the
+    # dataclass-generated repr
+    @settings(max_examples=200, deadline=None)
+    @given(a=_VALUES, b=_VALUES)
+    def test_like_the_dataclass(self, a, b):
+        for x, y in ((a, b), (b, a), (a, _rebuilt(a))):
+            tx, ty = helpers.dataclass_twin(x), helpers.dataclass_twin(y)
+            assert (x == y) == helpers.same_value(x, y) == (tx == ty)
+            assert (x != y) == (tx != ty)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert repr(a) == repr(helpers.dataclass_twin(a))
+
+    def test_atoms_and_other_types(self):
+        assert Value("T.X", (1, None)) == Value("T.X", (1.0, None))
+        assert hash(Value("T.X", (1, None))) == hash(Value("T.X", (1.0, None)))
+        assert Value("T.X", ("T.a",)) != Value("T.X", (Value("T.a"),))
+        assert Value("T.X", (Value("T.a"),)) != Value("T.X", ("T.a",))
+        # the same constructors in pre-order, in different shapes
+        assert Value("T.N", (Value("T.A"), Value("T.B"))) != Value(
+            "T.N", (Value("T.A", (Value("T.B"),)),))
+        assert Value("T.A") != "T.A" and not Value("T.A") == ("T.A", ())
+        assert repr(Value("T.X", (Value("T.A"),))) == (
+            "Value(constructor='T.X', children=(Value(constructor='T.A', children=()),))")
 
 
 class TestStreams:
