@@ -622,6 +622,25 @@ class CompiledUniverse:
         self.terminal = ~self.counts[:, :self.nfamily].any(axis=1)
         self.pair_ctor, self.pair_target = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
+        # The family constructors' owners and terminal flags, and the owner
+        # and number of each family type's terminals
+        nf, nfc = self.nfamily, self.nfamily_ctors
+        self.family_owner = self.owner[:nfc]
+        self.family_terminal = self.terminal[:nfc]
+        self.terminal_owner = self.family_owner[self.family_terminal]
+        self.terminal_count = np.bincount(self.terminal_owner, minlength=nf)
+
+        # Type-major layout: type_cols[t, j] is family type t's j-th
+        # constructor, and type_counts[t, j] its family field counts. Rows
+        # are padded to the widest type; a pad points at t's first
+        # constructor and counts zero fields.
+        sizes = [s.stop - s.start for s in slices[:nf]]
+        width = max(sizes)
+        self.type_cols = np.array([[*range(s.start, s.stop), *[s.start] * (width - n)]
+                                   for s, n in zip(slices, sizes)], dtype=np.intp)
+        self.type_counts = self.counts[self.type_cols, :nf].astype(float)
+        self.type_counts[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
+
 
 @dataclass(frozen=True)
 class CdgEdge:

@@ -125,10 +125,25 @@ def _load_universe(args, root: str | None = None) -> ADTUniverse:
     return parse_universe(source, root)
 
 
-def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
-    """Resolve declarations plus generator spec: from --spec (hash-checked,
-    its root used unless --root overrides), or assembled ad hoc from
-    --size/--strategy/--probs."""
+def _probs_arg(u: ADTUniverse, path: str | None):
+    """The family map and the foreign map of ``--probs``. Without a file
+    the family map is uniform. The foreign map is None (uniform) unless the
+    file has foreign entries, which then override a uniform foreign map."""
+    if not path:
+        return uniform_probmap(u, u.family), None
+    probs = load_probmap(_read_file(path), u)
+    family = {c: p for c, p in probs.items() if u.is_family(u.ctor_type(c))}
+    foreign = {c: p for c, p in probs.items() if c not in family}
+    if not foreign:
+        return family, None
+    return family, {**uniform_probmap(u, reachable_foreign_types(u)), **foreign}
+
+
+def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | None]:
+    """Resolve declarations, generator spec and foreign map: the spec from
+    --spec (hash-checked, its root used unless --root overrides), or
+    assembled ad hoc from --size/--strategy/--probs. The foreign map is that
+    of --probs under the dragen strategy, else None (uniform)."""
     if args.spec:
         spec = GenSpec.load(args.spec)
         u = _load_universe(args, root=args.root or spec.root)
@@ -138,14 +153,13 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
                 f"(hash {spec.universe_hash[:12]}... vs {universe_hash(u)[:12]}...)")
         if args.strategy:
             spec.strategy = args.strategy
-        return u, spec
+        return u, spec, None
     u = _load_universe(args)
     if args.size is None:
         raise AdtError("either --spec or --size is required")
-    probs = None
-    if args.probs:
-        probs = load_probmap(_read_file(args.probs), u)
-    return u, adhoc_genspec(u, args.size, args.strategy or STRATEGY_DRAGEN, probs)
+    probs, foreign = _probs_arg(u, args.probs)
+    spec = adhoc_genspec(u, args.size, args.strategy or STRATEGY_DRAGEN, probs)
+    return u, spec, foreign if spec.strategy == STRATEGY_DRAGEN else None
 
 
 def _emit(document: dict) -> None:
@@ -171,27 +185,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _split_probs(u: ADTUniverse, probs: dict[str, float]):
-    family = {c: p for c, p in probs.items() if u.is_family(u.ctor_type(c))}
-    foreign = {c: p for c, p in probs.items() if not u.is_family(u.ctor_type(c))}
-    return family, foreign
-
-
 def _cmd_predict(args) -> int:
     u = _load_universe(args)
     if args.size < 1:
         raise AdtError("--size must be at least 1")
-    if args.probs:
-        probs = load_probmap(_read_file(args.probs), u)
-        family_probs, foreign_overrides = _split_probs(u, probs)
-    else:
-        family_probs = uniform_probmap(u, u.family)
-        foreign_overrides = {}
-    foreign_probs = None
-    if foreign_overrides:
-        foreign_probs = uniform_probmap(u, reachable_foreign_types(u))
-        foreign_probs.update(foreign_overrides)
-    _emit(prediction_report_json(u, family_probs, args.size, foreign_probs))
+    probs, foreign = _probs_arg(u, args.probs)
+    _emit(prediction_report_json(u, probs, args.size, foreign))
     return 0
 
 
@@ -223,10 +222,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise AdtError("--count must be at least 1")
-    u, spec = _universe_and_spec(args)
+    u, spec, foreign = _universe_and_spec(args)
     seed = _seed_of(args)
     render = value_to_sexp if args.format == "sexp" else value_to_json
-    for value in sample_values(u, spec, seed, args.count, args.budget):
+    for value in sample_values(u, spec, seed, args.count, args.budget, foreign):
         if isinstance(value, BudgetExhausted):
             line = ('{"budgetExhausted": true}' if args.format == "json"
                     else "(#budget-exhausted)")
@@ -239,15 +238,15 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     if args.count < 1:
         raise AdtError("--count must be at least 1")
-    u, spec = _universe_and_spec(args)
+    u, spec, foreign = _universe_and_spec(args)
     if spec.strategy != STRATEGY_DRAGEN:
         raise AdtError("verify compares against the prediction model, which covers "
                        "the dragen strategy only")
     seed = _seed_of(args)
     report = predict_constructors(u, spec.probabilities, spec.size)
     predicted = report.totals()
-    predicted.update(predict_foreign(u, report))
-    stats = empirical_stats(u, spec, args.count, seed)
+    predicted.update(predict_foreign(u, report, foreign))
+    stats = empirical_stats(u, spec, args.count, seed, foreign)
 
     rows = {}
     all_pass = True
@@ -273,9 +272,9 @@ def _cmd_verify(args) -> int:
 def _cmd_histogram(args) -> int:
     if args.count < 1:
         raise AdtError("--count must be at least 1")
-    u, spec = _universe_and_spec(args)
+    u, spec, foreign = _universe_and_spec(args)
     seed = _seed_of(args)
-    stats = empirical_stats(u, spec, args.count, seed, budget=args.budget)
+    stats = empirical_stats(u, spec, args.count, seed, foreign, args.budget)
     sys.stdout.write(histogram_csv(stats))
     return 0
 

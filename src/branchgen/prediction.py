@@ -16,6 +16,7 @@ the independent reference the tests compare against.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -88,12 +89,19 @@ def _require_probs(probs: Mapping[str, float], ctors: tuple[str, ...]) -> None:
 
 
 def _family_probs(cu: CompiledUniverse, maps: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """The family constructors' probabilities, one row per map."""
+    """The family constructors' probabilities, one row per map, each
+    checked to be finite and nonnegative."""
     ctors = cu.ctors[:cu.nfamily_ctors]
     for probs in maps:
         _require_probs(probs, ctors)
     rows = [[probs[c] for c in ctors] for probs in maps]
-    return np.array(rows, dtype=float).reshape(len(maps), len(ctors))
+    p = np.array(rows, dtype=float).reshape(len(maps), len(ctors))
+    bad = ~(np.isfinite(p) & (p >= 0.0))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise AdtError(f"probability of {ctors[c]} must be finite and nonnegative, "
+                       f"got {p[r, c]}")
+    return p
 
 
 def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
@@ -114,10 +122,15 @@ def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> Mean
 
 def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """One type mean matrix per row of ``p``, each summed constructor by
-    constructor in declaration order."""
-    nf, nfc = cu.nfamily, cu.nfamily_ctors
-    m = np.zeros((len(p), nf, nf))
-    np.add.at(m, (slice(None), cu.owner[:nfc]), cu.counts[:nfc, :nf] * p[:, :, None])
+    constructor in declaration order.
+
+    Rank j adds every type's j-th constructor at once, so each cell gets
+    0.0 + a0 + a1 + ... in declaration order. A pad adds 0.0 or -0.0,
+    which leaves a sum that starts at 0.0 unchanged."""
+    prod = p[:, cu.type_cols, None] * cu.type_counts
+    m = np.zeros((len(p), cu.nfamily, cu.nfamily))
+    for j in range(prod.shape[2]):
+        m += prod[:, :, j]
     return m
 
 
@@ -136,7 +149,7 @@ def initial_population(u: ADTUniverse, probs: Mapping[str, float],
     root = cu.index[u.root]
     if granularity == CONSTRUCTOR:
         p = _family_probs(cu, [probs])[0]
-        return PopulationVector(cu.ctors[:len(p)], np.where(cu.owner[:len(p)] == root, p, 0.0))
+        return PopulationVector(cu.ctors[:len(p)], np.where(cu.family_owner == root, p, 0.0))
     if granularity == TYPE:
         return PopulationVector(u.family, np.arange(cu.nfamily) == root)
     raise AdtError(f"unknown granularity: {granularity!r}")
@@ -176,15 +189,13 @@ def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> Populati
 def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """p* over the family constructors, one row per row of ``p``, zero for
     non-terminals."""
-    nfc = p.shape[1]
-    owner, term = cu.owner[:nfc], cu.terminal[:nfc]
-    nterms = np.bincount(owner[term], minlength=cu.nfamily)
+    owner, term, nterms = cu.family_owner, cu.family_terminal, cu.terminal_count
     if not nterms.all():
         t = np.flatnonzero(nterms == 0)[0]
         raise AdtError(f"family type {cu.types[t]} has no terminal constructor; "
                        "generation cannot terminate")
     mass = np.zeros((len(p), cu.nfamily))
-    np.add.at(mass, (slice(None), owner[term]), p[:, term])
+    np.add.at(mass, (slice(None), cu.terminal_owner), p[:, term])
     own_mass = mass[:, owner]
     stars = np.zeros(p.shape)
     live = term & (own_mass > 0.0)
@@ -247,8 +258,8 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     computed with the same operations in the same order as a batch of one,
     so a map's numbers do not depend on the batch it is scored in.
     """
-    if size < 1:
-        raise AdtError("size must be a positive integer")
+    if not isinstance(size, numbers.Integral) or size < 1:
+        raise AdtError(f"size must be a positive integer, got {size!r}")
     cu = u.compiled
     if isinstance(maps, np.ndarray):
         p = maps.astype(float, copy=False)
@@ -267,7 +278,7 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
         v = v @ m
         pop += v
     v, pop = v[:, 0], pop[:, 0]
-    owner = cu.owner[:cu.nfamily_ctors]
+    owner = cu.family_owner
 
     # Placeholders of each type at the final level, spawned by the
     # non-terminal constructors present at level size-1 (v).
@@ -275,7 +286,7 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     np.add.at(fill, (slice(None), cu.pair_target), (v[:, owner] * p)[:, cu.pair_ctor])
 
     branching = pop[:, owner] * p
-    last = np.where(cu.terminal[:cu.nfamily_ctors], _star_vectors(cu, p) * fill[:, owner], 0.0)
+    last = np.where(cu.family_terminal, _star_vectors(cu, p) * fill[:, owner], 0.0)
     return branching, last
 
 

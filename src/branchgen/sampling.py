@@ -398,12 +398,15 @@ def sample_derive(u: ADTUniverse, budget: int, seed: int,
 
 
 def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
-                  budget: int = DEFAULT_DERIVE_BUDGET) -> Iterator[Value | BudgetExhausted]:
+                  budget: int = DEFAULT_DERIVE_BUDGET,
+                  foreign_probs: Mapping[str, float] | None = None,
+                  ) -> Iterator[Value | BudgetExhausted]:
     """Values 0 .. count-1 of ``spec``'s strategy, with its choice tables
-    built once. Value i is what ``sample_dragen(u, spec, seed, i)``,
+    built once. Value i is what ``sample_dragen(u, spec, seed, i,
+    foreign_probs)`` returns, or with no ``foreign_probs``,
     ``sample_megadeth(u, spec.probabilities, spec.size, seed, i)`` or
-    ``sample_derive(u, budget, seed, i)`` returns."""
-    tables, size, budget = _sampler(u, spec, spec.strategy, budget=budget)
+    ``sample_derive(u, budget, seed, i)``."""
+    tables, size, budget = _sampler(u, spec, spec.strategy, foreign_probs, budget)
     return (_walk(tables, u, size, seed, i, budget) for i in range(count))
 
 

@@ -132,6 +132,17 @@ def predict_via_constructor_matrix(u, probs, size):
     return totals
 
 
+def type_matrices_add_at(cu, p):
+    """One type mean matrix per row of ``p`` by one ``np.add.at`` scatter
+    over the family constructors in declaration order: the assembly that
+    the rank-by-rank sums over the type-major layout replaced. The library
+    must match it byte for byte."""
+    nf, nfc = cu.nfamily, cu.nfamily_ctors
+    m = np.zeros((len(p), nf, nf))
+    np.add.at(m, (slice(None), cu.owner[:nfc]), cu.counts[:nfc, :nf] * p[:, :, None])
+    return m
+
+
 def scalar_cost(cost, size, probs):
     """``cost`` on one map by the scalar route the batched prediction
     replaced, read from the declarations: the type mean matrix summed

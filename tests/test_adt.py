@@ -365,6 +365,26 @@ class TestCompiled:
             assert len(cu.rows[c]) == len(decl.fields)
             assert cu.terminal[c] == (decl.family_arity() == 0)
 
+    def test_type_major_layout(self, composite_u):
+        rng = random.Random(17)
+        universes = [composite_u, parse_universe("data A = LA | NA B A\ndata B = NB A", "A")]
+        universes += [helpers.random_universe(rng, max_types=10, max_ctors=60)[0]
+                      for _ in range(30)]
+        for u in universes:
+            cu = u.compiled
+            nf = cu.nfamily
+            width = max(s.stop - s.start for s in cu.slices[:nf])
+            assert cu.type_cols.shape == (nf, width)
+            assert cu.type_counts.shape == (nf, width, nf)
+            assert cu.type_counts.dtype == float
+            for t, s in enumerate(cu.slices[:nf]):
+                n = s.stop - s.start
+                assert cu.type_cols[t, :n].tolist() == list(range(s.start, s.stop))
+                assert (cu.type_cols[t, n:] == s.start).all()
+                assert (cu.type_counts[t, n:] == 0.0).all()
+                # the pads dropped, the rows are the counts of t's constructors
+                assert (cu.type_counts[t, :n] == cu.counts[s, :nf]).all()
+
     def test_built_once_and_shared(self, monkeypatch):
         calls = []
 

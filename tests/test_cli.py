@@ -396,3 +396,92 @@ def test_overflowing_counts_fail_cleanly(capsys, tree_file, tmp_path, command):
                          "--probs", str(probs), "--count", "100", "--seed", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "overflow" in err and "size 100" in err
+
+
+class TestForeignProbs:
+    """Foreign entries of --probs apply to sample, verify and histogram as
+    they do to predict."""
+
+    FAMILY = {"Tree.LeafA": 0.25, "Tree.LeafB": 0.25, "Tree.LeafC": 0.25, "Tree.Node": 0.25}
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        adt = tmp_path / "composite.adt"
+        adt.write_text(COMPOSITE_SRC)
+
+        def probs(name, **foreign):
+            path = tmp_path / name
+            path.write_text(json.dumps({"probabilities": {**self.FAMILY, **foreign}}))
+            return str(path)
+        return str(adt), probs
+
+    def test_verify_follows_foreign_entries(self, capsys, files):
+        adt, probs = files
+        pfile = probs("p.json", **{"Bool.True": 0.95, "Bool.False": 0.05})
+        _, out, _ = run(capsys, "predict", "-f", adt, "--root", "Tree", "--size", "5",
+                        "--probs", pfile)
+        predicted = json.loads(out)["foreign"]
+        code, out, _ = run(capsys, "verify", "-f", adt, "--root", "Tree", "--size", "5",
+                           "--probs", pfile, "--count", "3000", "--seed", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        rows = doc["perConstructor"]
+        for cid in ("Bool.True", "Bool.False"):
+            assert rows[cid]["predicted"] == predicted[cid]
+        assert rows["Bool.True"]["observed"] > 10 * rows["Bool.False"]["observed"]
+
+    def test_sample_follows_foreign_entries(self, capsys, files):
+        adt, probs = files
+        pfile = probs("p.json", **{"Bool.True": 0.95, "Bool.False": 0.05})
+        code, out, _ = run(capsys, "sample", "-f", adt, "--root", "Tree", "--size", "5",
+                           "--probs", pfile, "--count", "300", "--seed", "1",
+                           "--format", "json")
+        assert code == 0
+        assert out.count('"Bool.True"') > 10 * out.count('"Bool.False"')
+
+    def test_histogram_follows_foreign_entries(self, capsys, files):
+        # Just carries a Bool and Nothing does not, so P(Just) moves the
+        # sizes; the histogram's mean must match the predicted total
+        adt, probs = files
+        pfile = probs("p.json", **{"Maybe<Bool>.Nothing": 0.05, "Maybe<Bool>.Just": 0.95})
+        _, out, _ = run(capsys, "predict", "-f", adt, "--root", "Tree", "--size", "6",
+                        "--probs", pfile)
+        doc = json.loads(out)
+        want = sum(doc["expected"].values()) + sum(doc["foreign"].values())
+        code, out, _ = run(capsys, "histogram", "-f", adt, "--root", "Tree", "--size", "6",
+                           "--probs", pfile, "--count", "4000", "--seed", "2")
+        assert code == 0
+        sizes = [(int(a), int(b)) for a, b in (line.split(",") for line in out.splitlines()[1:])]
+        n = sum(k for _, k in sizes)
+        mean = sum(s * k for s, k in sizes) / n
+        var = sum(k * (s - mean) ** 2 for s, k in sizes) / (n - 1)
+        assert abs(mean - want) <= 4 * (var / n) ** 0.5
+
+    @pytest.mark.parametrize("command,extra", [
+        ("sample", ()), ("verify", ()), ("histogram", ()),
+        ("sample", ("--strategy", "megadeth")), ("histogram", ("--strategy", "derive"))])
+    def test_output_unchanged_without_foreign_entries(self, capsys, files, command, extra):
+        # a uniform family-only map is the default; the uniform strategies
+        # ignore the whole map, foreign entries included
+        adt, probs = files
+        args = (command, "-f", adt, "--root", "Tree", "--size", "5", "--count", "200",
+                "--seed", "4", *extra)
+        want = run(capsys, *args)
+        assert want[0] == 0
+        assert run(capsys, *args, "--probs", probs("family.json")) == want
+        if extra:
+            biased = probs("biased.json", **{"Bool.True": 0.95, "Bool.False": 0.05})
+            assert run(capsys, *args, "--probs", biased) == want
+
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_nan_probability_fails_cleanly(capsys, tree_file, tmp_path, command):
+    probs = tmp_path / "p.json"
+    probs.write_text('{"probabilities": {"Tree.LeafA": NaN, "Tree.LeafB": 0.25, '
+                     '"Tree.LeafC": 0.25, "Tree.Node": 0.25}}')
+    extra = ("--count", "10") if command == "verify" else ()
+    code, out, err = run(capsys, command, "-f", tree_file, "--root", "Tree", "--size", "5",
+                         "--probs", str(probs), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Tree.LeafA" in err

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from branchgen import (
@@ -21,7 +22,7 @@ from branchgen import (
     star_probs,
     uniform_probmap,
 )
-from branchgen.prediction import ConstructorExpectation, PredictionReport
+from branchgen.prediction import ConstructorExpectation, PredictionReport, _type_matrices
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 
@@ -93,6 +94,33 @@ class TestMeanMatrices:
                     want = sum(fields_of[c].count(tj) * probs[c]
                                for c in u.constructors_of(ti))
                     assert mt.entries[i, j] == pytest.approx(want, abs=1e-12)
+
+
+# A one-constructor family type (B) next to a wider one, so the type-major
+# layout pads B's row
+ONE_CTOR_SRC = "data A = LA | NA B A | MA B C B\ndata B = NB A\ndata C = NC B C | LC"
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(0.0, 1.0),
+                     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+class TestTypeMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), one_ctor=st.booleans(), data=st.data())
+    def test_matches_add_at_oracle_byte_for_byte(self, seed, one_ctor, data):
+        if one_ctor:
+            u = parse_universe(ONE_CTOR_SRC, "A")
+        else:
+            u, _ = helpers.random_universe(random.Random(seed), max_types=10, max_ctors=60)
+        cu = u.compiled
+        rows = data.draw(st.lists(
+            st.lists(_ENTRIES, min_size=cu.nfamily_ctors, max_size=cu.nfamily_ctors),
+            min_size=1, max_size=50))
+        p = np.array(rows, dtype=float)
+        got = _type_matrices(cu, p)
+        assert got.shape == (len(p), cu.nfamily, cu.nfamily)
+        assert got.tobytes() == helpers.type_matrices_add_at(cu, p).tobytes()
 
 
 class TestPopulations:
@@ -294,6 +322,28 @@ class TestPredict:
     def test_size_must_be_positive(self, tree_u):
         with pytest.raises(AdtError, match="positive"):
             predict_constructors(tree_u, uniform_probmap(tree_u), 0)
+
+    @pytest.mark.parametrize("size", [2.5, 10.0, "10", None])
+    def test_size_must_be_an_integer(self, tree_u, size):
+        with pytest.raises(AdtError, match="positive integer"):
+            predict_constructors(tree_u, uniform_probmap(tree_u), size)
+
+    def test_numpy_integer_size(self, tree_u):
+        probs = uniform_probmap(tree_u)
+        assert (predict_constructors(tree_u, probs, np.int64(7)).totals()
+                == predict_constructors(tree_u, probs, 7).totals())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.25])
+    def test_bad_probability_rejected_at_the_edge(self, tree_u, bad):
+        probs = dict(uniform_probmap(tree_u), **{"Tree.Node": bad})
+        calls = (lambda: predict_constructors(tree_u, probs, 5),
+                 lambda: prediction_report_json(tree_u, probs, 5),
+                 lambda: mean_matrix_types(tree_u, probs),
+                 lambda: star_probs(tree_u, probs),
+                 lambda: extinction_probability(tree_u, probs))
+        for call in calls:
+            with pytest.raises(AdtError, match="Tree.Node must be finite and nonnegative"):
+                call()
 
 
 class TestConstructorTypeConsistency:
