@@ -418,6 +418,31 @@ def _reachable(start: Iterable[str], edges: Mapping[str, Iterable[str]]) -> set[
     return seen
 
 
+def live_support(u: ADTUniverse, pinned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The family constructors left live when ``pinned`` (a mask over them)
+    are excluded, and the family types the root reaches along them, as
+    masks over the family constructors and types.
+
+    A constructor dies when it is pinned or has a field of a type that has
+    no live constructor left, to a fixpoint."""
+    cu = u.compiled
+    nf, owner = cu.nfamily, cu.family_owner
+    refs = cu.counts[:cu.nfamily_ctors, :nf] > 0
+    live = ~pinned
+    while True:
+        dead_types = np.bincount(owner[live], minlength=nf) == 0
+        still = live & ~refs[:, dead_types].any(axis=1)
+        if (still == live).all():
+            break
+        live = still
+    edges = np.zeros((nf, nf), dtype=bool)
+    np.logical_or.at(edges, owner[live], refs[live])
+    graph = {t: np.flatnonzero(row).tolist() for t, row in enumerate(edges)}
+    reached = np.zeros(nf, dtype=bool)
+    reached[list(_reachable([cu.index[u.root]], graph))] = True
+    return live, reached
+
+
 def _foreign_order(root: str, family: frozenset[str],
                    graph: Mapping[str, Iterable[str]]) -> tuple[str, ...]:
     """The types reachable from ``root`` outside ``family``, topologically

@@ -143,7 +143,10 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | N
     """Resolve declarations, generator spec and foreign map: the spec from
     --spec (hash-checked, its root used unless --root overrides), or
     assembled ad hoc from --size/--strategy/--probs. The foreign map is that
-    of --probs under the dragen strategy, else None (uniform)."""
+    of --probs, else None (uniform). --probs applies to ad hoc dragen runs
+    only, and is an error where it could not apply."""
+    if args.spec and args.probs:
+        raise AdtError("--probs applies to ad hoc dragen runs; it cannot be combined with --spec")
     if args.spec:
         spec = GenSpec.load(args.spec)
         u = _load_universe(args, root=args.root or spec.root)
@@ -154,12 +157,14 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | N
         if args.strategy:
             spec.strategy = args.strategy
         return u, spec, None
+    strategy = args.strategy or STRATEGY_DRAGEN
+    if args.probs and strategy != STRATEGY_DRAGEN:
+        raise AdtError(f"--probs applies to the dragen strategy only; {strategy} is uniform")
     u = _load_universe(args)
     if args.size is None:
         raise AdtError("either --spec or --size is required")
     probs, foreign = _probs_arg(u, args.probs)
-    spec = adhoc_genspec(u, args.size, args.strategy or STRATEGY_DRAGEN, probs)
-    return u, spec, foreign if spec.strategy == STRATEGY_DRAGEN else None
+    return u, adhoc_genspec(u, args.size, strategy, probs), foreign
 
 
 def _emit(document: dict) -> None:

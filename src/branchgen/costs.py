@@ -10,13 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .adt import (
-    FAMILY,
-    ADTUniverse,
-    AdtError,
-    resolve_constructor,
-    terminal_constructors,
-)
+from .adt import ADTUniverse, AdtError, live_support, resolve_constructor
 from .prediction import predict_batch
 
 
@@ -114,23 +108,34 @@ def _resolve_family_ctors(u: ADTUniverse, names: Iterable[str]) -> set[str]:
     return out
 
 
-def _check_types_survive(u: ADTUniverse, pinned: set[str]) -> None:
-    for tid in u.family:
-        ctors = u.constructors_of(tid)
-        live = [c for c in ctors if c not in pinned]
-        if not live:
-            raise ConstraintError(f"exclusion removes every constructor of {tid}")
-        terms = set(terminal_constructors(tid, u))
-        if not any(c in terms for c in live):
-            raise ConstraintError(
-                f"exclusion removes every terminal constructor of {tid}; "
-                "generation could not terminate")
+def _check_viable(u: ADTUniverse, live: np.ndarray, types: np.ndarray) -> None:
+    """Reject the first of ``types`` (a mask over the family types), in
+    family order, that keeps no live constructor or no live terminal."""
+    cu = u.compiled
+    nlive = np.bincount(cu.family_owner[live], minlength=cu.nfamily)
+    nterm = np.bincount(cu.family_owner[live & cu.family_terminal], minlength=cu.nfamily)
+    bad = np.flatnonzero(types & (nterm == 0))
+    if not len(bad):
+        return
+    if not nlive[bad[0]]:
+        raise ConstraintError(f"exclusion removes every constructor of {cu.types[bad[0]]}")
+    raise ConstraintError(
+        f"exclusion removes every terminal constructor of {cu.types[bad[0]]}; "
+        "generation could not terminate")
+
+
+def _live_cost(u: ADTUniverse, live: np.ndarray, label: str) -> CostFunction:
+    kept = dict(zip(u.family_constructors(), live.tolist()))
+    targets = tuple((c, 1.0) for c, keep in kept.items() if keep)
+    pinned = frozenset(c for c, keep in kept.items() if not keep)
+    return CostFunction(label, u, targets, pinned)
 
 
 def _excluded_cost(u: ADTUniverse, pinned: set[str], label: str) -> CostFunction:
-    _check_types_survive(u, pinned)
-    targets = tuple((c, 1.0) for c in u.family_constructors() if c not in pinned)
-    return CostFunction(label, u, targets, frozenset(pinned))
+    """Every family type, reachable or not, must keep a live terminal."""
+    live = np.array([c not in pinned for c in u.family_constructors()])
+    _check_viable(u, live, np.ones(u.compiled.nfamily, dtype=bool))
+    return _live_cost(u, live, label)
 
 
 def only_cost(u: ADTUniverse, whitelist: Iterable[str]) -> CostFunction:
@@ -149,31 +154,10 @@ def without_cost(u: ADTUniverse, blacklist: Iterable[str]) -> CostFunction:
     return _excluded_cost(u, pinned, label)
 
 
-def _propagate_dead_types(u: ADTUniverse, pinned: set[str]) -> set[str]:
-    """Kill constructors that reference a family type with no live
-    constructors left, to a fixpoint. Returns the enlarged pinned set."""
-    pinned = set(pinned)
-    family_ctors = u.family_constructors()
-    changed = True
-    while changed:
-        changed = False
-        live_by_type = {
-            tid: [c for c in u.constructors_of(tid) if c not in pinned]
-            for tid in u.family
-        }
-        for cid in family_ctors:
-            if cid in pinned:
-                continue
-            decl = u.ctor_decl(cid)
-            for f in decl.fields:
-                if f.kind == FAMILY and not live_by_type[f.target]:
-                    pinned.add(cid)
-                    changed = True
-                    break
-    return pinned
-
-
 def _types_cost(u: ADTUniverse, excluded: set[str], label: str) -> CostFunction:
+    """Pin the excluded types' constructors and every constructor that
+    needs a type left with none; each type the root still reaches must
+    keep a live terminal."""
     for tid in excluded:
         if tid not in u.decls:
             raise AdtError(f"unknown type: {tid}")
@@ -182,35 +166,14 @@ def _types_cost(u: ADTUniverse, excluded: set[str], label: str) -> CostFunction:
     if u.root in excluded:
         raise ConstraintError(f"the root type {u.root} may not be excluded")
 
-    pinned = {c for tid in excluded for c in u.constructors_of(tid)}
-    pinned = _propagate_dead_types(u, pinned)
-
-    root_live = [c for c in u.constructors_of(u.root) if c not in pinned]
-    if not root_live:
+    cu = u.compiled
+    live, reached = live_support(u, np.isin(cu.family_owner, [cu.index[t] for t in excluded]))
+    if not live[cu.slices[cu.index[u.root]]].any():
         raise ConstraintError(
             "exclusion disconnects the family: no constructor of the root "
             f"type {u.root} survives")
-
-    # Walk the family along live constructors; every reachable type must
-    # still be able to terminate.
-    seen = {u.root}
-    todo = [u.root]
-    while todo:
-        tid = todo.pop()
-        terms = set(terminal_constructors(tid, u))
-        live = [c for c in u.constructors_of(tid) if c not in pinned]
-        if not any(c in terms for c in live):
-            raise ConstraintError(
-                f"exclusion removes every terminal constructor of {tid}; "
-                "generation could not terminate")
-        for cid in live:
-            for f in u.ctor_decl(cid).fields:
-                if f.kind == FAMILY and f.target not in seen:
-                    seen.add(f.target)
-                    todo.append(f.target)
-
-    targets = tuple((c, 1.0) for c in u.family_constructors() if c not in pinned)
-    return CostFunction(label, u, targets, frozenset(pinned))
+    _check_viable(u, live, reached)
+    return _live_cost(u, live, label)
 
 
 def only_types_cost(u: ADTUniverse, types: Iterable[str]) -> CostFunction:

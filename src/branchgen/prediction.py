@@ -247,6 +247,7 @@ class PredictionReport:
         return {cid: e.total for cid, e in self.per_constructor.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarray,
                   size: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected branching and last-level counts of the family constructors
@@ -257,6 +258,9 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     All maps share one level loop over stacked type matrices. Every row is
     computed with the same operations in the same order as a batch of one,
     so a map's numbers do not depend on the batch it is scored in.
+
+    The engine never emits a numpy RuntimeWarning: a count that overflows a
+    double reads inf or nan, and callers that must print it reject it.
     """
     if not isinstance(size, numbers.Integral) or size < 1:
         raise AdtError(f"size must be a positive integer, got {size!r}")
@@ -371,8 +375,7 @@ def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int
     """Assemble the full report document: expected totals, last-level terms,
     foreign expectations, and per-type extinction probabilities. Raises
     AdtError when an expectation overflows a double, which JSON cannot hold."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = predict_constructors(u, probs, size)
+    report = predict_constructors(u, probs, size)
     foreign = predict_foreign(u, report, foreign_probs)
     expected = {cid: e.total for cid, e in sorted(report.per_constructor.items())}
     last = {cid: e.last_level for cid, e in sorted(report.per_constructor.items())}

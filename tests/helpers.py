@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from branchgen import (
+    ConstraintError,
     Value,
     branching_factor,
     chi_square,
@@ -183,6 +184,97 @@ def scalar_cost(cost, size, probs):
             totals[c] += star * fill[owner[c]]
     return chi_square([totals[c] for c, _ in cost.targets],
                       [w * size for _, w in cost.targets])
+
+
+# ---------------------------------------------------------------------------
+# Exclusion costs by declaration walks: the checks that the live-support
+# analysis over the compiled form replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+def check_types_survive(u, pinned):
+    """Raise for the first family type, in family order, with no unpinned
+    constructor or no unpinned terminal, reachable or not."""
+    for tid in u.family:
+        ctors = u.constructors_of(tid)
+        live = [c for c in ctors if c not in pinned]
+        if not live:
+            raise ConstraintError(f"exclusion removes every constructor of {tid}")
+        terms = set(terminal_constructors(tid, u))
+        if not any(c in terms for c in live):
+            raise ConstraintError(
+                f"exclusion removes every terminal constructor of {tid}; "
+                "generation could not terminate")
+
+
+def propagate_dead_types(u, pinned):
+    """Kill constructors that reference a family type with no live
+    constructors left, to a fixpoint. Returns the enlarged pinned set."""
+    pinned = set(pinned)
+    family_ctors = u.family_constructors()
+    changed = True
+    while changed:
+        changed = False
+        live_by_type = {
+            tid: [c for c in u.constructors_of(tid) if c not in pinned]
+            for tid in u.family
+        }
+        for cid in family_ctors:
+            if cid in pinned:
+                continue
+            decl = u.ctor_decl(cid)
+            for f in decl.fields:
+                if f.kind == FAMILY and not live_by_type[f.target]:
+                    pinned.add(cid)
+                    changed = True
+                    break
+    return pinned
+
+
+def starved_types(u, pinned):
+    """The family types that the root reaches along unpinned constructors
+    and that keep no unpinned terminal, in the order in which a LIFO walk
+    from the root visits them."""
+    seen = {u.root}
+    todo = [u.root]
+    starved = []
+    while todo:
+        tid = todo.pop()
+        terms = set(terminal_constructors(tid, u))
+        live = [c for c in u.constructors_of(tid) if c not in pinned]
+        if not any(c in terms for c in live):
+            starved.append(tid)
+        for cid in live:
+            for f in u.ctor_decl(cid).fields:
+                if f.kind == FAMILY and f.target not in seen:
+                    seen.add(f.target)
+                    todo.append(f.target)
+    return starved
+
+
+def reference_pinned(u, kind, names):
+    """The pinned set of the exclusion cost ``kind`` ("only", "without",
+    "onlyTypes" or "withoutTypes") over valid qualified ``names``, or the
+    ConstraintError it raises, by the declaration walks. ``only`` and
+    ``without`` check every family type; the type filters propagate dead
+    types and check the types the root still reaches, naming the first
+    such type that the walk visits."""
+    if kind in ("only", "without"):
+        chosen = set(names)
+        pinned = set(u.family_constructors()) - chosen if kind == "only" else chosen
+        check_types_survive(u, pinned)
+        return frozenset(pinned)
+    excluded = set(u.family) - set(names) if kind == "onlyTypes" else set(names)
+    pinned = propagate_dead_types(u, {c for tid in excluded for c in u.constructors_of(tid)})
+    if all(c in pinned for c in u.constructors_of(u.root)):
+        raise ConstraintError(
+            "exclusion disconnects the family: no constructor of the root "
+            f"type {u.root} survives")
+    starved = starved_types(u, pinned)
+    if starved:
+        raise ConstraintError(
+            f"exclusion removes every terminal constructor of {starved[0]}; "
+            "generation could not terminate")
+    return frozenset(pinned)
 
 
 def _quantized(probs, order, quantum):
@@ -365,7 +457,8 @@ def reference_walk(tables, root_pos, size, rng, budget=None):
 
 def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None):
     """Value ``index`` of ``seed`` by ``reference_walk``: ``spec`` for dragen
-    (its size is used), ``size`` for megadeth, ``budget`` for derive."""
+    (its size is used), ``size`` for megadeth, ``budget`` for derive. The
+    size-bounded strategies ignore the budget, as the samplers do."""
     if strategy == "dragen":
         tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities, None)
         size = spec.size
@@ -373,6 +466,8 @@ def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None):
         tables = _Tables(u, strategy, None, None, None)
     if strategy == "derive":
         size = -1
+    else:
+        budget = None
     rng = random.Random(stream_seed(seed, index))
     return reference_walk(tables, tables.cu.index[u.root], size, rng, budget)
 

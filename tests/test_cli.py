@@ -459,20 +459,35 @@ class TestForeignProbs:
         assert abs(mean - want) <= 4 * (var / n) ** 0.5
 
     @pytest.mark.parametrize("command,extra", [
-        ("sample", ()), ("verify", ()), ("histogram", ()),
-        ("sample", ("--strategy", "megadeth")), ("histogram", ("--strategy", "derive"))])
+        ("sample", ()), ("verify", ()), ("histogram", ())])
     def test_output_unchanged_without_foreign_entries(self, capsys, files, command, extra):
-        # a uniform family-only map is the default; the uniform strategies
-        # ignore the whole map, foreign entries included
+        # a uniform family-only map is the default
         adt, probs = files
         args = (command, "-f", adt, "--root", "Tree", "--size", "5", "--count", "200",
                 "--seed", "4", *extra)
         want = run(capsys, *args)
         assert want[0] == 0
         assert run(capsys, *args, "--probs", probs("family.json")) == want
-        if extra:
-            biased = probs("biased.json", **{"Bool.True": 0.95, "Bool.False": 0.05})
-            assert run(capsys, *args, "--probs", biased) == want
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
+@pytest.mark.parametrize("setting", ["spec", "megadeth", "derive"])
+def test_probs_rejected_where_it_cannot_apply(capsys, tree_file, tmp_path, command, setting):
+    # a spec carries its own probabilities, and megadeth and derive choose
+    # uniformly: a --probs file there would be ignored, so it is an error
+    probs = tmp_path / "p.json"
+    probs.write_text(json.dumps({"probabilities": {
+        "Tree.LeafA": 0.05, "Tree.LeafB": 0.025, "Tree.LeafC": 0.025, "Tree.Node": 0.9}}))
+    if setting == "spec":
+        spec = tmp_path / "spec.json"
+        adhoc_genspec(parse_universe(TREE_SRC, "Tree"), 5, "dragen").save(str(spec))
+        extra = ("--spec", str(spec))
+    else:
+        extra = ("--size", "5", "--root", "Tree", "--strategy", setting)
+    code, out, err = run(capsys, command, "-f", tree_file, *extra, "--probs", str(probs),
+                         "--count", "10", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: --probs") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["predict", "verify"])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from branchgen import (
@@ -301,3 +301,87 @@ class TestBatchedScores:
     def test_probability_matrix_needs_one_column_per_constructor(self, tree_u):
         with pytest.raises(AdtError, match="one column per family constructor"):
             uniform_cost(tree_u).scores(10, np.full((2, 3), 0.25))
+
+
+EXCLUSIONS = {"only": only_cost, "without": without_cost,
+              "onlyTypes": only_types_cost, "withoutTypes": without_types_cost}
+
+# Declaration sets whose constructors take any family types, so that a type
+# may have no terminal at all: T0 is the root, a field is a type index
+# (modulo the number of types) or a ground atom.
+_DECLS = st.lists(st.lists(st.lists(st.one_of(st.integers(0, 3), st.just("Int")),
+                                    max_size=3),
+                           min_size=1, max_size=4),
+                  min_size=1, max_size=4)
+
+
+def _declared(types):
+    n = len(types)
+    lines = []
+    for i, ctors in enumerate(types):
+        alts = [" ".join([f"C{i}_{j}"] + [f if f == "Int" else f"T{f % n}" for f in fields])
+                for j, fields in enumerate(ctors)]
+        lines.append(f"data T{i} = " + " | ".join(alts))
+    try:
+        return parse_universe("\n".join(lines), "T0")
+    except AdtError:
+        # a recursive type outside the root's family
+        assume(False)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ConstraintError as exc:
+        return str(exc)
+
+
+class TestExclusionsMatchWalks:
+    """Every exclusion cost's pinned set or error text against the
+    declaration walks that the live-support analysis replaced
+    (``helpers.reference_pinned``)."""
+
+    def _check(self, u, kind, rng):
+        others = [t for t in u.family if t != u.root]
+        names = {
+            "only": [c for c in u.family_constructors() if rng.random() < 0.7],
+            "without": [c for c in u.family_constructors() if rng.random() < 0.3],
+            "onlyTypes": [u.root] + [t for t in others if rng.random() < 0.6],
+            "withoutTypes": [t for t in others if rng.random() < 0.4],
+        }[kind]
+        got = _outcome(lambda: EXCLUSIONS[kind](u, names).pinned)
+        want = _outcome(lambda: helpers.reference_pinned(u, kind, names))
+        if got == want:
+            return
+        # The walk names the first starved type it visits, the analysis the
+        # first in family order; they differ only when two or more are.
+        excluded = set(u.family) - set(names) if kind == "onlyTypes" else set(names)
+        pinned = helpers.propagate_dead_types(
+            u, {c for t in excluded for c in u.constructors_of(t)})
+        starved = helpers.starved_types(u, pinned)
+        assert kind.endswith("Types") and len(starved) >= 2
+        first = min(starved, key=u.family.index)
+        assert (got, want) == tuple(
+            f"exclusion removes every terminal constructor of {t}; "
+            "generation could not terminate" for t in (first, starved[0]))
+
+    def test_propagation_takes_two_rounds(self):
+        # excluding T2 kills both of T1's constructors, and then T0.B
+        u = parse_universe("data T0 = A | B T1\ndata T1 = C T2 | D T2 T0\n"
+                           "data T2 = E | F T0", "T0")
+        want = {"T2.E", "T2.F", "T1.C", "T1.D", "T0.B"}
+        assert without_types_cost(u, ["T2"]).pinned == want
+        assert helpers.reference_pinned(u, "withoutTypes", ["T2"]) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(sorted(EXCLUSIONS)))
+    def test_random_universes(self, seed, kind):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng)
+        self._check(u, kind, rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(types=_DECLS, seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(sorted(EXCLUSIONS)))
+    def test_declaration_sets(self, types, seed, kind):
+        self._check(_declared(types), kind, random.Random(seed))

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from branchgen import (
     star_probs,
     uniform_probmap,
 )
-from branchgen.prediction import ConstructorExpectation, PredictionReport, _type_matrices
+from branchgen.prediction import (
+    ConstructorExpectation,
+    PredictionReport,
+    _type_matrices,
+    predict_batch,
+)
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 
@@ -344,6 +350,20 @@ class TestPredict:
         for call in calls:
             with pytest.raises(AdtError, match="Tree.Node must be finite and nonnegative"):
                 call()
+
+
+    def test_overflow_emits_no_runtime_warning(self, tree_u):
+        # Node = 0.9 grows 1.8-fold per level: the counts pass a double's range
+        probs = {"Tree.LeafA": 0.05, "Tree.LeafB": 0.025, "Tree.LeafC": 0.025,
+                 "Tree.Node": 0.9}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            totals = predict_constructors(tree_u, probs, 5000).totals()
+            batch = predict_batch(tree_u, [probs, uniform_probmap(tree_u)], 5000)
+            with pytest.raises(AdtError, match="size 5000 overflow a double"):
+                prediction_report_json(tree_u, probs, 5000)
+        assert not np.isfinite(list(totals.values())).all()
+        assert not np.isfinite(batch[0][0]).all() and np.isfinite(batch[0][1]).all()
 
 
 class TestConstructorTypeConsistency:
