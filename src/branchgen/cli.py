@@ -23,6 +23,7 @@ from .adt import (
     terminal_constructors,
     uniform_probmap,
     universe_hash,
+    validate_probmap,
 )
 from .costs import parse_cost_expression
 from .prediction import (
@@ -139,12 +140,28 @@ def _probs_arg(u: ADTUniverse, path: str | None):
     return family, {**uniform_probmap(u, reachable_foreign_types(u)), **foreign}
 
 
+def _check_spec(u: ADTUniverse, spec: GenSpec) -> None:
+    """A spec's probabilities must meet a --probs file's rules and name every
+    family constructor; its star probabilities name family terminals only."""
+    validate_probmap(u, spec.probabilities)
+    missing = [c for c in u.family_constructors() if c not in spec.probabilities]
+    if missing:
+        raise AdtError(f"generator spec has no probabilities for {missing}")
+    terminals = {c for t in u.family for c in terminal_constructors(t, u)}
+    for cid, p in spec.star_probabilities.items():
+        if cid not in terminals or not 0.0 <= p <= 1.0:
+            raise AdtError("star probabilities must be of family terminals, in [0, 1]; "
+                           f"got {cid} = {p}")
+
+
 def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | None]:
     """Resolve declarations, generator spec and foreign map: the spec from
-    --spec (hash-checked, its root used unless --root overrides), or
-    assembled ad hoc from --size/--strategy/--probs. The foreign map is that
-    of --probs, else None (uniform). --probs applies to ad hoc dragen runs
-    only, and is an error where it could not apply."""
+    --spec (hash-checked, then ``_check_spec``; its root used unless --root
+    overrides), or assembled ad hoc from --size/--strategy/--probs. The foreign
+    map is that of --probs, else None (uniform). --probs applies to ad hoc
+    dragen runs only, and is an error where it could not apply."""
+    if args.count < 1:
+        raise AdtError("--count must be at least 1")
     if args.spec and args.probs:
         raise AdtError("--probs applies to ad hoc dragen runs; it cannot be combined with --spec")
     if args.spec:
@@ -154,6 +171,7 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | N
             raise AdtError(
                 "generator spec was produced for different declarations "
                 f"(hash {spec.universe_hash[:12]}... vs {universe_hash(u)[:12]}...)")
+        _check_spec(u, spec)
         if args.strategy:
             spec.strategy = args.strategy
         return u, spec, None
@@ -225,8 +243,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise AdtError("--count must be at least 1")
     u, spec, foreign = _universe_and_spec(args)
     seed = _seed_of(args)
     render = value_to_sexp if args.format == "sexp" else value_to_json
@@ -241,8 +257,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.count < 1:
-        raise AdtError("--count must be at least 1")
     u, spec, foreign = _universe_and_spec(args)
     if spec.strategy != STRATEGY_DRAGEN:
         raise AdtError("verify compares against the prediction model, which covers "
@@ -275,8 +289,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    if args.count < 1:
-        raise AdtError("--count must be at least 1")
     u, spec, foreign = _universe_and_spec(args)
     seed = _seed_of(args)
     stats = empirical_stats(u, spec, args.count, seed, foreign, args.budget)

@@ -53,11 +53,13 @@ class CostFunction:
     def __call__(self, size: int, probs: Mapping[str, float]) -> float:
         return self.scores(size, [probs])[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def scores(self, size: int,
                maps: Sequence[Mapping[str, float]] | np.ndarray) -> list[float]:
         """The cost of each map, from one batched prediction; ``maps`` may
         also be a family-probability matrix (see ``predict_batch``). Each
-        equals ``chi_square`` on that map's totals alone, bit for bit."""
+        equals ``chi_square`` on that map's totals alone, bit for bit. A
+        cost that overflows a double reads inf or nan, without a warning."""
         branching, last = predict_batch(self.universe, maps, size)
         totals = branching + last
         column = {cid: c for c, cid in enumerate(self.universe.compiled.ctors)}
@@ -65,11 +67,6 @@ class CostFunction:
         expected = [w * size for _, w in self.targets]
         # chi_square is the float 0.0, not an array, when there are no targets
         return (np.zeros(len(maps)) + chi_square(observed, expected)).tolist()
-
-
-def _decl_order(u: ADTUniverse, ctors: Iterable[str]) -> tuple[str, ...]:
-    wanted = set(ctors)
-    return tuple(c for c in u.family_constructors() if c in wanted)
 
 
 def uniform_cost(u: ADTUniverse) -> CostFunction:
@@ -92,7 +89,7 @@ def weighted_cost(u: ADTUniverse, weights: Mapping[str, float]) -> CostFunction:
         if not 0.0 < w < math.inf:
             raise AdtError(f"weight for {cid} must be positive and finite, got {w}")
         resolved[cid] = float(w)
-    targets = tuple((c, resolved[c]) for c in _decl_order(u, resolved))
+    targets = tuple((c, resolved[c]) for c in u.family_constructors() if c in resolved)
     label = "weighted(" + ",".join(f"{c}={w:g}" for c, w in targets) + ")"
     return CostFunction(label, u, targets, frozenset())
 
@@ -154,10 +151,10 @@ def without_cost(u: ADTUniverse, blacklist: Iterable[str]) -> CostFunction:
     return _excluded_cost(u, pinned, label)
 
 
-def _types_cost(u: ADTUniverse, excluded: set[str], label: str) -> CostFunction:
+def _types_cost(u: ADTUniverse, excluded: list[str], label: str) -> CostFunction:
     """Pin the excluded types' constructors and every constructor that
     needs a type left with none; each type the root still reaches must
-    keep a live terminal."""
+    keep a live terminal. The names are checked in the order given."""
     for tid in excluded:
         if tid not in u.decls:
             raise AdtError(f"unknown type: {tid}")
@@ -177,18 +174,17 @@ def _types_cost(u: ADTUniverse, excluded: set[str], label: str) -> CostFunction:
 
 
 def only_types_cost(u: ADTUniverse, types: Iterable[str]) -> CostFunction:
-    keep = set(types)
-    excluded = {t for t in u.family if t not in keep}
+    keep = list(types)
     for tid in keep:
         if tid not in u.decls:
             raise AdtError(f"unknown type: {tid}")
-    label = "onlyTypes(" + ",".join(sorted(keep)) + ")"
-    return _types_cost(u, excluded, label)
+    label = "onlyTypes(" + ",".join(sorted(set(keep))) + ")"
+    return _types_cost(u, [t for t in u.family if t not in keep], label)
 
 
 def without_types_cost(u: ADTUniverse, types: Iterable[str]) -> CostFunction:
-    excluded = set(types)
-    label = "withoutTypes(" + ",".join(sorted(excluded)) + ")"
+    excluded = list(types)
+    label = "withoutTypes(" + ",".join(sorted(set(excluded))) + ")"
     return _types_cost(u, excluded, label)
 
 

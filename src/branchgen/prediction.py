@@ -155,35 +155,38 @@ def initial_population(u: ADTUniverse, probs: Mapping[str, float],
     raise AdtError(f"unknown granularity: {granularity!r}")
 
 
-def expected_generation(g0: PopulationVector, m: MeanMatrix, n: int) -> PopulationVector:
-    """g0'·M^n, computed by n successive vector-matrix products."""
-    if g0.index != m.index:
-        raise AdtError("population vector and mean matrix are indexed differently")
-    if n < 0:
-        raise AdtError("generation number must be nonnegative")
-    v = g0.values.copy()
-    for _ in range(n):
-        v = v @ m.entries
-    return PopulationVector(g0.index, v)
-
-
-def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> PopulationVector:
-    """Cumulative expectation sum(k=0..n) g0'·M^k, accumulated iteratively.
+def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generation n, v·M^n, and the population up to it, sum(k=0..n) v·M^k,
+    by n successive vector-matrix products. ``v`` may be one row vector or a
+    stack of them, each with its own matrix.
 
     The geometric closed form with (I - M) inverted is an equivalent
     identity when (I - M) is nonsingular; accumulating the series directly
     needs no special case for the singular/critical situation.
     """
+    pop = v.copy()
+    for _ in range(n):
+        v = v @ m
+        pop += v
+    return v, pop
+
+
+def _checked_level_sums(g0: PopulationVector, m: MeanMatrix, n: int):
     if g0.index != m.index:
         raise AdtError("population vector and mean matrix are indexed differently")
     if n < 0:
         raise AdtError("generation number must be nonnegative")
-    v = g0.values.copy()
-    acc = v.copy()
-    for _ in range(n):
-        v = v @ m.entries
-        acc += v
-    return PopulationVector(g0.index, acc)
+    return _level_sums(g0.values.copy(), m.entries, n)
+
+
+def expected_generation(g0: PopulationVector, m: MeanMatrix, n: int) -> PopulationVector:
+    """g0'·M^n."""
+    return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[0])
+
+
+def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> PopulationVector:
+    """Cumulative expectation sum(k=0..n) g0'·M^k."""
+    return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[1])
 
 
 def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
@@ -277,10 +280,7 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     # stacked vector-matrix product.
     v = np.zeros((len(p), 1, cu.nfamily))
     v[:, 0, cu.index[u.root]] = 1.0
-    pop = v.copy()
-    for _ in range(size - 1):
-        v = v @ m
-        pop += v
+    v, pop = _level_sums(v, m, size - 1)
     v, pop = v[:, 0], pop[:, 0]
     owner = cu.family_owner
 

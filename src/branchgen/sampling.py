@@ -22,10 +22,10 @@ import json
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import sqrt
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -562,45 +562,6 @@ def _atom_sexp(atom) -> str:
     return str(atom)
 
 
-# Per constructor id, computed once: the piece that opens a node with
-# children and the piece that prints a nullary node whole. A sexp piece
-# starts with the space that separates the node from its left sibling; JSON
-# keeps both pieces plain, then both after ", ".
-_SEXP_PIECES: dict[str, tuple[str, str]] = {}
-_JSON_PIECES: dict[str, tuple[str, str, str, str]] = {}
-# stack marker for the end of a node's children
-_CLOSE = object()
-
-
-def _sexp_pieces(cid: str) -> tuple[str, str]:
-    head = " (" + unqualify(cid)
-    pieces = _SEXP_PIECES[cid] = (head, head + ")")
-    return pieces
-
-
-def value_to_sexp(v: Value) -> str:
-    """Render as (Ctor child ...) with unqualified constructor names."""
-    out: list[str] = []
-    stack: list = [v]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Value):
-            children = node.children
-            head, leaf = _SEXP_PIECES.get(node.constructor) or _sexp_pieces(node.constructor)
-            if children:
-                out.append(head)
-                stack.append(_CLOSE)
-                stack.extend(reversed(children))
-            else:
-                out.append(leaf)
-        elif node is _CLOSE:
-            out.append(")")
-        else:
-            out.append(" " + _atom_sexp(node))
-    out[0] = out[0][1:]  # the root has no left sibling
-    return "".join(out)
-
-
 def _atom_json(atom) -> str:
     if atom is None:
         return "null"
@@ -611,23 +572,44 @@ def _atom_json(atom) -> str:
     return str(atom)
 
 
-def _json_pieces(cid: str) -> tuple[str, str, str, str]:
-    head = '{"constructor": "' + cid + '", "children": ['
-    pieces = _JSON_PIECES[cid] = (head, head + "]}", ", " + head, ", " + head + "]}")
-    return pieces
+@dataclass(frozen=True)
+class _Format:
+    """An output format as data: a constructor's opening and nullary pieces,
+    the sibling separator, the closing piece and the atom printer. ``memo``
+    holds each constructor's pieces, bare and after the separator."""
+
+    pieces: Callable[[str], tuple[str, str]]
+    sep: str
+    close: str
+    atom: Callable[[object], str]
+    memo: dict = field(default_factory=dict)
+
+    def memoize(self, cid: str) -> tuple[str, str, str, str]:
+        head, leaf = self.pieces(cid)
+        pieces = self.memo[cid] = (head, leaf, self.sep + head, self.sep + leaf)
+        return pieces
 
 
-def value_to_json(v: Value) -> str:
-    """Render as nested {"constructor": ..., "children": [...]} objects,
-    built iteratively so arbitrarily deep values serialize safely."""
+_SEXP = _Format(lambda cid: ("(" + unqualify(cid) + " ", "(" + unqualify(cid) + ")"),
+                " ", ")", _atom_sexp)
+_JSON = _Format(lambda cid: ('{"constructor": "' + cid + '", "children": [',
+                             '{"constructor": "' + cid + '", "children": []}'),
+                ", ", "]}", _atom_json)
+# stack marker for the end of a node's children
+_CLOSE = object()
+
+
+def _render(v: Value, fmt: _Format) -> str:
+    """Print ``v`` in ``fmt``, iteratively, so values of any depth print."""
+    memo, sep, close, atom = fmt.memo, fmt.sep, fmt.close, fmt.atom
     out: list[str] = []
     stack: list = [v]
-    first = True  # the next node opens its parent's children: no ", "
+    first = True  # the next item opens its parent's children: no separator
     while stack:
         node = stack.pop()
         if isinstance(node, Value):
             children = node.children
-            pieces = _JSON_PIECES.get(node.constructor) or _json_pieces(node.constructor)
+            pieces = memo.get(node.constructor) or fmt.memoize(node.constructor)
             k = 0 if first else 2
             if children:
                 out.append(pieces[k])
@@ -637,13 +619,23 @@ def value_to_json(v: Value) -> str:
                 continue
             out.append(pieces[k + 1])
         elif node is _CLOSE:
-            out.append("]}")
+            out.append(close)
         elif first:
-            out.append(_atom_json(node))
+            out.append(atom(node))
         else:
-            out.append(", " + _atom_json(node))
+            out.append(sep + atom(node))
         first = False
     return "".join(out)
+
+
+def value_to_sexp(v: Value) -> str:
+    """Render as (Ctor child ...) with unqualified constructor names."""
+    return _render(v, _SEXP)
+
+
+def value_to_json(v: Value) -> str:
+    """Render as nested {"constructor": ..., "children": [...]} objects."""
+    return _render(v, _JSON)
 
 
 def histogram_csv(stats: SampleStats) -> str:

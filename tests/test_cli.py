@@ -500,3 +500,47 @@ def test_nan_probability_fails_cleanly(capsys, tree_file, tmp_path, command):
                          "--probs", str(probs), *extra)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Tree.LeafA" in err
+
+
+# One edit each to a valid Tree spec: (map, constructor, new value or None
+# to delete the entry).
+_MALFORMED_SPECS = {
+    "missing-constructor": ("probabilities", "Tree.LeafB", None),
+    "nan": ("probabilities", "Tree.Node", float("nan")),
+    "negative": ("probabilities", "Tree.Node", -0.5),
+    "above-one": ("probabilities", "Tree.Node", 5.0),
+    "nan-star": ("starProbabilities", "Tree.LeafA", float("nan")),
+    "non-terminal-star": ("starProbabilities", "Tree.Node", 0.5),
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
+@pytest.mark.parametrize("edit", list(_MALFORMED_SPECS))
+def test_malformed_spec_fails_cleanly(capsys, tree_file, tmp_path, command, edit):
+    key, cid, value = _MALFORMED_SPECS[edit]
+    probs = {"Tree.LeafA": 0.3, "Tree.LeafB": 0.2, "Tree.LeafC": 0.2, "Tree.Node": 0.3}
+    data = adhoc_genspec(parse_universe(TREE_SRC, "Tree"), 5, "dragen", probs).to_json_dict()
+    if value is None:
+        del data[key][cid]
+    else:
+        data[key][cid] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "-f", tree_file, "--spec", str(spec),
+                         "--count", "20")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and cid in err
+
+
+def test_spec_must_name_every_family_constructor(capsys, tmp_path):
+    # a type with no entries at all passes the per-type rules of --probs
+    path = tmp_path / "t1t2.adt"
+    path.write_text(T1T2_SRC + "\n")
+    data = adhoc_genspec(parse_universe(T1T2_SRC, "T1"), 5, "dragen").to_json_dict()
+    del data["probabilities"]["T2.C"], data["probabilities"]["T2.D"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, "sample", "-f", str(path), "--spec", str(spec),
+                         "--count", "5")
+    assert code == 1 and out == ""
+    assert err == "error: generator spec has no probabilities for ['T2.C', 'T2.D']\n"

@@ -72,6 +72,18 @@ class TestUniform:
                       "Tree.LeafC": 0.01, "Tree.Node": 0.01}
         assert cost(10, degenerate) > cost(10, balanced)
 
+    def test_overflow_emits_no_runtime_warning(self, tree_u):
+        # Node = 0.9 at size 1000: the counts are finite, their squares not
+        probs = {"Tree.LeafA": 0.05, "Tree.LeafB": 0.025, "Tree.LeafC": 0.025,
+                 "Tree.Node": 0.9}
+        cost = uniform_cost(tree_u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            costs = [cost(size, probs) for size in (1000, 1300, 5000)]
+            batch = cost.scores(1000, [probs, uniform_probmap(tree_u)])
+        assert costs == [np.inf] * 3
+        assert batch[0] == np.inf and np.isfinite(batch[1])
+
     def test_pure(self, tree_u):
         cost = uniform_cost(tree_u)
         probs = uniform_probmap(tree_u)
@@ -191,6 +203,18 @@ class TestTypeFilters:
     def test_foreign_type_rejected(self, composite_u):
         with pytest.raises(ConstraintError, match="not in the branching family"):
             without_types_cost(composite_u, ["Bool"])
+
+    def test_first_bad_name_in_the_order_given(self, composite_u):
+        # checking a set of names would report one of each pair's names
+        # in both orders, whichever the hash seed puts first
+        with pytest.raises(ConstraintError, match="Bool is not in the branching family"):
+            without_types_cost(composite_u, ["Bool", "T9"])
+        with pytest.raises(AdtError, match="unknown type: T9"):
+            without_types_cost(composite_u, ["T9", "Bool"])
+        with pytest.raises(AdtError, match="unknown type: T8"):
+            only_types_cost(composite_u, ["Tree", "T8", "T9"])
+        with pytest.raises(AdtError, match="unknown type: T9"):
+            only_types_cost(composite_u, ["Tree", "T9", "T8"])
 
 
 class TestCostExpressions:

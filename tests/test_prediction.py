@@ -325,6 +325,22 @@ class TestPredict:
                 tol = 1e-9 * max(1.0, abs(want))
                 assert abs(report.per_constructor[cid].total - want) < tol
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 30))
+    def test_batch_branching_is_the_public_population(self, seed, size):
+        # predict_batch and expected_population run one level loop, so the
+        # engine's branching counts equal the public formula bit for bit
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng)
+        cu = u.compiled
+        maps = [helpers.random_probmap(rng, u) for _ in range(3)]
+        branching, _ = predict_batch(u, maps, size)
+        for row, probs in zip(branching, maps):
+            pop = expected_population(initial_population(u, probs, "type"),
+                                      mean_matrix_types(u, probs), size - 1).values
+            p = np.array([probs[c] for c in cu.ctors[:cu.nfamily_ctors]])
+            assert row.tobytes() == (pop[cu.family_owner] * p).tobytes()
+
     def test_size_must_be_positive(self, tree_u):
         with pytest.raises(AdtError, match="positive"):
             predict_constructors(tree_u, uniform_probmap(tree_u), 0)
