@@ -435,12 +435,18 @@ def live_support(u: ADTUniverse, pinned: np.ndarray) -> tuple[np.ndarray, np.nda
         if (still == live).all():
             break
         live = still
-    edges = np.zeros((nf, nf), dtype=bool)
-    np.logical_or.at(edges, owner[live], refs[live])
-    graph = {t: np.flatnonzero(row).tolist() for t, row in enumerate(edges)}
     reached = np.zeros(nf, dtype=bool)
-    reached[list(_reachable([cu.index[u.root]], graph))] = True
+    reached[list(_reachable([cu.index[u.root]], live_graph(cu, live)))] = True
     return live, reached
+
+
+def live_graph(cu: CompiledUniverse, live: np.ndarray) -> dict[int, list[int]]:
+    """Each family type's family field types along the ``live`` family
+    constructors (a mask over them), as family type indices."""
+    nf, owner = cu.nfamily, cu.family_owner
+    edges = np.zeros((nf, nf), dtype=bool)
+    np.logical_or.at(edges, owner[live], cu.counts[:cu.nfamily_ctors, :nf][live] > 0)
+    return {t: np.flatnonzero(row).tolist() for t, row in enumerate(edges)}
 
 
 def _foreign_order(root: str, family: frozenset[str],

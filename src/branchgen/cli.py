@@ -142,11 +142,16 @@ def _probs_arg(u: ADTUniverse, path: str | None):
 
 def _check_spec(u: ADTUniverse, spec: GenSpec) -> None:
     """A spec's probabilities must meet a --probs file's rules and name every
-    family constructor; its star probabilities name family terminals only."""
+    family constructor and no other (sampling would ignore a foreign entry);
+    its star probabilities name family terminals only."""
     validate_probmap(u, spec.probabilities)
     missing = [c for c in u.family_constructors() if c not in spec.probabilities]
     if missing:
         raise AdtError(f"generator spec has no probabilities for {missing}")
+    foreign = [c for c in spec.probabilities if not u.is_family(u.ctor_type(c))]
+    if foreign:
+        raise AdtError(f"generator spec probabilities are of family constructors only; "
+                       f"got {foreign}")
     terminals = {c for t in u.family for c in terminal_constructors(t, u)}
     for cid, p in spec.star_probabilities.items():
         if cid not in terminals or not 0.0 <= p <= 1.0:

@@ -6,12 +6,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .adt import ADTUniverse, AdtError, live_support, resolve_constructor
-from .prediction import predict_batch
+from .prediction import Focus, predict_batch
 
 
 class ConstraintError(AdtError):
@@ -53,20 +54,42 @@ class CostFunction:
     def __call__(self, size: int, probs: Mapping[str, float]) -> float:
         return self.scores(size, [probs])[0]
 
-    @np.errstate(over="ignore", invalid="ignore")
     def scores(self, size: int,
                maps: Sequence[Mapping[str, float]] | np.ndarray) -> list[float]:
         """The cost of each map, from one batched prediction; ``maps`` may
         also be a family-probability matrix (see ``predict_batch``). Each
         equals ``chi_square`` on that map's totals alone, bit for bit. A
         cost that overflows a double reads inf or nan, without a warning."""
-        branching, last = predict_batch(self.universe, maps, size)
-        totals = branching + last
+        return self._scores(size, maps)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The targets' columns in ``u.compiled.ctors``, their weights, and
+        the least and greatest weight (nan if any weight is)."""
         column = {cid: c for c, cid in enumerate(self.universe.compiled.ctors)}
-        observed = [totals[:, column[c]] for c, _ in self.targets]
-        expected = [w * size for _, w in self.targets]
-        # chi_square is the float 0.0, not an array, when there are no targets
-        return (np.zeros(len(maps)) + chi_square(observed, expected)).tolist()
+        weights = np.array([w for _, w in self.targets], dtype=float)
+        bounds = (float(weights.min()), float(weights.max())) if len(weights) else (1.0, 1.0)
+        return np.array([column[c] for c, _ in self.targets], dtype=np.intp), weights, *bounds
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _scores(self, size: int, maps: Sequence[Mapping[str, float]] | np.ndarray,
+                focus: Focus | None = None) -> list[float]:
+        """``scores``, predicting through ``focus`` when one is given.
+
+        The chi-square sum is one cumulative sum per map over its targets in
+        order, which adds the terms left to right as ``chi_square`` does."""
+        branching, last = predict_batch(self.universe, maps, size, focus)
+        columns, weights, low, high = self._columns
+        expected = weights * size
+        # w * size rises with w, so the extreme weights bound every entry
+        if not (0.0 < low * size and high * size < math.inf):
+            bad = expected[~((0.0 < expected) & (expected < math.inf))][0]
+            raise AdtError(f"expected entries must be positive and finite, got {bad}")
+        d = (branching + last)[:, columns] - expected
+        terms = d * d / expected
+        if not len(self.targets):
+            return [0.0] * len(terms)
+        return terms.cumsum(axis=1)[:, -1].tolist()
 
 
 def uniform_cost(u: ADTUniverse) -> CostFunction:

@@ -23,12 +23,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .adt import (
-    MODE_FAMILY,
     MODE_FOREIGN,
     ADTUniverse,
     AdtError,
     CompiledUniverse,
+    _reachable,
     branching_factor,
+    live_graph,
     uniform_probmap,
     warn_probability,
 )
@@ -36,8 +37,9 @@ from .adt import (
 CONSTRUCTOR = "constructor"
 TYPE = "type"
 
-EXTINCTION_TOL = 1e-12
-EXTINCTION_MAX_ITER = 10 ** 6
+EXTINCTION_TOL = 1e-15          # Newton stops once no entry moves more than this
+EXTINCTION_MAX_ITER = 300
+EXTINCTION_RHO_SLACK = 1e-12    # rounding allowed in the spectral radius test
 
 
 @dataclass(eq=False)
@@ -120,17 +122,48 @@ def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> Mean
     return MeanMatrix(CONSTRUCTOR, ctors, m)
 
 
-def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+class Focus:
+    """A local search's focus map as the prediction engine sees it: its
+    type mean matrix, and for each map of the next batch the family type
+    whose probabilities that map changes. ``predict_batch`` keeps the
+    batch's matrices, so that ``move(i)`` makes map i the focus."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.types = np.empty(0, dtype=np.intp)
+        self.batch = np.empty((0, *matrix.shape))
+
+    def move(self, i: int) -> None:
+        self.matrix = self.batch[i]
+
+
+def _type_matrices(cu: CompiledUniverse, p: np.ndarray, focus: Focus | None = None) -> np.ndarray:
     """One type mean matrix per row of ``p``, each summed constructor by
     constructor in declaration order.
 
     Rank j adds every type's j-th constructor at once, so each cell gets
     0.0 + a0 + a1 + ... in declaration order. A pad adds 0.0 or -0.0,
-    which leaves a sum that starts at 0.0 unchanged."""
-    prod = p[:, cu.type_cols, None] * cu.type_counts
-    m = np.zeros((len(p), cu.nfamily, cu.nfamily))
-    for j in range(prod.shape[2]):
-        m += prod[:, :, j]
+    which leaves a sum that starts at 0.0 unchanged.
+
+    With a ``focus``, row i of ``p`` agrees with the focus map outside the
+    constructors of family type ``focus.types[i]`` (an index of nfamily or
+    more changes none of them), so only that type's row is summed, the same
+    way, into a copy of the focus matrix: the result is the same bit for
+    bit."""
+    if focus is None:
+        prod = p[:, cu.type_cols, None] * cu.type_counts
+        m = np.zeros((len(p), cu.nfamily, cu.nfamily))
+        for j in range(prod.shape[2]):
+            m += prod[:, :, j]
+        return m
+    m = np.repeat(focus.matrix[None], len(p), axis=0)
+    rows = np.flatnonzero(focus.types < cu.nfamily)
+    t = focus.types[rows]
+    prod = p[rows[:, None], cu.type_cols[t], None] * cu.type_counts[t]
+    changed = np.zeros((len(rows), cu.nfamily))
+    for j in range(prod.shape[1]):
+        changed += prod[:, j]
+    m[rows, t] = changed
     return m
 
 
@@ -205,12 +238,17 @@ def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     stars[live] = p[live] / own_mass[live]
     if mass.all():
         return stars
-    for r, t in np.argwhere(mass == 0.0).tolist():
-        if p[r, cu.slices[t]].sum() > 0.0:
-            warn_probability(
-                f"all terminal constructors of {cu.types[t]} have probability 0; "
-                "using a uniform terminal distribution at the last level")
-        stars[r, term & (owner == t)] = 1.0 / nterms[t]
+    starved = mass == 0.0
+    # A type with probability mass left but none on its terminals warns, once
+    # per (row, type) in row-major order; a type with no mass at all is the
+    # dead-type form and stays silent.
+    live_types = (p[:, cu.type_cols] > 0.0).any(axis=2)
+    for t in np.argwhere(starved & live_types)[:, 1].tolist():
+        warn_probability(
+            f"all terminal constructors of {cu.types[t]} have probability 0; "
+            "using a uniform terminal distribution at the last level")
+    fallback = term & starved[:, owner]
+    stars[fallback] = np.broadcast_to(1.0 / nterms[owner], p.shape)[fallback]
     return stars
 
 
@@ -252,7 +290,7 @@ class PredictionReport:
 
 @np.errstate(over="ignore", invalid="ignore")
 def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarray,
-                  size: int) -> tuple[np.ndarray, np.ndarray]:
+                  size: int, focus: Focus | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Expected branching and last-level counts of the family constructors
     (columns in ``u.compiled.ctors`` order), one row per probability map.
     ``maps`` is a sequence of maps or a matrix of the family constructors'
@@ -260,7 +298,9 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
 
     All maps share one level loop over stacked type matrices. Every row is
     computed with the same operations in the same order as a batch of one,
-    so a map's numbers do not depend on the batch it is scored in.
+    so a map's numbers do not depend on the batch it is scored in. With a
+    ``focus`` (see ``Focus``), each map's type matrix is the focus matrix
+    with one row rebuilt; the batch's matrices are kept on the focus.
 
     The engine never emits a numpy RuntimeWarning: a count that overflows a
     double reads inf or nan, and callers that must print it reject it.
@@ -275,7 +315,9 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
                            f"one column per family constructor ({cu.nfamily_ctors})")
     else:
         p = _family_probs(cu, maps)
-    m = _type_matrices(cu, p)
+    m = _type_matrices(cu, p, focus)
+    if focus is not None:
+        focus.batch = m
     # One row vector per map: (maps, 1, types), so each level is one
     # stacked vector-matrix product.
     v = np.zeros((len(p), 1, cu.nfamily))
@@ -347,27 +389,93 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
 def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> PopulationVector:
     """Probability that unbounded generation of each family type terminates.
 
-    Computed as the least fixpoint of q(t) = sum over constructors C of t
-    of p(C) * product of q(type(f)) over C's family-typed fields, iterated
-    from the zero vector. Foreign and ground fields always terminate and
-    contribute factor 1.
+    This is the least fixpoint of q(t) = sum over constructors C of t of
+    p(C) * product of q(type(f)) over C's family-typed fields, with each
+    type's probabilities renormalized to sum to 1. Foreign and ground fields
+    always terminate and contribute factor 1.
+
+    A type that cannot finish any value gets 0. The others are solved by
+    decomposed Newton from 0 (Etessami & Yannakakis 2009): one strongly
+    connected component of the graph their live constructors span at a
+    time, bottom-up, each once the components below it are known.
     """
     cu = u.compiled
-    p = _family_probs(cu, [probs])[0].tolist()
-    owner = cu.owner.tolist()
-    family_fields = [[t for mode, t in cu.rows[c] if mode == MODE_FAMILY] for c in range(len(p))]
-    q = [0.0] * cu.nfamily
-    for _ in range(EXTINCTION_MAX_ITER):
-        nxt = [0.0] * cu.nfamily
-        for c, term in enumerate(p):
-            for t in family_fields[c]:
-                term *= q[t]
-            nxt[owner[c]] += term
-        converged = max(abs(a - b) for a, b in zip(nxt, q)) < EXTINCTION_TOL
-        q = nxt
-        if converged:
+    nf, owner = cu.nfamily, cu.family_owner
+    p = _family_probs(cu, [probs])[0]
+    mass = np.bincount(owner, p, minlength=nf)[owner]
+    p = np.divide(p, mass, out=np.zeros_like(p), where=mass > 0.0)
+    counts = cu.counts[:cu.nfamily_ctors, :nf]
+    # The types that can finish a value, as a least fixpoint; a constructor
+    # is live when it has probability and every field's type can finish.
+    finite = np.zeros(nf, dtype=bool)
+    while True:
+        live = (p > 0.0) & ~(counts[:, ~finite] > 0).any(axis=1)
+        grown = np.bincount(owner[live], minlength=nf) > 0
+        if (grown == finite).all():
             break
-    return PopulationVector(u.family, np.clip(q, 0.0, 1.0))
+        finite = grown
+    down = live_graph(cu, live)
+    up = {t: [s for s in down if t in down[s]] for t in down}
+    reach = [_reachable([t], down) for t in range(nf)]
+    q = np.zeros(nf)
+    solved = ~finite
+    # A component below another reaches strictly fewer types, so sorting by
+    # the size of the reached set puts every component after those below it.
+    for t in sorted(np.flatnonzero(finite).tolist(), key=lambda t: len(reach[t])):
+        if not solved[t]:
+            comp = np.array(sorted(reach[t] & _reachable([t], up)))
+            solved[comp] = True
+            q[comp] = _extinction_component(p, counts, owner, live, q, comp)
+    return PopulationVector(u.family, q)
+
+
+def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
+                          live: np.ndarray, q: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """The least fixpoint on one strongly connected component ``comp`` of
+    types that can all finish a value, given ``q`` on the types below it.
+
+    When the component keeps all of its probability on live constructors,
+    every field below it terminates surely, and its mean matrix has spectral
+    radius at most 1 (up to ``EXTINCTION_RHO_SLACK`` for rounding), the
+    process dies out surely (Harris 1963) and the result is exactly 1: there
+    Newton's iterates would only approach 1 at one bit per step. Otherwise
+    Newton from 0 rises monotonically to the least fixpoint, at the end
+    quadratically. A 1x1 system is solved without a LAPACK call."""
+    n = len(comp)
+    local = np.full(len(q), -1)
+    local[comp] = np.arange(n)
+    mine = local[owner] >= 0
+    rows = live & mine
+    row_type = local[owner[rows]]
+    inner = counts[rows][:, comp]
+    below = counts[rows].copy()
+    below[:, comp] = 0
+    outer = np.prod(q ** below, axis=1)
+    a = (p[rows] * outer)[:, None]
+    if not (mine & (p > 0.0) & ~live).any() and (outer == 1.0).all():
+        means = np.zeros((n, n))
+        np.add.at(means, row_type, a * inner)
+        rho = means[0, 0] if n == 1 else np.abs(np.linalg.eigvals(means)).max()
+        if rho <= 1.0 + EXTINCTION_RHO_SLACK:
+            return np.ones(n)
+    # parts[c, s] is constructor c's monomial with x_s^k replaced by its
+    # derivative k x_s^(k-1), which is 0 where k = 0; parts[c, n] is the
+    # monomial itself. Summed per type, they give the Jacobian and f(x).
+    dec = np.maximum(inner - 1, 0)
+    diag = np.arange(n)
+    eye = np.eye(n)
+    x = np.zeros(n)
+    for _ in range(EXTINCTION_MAX_ITER):
+        parts = np.repeat((x ** inner)[:, None, :], n + 1, axis=1)
+        parts[:, diag, diag] = inner * x ** dec
+        sums = np.zeros((n, n + 1))
+        np.add.at(sums, row_type, a * parts.prod(axis=2))
+        lhs, rhs = eye - sums[:, :n], sums[:, n] - x
+        step = rhs / lhs[0] if n == 1 else np.linalg.solve(lhs, rhs)
+        x = np.minimum(x + step, 1.0)
+        if np.abs(step).max() <= EXTINCTION_TOL:
+            break
+    return x
 
 
 def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int,

@@ -23,7 +23,7 @@ from .adt import (
     universe_hash,
 )
 from .costs import CostFunction
-from .prediction import star_probs
+from .prediction import Focus, mean_matrix_types, star_probs
 from .spec import (  # GenSpec and the strategies are re-exported from here
     STRATEGIES,
     STRATEGY_DERIVE,
@@ -124,9 +124,10 @@ class _Rows:
         return dict(zip(self.keys, row[self.to_keys].tolist()))
 
     def fresh(self, x: np.ndarray, delta: float, quantum: float,
-              seen: set[bytes]) -> np.ndarray:
+              seen: set[bytes]) -> tuple[np.ndarray, np.ndarray]:
         """The candidates one step from ``x`` whose keys are not in ``seen``,
-        in enumeration order; their keys join ``seen``.
+        in enumeration order, and the column each one bumped; their keys
+        join ``seen``.
 
         A candidate sets the bumped entry to max(0, p ± delta) and divides
         the bumped type's free entries by their total, which is summed left
@@ -135,7 +136,7 @@ class _Rows:
         total is not positive is skipped."""
         n, k = len(x), len(self.at)
         if not k:
-            return np.empty((0, n))
+            return np.empty((0, n)), self.bumped
         rows = np.empty((k, n + 1))
         rows[:, :n] = x
         rows[:, n] = 0.0
@@ -146,10 +147,11 @@ class _Rows:
         # cumsum adds sequentially; the zero padding leaves a total unchanged
         total = np.cumsum(entries, axis=1)[:, -1]
         live = total > 0.0
+        bumped = self.bumped
         if live.all():
             rows[at, self.siblings] = entries / total[:, None]
         else:
-            rows, entries, total = rows[live], entries[live], total[live]
+            rows, entries, total, bumped = rows[live], entries[live], total[live], bumped[live]
             rows[at[:len(rows)], self.siblings[live]] = entries / total[:, None]
         rows = rows[:, :n]
         new = []
@@ -157,7 +159,7 @@ class _Rows:
             if key not in seen:
                 seen.add(key)
                 new.append(i)
-        return rows[new]
+        return rows[new], bumped[new]
 
 
 def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
@@ -173,7 +175,8 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
     _check_quantum(quantum)
     rows = _Rows(u, probs, pinned)
     x = rows.row(probs)
-    return [rows.as_dict(r) for r in rows.fresh(x, delta, quantum, set(_keys(x[None], quantum)))]
+    fresh, _ = rows.fresh(x, delta, quantum, set(_keys(x[None], quantum)))
+    return [rows.as_dict(r) for r in fresh]
 
 
 def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
@@ -184,7 +187,11 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     probabilities), so no map is scored twice; ties between equally cheap
     neighbors resolve to the first in enumeration order. The search runs on
     rows (see ``_Rows``), and a stock ``CostFunction`` scores each step's
-    fresh rows in one ``scores`` call, as a family-probability matrix.
+    fresh rows in one ``scores`` call, as a family-probability matrix. When
+    ``scores`` is not overridden either, the prediction also reuses the
+    focus map's type matrix (see ``Focus``): a candidate changes one type's
+    probabilities, so only that type's row is rebuilt. In a one-type family
+    that row is the whole matrix, so there every candidate's is built anew.
     Returns the best map found and the trace of accepted steps, whose maps
     have the key order of ``init``.
     """
@@ -203,22 +210,32 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     rows = _Rows(u, init, cost.pinned)
     x = rows.row(init)
     visited = set(_keys(x[None], cfg.quantum))
+    focus = None
     if batched:
         cu = u.compiled
         family = [rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]]
+        if type(cost).scores is CostFunction.scores and cu.nfamily > 1:
+            focus = Focus(mean_matrix_types(u, init).entries)
+            # each column's type; a type outside the family changes no row
+            column_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
+                                    for cid in rows.order], dtype=np.intp)
 
     outcome = STEP_CAP
     for _ in range(cfg.max_steps):
-        fresh = rows.fresh(x, cfg.delta, cfg.quantum, visited)
+        fresh, bumped = rows.fresh(x, cfg.delta, cfg.quantum, visited)
         if not len(fresh):
             outcome = LOCAL_MINIMUM
             break
-        if batched:
+        if focus is not None:
+            focus.types = column_type[bumped]
+            costs = cost._scores(size, fresh[:, family], focus)
+        elif batched:
             costs = cost.scores(size, fresh[:, family])
         else:
             costs = [cost(size, rows.as_dict(r)) for r in fresh]
         evaluations += len(fresh)
-        best_cost, best_i = min((c, i) for i, c in enumerate(costs))
+        best_cost = min(costs)
+        best_i = costs.index(best_cost)  # the first of the cheapest
         gain = focus_cost - best_cost
         if gain <= 0.0:
             outcome = LOCAL_MINIMUM
@@ -227,6 +244,8 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             outcome = EPSILON_STOP
             break
         x = fresh[best_i]
+        if focus is not None:
+            focus.move(best_i)
         focus_cost = best_cost
         steps.append((rows.as_dict(x), focus_cost))
 

@@ -11,6 +11,7 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -590,3 +591,86 @@ def closure(names, edges):
     plus = (step.astype(np.int64) @ star.astype(np.int64)) > 0
     reach = {a: {b for b in names if star[pos[a], pos[b]]} for a in names}
     return reach, {a for a in names if plus[pos[a], pos[a]]}
+
+
+# ---------------------------------------------------------------------------
+# Extinction by Newton's method in high precision: the oracle for the
+# library's decomposed double-precision solve.
+# ---------------------------------------------------------------------------
+
+def extinction_oracle(u, probs, digits=60):
+    """Per-type extinction probabilities, read from the declarations: the
+    least fixpoint of q(t) = sum over constructors C of t of p(C) times the
+    product of q over C's family fields, with each type's probabilities
+    renormalized exactly.
+
+    A type that cannot finish a value (no constructor with probability whose
+    family fields all can) gets 0. The rest are solved by Newton's method
+    from 0 on the whole system at once, in ``digits``-digit decimals. The
+    iterates rise monotonically to the least fixpoint (Etessami &
+    Yannakakis 2009); at criticality only by one bit per step, hence the
+    step allowance."""
+    types = list(u.family)
+    fields = {c: [f.target for f in u.ctor_decl(c).fields if f.kind == FAMILY]
+              for t in types for c in u.constructors_of(t)}
+    finite = set()
+    while True:
+        grown = {t for t in types for c in u.constructors_of(t)
+                 if probs[c] > 0 and all(f in finite for f in fields[c])}
+        if grown == finite:
+            break
+        finite = grown
+    solve = [t for t in types if t in finite]
+    pos = {t: i for i, t in enumerate(solve)}
+    n = len(solve)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        terms = []
+        for t in solve:
+            mass = sum(Decimal(probs[c]) for c in u.constructors_of(t))
+            for c in u.constructors_of(t):
+                if probs[c] > 0 and all(f in finite for f in fields[c]):
+                    terms.append((pos[t], Decimal(probs[c]) / mass, [pos[f] for f in fields[c]]))
+        q = [Decimal(0)] * n
+        tiny = Decimal(10) ** (10 - digits)
+        for _ in range(4 * digits):
+            f = [Decimal(0)] * n
+            jac = [[Decimal(0)] * n for _ in range(n)]
+            for t, p, fam in terms:
+                prod = p
+                for x in fam:
+                    prod *= q[x]
+                f[t] += prod
+                for k, x in enumerate(fam):
+                    d = p
+                    for m, y in enumerate(fam):
+                        if m != k:
+                            d *= q[y]
+                    jac[t][x] += d
+            a = [[(1 if i == j else 0) - jac[i][j] for j in range(n)] + [f[i] - q[i]]
+                 for i in range(n)]
+            step = _gauss(a, n)
+            if step is None:
+                break
+            q = [min(Decimal(1), qi + si) for qi, si in zip(q, step)]
+            if not n or max(abs(s) for s in step) < tiny:
+                break
+        return {t: float(q[pos[t]]) if t in pos else 0.0 for t in types}
+
+
+def _gauss(a, n):
+    """Solve the augmented system ``a`` by Gaussian elimination with partial
+    pivoting; None when it is singular."""
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n + 1):
+                a[r][c] -= factor * a[col][c]
+    x = [Decimal(0)] * n
+    for r in reversed(range(n)):
+        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))) / a[r][r]
+    return x

@@ -544,3 +544,20 @@ def test_spec_must_name_every_family_constructor(capsys, tmp_path):
                          "--count", "5")
     assert code == 1 and out == ""
     assert err == "error: generator spec has no probabilities for ['T2.C', 'T2.D']\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
+def test_spec_rejects_foreign_probabilities(capsys, tmp_path, command):
+    # sampling reads foreign weights only from --probs, so a spec's foreign
+    # entries would be ignored
+    path = tmp_path / "composite.adt"
+    path.write_text(COMPOSITE_SRC)
+    data = adhoc_genspec(parse_universe(COMPOSITE_SRC, "Tree"), 5, "dragen").to_json_dict()
+    data["probabilities"].update({"Bool.True": 0.95, "Bool.False": 0.05})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "-f", str(path), "--spec", str(spec),
+                         "--count", "5")
+    assert code == 1 and out == ""
+    assert err == ("error: generator spec probabilities are of family constructors only; "
+                   "got ['Bool.True', 'Bool.False']\n")

@@ -489,3 +489,94 @@ class TestReportJson:
         assert doc["extinction"]["Tree"] <= 1.0
         assert "Bool.True" in doc["foreign"]
         assert doc["lastLevel"]["Tree.Node"] == 0.0
+
+
+class TestExtinctionNewton:
+    """The decomposed Newton solve against ``helpers.extinction_oracle``, a
+    whole-system Newton iteration in 60-digit decimals, and at the edges:
+    critical, reducible, dead and all-terminal systems."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), max_types=st.sampled_from([3, 6, 10]),
+           zeros=st.booleans())
+    def test_random_universes(self, seed, max_types, zeros):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types, max_ctors=6 * max_types)
+        probs = helpers.random_probmap(rng, u)
+        if zeros:
+            # zero entries may cut the family into several components, or
+            # leave a type that can no longer finish a value
+            probs.update({c: 0.0 for c in probs if rng.random() < 0.3})
+        got = extinction_probability(u, probs).as_dict()
+        want = helpers.extinction_oracle(u, probs)
+        assert got.keys() == want.keys()
+        for tid in want:
+            assert abs(got[tid] - want[tid]) <= 1e-12, tid
+
+    def test_critical_tree_is_exactly_one(self, tree_u):
+        probs = {"Tree.LeafA": 0.5 / 3, "Tree.LeafB": 0.5 / 3, "Tree.LeafC": 0.5 / 3,
+                 "Tree.Node": 0.5}
+        assert extinction_probability(tree_u, probs).get("Tree") == 1.0
+        # with binary fractions the decimal renormalization is exact too
+        probs = {"Tree.LeafA": 0.25, "Tree.LeafB": 0.125, "Tree.LeafC": 0.125,
+                 "Tree.Node": 0.5}
+        assert extinction_probability(tree_u, probs).get("Tree") == 1.0
+        assert helpers.extinction_oracle(tree_u, probs)["Tree"] == 1.0
+
+    def test_critical_two_type_component_is_exactly_one(self, t1t2_u):
+        # mean matrix [[0.5, 0.5], [1, 0]] has spectral radius 1
+        probs = {"T1.A": 0.5, "T1.B": 0.5, "T2.C": 0.0, "T2.D": 1.0}
+        assert extinction_probability(t1t2_u, probs).as_dict() == {"T1": 1.0, "T2": 1.0}
+
+    def test_reducible_family(self):
+        # B2 = 0 leaves B unable to reach A, so B is a component below A
+        # and is solved first: q_B = 3/7, which A1's coefficient then carries
+        u = parse_universe("data A = A0 | A1 A B | A2 A A\n"
+                           "data B = B0 | B1 B B | B2 A", "A")
+        probs = {"A.A0": 0.4, "A.A1": 0.3, "A.A2": 0.3,
+                 "B.B0": 0.3, "B.B1": 0.7, "B.B2": 0.0}
+        got = extinction_probability(u, probs).as_dict()
+        assert got["B"] == pytest.approx(3.0 / 7.0, abs=1e-15)
+        want = helpers.extinction_oracle(u, probs)
+        assert abs(got["A"] - want["A"]) <= 1e-15
+        # a subcritical component whose field below it can fail is not 1
+        probs.update({"A.A0": 0.8, "A.A1": 0.1, "A.A2": 0.1})
+        got = extinction_probability(u, probs).as_dict()
+        assert got["A"] < 1.0
+        assert abs(got["A"] - helpers.extinction_oracle(u, probs)["A"]) <= 1e-15
+
+    def test_reducible_family_below_a_sure_component(self):
+        # critical B (B1 = 0.5 with two B fields) dies out surely and is
+        # exactly 1, and so is subcritical A above it
+        u = parse_universe("data A = A0 | A1 A B\ndata B = B0 | B1 B B | B2 A", "A")
+        probs = {"A.A0": 0.6, "A.A1": 0.4, "B.B0": 0.5, "B.B1": 0.5, "B.B2": 0.0}
+        assert extinction_probability(u, probs).as_dict() == {"A": 1.0, "B": 1.0}
+
+    @pytest.mark.parametrize("src,probs,want", [
+        # no terminal mass: the process never stops
+        ("data T = Leaf | Node T T", {"T.Leaf": 0.0, "T.Node": 1.0}, {"T": 0.0}),
+        # a one-child cycle: I - J is singular at every point
+        ("data T = Leaf | Wrap T", {"T.Leaf": 0.0, "T.Wrap": 1.0}, {"T": 0.0}),
+        # B has no mass, so A1 never finishes and A stops only through A0
+        ("data A = A0 | A1 B\ndata B = B0 | B1 A",
+         {"A.A0": 0.25, "A.A1": 0.75, "B.B0": 0.0, "B.B1": 0.0}, {"A": 0.25, "B": 0.0}),
+        # B cannot finish a value, and only A0 avoids it
+        ("data A = A0 | A1 A B\ndata B = B0 | B1 B A",
+         {"A.A0": 0.5, "A.A1": 0.5, "B.B0": 0.0, "B.B1": 1.0}, {"A": 0.5, "B": 0.0}),
+    ], ids=["no-terminal-mass", "one-child-cycle", "dead-type", "unfinishable-type"])
+    def test_dead_components(self, src, probs, want):
+        u = parse_universe(src, next(iter(want)))
+        assert extinction_probability(u, probs).as_dict() == want
+        assert helpers.extinction_oracle(u, probs) == want
+
+    def test_all_terminal_family_member(self):
+        # C has only terminals; the family's other types still recurse
+        u = parse_universe("data A = A0 | A1 A C\ndata C = C0 | C1 | C2 A", "A")
+        probs = {"A.A0": 0.5, "A.A1": 0.5, "C.C0": 0.5, "C.C1": 0.5, "C.C2": 0.0}
+        assert extinction_probability(u, probs).as_dict() == {"A": 1.0, "C": 1.0}
+
+    def test_unnormalized_map_is_renormalized(self, tree_u):
+        # the sampler draws in proportion, so a scaled map has the same odds
+        probs = {"Tree.LeafA": 0.05, "Tree.LeafB": 0.05, "Tree.LeafC": 0.05, "Tree.Node": 0.35}
+        assert extinction_probability(tree_u, probs).get("Tree") == pytest.approx(
+            3.0 / 7.0, abs=1e-15)

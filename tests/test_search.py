@@ -1,5 +1,7 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,8 @@ from branchgen import (
     without_cost,
 )
 from branchgen.costs import CostFunction
-from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP
+from branchgen.prediction import Focus, _type_matrices, mean_matrix_types, predict_batch
+from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP, _Rows
 from test_acceptance import TABLE_CFG, TABLE_ROWS
 
 
@@ -405,3 +408,107 @@ class TestDeriveGenerator:
                 "root": "T", "size": 1, "strategy": "nope",
                 "probabilities": {}, "starProbabilities": {},
                 "universeHash": ""})
+
+
+def _starve(rng, u, probs, pinned):
+    """``probs`` with one type that has an unpinned non-terminal of positive
+    probability, if any, left without terminal mass (the type renormalized
+    over the rest)."""
+    starvable = [t for t in u.family
+                 if any(u.ctor_decl(c).family_arity() and c not in pinned and probs[c] > 0.0
+                        for c in u.constructors_of(t))]
+    if not starvable:
+        return probs
+    ctors = u.constructors_of(rng.choice(starvable))
+    out = dict(probs)
+    for c in ctors:
+        if not u.ctor_decl(c).family_arity():
+            out[c] = 0.0
+    total = sum(out[c] for c in ctors)
+    for c in ctors:
+        out[c] /= total
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, [str(w.message) for w in caught]
+
+
+class TestFocusRows:
+    """Scoring a step's candidates from the focus map's type matrix, with
+    one row rebuilt per candidate, equals the full build bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           size=st.integers(1, 12), starve=st.booleans(),
+           delta=st.sampled_from([0.01, 0.05, 0.3]))
+    def test_batch_equals_full_build(self, seed, kind, size, starve, delta):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=10, max_ctors=40)
+        cost = _random_cost(rng, u, kind)
+        probs, _ = _search_input(rng, u, delta)
+        init = renormalize_probmap(u, probs, cost.pinned)
+        if starve:
+            init = _starve(rng, u, init, cost.pinned)
+        rows = _Rows(u, init, cost.pinned)
+        fresh, bumped = rows.fresh(rows.row(init), delta, 1e-6, set())
+        cu = u.compiled
+        p = fresh[:, [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]]
+        focus = Focus(mean_matrix_types(u, init).entries)
+        focus.types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in bumped],
+                               dtype=np.intp)
+
+        full, full_warnings = _recorded(lambda: predict_batch(u, p, size))
+        got, got_warnings = _recorded(lambda: predict_batch(u, p, size, focus))
+        assert _same_bits(got[0], full[0]) and _same_bits(got[1], full[1])
+        assert got_warnings == full_warnings
+        assert _same_bits(focus.batch, _type_matrices(cu, p))
+        scored, scored_warnings = _recorded(lambda: cost._scores(size, p, focus))
+        assert _same_bits(scored, _recorded(lambda: cost.scores(size, p))[0])
+        assert scored_warnings == full_warnings
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           size=st.integers(1, 10), starve=st.booleans())
+    def test_optimize_on_ten_types(self, seed, kind, size, starve):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=10, max_ctors=40)
+        cost = _random_cost(rng, u, kind)
+        probs, _ = _search_input(rng, u, 0.05)
+        init = renormalize_probmap(u, probs, cost.pinned)
+        if starve:
+            init = _starve(rng, u, init, cost.pinned)
+        config = SearchConfig(delta=0.05, max_steps=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            best, trace = optimize(cost, size, init, config)
+            ref_best, ref_steps, ref_outcome, ref_evaluations = helpers.reference_optimize(
+                cost, size, init, config)
+        assert _items(best) == _items(ref_best)
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref_steps]
+        assert (trace.outcome, trace.evaluations) == (ref_outcome, ref_evaluations)
+
+    def test_ten_type_family_scores_through_the_focus(self, monkeypatch):
+        # the stock cost's search reaches predict_batch with a focus whose
+        # types name each candidate's bumped type
+        u, _ = helpers.random_universe(random.Random(5), max_types=10, max_ctors=60)
+        seen = []
+        real = predict_batch
+
+        def spy(u, maps, size, focus=None):
+            seen.append(focus is not None and len(focus.types) == len(maps))
+            return real(u, maps, size, focus)
+
+        monkeypatch.setattr("branchgen.costs.predict_batch", spy)
+        optimize(uniform_cost(u), 10, uniform_probmap(u, u.family), SearchConfig(max_steps=3))
+        assert seen[0] is False and all(seen[1:]) and len(seen) > 1
