@@ -606,6 +606,29 @@ def reachable_foreign_types(u: ADTUniverse) -> tuple[str, ...]:
     return u._foreign
 
 
+def flat_bins(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """Row-major flat indices rows[i] * width + cols[j], in (i, j) order: the
+    bins of a scatter that adds entry (i, j) of a weight matrix into cell
+    (rows[i], cols[j]) of an array ``width`` cells wide."""
+    return (rows[:, None] * width + cols).ravel()
+
+
+class BatchBins:
+    """``flat_bins`` of a batch scatter, row r of the batch adding into row r:
+    kept for the largest batch served, so a k-row batch reads the first
+    k * len(cols) entries and only a larger batch rebuilds them."""
+
+    def __init__(self, cols: np.ndarray, width: int):
+        self.cols, self.width = cols, width
+        self.flat = np.empty(0, dtype=np.intp)
+
+    def __call__(self, rows: int) -> np.ndarray:
+        need = rows * len(self.cols)
+        if len(self.flat) < need:
+            self.flat = flat_bins(np.arange(rows), self.cols, self.width)
+        return self.flat[:need]
+
+
 class CompiledUniverse:
     """The branching structure of a universe in numeric form; prediction,
     sampling and the CDG read only this. Build it through ``u.compiled``,
@@ -660,6 +683,10 @@ class CompiledUniverse:
         self.family_terminal = self.terminal[:nfc]
         self.terminal_owner = self.family_owner[self.family_terminal]
         self.terminal_count = np.bincount(self.terminal_owner, minlength=nf)
+        # The bins of the prediction's two batch scatters: the last-level
+        # fill by field target, and the terminal mass by owner
+        self.fill_bins = BatchBins(self.pair_target, nf)
+        self.mass_bins = BatchBins(self.terminal_owner, nf)
 
         # Type-major layout: type_cols[t, j] is family type t's j-th
         # constructor, and type_counts[t, j] its family field counts. Rows

@@ -29,6 +29,7 @@ from .adt import (
     CompiledUniverse,
     _reachable,
     branching_factor,
+    flat_bins,
     live_graph,
     uniform_probmap,
     warn_probability,
@@ -37,9 +38,11 @@ from .adt import (
 CONSTRUCTOR = "constructor"
 TYPE = "type"
 
+LEVEL_LOOP_MAX = 128            # above this many levels, _level_sums doubles
 EXTINCTION_TOL = 1e-15          # Newton stops once no entry moves more than this
 EXTINCTION_MAX_ITER = 300
 EXTINCTION_RHO_SLACK = 1e-12    # rounding allowed in the spectral radius test
+LOG_ZERO = -1e3                 # log 0 in the extinction solve; exp(-745) is 0.0
 
 
 @dataclass(eq=False)
@@ -189,19 +192,31 @@ def initial_population(u: ADTUniverse, probs: Mapping[str, float],
 
 
 def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generation n, v·M^n, and the population up to it, sum(k=0..n) v·M^k,
-    by n successive vector-matrix products. ``v`` may be one row vector or a
-    stack of them, each with its own matrix.
+    """Generation n, v·M^n, and the population up to it, sum(k=0..n) v·M^k.
+    ``v`` may be one row vector or a stack of them, each with its own matrix.
 
-    The geometric closed form with (I - M) inverted is an equivalent
-    identity when (I - M) is nonsingular; accumulating the series directly
-    needs no special case for the singular/critical situation.
+    Up to ``LEVEL_LOOP_MAX`` levels this takes n successive vector-matrix
+    products. Above it, it raises B = [[M, I], [0, I]] to the n-th power by
+    repeated squaring, since B^n = [[M^n, sum(k<n) M^k], [0, I]]: O(log n)
+    products on the blocks. Neither inverts (I - M), so the singular,
+    critical case needs no special treatment.
     """
-    pop = v.copy()
-    for _ in range(n):
-        v = v @ m
-        pop += v
-    return v, pop
+    if n <= LEVEL_LOOP_MAX:
+        pop = v.copy()
+        for _ in range(n):
+            v = v @ m
+            pop += v
+        return v, pop
+    # [g, s] times B^(2^j) = [[a, c], [0, I]], for each bit j set in n
+    g, s = v, np.zeros_like(v)
+    a, c = m, np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    while True:
+        if n & 1:
+            g, s = g @ a, g @ c + s
+        n >>= 1
+        if not n:
+            return g, s + g
+        a, c = a @ a, a @ c + c
 
 
 def _checked_level_sums(g0: PopulationVector, m: MeanMatrix, n: int):
@@ -222,6 +237,31 @@ def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> Populati
     return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[1])
 
 
+def _scatter(bins: np.ndarray, weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A scatter-add of ``weights`` into zeros of ``shape`` as one
+    ``np.bincount``: entry k of ``weights``, in C order, goes to cell bins[k]
+    of the row-major array (entries of ``bins`` past weights.size are
+    ignored). Each cell adds its weights in input order starting from 0.0,
+    as numpy's unbuffered ``add.at`` does, so the two agree bit for bit."""
+    sums = np.bincount(bins[:weights.size], weights.ravel(), shape[0] * shape[1])
+    # with no weights at all, bincount returns integer zeros
+    return sums.astype(float, copy=False).reshape(shape)
+
+
+def _fill(cu: CompiledUniverse, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Placeholders of each family type at the final level, one row per row
+    of ``p``, spawned by the non-terminal constructors present at level
+    size-1 (``v``, one row of type expectations per row of ``p``)."""
+    weights = (v[:, cu.family_owner] * p)[:, cu.pair_ctor]
+    return _scatter(cu.fill_bins(len(p)), weights, (len(p), cu.nfamily))
+
+
+def _terminal_mass(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
+    """Each family type's probability on its terminals, one row per row of
+    ``p``."""
+    return _scatter(cu.mass_bins(len(p)), p[:, cu.family_terminal], (len(p), cu.nfamily))
+
+
 def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """p* over the family constructors, one row per row of ``p``, zero for
     non-terminals."""
@@ -230,12 +270,10 @@ def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
         t = np.flatnonzero(nterms == 0)[0]
         raise AdtError(f"family type {cu.types[t]} has no terminal constructor; "
                        "generation cannot terminate")
-    mass = np.zeros((len(p), cu.nfamily))
-    np.add.at(mass, (slice(None), cu.terminal_owner), p[:, term])
+    mass = _terminal_mass(cu, p)
     own_mass = mass[:, owner]
-    stars = np.zeros(p.shape)
-    live = term & (own_mass > 0.0)
-    stars[live] = p[live] / own_mass[live]
+    # p / inf is +0.0 for the non-terminals and the starved terminals
+    stars = p / np.where(term & (own_mass > 0.0), own_mass, np.inf)
     if mass.all():
         return stars
     starved = mass == 0.0
@@ -325,14 +363,8 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     v, pop = _level_sums(v, m, size - 1)
     v, pop = v[:, 0], pop[:, 0]
     owner = cu.family_owner
-
-    # Placeholders of each type at the final level, spawned by the
-    # non-terminal constructors present at level size-1 (v).
-    fill = np.zeros_like(v)
-    np.add.at(fill, (slice(None), cu.pair_target), (v[:, owner] * p)[:, cu.pair_ctor])
-
     branching = pop[:, owner] * p
-    last = np.where(cu.family_terminal, _star_vectors(cu, p) * fill[:, owner], 0.0)
+    last = np.where(cu.family_terminal, _star_vectors(cu, p) * _fill(cu, v, p)[:, owner], 0.0)
     return branching, last
 
 
@@ -395,9 +427,10 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
     always terminate and contribute factor 1.
 
     A type that cannot finish any value gets 0. The others are solved by
-    decomposed Newton from 0 (Etessami & Yannakakis 2009): one strongly
-    connected component of the graph their live constructors span at a
-    time, bottom-up, each once the components below it are known.
+    decomposed Newton (Etessami & Yannakakis 2009): one strongly connected
+    component of the graph their live constructors span at a time,
+    bottom-up, each once the components below it are known. The solve runs
+    on the complements 1 - q, which keep their relative precision near 1.
     """
     cu = u.compiled
     nf, owner = cu.nfamily, cu.family_owner
@@ -417,7 +450,7 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
     down = live_graph(cu, live)
     up = {t: [s for s in down if t in down[s]] for t in down}
     reach = [_reachable([t], down) for t in range(nf)]
-    q = np.zeros(nf)
+    y = np.ones(nf)             # 1 - q
     solved = ~finite
     # A component below another reaches strictly fewer types, so sorting by
     # the size of the reached set puts every component after those below it.
@@ -425,57 +458,69 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
         if not solved[t]:
             comp = np.array(sorted(reach[t] & _reachable([t], up)))
             solved[comp] = True
-            q[comp] = _extinction_component(p, counts, owner, live, q, comp)
-    return PopulationVector(u.family, q)
+            y[comp] = _extinction_component(p, counts, owner, y, comp)
+    return PopulationVector(u.family, 1.0 - y)
 
 
+@np.errstate(divide="ignore")
 def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
-                          live: np.ndarray, q: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """The least fixpoint on one strongly connected component ``comp`` of
-    types that can all finish a value, given ``q`` on the types below it.
+                          y: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """1 - q on one strongly connected component ``comp`` of types that can
+    all finish a value, given ``y`` = 1 - q on the types below it (1 on the
+    types that cannot finish).
 
-    When the component keeps all of its probability on live constructors,
-    every field below it terminates surely, and its mean matrix has spectral
+    When every constructor of the component with probability has only
+    fields that terminate surely below it, and its mean matrix has spectral
     radius at most 1 (up to ``EXTINCTION_RHO_SLACK`` for rounding), the
-    process dies out surely (Harris 1963) and the result is exactly 1: there
-    Newton's iterates would only approach 1 at one bit per step. Otherwise
-    Newton from 0 rises monotonically to the least fixpoint, at the end
-    quadratically. A 1x1 system is solved without a LAPACK call."""
+    process dies out surely (Harris 1963) and the result is exactly 0: there
+    Newton's iterates would only approach it at one bit per step. Otherwise
+    Newton runs on y = 1 - f(1 - y) from y = 1, falling monotonically to the
+    answer, at the end quadratically. Each type's 1 - f is summed term by
+    term, as sum over C of p(C) * (1 - product over its fields of (1 - y)),
+    with the products in logarithms by ``log1p`` and the complements by
+    ``expm1``: the residual then keeps its relative precision however close
+    q is to 1. The Jacobian comes from the same logarithms, since the
+    derivative of a monomial in x_s is k_s times the monomial over x_s. The
+    log of x = 0 is ``LOG_ZERO``, below the log of every positive double, so
+    that a monomial holding it is 0.0. A 1x1 system is solved without a
+    LAPACK call."""
     n = len(comp)
-    local = np.full(len(q), -1)
+    local = np.full(len(y), -1)
     local[comp] = np.arange(n)
-    mine = local[owner] >= 0
-    rows = live & mine
-    row_type = local[owner[rows]]
-    inner = counts[rows][:, comp]
-    below = counts[rows].copy()
-    below[:, comp] = 0
-    outer = np.prod(q ** below, axis=1)
-    a = (p[rows] * outer)[:, None]
-    if not (mine & (p > 0.0) & ~live).any() and (outer == 1.0).all():
-        means = np.zeros((n, n))
-        np.add.at(means, row_type, a * inner)
+    rows = (local[owner] >= 0) & (p > 0.0)
+    pr, row_type = p[rows], local[owner[rows]]
+    below = counts[rows].astype(float)
+    inner = below[:, comp]
+    below[:, comp] = 0.0
+    # log of each constructor's product over its fields below the component:
+    # 0 where they all terminate surely, LOG_ZERO or less where one cannot
+    log_outer = below @ np.maximum(np.log1p(-y), LOG_ZERO)
+    coef = pr[:, None] * inner
+    if not log_outer.any():
+        means = _scatter(flat_bins(row_type, np.arange(n), n), coef, (n, n))
         rho = means[0, 0] if n == 1 else np.abs(np.linalg.eigvals(means)).max()
         if rho <= 1.0 + EXTINCTION_RHO_SLACK:
-            return np.ones(n)
-    # parts[c, s] is constructor c's monomial with x_s^k replaced by its
-    # derivative k x_s^(k-1), which is 0 where k = 0; parts[c, n] is the
-    # monomial itself. Summed per type, they give the Jacobian and f(x).
-    dec = np.maximum(inner - 1, 0)
-    diag = np.arange(n)
+            return np.zeros(n)
+    # Per constructor: columns 0..n-1 its monomial's derivatives, summed per
+    # type into the Jacobian, and column n its complement, summed into 1 - f.
+    bins = flat_bins(row_type, np.arange(n + 1), n + 1)
+    weights = np.empty((len(pr), n + 1))
     eye = np.eye(n)
-    x = np.zeros(n)
+    yc = np.ones(n)
     for _ in range(EXTINCTION_MAX_ITER):
-        parts = np.repeat((x ** inner)[:, None, :], n + 1, axis=1)
-        parts[:, diag, diag] = inner * x ** dec
-        sums = np.zeros((n, n + 1))
-        np.add.at(sums, row_type, a * parts.prod(axis=2))
-        lhs, rhs = eye - sums[:, :n], sums[:, n] - x
+        logs = np.maximum(np.log1p(-yc), LOG_ZERO)
+        mono = log_outer + inner @ logs
+        # d/dx_s of the monomial is k_s * monomial / x_s, whose log is at
+        # most 0 wherever k_s > 0; the cap keeps the k_s = 0 terms finite
+        weights[:, :n] = coef * np.exp(np.minimum(mono[:, None] - logs, 0.0))
+        weights[:, n] = pr * -np.expm1(mono)
+        sums = _scatter(bins, weights, (n, n + 1))
+        lhs, rhs = eye - sums[:, :n], sums[:, n] - yc
         step = rhs / lhs[0] if n == 1 else np.linalg.solve(lhs, rhs)
-        x = np.minimum(x + step, 1.0)
+        yc = np.maximum(yc + step, 0.0)
         if np.abs(step).max() <= EXTINCTION_TOL:
             break
-    return x
+    return yc
 
 
 def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int,

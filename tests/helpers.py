@@ -145,6 +145,56 @@ def type_matrices_add_at(cu, p):
     return m
 
 
+def fill_add_at(cu, v, p):
+    """The last-level fill by one ``np.add.at`` scatter over the
+    (constructor, family field) pairs: the form the library's bincount over
+    flat indices replaced. The library must match it bit for bit."""
+    fill = np.zeros((len(p), cu.nfamily))
+    np.add.at(fill, (slice(None), cu.pair_target), (v[:, cu.family_owner] * p)[:, cu.pair_ctor])
+    return fill
+
+
+def terminal_mass_add_at(cu, p):
+    """Each family type's terminal probability by one ``np.add.at``
+    scatter over the terminals."""
+    mass = np.zeros((len(p), cu.nfamily))
+    np.add.at(mass, (slice(None), cu.terminal_owner), p[:, cu.family_terminal])
+    return mass
+
+
+def star_vectors_masked(cu, p):
+    """p* from ``terminal_mass_add_at`` by zeros and mask gathers, uniform
+    over a type's terminals where they have no mass, without the warning:
+    the form the library's single division replaced."""
+    owner, term = cu.family_owner, cu.family_terminal
+    own_mass = terminal_mass_add_at(cu, p)[:, owner]
+    stars = np.zeros(p.shape)
+    live = term & (own_mass > 0.0)
+    stars[live] = p[live] / own_mass[live]
+    fallback = term & (own_mass == 0.0)
+    stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], p.shape)[fallback]
+    return stars
+
+
+def type_sums_add_at(row_type, weights, ntypes):
+    """The rows of ``weights`` summed per type, row i into row_type[i], by
+    ``np.add.at``: how the extinction solve summed its mean matrix and its
+    Newton sums before the bincount."""
+    sums = np.zeros((ntypes, weights.shape[1]))
+    np.add.at(sums, row_type, weights)
+    return sums
+
+
+def level_sums_loop(v, m, n):
+    """v·M^n and sum(k=0..n) v·M^k by n successive products: the level loop
+    that the library replaces by doubling above its threshold."""
+    pop = v.copy()
+    for _ in range(n):
+        v = v @ m
+        pop += v
+    return v, pop
+
+
 def scalar_cost(cost, size, probs):
     """``cost`` on one map by the scalar route the batched prediction
     replaced, read from the declarations: the type mean matrix summed

@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,16 @@ from branchgen import (
     star_probs,
     uniform_probmap,
 )
+from branchgen.adt import flat_bins
 from branchgen.prediction import (
+    LEVEL_LOOP_MAX,
     ConstructorExpectation,
     PredictionReport,
+    _fill,
+    _level_sums,
+    _scatter,
+    _star_vectors,
+    _terminal_mass,
     _type_matrices,
     predict_batch,
 )
@@ -127,6 +135,124 @@ class TestTypeMatrices:
         got = _type_matrices(cu, p)
         assert got.shape == (len(p), cu.nfamily, cu.nfamily)
         assert got.tobytes() == helpers.type_matrices_add_at(cu, p).tobytes()
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _batch(rng, u, k, zeros):
+    cu = u.compiled
+    maps = [helpers.random_probmap(rng, u) for _ in range(k)]
+    if zeros:
+        for probs in maps:
+            probs.update({c: 0.0 for c in probs if rng.random() < 0.3})
+    return np.array([[probs[c] for c in cu.ctors[:cu.nfamily_ctors]] for probs in maps],
+                    dtype=float).reshape(k, cu.nfamily_ctors)
+
+
+class TestScatterKernels:
+    """Every scatter of the prediction is one ``np.bincount`` over flat
+    indices; here each equals the ``np.add.at`` form in ``helpers`` bit for
+    bit, sign of zero included. Batch sizes grow and shrink within one
+    universe, so the indices kept on the compiled universe are regrown and
+    then read in part."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans(),
+           sizes=st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    def test_batch_scatters_match_add_at(self, seed, zeros, sizes):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=10, max_ctors=60)
+        cu = u.compiled
+        for k in sizes:
+            p = _batch(rng, u, k, zeros)
+            v = np.array([[rng.choice([0.0, -0.0, rng.random(), rng.expovariate(0.01)])
+                           for _ in range(cu.nfamily)] for _ in range(k)]).reshape(k, cu.nfamily)
+            assert _same_bits(_fill(cu, v, p), helpers.fill_add_at(cu, v, p))
+            assert _same_bits(_terminal_mass(cu, p), helpers.terminal_mass_add_at(cu, p))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stars = _star_vectors(cu, p)
+            assert all("all terminal constructors of" in str(w.message) for w in caught)
+            assert _same_bits(stars, helpers.star_vectors_masked(cu, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), ntypes=st.integers(1, 10),
+           nrows=st.integers(1, 60))
+    def test_type_sums_match_add_at(self, seed, ntypes, nrows):
+        # the extinction solve's layouts: constructor rows summed per type,
+        # n wide for the mean matrix and n + 1 wide for the Newton sums
+        rng = np.random.default_rng(seed)
+        row_type = rng.integers(0, ntypes, nrows)
+        for width in (ntypes, ntypes + 1):
+            w = rng.choice([0.0, -0.0, 1.0], (nrows, width)) * rng.exponential(size=(nrows, width))
+            got = _scatter(flat_bins(row_type, np.arange(width), width), w, (ntypes, width))
+            assert _same_bits(got, helpers.type_sums_add_at(row_type, w, ntypes))
+
+    def test_one_row_and_empty_batches(self):
+        u, _ = helpers.random_universe(random.Random(7), max_types=10, max_ctors=60)
+        cu = u.compiled
+        p = _batch(random.Random(8), u, 5, zeros=False)
+        branching, last = predict_batch(u, p, 6)
+        one = predict_batch(u, p[:1], 6)
+        assert _same_bits(one[0], branching[:1]) and _same_bits(one[1], last[:1])
+        for got in predict_batch(u, p[:0], 6):
+            assert _same_bits(got, np.zeros((0, cu.nfamily_ctors)))
+        empty = np.zeros((0, cu.nfamily_ctors))
+        assert _same_bits(_fill(cu, np.zeros((0, cu.nfamily)), empty),
+                          np.zeros((0, cu.nfamily)))
+        assert _same_bits(_star_vectors(cu, empty), empty)
+
+    def test_family_without_fields(self):
+        # no (constructor, family field) pairs: the fill adds no weights
+        u = parse_universe("data U = A | B", "U")
+        cu = u.compiled
+        p = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert _same_bits(_fill(cu, np.ones((2, 1)), p), np.zeros((2, 1)))
+
+
+class TestLevelDoubling:
+    """Above ``LEVEL_LOOP_MAX`` levels ``_level_sums`` powers by doubling;
+    it must equal the level loop in ``helpers`` to 1e-12 relative wherever
+    neither overflows. Entries below 1e-290 are compared absolutely: their
+    relative rounding depends on the order of the products."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, 64), zeros=st.booleans())
+    def test_doubling_matches_the_level_loop(self, seed, extra, zeros):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=10, max_ctors=30)
+        cu = u.compiled
+        p = _batch(rng, u, 3, zeros)
+        m = _type_matrices(cu, p)
+        v = np.zeros((3, 1, cu.nfamily))
+        v[:, 0, cu.index[u.root]] = 1.0
+        n = LEVEL_LOOP_MAX + extra
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = zip(_level_sums(v, m, n), helpers.level_sums_loop(v, m, n))
+            single = zip(_level_sums(v[0, 0], m[0], n), helpers.level_sums_loop(v[0, 0], m[0], n))
+            for got, want in [*stacked, *single]:
+                finite = np.isfinite(got) & np.isfinite(want)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-290)
+
+    def test_at_the_threshold_the_loop_runs(self, tree_u):
+        probs = {"Tree.LeafA": 0.1, "Tree.LeafB": 0.1, "Tree.LeafC": 0.1, "Tree.Node": 0.7}
+        g0 = initial_population(tree_u, probs, "type")
+        m = mean_matrix_types(tree_u, probs)
+        want = helpers.level_sums_loop(g0.values, m.entries, LEVEL_LOOP_MAX)
+        assert expected_generation(g0, m, LEVEL_LOOP_MAX).values.tobytes() == want[0].tobytes()
+        assert expected_population(g0, m, LEVEL_LOOP_MAX).values.tobytes() == want[1].tobytes()
+
+    def test_size_of_a_billion(self, tree_u):
+        # critical binary Tree: the type matrix is [[1.0]], so every sum the
+        # doubling forms is an exact integer, and 10**9 levels take ~60 products
+        probs = {"Tree.LeafA": 0.25, "Tree.LeafB": 0.125, "Tree.LeafC": 0.125,
+                 "Tree.Node": 0.5}
+        totals = predict_constructors(tree_u, probs, 10 ** 9).totals()
+        assert totals["Tree.Node"] == 5e8
+        assert totals["Tree.LeafA"] == 2.5e8 + 0.5
 
 
 class TestPopulations:
@@ -522,6 +648,17 @@ class TestExtinctionNewton:
                  "Tree.Node": 0.5}
         assert extinction_probability(tree_u, probs).get("Tree") == 1.0
         assert helpers.extinction_oracle(tree_u, probs)["Tree"] == 1.0
+
+    @pytest.mark.parametrize("excess", [1e-6, 1e-5])
+    def test_near_critical_tree(self, tree_u, excess):
+        # q = (1 - P) / P for Node = P > 1/2; the solve on 1 - q keeps the
+        # digits that a solve on q loses to 1 / (1 - rho) amplification
+        node = 0.5 + excess
+        leaf = (1.0 - node) / 3
+        probs = {"Tree.LeafA": leaf, "Tree.LeafB": leaf, "Tree.LeafC": leaf, "Tree.Node": node}
+        p = Fraction(node) / (Fraction(node) + 3 * Fraction(leaf))
+        got = extinction_probability(tree_u, probs).get("Tree")
+        assert abs(Fraction(got) - (1 - p) / p) <= 1e-14
 
     def test_critical_two_type_component_is_exactly_one(self, t1t2_u):
         # mean matrix [[0.5, 0.5], [1, 0]] has spectral radius 1

@@ -262,11 +262,17 @@ class TestEmpiricalStats:
         # one level's children alone number 2**66
         u = parse_universe("data W = Stop | Wide" + " W" * 64, "W")
         probs = {"W.Stop": 0.0, "W.Wide": 1.0}
-        stats = empirical_stats(u, dragen_spec(u, 10, probs), 5, seed=0)
+        # Stop's zero probability makes the last level fall back to uniform
+        starved = "all terminal constructors of W have probability 0"
+        with pytest.warns(UserWarning, match=starved):
+            spec = dragen_spec(u, 10, probs)
+        stats = empirical_stats(u, spec, 5, seed=0)
         assert stats.mean_counts == {"W.Stop": 2.0 ** 60, "W.Wide": (64 ** 10 - 1) / 63}
         assert stats.std_err == {"W.Stop": 0.0, "W.Wide": 0.0}
+        with pytest.warns(UserWarning, match=starved):
+            spec = dragen_spec(u, 11, probs)
         with pytest.raises(AdtError, match="overflow 64-bit integers at size 11"):
-            empirical_stats(u, dragen_spec(u, 11, probs), 5, seed=0)
+            empirical_stats(u, spec, 5, seed=0)
 
     def test_std_err_is_exact_for_large_counts(self):
         xs = [10 ** 7 + (i % 3 == 0) for i in range(30)]
