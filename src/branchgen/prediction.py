@@ -199,7 +199,11 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     products. Above it, it raises B = [[M, I], [0, I]] to the n-th power by
     repeated squaring, since B^n = [[M^n, sum(k<n) M^k], [0, I]]: O(log n)
     products on the blocks. Neither inverts (I - M), so the singular,
-    critical case needs no special treatment.
+    critical case needs no special treatment. The doubling first zeroes the
+    rows of M whose types ``v`` never reaches: their powers may overflow,
+    and 0 * inf is nan where the loop only ever adds exact zeros. Within the
+    reached types a power of M may still overflow where ``v`` times it,
+    smaller by the reaching probabilities, would not; see README Internals.
     """
     if n <= LEVEL_LOOP_MAX:
         pop = v.copy()
@@ -207,6 +211,10 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
             v = v @ m
             pop += v
         return v, pop
+    edges, seen = m > 0.0, v > 0.0
+    for _ in range(m.shape[-1]):
+        seen = seen | (seen @ edges)
+    m = np.where(np.swapaxes(np.atleast_2d(seen), -1, -2), m, 0.0)
     # [g, s] times B^(2^j) = [[a, c], [0, I]], for each bit j set in n
     g, s = v, np.zeros_like(v)
     a, c = m, np.broadcast_to(np.eye(m.shape[-1]), m.shape)
@@ -430,7 +438,8 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
     decomposed Newton (Etessami & Yannakakis 2009): one strongly connected
     component of the graph their live constructors span at a time,
     bottom-up, each once the components below it are known. The solve runs
-    on the complements 1 - q, which keep their relative precision near 1.
+    on the complements 1 - q, which keep their relative precision near 1;
+    a small q is then exact to about 1e-16 absolute, not relative.
     """
     cu = u.compiled
     nf, owner = cu.nfamily, cu.family_owner
@@ -517,7 +526,9 @@ def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
         sums = _scatter(bins, weights, (n, n + 1))
         lhs, rhs = eye - sums[:, :n], sums[:, n] - yc
         step = rhs / lhs[0] if n == 1 else np.linalg.solve(lhs, rhs)
-        yc = np.maximum(yc + step, 0.0)
+        # renormalized probabilities may sum to 1 + 2^-52, which would push
+        # a type whose row of the Jacobian is 0 at y = 1 just above 1
+        yc = np.clip(yc + step, 0.0, 1.0)
         if np.abs(step).max() <= EXTINCTION_TOL:
             break
     return yc

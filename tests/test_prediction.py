@@ -29,6 +29,7 @@ from branchgen.prediction import (
     LEVEL_LOOP_MAX,
     ConstructorExpectation,
     PredictionReport,
+    _family_probs,
     _fill,
     _level_sums,
     _scatter,
@@ -215,9 +216,10 @@ class TestScatterKernels:
 
 class TestLevelDoubling:
     """Above ``LEVEL_LOOP_MAX`` levels ``_level_sums`` powers by doubling;
-    it must equal the level loop in ``helpers`` to 1e-12 relative wherever
-    neither overflows. Entries below 1e-290 are compared absolutely: their
-    relative rounding depends on the order of the products."""
+    it must be finite wherever the level loop in ``helpers`` is, and equal
+    to it there to 1e-12 relative. Entries below 1e-290 are compared
+    absolutely: their relative rounding depends on the order of the
+    products."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, 64), zeros=st.booleans())
@@ -234,8 +236,27 @@ class TestLevelDoubling:
             stacked = zip(_level_sums(v, m, n), helpers.level_sums_loop(v, m, n))
             single = zip(_level_sums(v[0, 0], m[0], n), helpers.level_sums_loop(v[0, 0], m[0], n))
             for got, want in [*stacked, *single]:
-                finite = np.isfinite(got) & np.isfinite(want)
+                finite = np.isfinite(want)
+                assert np.isfinite(got[finite]).all()
                 np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-290)
+
+    def test_unreached_supercritical_type(self):
+        # RS = 0, so R never reaches S, whose own powers overflow by 4096
+        # levels; the doubling must not form 0 * inf = nan from them
+        u = parse_universe("data R = RL | RN R | RS S\ndata S = SL | SN S S | SR R", "R")
+        probs = {"R.RL": 0.5, "R.RN": 0.5, "R.RS": 0.0, "S.SL": 0.2, "S.SN": 0.7, "S.SR": 0.1}
+        cu = u.compiled
+        m = _type_matrices(cu, _family_probs(cu, [probs]))
+        v = np.zeros((1, 1, cu.nfamily))
+        v[0, 0, cu.index["R"]] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = helpers.level_sums_loop(v, m, 4999)
+        for got, exp in zip(_level_sums(v, m, 4999), want):
+            assert np.isfinite(exp).all()
+            np.testing.assert_allclose(got, exp, rtol=1e-12, atol=1e-290)
+        branching, last = predict_batch(u, [probs], 5000)
+        assert branching[0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.isfinite(last).all()
 
     def test_at_the_threshold_the_loop_runs(self, tree_u):
         probs = {"Tree.LeafA": 0.1, "Tree.LeafB": 0.1, "Tree.LeafC": 0.1, "Tree.Node": 0.7}
@@ -659,6 +680,24 @@ class TestExtinctionNewton:
         p = Fraction(node) / (Fraction(node) + 3 * Fraction(leaf))
         got = extinction_probability(tree_u, probs).get("Tree")
         assert abs(Fraction(got) - (1 - p) / p) <= 1e-14
+
+    def test_renormalized_sum_above_one(self):
+        # S has no terminal mass and only constructors of degree >= 2 in the
+        # component, so its Jacobian row is 0 at y = 1 and its first step is
+        # its renormalized probabilities' sum minus 1, here 2^-52 above 0;
+        # y must stay at most 1, or log1p(-y) is nan
+        u = parse_universe("data S = A | B T T | C T T T\ndata T = L | W S", "S")
+        b, c = 0.40181682221254356, 0.6785150052419683
+        assert b / (b + c) + c / (b + c) > 1.0
+        probs = {"S.A": 0.0, "S.B": b, "S.C": c, "T.L": 0.31617713722134233,
+                 "T.W": 0.2135246620646961}
+        got = extinction_probability(u, probs).as_dict()
+        want = helpers.extinction_oracle(u, probs)
+        for tid in want:
+            assert abs(got[tid] - want[tid]) <= 1e-15, tid
+        with pytest.warns(UserWarning, match="uniform terminal"):
+            doc = prediction_report_json(u, probs, 5)
+        assert np.isfinite(list(doc["extinction"].values())).all()
 
     def test_critical_two_type_component_is_exactly_one(self, t1t2_u):
         # mean matrix [[0.5, 0.5], [1, 0]] has spectral radius 1
