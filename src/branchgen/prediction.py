@@ -227,7 +227,10 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
         a, c = a @ a, a @ c + c
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _checked_level_sums(g0: PopulationVector, m: MeanMatrix, n: int):
+    """``_level_sums`` of a checked vector and matrix; an overflow is left
+    to ``PopulationVector``, which rejects the non-finite result."""
     if g0.index != m.index:
         raise AdtError("population vector and mean matrix are indexed differently")
     if n < 0:
@@ -457,17 +460,25 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
             break
         finite = grown
     down = live_graph(cu, live)
-    up = {t: [s for s in down if t in down[s]] for t in down}
-    reach = [_reachable([t], down) for t in range(nf)]
-    y = np.ones(nf)             # 1 - q
-    solved = ~finite
+    up: dict[int, list[int]] = {t: [] for t in down}
+    for s, targets in down.items():
+        for t in targets:
+            up[t].append(s)
+    # Each component once, from its first member: the types it reaches that
+    # reach it back, with the number of types it reaches
+    comps = []
+    found = ~finite
+    for t in np.flatnonzero(finite).tolist():
+        if not found[t]:
+            reach = _reachable([t], down)
+            comp = np.array(sorted(reach & _reachable([t], up)))
+            found[comp] = True
+            comps.append((len(reach), comp))
     # A component below another reaches strictly fewer types, so sorting by
     # the size of the reached set puts every component after those below it.
-    for t in sorted(np.flatnonzero(finite).tolist(), key=lambda t: len(reach[t])):
-        if not solved[t]:
-            comp = np.array(sorted(reach[t] & _reachable([t], up)))
-            solved[comp] = True
-            y[comp] = _extinction_component(p, counts, owner, y, comp)
+    y = np.ones(nf)             # 1 - q
+    for _, comp in sorted(comps, key=lambda c: c[0]):
+        y[comp] = _extinction_component(p, counts, owner, y, comp)
     return PopulationVector(u.family, 1.0 - y)
 
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import sqrt
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 from weakref import WeakKeyDictionary
 
@@ -32,7 +34,6 @@ import numpy as np
 
 from .adt import (
     MODE_FAMILY,
-    MODE_FOREIGN,
     MODE_GROUND,
     ADTUniverse,
     AdtError,
@@ -153,20 +154,18 @@ class _Tables:
     compiled types and field rows. Per type, ``p_any`` and ``p_final`` hold
     the constructor probabilities at any size and at size 0, normalized and
     cut after the last positive entry (empty for a dead type); ``cum_any``
-    and ``cum_final`` are the tree walk's bisect tables derived from them,
-    and ``nodes`` says how it builds each constructor's node (see
-    ``_node_plan``)."""
+    and ``cum_final`` are the bisect tables derived from them."""
 
-    __slots__ = ("cu", "ctor_ids", "nodes", "p_any", "p_final", "cum_any",
-                 "cum_final", "child_size")
+    __slots__ = ("types", "ctor_ids", "p_any", "p_final", "cum_any", "cum_final",
+                 "child_size")
 
     def __init__(self, u: ADTUniverse, strategy: str,
                  probs: Mapping[str, float] | None,
                  stars: Mapping[str, float] | None,
                  foreign_probs: Mapping[str, float] | None):
-        cu = self.cu = u.compiled
+        cu = u.compiled
+        self.types = cu.types
         self.ctor_ids = [cu.ctors[s] for s in cu.slices]
-        self.nodes = _node_plans(cu)
         self.child_size = _CHILD_SIZE[strategy]
 
         if foreign_probs is None:
@@ -204,8 +203,101 @@ class _Tables:
                 self.cum_final.append(self.cum_any[-1])
 
     def dead_type_error(self, t: int) -> AdtError:
-        return AdtError(f"generation reached type {self.cu.types[t]}, whose "
+        return AdtError(f"generation reached type {self.types[t]}, whose "
                         "constructors all have probability 0")
+
+
+class _Program:
+    """The tree walk's program for walks of ``tables`` from ``root_pos`` at
+    ``size``; ``root`` is the root's visit entry.
+
+    There is one visit entry per size class and type. The size classes are
+    ``size``, its child size, and so on down to 0, then -1: a negative size
+    draws like any positive one, so every negative size is class -1. A
+    visit entry is ``[cum, opts, t]``: the class's bisect table, per
+    constructor what the walk does after drawing it, and the type. That is
+    the constructor's shared ``Value`` when it has no fields, else
+    ``(marker, kids, ground)``: its ``_Assemble`` marker, the visit entries
+    of its family and foreign fields right to left (the order they are
+    pushed in), and the modes of its ground fields in field order.
+
+    Class -1 holds every type (foreign visits are always there) and is
+    built at once. The classes from ``size`` down hold the family types and
+    are built as walks reach them: the deepest class built links to a class
+    of stubs, empty entries, and the first visit of a stub builds its class
+    (``grow``). So a program is only as deep as the walks on it have gone,
+    and a walk at a huge size costs what it visits."""
+
+    __slots__ = ("tables", "root", "_plans", "_foreign", "_frontier", "_lock")
+
+    def __init__(self, cu: CompiledUniverse, tables: _Tables, root_pos: int, size: int):
+        self.tables = tables
+        self._plans = [[_ctor_plan(cu.ctors[c], cu.rows[c]) for c in range(s.start, s.stop)]
+                       for s in cu.slices]
+        self._lock = threading.Lock()
+        foreign = self._foreign = [[] for _ in cu.types]
+        self._fill(-1, foreign, foreign)
+        if size < 0:
+            self._frontier = None
+            self.root = foreign[root_pos]
+        else:
+            stubs = [[] for _ in range(cu.nfamily)]
+            self._frontier = (size, stubs)
+            self.root = stubs[root_pos]
+
+    def _fill(self, s: int, entries: list[list], below: list[list]) -> None:
+        """Fill the entries of class ``s``, whose family children are the
+        entries ``below``."""
+        cum = self.tables.cum_final if s == 0 else self.tables.cum_any
+        foreign = self._foreign
+        for t, entry in enumerate(entries):
+            opts = [plan if plan.__class__ is Value else
+                    (plan[0], tuple([(below if family else foreign)[target]
+                                     for target, family in plan[1]]), plan[2])
+                    for plan in self._plans[t]]
+            entry.extend((cum[t], opts, t))
+
+    def grow(self, stub: list) -> None:
+        """Build the class of ``stub``, an entry a walk reached unbuilt, and
+        stub the class below it. The lock keeps the one class of stubs
+        consistent when walks on several threads reach it at once."""
+        with self._lock:
+            if stub:  # another walk built it meanwhile
+                return
+            s, entries = self._frontier
+            child = max(self.tables.child_size(s), -1)
+            if child == s:  # megadeth at size 0
+                below, self._frontier = entries, None
+            elif child < 0:
+                below, self._frontier = self._foreign, None
+            else:
+                below = [[] for _ in entries]
+                self._frontier = (child, below)
+            self._fill(s, entries, below)
+
+
+class _Assemble(tuple):
+    """``(cid, n, pick)``: the tree walk's marker that builds a node of
+    constructor ``cid`` from the last ``n`` items built. Those are the
+    node's ground atoms in field order, then its other children left to
+    right; ``pick`` puts them in field order, or is None when they are."""
+
+    __slots__ = ()
+
+
+def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
+    """A nullary constructor's one shared ``Value`` (Values are immutable),
+    else ``(marker, kids, ground)``: its ``_Assemble`` marker, the (target,
+    is family) of its other fields right to left, and the modes of its
+    ground fields in field order."""
+    if not row:
+        return Value(cid)
+    ground = [k for k, (_, target) in enumerate(row) if target < 0]
+    slots = [k for k, (_, target) in enumerate(row) if target >= 0]
+    order = [(ground + slots).index(k) for k in range(len(row))]
+    pick = None if order == sorted(order) else itemgetter(*order)
+    kids = tuple((row[k][1], row[k][0] == MODE_FAMILY) for k in reversed(slots))
+    return _Assemble((cid, len(row), pick)), kids, tuple(row[k][0] for k in ground)
 
 
 def _normalized(weights: list[float]) -> list[float]:
@@ -240,102 +332,96 @@ def _draw_ground(mode: int, rng: random.Random):
     return None  # Unit consumes no randomness
 
 
-def _node_plan(cid: str, row: tuple[tuple[int, int], ...]):
-    """How the tree walk builds a node of constructor ``cid`` with field row
-    ``row``: a nullary constructor's one shared ``Value`` (Values are
-    immutable), else ``(cid, arity, ground, kids, slots)``. ``ground`` lists
-    the (position, mode) of the ground fields in field order; ``kids`` lists
-    the (type, is family) of the other fields right to left, the order their
-    visits are pushed in; ``slots`` is their positions left to right."""
-    if not row:
-        return Value(cid)
-    slots = tuple(k for k, (mode, _) in enumerate(row) if mode in (MODE_FAMILY, MODE_FOREIGN))
-    ground = tuple((k, mode) for k, (mode, _) in enumerate(row) if k not in slots)
-    kids = tuple((row[k][1], row[k][0] == MODE_FAMILY) for k in reversed(slots))
-    return cid, len(row), ground, kids, slots
+# The last walk program per compiled universe, as (key, program). A
+# program holds no reference to its universe, so the weak key drops both
+# with the universe.
+_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple, _Program]] = WeakKeyDictionary()
 
 
-_PLANS: WeakKeyDictionary[CompiledUniverse, tuple[tuple, ...]] = WeakKeyDictionary()
+def _walk_program(u: ADTUniverse, strategy: str, size: int,
+                  probs: Mapping[str, float] | None = None,
+                  stars: Mapping[str, float] | None = None,
+                  foreign_probs: Mapping[str, float] | None = None) -> _Program:
+    """The walk program of one configuration, shared by every ``sample_*``
+    call that asks for it again.
+
+    The last program built is kept per compiled universe under a key of
+    its tables' contents: strategy, size, and the family, star and foreign
+    probabilities in compiled constructor order (None for uniform foreign
+    choice). A probability map changed in place therefore builds a new
+    program. Callers that miss at the same time may each build one; each
+    walks its own, so the race costs only time."""
+    cu = u.compiled
+    foreign = (None if foreign_probs is None
+               else tuple([foreign_probs[c] for c in cu.ctors[cu.nfamily_ctors:]]))
+    key: tuple = (strategy, size, foreign)
+    if strategy == STRATEGY_DRAGEN:
+        family = cu.ctors[:cu.nfamily_ctors]
+        key += (tuple([probs[c] for c in family]),
+                tuple([stars.get(c, 0.0) for c, term
+                       in zip(family, cu.family_terminal.tolist()) if term]))
+    cached = _PROGRAMS.get(cu)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    tables = _Tables(u, strategy, probs, stars, foreign_probs)
+    program = _Program(cu, tables, cu.index[u.root], size)
+    _PROGRAMS[cu] = (key, program)
+    return program
 
 
-def _node_plans(cu: CompiledUniverse) -> tuple[tuple, ...]:
-    """Per type, each constructor's ``_node_plan``; built once per compiled
-    universe."""
-    plans = _PLANS.get(cu)
-    if plans is None:
-        plans = _PLANS[cu] = tuple(
-            tuple(_node_plan(cu.ctors[c], cu.rows[c]) for c in range(s.start, s.stop))
-            for s in cu.slices)
-    return plans
-
-
-def _build_walk(tables: _Tables, root_pos: int, size: int, rng: random.Random,
+def _build_walk(program: _Program, rng: random.Random,
                 budget: int | None = None) -> Value | BudgetExhausted:
-    """Run one generation on ``rng`` and build its frozen value tree; the only
-    tree walker.
+    """Run one generation of ``program`` on ``rng`` and build its frozen
+    value tree; the only tree walker.
 
-    The stack holds ``(type, size)`` visits and three-item assemble entries.
-    A node with family or foreign children pushes its assemble entry below
-    their visits. Values are built in post-order onto ``built``, so when an
-    assemble entry is popped its children are the last values there, left
-    to right. Each node draws its constructor, then its ground atoms in
-    field order; children are visited depth-first from left to right.
+    The stack holds visit entries and ``_Assemble`` markers. A visit draws
+    its constructor, appends the ground atoms to ``built`` in field order,
+    then pushes the node's marker below its children's visits. Values are
+    built in post-order onto ``built``, so when a marker is popped the
+    node's fields are the last items there. Children are visited
+    depth-first from left to right.
     """
     rand = rng.random
-    child_size = tables.child_size
-    nodes, cum_any, cum_final = tables.nodes, tables.cum_any, tables.cum_final
     built: list = []
     emitted = 0
-    stack: list[tuple] = [(root_pos, size)]
-    try:
-        while stack:
-            entry = stack.pop()
-            if len(entry) == 3:
-                # (cid, None, n): the node's fields are its n children;
-                # (cid, fields, slots): its children go to fields[slots]
-                cid, fields, slots = entry
-                if fields is None:
-                    built[-slots:] = [Value(cid, tuple(built[-slots:]))]
-                else:
-                    n = len(slots)
-                    for k, child in zip(slots, built[-n:]):
-                        fields[k] = child
-                    built[-n:] = [Value(cid, tuple(fields))]
-                continue
-            t, sz = entry
-            i = bisect_right(cum_final[t] if sz == 0 else cum_any[t], rand())
-            if budget is not None:
-                emitted += 1
-                if emitted > budget:
-                    return BudgetExhausted(budget)
-            node = nodes[t][i]
-            if node.__class__ is Value:
-                built.append(node)
-                continue
-            cid, arity, ground, kids, slots = node
-            if ground:
-                fields = [None] * arity
-                for k, mode in ground:
-                    fields[k] = _draw_ground(mode, rng)
-                if not kids:
-                    built.append(Value(cid, tuple(fields)))
+    stack: list = [program.root]
+    while True:
+        try:
+            while stack:
+                visit = stack.pop()
+                if visit.__class__ is _Assemble:
+                    cid, n, pick = visit
+                    fields = built[-n:]
+                    del built[-n:]
+                    built.append(Value(cid, tuple(fields) if pick is None else pick(fields)))
                     continue
-                stack.append((cid, fields, slots))
-            else:
-                stack.append((cid, None, arity))
-            child_sz = child_size(sz)
-            for target, family in kids:
-                stack.append((target, child_sz if family else -1))
-    except IndexError:  # drew from a dead type's table (see _cumulative)
-        raise tables.dead_type_error(t) from None
-    return built[0]
+                i = bisect_right(visit[0], rand())
+                if budget is not None:
+                    emitted += 1
+                    if emitted > budget:
+                        return BudgetExhausted(budget)
+                opt = visit[1][i]
+                if opt.__class__ is Value:
+                    built.append(opt)
+                    continue
+                marker, kids, ground = opt
+                for mode in ground:
+                    built.append(_draw_ground(mode, rng))
+                stack.append(marker)
+                stack.extend(kids)
+            return built[0]
+        except IndexError:
+            if visit:  # drew from a dead type's table (see _cumulative)
+                raise program.tables.dead_type_error(visit[2]) from None
+            # a stub: visit[0] failed before the draw, so visit it again
+            program.grow(visit)
+            stack.append(visit)
 
 
-def _walk(tables: _Tables, u: ADTUniverse, size: int, seed: int, index: int,
+def _walk(program: _Program, seed: int, index: int,
           budget: int | None = None) -> Value | BudgetExhausted:
-    """Value ``index`` of ``seed`` on ``tables``: one tree walk on its own stream."""
-    rng = random.Random(stream_seed(seed, index))
-    return _build_walk(tables, tables.cu.index[u.root], size, rng, budget)
+    """Value ``index`` of ``seed`` on ``program``: one tree walk on its own stream."""
+    return _build_walk(program, random.Random(stream_seed(seed, index)), budget)
 
 
 def _bounded_size(size: int) -> int:
@@ -352,30 +438,27 @@ def _positive_budget(budget: int) -> int:
     return budget
 
 
-def _sampler(u: ADTUniverse, spec: GenSpec, strategy: str,
-             foreign_probs: Mapping[str, float] | None = None,
-             budget: int | None = None) -> tuple[_Tables, int, int | None]:
-    """Checked choice tables, size and budget for sampling ``spec`` under
-    ``strategy``; derive samples at size -1 within ``budget`` (default
+def _checked(u: ADTUniverse, spec: GenSpec, strategy: str,
+             budget: int | None = None) -> tuple[int, int | None]:
+    """Size and budget for sampling ``spec`` under ``strategy``, checked;
+    derive samples at size -1 within ``budget`` (default
     ``DEFAULT_DERIVE_BUDGET``), the size-bounded strategies with no budget."""
     if strategy not in STRATEGIES:
         raise AdtError(f"unknown strategy {strategy!r}")
     if spec.root != u.root:
         raise AdtError(f"spec root {spec.root} does not match universe root {u.root}")
     if strategy == STRATEGY_DERIVE:
-        size = -1
-        budget = _positive_budget(DEFAULT_DERIVE_BUDGET if budget is None else budget)
-    else:
-        size, budget = _bounded_size(spec.size), None
-    tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities, foreign_probs)
-    return tables, size, budget
+        return -1, _positive_budget(DEFAULT_DERIVE_BUDGET if budget is None else budget)
+    return _bounded_size(spec.size), None
 
 
 def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
                   foreign_probs: Mapping[str, float] | None = None) -> Value:
     """One value from a tuned size-bounded generator."""
-    tables, size, _ = _sampler(u, spec, STRATEGY_DRAGEN, foreign_probs)
-    v = _walk(tables, u, size, seed, index)
+    size, _ = _checked(u, spec, STRATEGY_DRAGEN)
+    program = _walk_program(u, STRATEGY_DRAGEN, size, spec.probabilities,
+                            spec.star_probabilities, foreign_probs)
+    v = _walk(program, seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -384,8 +467,7 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
                     seed: int, index: int = 0) -> Value:
     """One value from the halving generator; the probability map is ignored
     (choices are uniform) and is accepted only for interface parity."""
-    v = _walk(_Tables(u, STRATEGY_MEGADETH, None, None, None), u, _bounded_size(size),
-              seed, index)
+    v = _walk(_walk_program(u, STRATEGY_MEGADETH, _bounded_size(size)), seed, index)
     assert isinstance(v, Value)
     return v
 
@@ -393,21 +475,21 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
 def sample_derive(u: ADTUniverse, budget: int, seed: int,
                   index: int = 0) -> Value | BudgetExhausted:
     """One value from the unbounded uniform generator, or BudgetExhausted."""
-    return _walk(_Tables(u, STRATEGY_DERIVE, None, None, None), u, -1, seed, index,
-                 _positive_budget(budget))
+    return _walk(_walk_program(u, STRATEGY_DERIVE, -1), seed, index, _positive_budget(budget))
 
 
 def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
                   budget: int = DEFAULT_DERIVE_BUDGET,
                   foreign_probs: Mapping[str, float] | None = None,
                   ) -> Iterator[Value | BudgetExhausted]:
-    """Values 0 .. count-1 of ``spec``'s strategy, with its choice tables
-    built once. Value i is what ``sample_dragen(u, spec, seed, i,
-    foreign_probs)`` returns, or with no ``foreign_probs``,
-    ``sample_megadeth(u, spec.probabilities, spec.size, seed, i)`` or
-    ``sample_derive(u, budget, seed, i)``."""
-    tables, size, budget = _sampler(u, spec, spec.strategy, foreign_probs, budget)
-    return (_walk(tables, u, size, seed, i, budget) for i in range(count))
+    """Values 0 .. count-1 of ``spec``'s strategy, on one walk program. Value
+    i is what ``sample_dragen(u, spec, seed, i, foreign_probs)`` returns, or
+    with no ``foreign_probs``, ``sample_megadeth(u, spec.probabilities,
+    spec.size, seed, i)`` or ``sample_derive(u, budget, seed, i)``."""
+    size, budget = _checked(u, spec, spec.strategy, budget)
+    program = _walk_program(u, spec.strategy, size, spec.probabilities,
+                            spec.star_probabilities, foreign_probs)
+    return (_walk(program, seed, i, budget) for i in range(count))
 
 
 def count_constructors(v: Value) -> dict[str, int]:
@@ -461,15 +543,18 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
     """
     if samples < 1:
         raise AdtError("sample count must be a positive integer")
-    tables, size, budget = _sampler(u, spec, spec.strategy, foreign_probs, budget)
-    ctors = tables.cu.ctors
+    size, budget = _checked(u, spec, spec.strategy, budget)
+    cu = u.compiled
+    tables = _Tables(u, spec.strategy, spec.probabilities, spec.star_probabilities,
+                     foreign_probs)
+    ctors = cu.ctors
     sums = [0] * len(ctors)
     sumsq = [0] * len(ctors)
     hist: Counter[int] = Counter()
     aborted = 0
     for b, start in enumerate(range(0, samples, _BLOCK)):
         rng = np.random.Generator(np.random.PCG64(stream_seed(seed, b)))
-        counts, over = _block_counts(tables, tables.cu.index[u.root], size,
+        counts, over = _block_counts(cu, tables, cu.index[u.root], size,
                                      min(_BLOCK, samples - start), budget, rng)
         done = counts[~over]
         aborted += int(over.sum())
@@ -484,8 +569,8 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
                          dict(zip(ctors, sumsq)), dict(hist), aborted)
 
 
-def _block_counts(tables: _Tables, root_pos: int, size: int, n: int,
-                  budget: int | None, rng: np.random.Generator):
+def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: int,
+                  n: int, budget: int | None, rng: np.random.Generator):
     """Simulate n generations from ``root_pos`` at ``size`` and return their
     (n x constructors) counts and the mask of those that passed ``budget``.
 
@@ -497,7 +582,6 @@ def _block_counts(tables: _Tables, root_pos: int, size: int, n: int,
     A level whose counts could pass int64 is expanded in Python ints, and a
     count past 2**63 - 1 is an error: no count wraps.
     """
-    cu = tables.cu
     # A level leaves each generation at most emitted + todo * fan <= emitted
     # * (1 + fan) constructors, so levels with emitted <= safe fit in int64.
     fan = int(cu.counts.sum(axis=1).max(initial=0))

@@ -32,12 +32,24 @@ from branchgen.adt import FAMILY, MODE_FAMILY, MODE_FOREIGN, MODE_GROUND, unqual
 from branchgen.sampling import BudgetExhausted, _Tables, stream_seed
 
 
-def random_universe(rng: random.Random, max_types: int = 4, max_ctors: int = 8):
+# Foreign types and ground atoms that ``random_universe(..., extras=True)``
+# mixes into the family's fields
+EXTRA_DECLS = ("data F = FA Int Char | FB | FC Double G Unit",
+               "data G = GA | GB Int G2 Char",
+               "data G2 = GC | GD Unit")
+EXTRA_FIELDS = ("Int", "Double", "Char", "Unit", "F", "G")
+
+
+def random_universe(rng: random.Random, max_types: int = 4, max_ctors: int = 8,
+                    extras: bool = False):
     """A random mutually recursive family, returned as (universe, field
     bookkeeping) where the bookkeeping maps constructor id -> list of
-    field type ids, independently of the parsed structures."""
+    field type ids, independently of the parsed structures. With
+    ``extras``, fields other than the ring's first may also be ground atoms
+    or the foreign types of ``EXTRA_DECLS``."""
     ntypes = rng.randint(1, max_types)
     names = [f"T{i}" for i in range(ntypes)]
+    pool = names + list(EXTRA_FIELDS) if extras else names
     # At least one terminal plus, for multi-type families, one ring
     # constructor per type; spread the remaining constructor budget.
     per_type = [2 if ntypes > 1 else 1] * ntypes
@@ -59,12 +71,14 @@ def random_universe(rng: random.Random, max_types: int = 4, max_ctors: int = 8):
             elif j == 1 and ntypes > 1:
                 fields = [names[(i + 1) % ntypes]]
                 while rng.random() < 0.4:
-                    fields.append(rng.choice(names))
+                    fields.append(rng.choice(pool))
             else:
-                fields = [rng.choice(names) for _ in range(rng.randint(0, 3))]
+                fields = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
             fields_of[f"{tname}.{cname}"] = list(fields)
             alts.append(" ".join([cname] + fields))
         decls.append(f"data {tname} = " + " | ".join(alts))
+    if extras:
+        decls.extend(EXTRA_DECLS)
     u = parse_universe("\n".join(decls), names[0])
     return u, fields_of
 
@@ -458,12 +472,11 @@ def _reference_ground(mode, rng):
     return None  # Unit consumes no randomness
 
 
-def reference_walk(tables, root_pos, size, rng, budget=None):
+def reference_walk(cu, tables, root_pos, size, rng, budget=None):
     """Expand one generation into mutable (constructor id, children) nodes,
     then freeze them bottom-up through an ``id()``-keyed dict. The draws are
     the tree walk's: the constructor, the node's ground atoms in field
     order, then the children depth-first from left to right."""
-    cu = tables.cu
     rows = [cu.rows[s] for s in cu.slices]
     rand = rng.random
     holder = [None]
@@ -506,21 +519,25 @@ def reference_walk(tables, root_pos, size, rng, budget=None):
     return frozen[id(holder[0])]
 
 
-def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None):
+def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
+                     foreign_probs=None):
     """Value ``index`` of ``seed`` by ``reference_walk``: ``spec`` for dragen
-    (its size is used), ``size`` for megadeth, ``budget`` for derive. The
-    size-bounded strategies ignore the budget, as the samplers do."""
+    (its size is used), ``size`` for megadeth, ``budget`` for derive, and
+    ``foreign_probs`` for every strategy. The size-bounded strategies
+    ignore the budget, as the samplers do."""
     if strategy == "dragen":
-        tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities, None)
+        tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities,
+                         foreign_probs)
         size = spec.size
     else:
-        tables = _Tables(u, strategy, None, None, None)
+        tables = _Tables(u, strategy, None, None, foreign_probs)
     if strategy == "derive":
         size = -1
     else:
         budget = None
     rng = random.Random(stream_seed(seed, index))
-    return reference_walk(tables, tables.cu.index[u.root], size, rng, budget)
+    cu = u.compiled
+    return reference_walk(cu, tables, cu.index[u.root], size, rng, budget)
 
 
 def _reference_atom_sexp(atom):

@@ -27,6 +27,7 @@ from branchgen import (
 from branchgen.adt import flat_bins
 from branchgen.prediction import (
     LEVEL_LOOP_MAX,
+    TYPE,
     ConstructorExpectation,
     PredictionReport,
     _family_probs,
@@ -527,6 +528,20 @@ class TestPredict:
                 prediction_report_json(tree_u, probs, 5000)
         assert not np.isfinite(list(totals.values())).all()
         assert not np.isfinite(batch[0][0]).all() and np.isfinite(batch[0][1]).all()
+
+    @pytest.mark.parametrize("level_sums", ["expected_population", "expected_generation"])
+    def test_overflowing_level_sums_are_an_error_not_a_warning(self, tree_u, level_sums):
+        probs = {"Tree.LeafA": 0.05, "Tree.LeafB": 0.025, "Tree.LeafC": 0.025,
+                 "Tree.Node": 0.9}
+        g0 = initial_population(tree_u, probs, TYPE)
+        m = mean_matrix_types(tree_u, probs)
+        call = {"expected_population": expected_population,
+                "expected_generation": expected_generation}[level_sums]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdtError, match="must be finite and nonnegative"):
+                call(g0, m, 5000)
+            assert np.isfinite(call(g0, m, 500).values).all()
 
 
 class TestConstructorTypeConsistency:

@@ -1,6 +1,11 @@
+import gc
 import math
 import random
 import statistics
+import threading
+import time
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -516,6 +521,136 @@ class TestWalkMatchesReference:
         assert hash(v) == hash(want)
         assert repr(v) == ("Value(constructor='W.N', children=(" * depth
                            + "Value(constructor='W.Stop', children=())" + ",))" * depth)
+
+
+
+def _foreign_map(u, rng):
+    """Random weights for every foreign constructor of ``u``."""
+    cu = u.compiled
+    return {c: rng.random() for c in cu.ctors[cu.nfamily_ctors:]}
+
+
+class TestWalkProgramCache:
+    """Each compiled universe keeps the last walk program it sampled with,
+    keyed by its tables' contents: a hit replays the same values, a changed
+    configuration builds a new program."""
+
+    @staticmethod
+    def cached(u):
+        return sampling._PROGRAMS[u.compiled][1]
+
+    def test_probabilities_changed_in_place(self, tree_u):
+        spec = dragen_spec(tree_u, 6)
+        seen = []
+        # the family map alone, then the star map alone, changes
+        for node, star in ((0.25, 0.1), (0.45, 0.1), (0.45, 0.6)):
+            spec.probabilities.update({"Tree.Node": node, "Tree.LeafA": 0.75 - node})
+            spec.star_probabilities["Tree.LeafB"] = star
+            for i in range(15):
+                want = helpers.reference_sample(tree_u, "dragen", 4, i, spec=spec)
+                assert sample_dragen(tree_u, spec, 4, i) == want
+            seen.append(self.cached(tree_u))
+        assert seen[0] is not seen[1] and seen[1] is not seen[2]
+
+    def test_strategies_and_foreign_maps_alternate(self):
+        u = parse_universe(ATOMS_SRC, "Tree")
+        rng = random.Random(3)
+        spec = dragen_spec(u, 5, helpers.random_probmap(rng, u))
+        maps = [_foreign_map(u, rng), _foreign_map(u, rng)]
+        mega, derive = adhoc_genspec(u, 4, "megadeth"), adhoc_genspec(u, -1, "derive")
+        for i in range(12):
+            for fp in maps:
+                want = helpers.reference_sample(u, "dragen", 9, i, spec=spec,
+                                                foreign_probs=fp)
+                assert sample_dragen(u, spec, 9, i, fp) == want
+            assert sample_megadeth(u, None, 4, 9, i) == helpers.reference_sample(
+                u, "megadeth", 9, i, size=4)
+            assert sample_derive(u, 200, 9, i) == helpers.reference_sample(
+                u, "derive", 9, i, budget=200)
+            want = helpers.reference_sample(u, "megadeth", 9, i, size=4, foreign_probs=fp)
+            assert list(sample_values(u, mega, 9, i + 1, foreign_probs=fp))[i] == want
+            want = helpers.reference_sample(u, "derive", 9, i, budget=50, foreign_probs=fp)
+            assert list(sample_values(u, derive, 9, i + 1, 50, fp))[i] == want
+
+    def test_dead_type_error_on_a_cache_hit(self):
+        u = parse_universe("data A = LA | NA B A\ndata B = LB | NB A", "A")
+        spec = dragen_spec(u, 5, {"A.LA": 0.5, "A.NA": 0.5, "B.LB": 0.0, "B.NB": 0.0})
+        errors, programs = [], []
+        for _ in range(2):
+            with pytest.raises(AdtError) as err:
+                for i in range(20):
+                    sample_dragen(u, spec, seed=0, index=i)
+            errors.append(str(err.value))
+            programs.append(self.cached(u))
+        assert programs[0] is programs[1]
+        assert errors[0] == errors[1] == (
+            "generation reached type B, whose constructors all have probability 0")
+
+    def test_dropped_universe_is_collected(self):
+        u = parse_universe(ATOMS_SRC, "Tree")
+        list(sample_values(u, dragen_spec(u, 4), 0, 5))
+        sample_derive(u, 100, 0)
+        assert self.cached(u) is not None
+        refs = [weakref.ref(u), weakref.ref(u.compiled)]
+        del u
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_cached_programs_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, extras=True)
+        spec = dragen_spec(u, 0, helpers.random_probmap(rng, u))
+        for size in sorted(rng.sample(range(7), 3)):
+            spec.size = size
+            for strategy in ("dragen", "megadeth", "derive"):
+                program = None
+                for i in range(6):
+                    want = helpers.reference_sample(u, strategy, seed, i, size=size,
+                                                    spec=spec, budget=100)
+                    got = _sample(u, strategy, seed, i, spec, size, 100)
+                    if isinstance(want, BudgetExhausted):
+                        assert isinstance(got, BudgetExhausted)
+                    else:
+                        assert got == want
+                    program = program or self.cached(u)
+                    assert self.cached(u) is program
+
+    def test_huge_size_builds_only_the_classes_reached(self, tree_u):
+        # subcritical, so walks stay shallow: a program built down to size 0
+        # would take gigabytes and minutes at this size
+        spec = dragen_spec(tree_u, 10 ** 7, {"Tree.LeafA": 0.3, "Tree.LeafB": 0.2,
+                                             "Tree.LeafC": 0.2, "Tree.Node": 0.3})
+        tracemalloc.start()
+        start = time.perf_counter()
+        got = [sample_dragen(tree_u, spec, 5, i) for i in range(30)]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 2.0 and peak < 2 ** 20
+        for i in range(30):
+            assert got[i] == helpers.reference_sample(tree_u, "dragen", 5, i, spec=spec)
+
+    def test_classes_grow_on_threads_at_once(self, tree_u):
+        spec = dragen_spec(tree_u, 300, {"Tree.LeafA": 0.2, "Tree.LeafB": 0.15,
+                                         "Tree.LeafC": 0.15, "Tree.Node": 0.5})
+        program = sampling._walk_program(tree_u, "dragen", 300, spec.probabilities,
+                                         spec.star_probabilities)
+        got: dict = {}
+
+        def run(k):
+            for i in range(k, 60, 4):
+                got[i] = sampling._walk(program, 8, i)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert sorted(got) == list(range(60))
+        for i in range(60):
+            assert got[i] == helpers.reference_sample(tree_u, "dragen", 8, i, spec=spec)
 
 
 _ATOMS = st.one_of(
