@@ -39,6 +39,8 @@ CONSTRUCTOR = "constructor"
 TYPE = "type"
 
 LEVEL_LOOP_MAX = 128            # above this many levels, _level_sums doubles
+DOUBLING_ROW_EXP = 500          # the doubling's block rows stay below 2^this
+_LDEXP_CLIP = 1 << 20
 EXTINCTION_TOL = 1e-15          # Newton stops once no entry moves more than this
 EXTINCTION_MAX_ITER = 300
 EXTINCTION_RHO_SLACK = 1e-12    # rounding allowed in the spectral radius test
@@ -201,9 +203,12 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     products on the blocks. Neither inverts (I - M), so the singular,
     critical case needs no special treatment. The doubling first zeroes the
     rows of M whose types ``v`` never reaches: their powers may overflow,
-    and 0 * inf is nan where the loop only ever adds exact zeros. Within the
-    reached types a power of M may still overflow where ``v`` times it,
-    smaller by the reaching probabilities, would not; see README Internals.
+    and 0 * inf is nan where the loop only ever adds exact zeros. A reached
+    type's powers may still pass a double where ``v`` times them, smaller by
+    the probability of reaching it, does not; so once a block entry reaches
+    2^``DOUBLING_ROW_EXP``, the blocks are kept row by row as a power of two
+    times rows below it, and the power is applied to ``v`` before each
+    product (see ``_shrink_rows``).
     """
     if n <= LEVEL_LOOP_MAX:
         pop = v.copy()
@@ -215,16 +220,62 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     for _ in range(m.shape[-1]):
         seen = seen | (seen @ edges)
     m = np.where(np.swapaxes(np.atleast_2d(seen), -1, -2), m, 0.0)
-    # [g, s] times B^(2^j) = [[a, c], [0, I]], for each bit j set in n
+    # [g, s] times B^(2^j) = [[a, c], [0, I]], for each bit j set in n. The
+    # plain powers serve while no entry of the blocks can reach ``limit``: a
+    # squaring takes a cap b on their entries to k b^2 + b, and only a cap
+    # past ``limit`` is checked against the blocks themselves.
+    k, limit = m.shape[-1], 2.0 ** DOUBLING_ROW_EXP
     g, s = v, np.zeros_like(v)
-    a, c = m, np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    a, c = m, np.broadcast_to(np.eye(k), m.shape)
+    bound = np.inf
     while True:
         if n & 1:
             g, s = g @ a, g @ c + s
         n >>= 1
         if not n:
             return g, s + g
+        if bound >= limit:
+            bound = float(np.maximum(a, c).max(initial=0.0))
+            if bound >= limit:
+                break
         a, c = a @ a, a @ c + c
+        bound = k * bound * bound + bound
+    # From here the blocks are [[2^r a, 2^r c], [0, I]], where 2^r scales
+    # row i by 2^r[i]. A squaring is 2^r a 2^r [a, c] + [0, 2^r c], row i
+    # over 2^(r[i] + h[i]); h keeps the entries of w below 2^DOUBLING_ROW_EXP.
+    a, c, r = _shrink_rows(a, c, np.zeros(m.shape[:-1]))
+    while True:
+        _, e = np.frexp(a)
+        top = np.where(a > 0.0, e + r[..., None, :], -np.inf).max(axis=-1, initial=-np.inf)
+        h = np.maximum(top - DOUBLING_ROW_EXP, 0.0)
+        w = _ldexp(a, r[..., None, :] - h[..., :, None])
+        a, c, r = _shrink_rows(w @ a, w @ c + _ldexp(c, -h[..., :, None]), r + h)
+        if n & 1:
+            w = _ldexp(g, r.reshape(g.shape))
+            g, s = w @ a, w @ c + s
+        n >>= 1
+        if not n:
+            return g, s + g
+
+
+def _shrink_rows(a: np.ndarray, c: np.ndarray, r: np.ndarray):
+    """``a`` and ``c`` with every row whose largest entry in either reaches
+    2^``DOUBLING_ROW_EXP`` divided by a power of two to below it, and the row
+    exponents ``r`` raised by those powers. A row already scaled is
+    multiplied back up to that range, or to exponent 0, so a scaled row
+    times its power never overflows where their true product does not.
+    Rows of exponent 0 below the range are left as they are, so a doubling
+    that never comes near overflow runs on the same bits as one without
+    scaling, and every scaling is exact up to underflow."""
+    _, top = np.frexp(np.maximum(a.max(axis=-1), c.max(axis=-1)))
+    d = np.maximum(top - DOUBLING_ROW_EXP, -r)
+    return _ldexp(a, -d[..., None]), _ldexp(c, -d[..., None]), r + d
+
+
+def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x * 2^e for integral float exponents e. Past 2^20 either way every
+    nonzero finite double over- or underflows, so e is clipped there."""
+    return np.ldexp(x, np.clip(e, -_LDEXP_CLIP, _LDEXP_CLIP).astype(np.int32))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -23,7 +23,7 @@ import random
 import threading
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import accumulate
 from math import sqrt
 from operator import itemgetter
@@ -90,7 +90,7 @@ def stream_seed(seed: int, index: int) -> int:
     return splitmix64((seed + (index + 1) * _GOLDEN) & _M64)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Value:
     """A sampled constructor tree; children mix Values and ground atoms
     (int, float, one-character str, or None for Unit). ``==``, ``hash`` and
@@ -136,6 +136,41 @@ class Value:
                 if k:
                     stack.append(", ")
         return "".join(out)
+
+
+# dataclass(slots=True) returns a new class. Before Python 3.11.4 it also
+# replaces any __getstate__/__setstate__ of the class body with its own,
+# and its frozen __setattr__/__delattr__ test against the class it
+# replaced, so assigning a name that is not a field raised TypeError. So
+# the four are set here, on the final class, on every version.
+def _getstate(self):
+    return self.constructor, self.children
+
+
+def _setstate(self, state):
+    # a Value pickled before it had slots carries its __dict__
+    if isinstance(state, dict):
+        state = state["constructor"], state["children"]
+    object.__setattr__(self, "constructor", state[0])
+    object.__setattr__(self, "children", state[1])
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Value.__getstate__, Value.__setstate__ = _getstate, _setstate
+Value.__setattr__, Value.__delattr__ = _frozen_setattr, _frozen_delattr
+
+# The tree walk builds each node by setting its two slots directly, which
+# skips the generated __init__ and the frozen __setattr__ it works around.
+_new_node = object.__new__
+_set_constructor = Value.constructor.__set__
+_set_children = Value.children.__set__
 
 
 class BudgetExhausted:
@@ -203,6 +238,12 @@ class _Tables:
                 self.cum_final.append(self.cum_any[-1])
 
     def dead_type_error(self, t: int) -> AdtError:
+        """The error for a draw from type ``t``'s empty table. A draw at a
+        positive size fails only when ``p_any`` is empty, so a type with
+        probability there failed at size 0, on its star probabilities."""
+        if self.p_any[t]:
+            return AdtError(f"generation reached type {self.types[t]} at size 0, whose "
+                            "terminal constructors all have star probability 0")
         return AdtError(f"generation reached type {self.types[t]}, whose "
                         "constructors all have probability 0")
 
@@ -345,28 +386,29 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
     """The walk program of one configuration, shared by every ``sample_*``
     call that asks for it again.
 
-    The last program built is kept per compiled universe under a key of
-    its tables' contents: strategy, size, and the family, star and foreign
-    probabilities in compiled constructor order (None for uniform foreign
-    choice). A probability map changed in place therefore builds a new
-    program. Callers that miss at the same time may each build one; each
-    walks its own, so the race costs only time."""
+    The last program built is kept per compiled universe under the key
+    ``(strategy, size, probs, stars, foreign_probs)``, with copies of the
+    maps its tables read (None for a map the strategy ignores, and for
+    uniform foreign choice). A hit is one comparison of that key with the
+    caller's maps, so a map changed in place builds a new program. Callers
+    that miss at the same time may each build one; each walks its own, so
+    the race costs only time."""
     cu = u.compiled
-    foreign = (None if foreign_probs is None
-               else tuple([foreign_probs[c] for c in cu.ctors[cu.nfamily_ctors:]]))
-    key: tuple = (strategy, size, foreign)
-    if strategy == STRATEGY_DRAGEN:
-        family = cu.ctors[:cu.nfamily_ctors]
-        key += (tuple([probs[c] for c in family]),
-                tuple([stars.get(c, 0.0) for c, term
-                       in zip(family, cu.family_terminal.tolist()) if term]))
+    if strategy != STRATEGY_DRAGEN:
+        probs = stars = None
+    key = (strategy, size, probs, stars, foreign_probs)
     cached = _PROGRAMS.get(cu)
     if cached is not None and cached[0] == key:
         return cached[1]
     tables = _Tables(u, strategy, probs, stars, foreign_probs)
     program = _Program(cu, tables, cu.index[u.root], size)
-    _PROGRAMS[cu] = (key, program)
+    _PROGRAMS[cu] = ((strategy, size, _copy(probs), _copy(stars), _copy(foreign_probs)),
+                     program)
     return program
+
+
+def _copy(m: Mapping[str, float] | None) -> dict[str, float] | None:
+    return None if m is None else dict(m)
 
 
 def _build_walk(program: _Program, rng: random.Random,
@@ -382,18 +424,24 @@ def _build_walk(program: _Program, rng: random.Random,
     depth-first from left to right.
     """
     rand = rng.random
+    new, set_constructor, set_children = _new_node, _set_constructor, _set_children
     built: list = []
+    put = built.append
     emitted = 0
     stack: list = [program.root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while True:
         try:
             while stack:
-                visit = stack.pop()
+                visit = pop()
                 if visit.__class__ is _Assemble:
                     cid, n, pick = visit
                     fields = built[-n:]
                     del built[-n:]
-                    built.append(Value(cid, tuple(fields) if pick is None else pick(fields)))
+                    node = new(Value)
+                    set_constructor(node, cid)
+                    set_children(node, tuple(fields) if pick is None else pick(fields))
+                    put(node)
                     continue
                 i = bisect_right(visit[0], rand())
                 if budget is not None:
@@ -402,20 +450,20 @@ def _build_walk(program: _Program, rng: random.Random,
                         return BudgetExhausted(budget)
                 opt = visit[1][i]
                 if opt.__class__ is Value:
-                    built.append(opt)
+                    put(opt)
                     continue
                 marker, kids, ground = opt
                 for mode in ground:
-                    built.append(_draw_ground(mode, rng))
-                stack.append(marker)
-                stack.extend(kids)
+                    put(_draw_ground(mode, rng))
+                push(marker)
+                extend(kids)
             return built[0]
         except IndexError:
             if visit:  # drew from a dead type's table (see _cumulative)
                 raise program.tables.dead_type_error(visit[2]) from None
             # a stub: visit[0] failed before the draw, so visit it again
             program.grow(visit)
-            stack.append(visit)
+            push(visit)
 
 
 def _walk(program: _Program, seed: int, index: int,
@@ -687,28 +735,35 @@ def _render(v: Value, fmt: _Format) -> str:
     """Print ``v`` in ``fmt``, iteratively, so values of any depth print."""
     memo, sep, close, atom = fmt.memo, fmt.sep, fmt.close, fmt.atom
     out: list[str] = []
+    put = out.append
     stack: list = [v]
-    first = True  # the next item opens its parent's children: no separator
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    # index of the next node's piece in its memo entry: 0 when it opens its
+    # parent's children, 2 (the piece after the separator) when it follows
+    # a sibling
+    k = 0
     while stack:
-        node = stack.pop()
-        if isinstance(node, Value):
+        node = pop()
+        if node is _CLOSE:
+            put(close)
+        elif isinstance(node, Value):
+            try:
+                pieces = memo[node.constructor]
+            except KeyError:
+                pieces = fmt.memoize(node.constructor)
             children = node.children
-            pieces = memo.get(node.constructor) or fmt.memoize(node.constructor)
-            k = 0 if first else 2
             if children:
-                out.append(pieces[k])
-                stack.append(_CLOSE)
-                stack.extend(reversed(children))
-                first = True
+                put(pieces[k])
+                push(_CLOSE)
+                extend(children[::-1])
+                k = 0
                 continue
-            out.append(pieces[k + 1])
-        elif node is _CLOSE:
-            out.append(close)
-        elif first:
-            out.append(atom(node))
+            put(pieces[k + 1])
+        elif k:
+            put(sep + atom(node))
         else:
-            out.append(sep + atom(node))
-        first = False
+            put(atom(node))
+        k = 2
     return "".join(out)
 
 

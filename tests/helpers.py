@@ -605,6 +605,24 @@ def reference_json(v):
     return "".join(out)
 
 
+def recursive_print(v, fmt):
+    """``v`` printed straight from each format's grammar by plain
+    recursion, ``fmt`` being "sexp" or "json": an independent reference for
+    the library's stack-based printer, for values shallow enough to
+    recurse."""
+    if isinstance(v, Value):
+        kids = [recursive_print(c, fmt) for c in v.children]
+        if fmt == "sexp":
+            return "(" + " ".join([unqualify(v.constructor), *kids]) + ")"
+        return ('{"constructor": ' + json.dumps(v.constructor) + ', "children": ['
+                + ", ".join(kids) + "]}")
+    if v is None:
+        return "()" if fmt == "sexp" else "null"
+    if isinstance(v, str):
+        return "'" + v + "'" if fmt == "sexp" else json.dumps(v)
+    return repr(v)
+
+
 def same_value(a, b):
     """``a == b`` for Values and atoms, compared iteratively, so that values
     too deep for the recursive dataclass ``==`` compare too."""

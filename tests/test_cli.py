@@ -561,3 +561,18 @@ def test_spec_rejects_foreign_probabilities(capsys, tmp_path, command):
     assert code == 1 and out == ""
     assert err == ("error: generator spec probabilities are of family constructors only; "
                    "got ['Bool.True', 'Bool.False']\n")
+
+
+@pytest.mark.parametrize("command", ["sample", "histogram"])
+def test_all_zero_stars_fail_at_size_zero(capsys, tree_file, tmp_path, command):
+    # Node keeps its probability, so Tree is not dead: only its size-0
+    # draws, from the star probabilities, have nothing to choose
+    probs = {"Tree.LeafA": 0.1, "Tree.LeafB": 0.1, "Tree.LeafC": 0.1, "Tree.Node": 0.7}
+    data = adhoc_genspec(parse_universe(TREE_SRC, "Tree"), 3, "dragen", probs).to_json_dict()
+    data["starProbabilities"] = dict.fromkeys(data["starProbabilities"], 0.0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, "-f", tree_file, "--spec", str(spec), "--count", "20")
+    assert code == 1
+    assert err == ("error: generation reached type Tree at size 0, whose terminal "
+                   "constructors all have star probability 0\n")

@@ -259,6 +259,30 @@ class TestLevelDoubling:
         assert branching[0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         assert np.isfinite(last).all()
 
+    def test_supercritical_type_reached_with_tiny_probability(self):
+        # S alone grows 1.8x a level, so its own powers pass a double by
+        # 2048 levels; R reaches it only with probability 1e-250, so the
+        # loop's counts stay finite up to ~2e286 at 2100 levels
+        u = parse_universe("data R = RL | RN R | RS S\ndata S = SL | SN S S | SR R", "R")
+        probs = {"R.RL": 0.5, "R.RN": 0.5 - 1e-250, "R.RS": 1e-250,
+                 "S.SL": 0.05, "S.SN": 0.9, "S.SR": 0.05}
+        cu = u.compiled
+        m = _type_matrices(cu, _family_probs(cu, [probs]))
+        v = np.zeros((1, 1, cu.nfamily))
+        v[0, 0, cu.index["R"]] = 1.0
+        for n in (1500, 2047, 2048, 2100, 2200):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = helpers.level_sums_loop(v, m, n)
+                got = _level_sums(v, m, n)
+            for g, w in zip(got, want):
+                finite = np.isfinite(w)
+                assert np.isfinite(g[finite]).all()
+                np.testing.assert_allclose(g[finite], w[finite], rtol=1e-12, atol=1e-290)
+        assert not np.isfinite(want[1]).all()  # the loop itself overflows by 2200
+        branching, last = predict_batch(u, [probs], 2101)
+        assert np.isfinite(branching).all() and np.isfinite(last).all()
+        assert branching[0, cu.ctors.index("S.SN")] > 1e286
+
     def test_at_the_threshold_the_loop_runs(self, tree_u):
         probs = {"Tree.LeafA": 0.1, "Tree.LeafB": 0.1, "Tree.LeafC": 0.1, "Tree.Node": 0.7}
         g0 = initial_population(tree_u, probs, "type")

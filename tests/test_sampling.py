@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 import random
 import statistics
 import threading
@@ -681,6 +684,43 @@ class TestSerializersMatchReference:
             """{"constructor": "T.X", "children": ["\\"", "\\\\", "'", -3, -0.5, null]}""")
 
 
+# one atom of every kind the sampler draws, with the characters that close
+# or quote a piece in either format
+_ATOM_KINDS = (-100, 0, 73, 0.0, 0.625, "'", '"', ")", "]", "a", None)
+
+
+class TestPrinterMatchesRecursiveReference:
+    """Sampled values, and the same values beside every kind of atom as a
+    first and as a later sibling, print as ``helpers.recursive_print``
+    does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), composite=st.booleans(),
+           strategy=st.sampled_from(["dragen", "megadeth", "derive"]),
+           size=st.integers(0, 5))
+    def test_sampled_values(self, seed, composite, strategy, size):
+        rng = random.Random(seed)
+        if composite:
+            u = parse_universe(ATOMS_SRC, "Tree")
+        else:
+            u, _ = helpers.random_universe(rng, extras=True)
+        spec = adhoc_genspec(u, size, strategy, helpers.random_probmap(rng, u))
+        for v in sample_values(u, spec, seed, 6, budget=300):
+            if isinstance(v, BudgetExhausted):
+                continue
+            wrapped = [v, Value("W.W", (v, *_ATOM_KINDS))]
+            wrapped += [Value("W.W", (atom, v, atom)) for atom in _ATOM_KINDS]
+            for w in wrapped:
+                assert value_to_sexp(w) == helpers.recursive_print(w, "sexp")
+                assert value_to_json(w) == helpers.recursive_print(w, "json")
+
+    def test_atoms_alone_and_nested(self):
+        for atom in _ATOM_KINDS:
+            for w in (Value("W.W", (atom,)), Value("W.W", (Value("W.W", (atom, atom)), atom))):
+                assert value_to_sexp(w) == helpers.recursive_print(w, "sexp")
+                assert value_to_json(w) == helpers.recursive_print(w, "json")
+
+
 def _rebuilt(v):
     """An equal copy of ``v`` that shares no node with it."""
     if not isinstance(v, Value):
@@ -714,6 +754,74 @@ class TestValueMethods:
         assert Value("T.A") != "T.A" and not Value("T.A") == ("T.A", ())
         assert repr(Value("T.X", (Value("T.A"),))) == (
             "Value(constructor='T.X', children=(Value(constructor='T.A', children=()),))")
+
+
+class TestWalkBuiltNodes:
+    """The walk builds nodes through Value's slots, not its ``__init__``;
+    such a node acts as one built by ``Value(...)`` and as the plain frozen
+    dataclass (``helpers.dataclass_twin``)."""
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        u = parse_universe(ATOMS_SRC, "Tree")
+        values = [v for v in sample_values(u, dragen_spec(u, 4), 11, 40) if v.children]
+        assert any(not isinstance(c, Value) for v in values for c in v.children)
+        return values
+
+    def test_equality_hash_and_repr(self, walked):
+        for v in walked:
+            built, twin = _rebuilt(v), helpers.dataclass_twin(v)
+            assert v == built and built == v and not v != built
+            assert hash(v) == hash(built)
+            assert repr(v) == repr(built) == repr(twin)
+            assert v != Value("Tree.Other", v.children)
+
+    def test_dataclass_functions(self, walked):
+        for v in walked:
+            built, twin = _rebuilt(v), helpers.dataclass_twin(v)
+            names = [(f.name, f.type) for f in dataclasses.fields(v)]
+            assert names == [(f.name, f.type) for f in dataclasses.fields(built)]
+            assert [n for n, _ in names] == [f.name for f in dataclasses.fields(twin)]
+            assert dataclasses.asdict(v) == dataclasses.asdict(built) == dataclasses.asdict(twin)
+            swapped = dataclasses.replace(v, constructor="Tree.Other")
+            assert swapped == dataclasses.replace(built, constructor="Tree.Other")
+            assert repr(swapped) == repr(dataclasses.replace(twin, constructor="Tree.Other"))
+            assert swapped.children is v.children
+
+    def test_pickle_and_copies(self, walked):
+        for v in walked:
+            copies = [pickle.loads(pickle.dumps(v, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for w in [*copies, copy.deepcopy(v), copy.copy(v)]:
+                assert type(w) is Value
+                assert w == v == _rebuilt(w) and hash(w) == hash(v) and repr(w) == repr(v)
+
+    def test_pickles_from_before_slots_load(self):
+        # Value('T.N', (Value('T.A'), 3, 'x', None, 0.5)) pickled while
+        # Value kept a __dict__, with protocols 2 and 0
+        want = Value("T.N", (Value("T.A"), 3, "x", None, 0.5))
+        old = [b"\x80\x02cbranchgen.sampling\nValue\nq\x00)\x81q\x01}q\x02(X\x0b\x00\x00\x00"
+               b"constructorq\x03X\x03\x00\x00\x00T.Nq\x04X\x08\x00\x00\x00childrenq\x05"
+               b"(h\x00)\x81q\x06}q\x07(h\x03X\x03\x00\x00\x00T.Aq\x08h\x05)ubK\x03X\x01\x00"
+               b"\x00\x00xq\tNG?\xe0\x00\x00\x00\x00\x00\x00tq\nub.",
+               b"ccopy_reg\n_reconstructor\np0\n(cbranchgen.sampling\nValue\np1\nc__builtin__\n"
+               b"object\np2\nNtp3\nRp4\n(dp5\nVconstructor\np6\nVT.N\np7\nsVchildren\np8\n(g0\n"
+               b"(g1\ng2\nNtp9\nRp10\n(dp11\ng6\nVT.A\np12\nsg8\n(tsbI3\nVx\np13\nNF0.5\ntp14\nsb."]
+        for data in old:
+            got = pickle.loads(data)
+            assert type(got) is Value and repr(got) == repr(want) and got == want
+
+    def test_frozen_without_a_dict(self, walked):
+        for v in [walked[0], _rebuilt(walked[0])]:
+            for name in ("constructor", "children", "other"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(v, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del v.constructor
+            assert not hasattr(v, "__dict__")
+            with pytest.raises(TypeError):  # no __weakref__ slot, on purpose
+                weakref.ref(v)
+        assert Value.__slots__ == ("constructor", "children")
 
 
 class TestStreams:
