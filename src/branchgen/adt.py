@@ -700,6 +700,14 @@ class CompiledUniverse:
         self.type_counts[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
 
 
+def require_terminals(cu: CompiledUniverse) -> None:
+    """Reject a family type with no terminal constructor: the final level
+    of a size-bounded generator could not draw it."""
+    if not cu.terminal_count.all():
+        raise AdtError(f"family type {cu.types[cu.terminal_count.tolist().index(0)]} has "
+                       "no terminal constructor; size-bounded generation cannot terminate")
+
+
 @dataclass(frozen=True)
 class CdgEdge:
     """Dependency edge: generating ``parent`` forces ``multiplicity``

@@ -26,11 +26,7 @@ from .adt import (
     validate_probmap,
 )
 from .costs import parse_cost_expression
-from .prediction import (
-    predict_constructors,
-    predict_foreign,
-    prediction_report_json,
-)
+from .prediction import predict_schedule, prediction_report_json
 from .sampling import (
     DEFAULT_DERIVE_BUDGET,
     BudgetExhausted,
@@ -42,7 +38,7 @@ from .sampling import (
     value_to_sexp,
 )
 from .search import SearchConfig, derive_generator_with_trace
-from .spec import STRATEGIES, STRATEGY_DRAGEN, GenSpec
+from .spec import STRATEGIES, STRATEGY_DRAGEN, GenSpec, build_schedule
 
 VERIFY_SE_MULTIPLE = 4.0
 _VERIFY_EPS = 1e-9
@@ -263,13 +259,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     u, spec, foreign = _universe_and_spec(args)
-    if spec.strategy != STRATEGY_DRAGEN:
+    schedule = build_schedule(u, spec.strategy, spec.size, spec.probabilities,
+                              spec.star_probabilities, foreign)
+    if schedule.levels is None:
         raise AdtError("verify compares against the prediction model, which covers "
-                       "the dragen strategy only")
+                       "the size-bounded strategies (dragen, megadeth)")
     seed = _seed_of(args)
-    report = predict_constructors(u, spec.probabilities, spec.size)
-    predicted = report.totals()
-    predicted.update(predict_foreign(u, report, foreign))
+    predicted = predict_schedule(u, schedule)
     stats = empirical_stats(u, spec, args.count, seed, foreign)
 
     rows = {}

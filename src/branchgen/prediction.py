@@ -5,8 +5,9 @@ over the root's family: level k of a generated value is the process's k-th
 generation. With the offspring mean matrix M and initial vector g0, the
 expected generation is g0'·M^k and the expected population up to level k is
 the running sum of those terms. Terminal constructors get an extra
-last-level term because the final level can only draw terminals, with
-probabilities renormalized within each type's terminal set.
+last-level term because the final level can only draw terminals: by p
+renormalized within each type's terminal set (``predict_batch``), or by a
+schedule's final row after its levels (``predict_schedule``).
 
 Everything here reads ``u.compiled``, built once per universe and shared
 with the samplers, and sums in declaration order. The constructor-level
@@ -31,6 +32,7 @@ from .adt import (
     branching_factor,
     flat_bins,
     live_graph,
+    require_terminals,
     uniform_probmap,
     warn_probability,
 )
@@ -328,10 +330,7 @@ def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """p* over the family constructors, one row per row of ``p``, zero for
     non-terminals."""
     owner, term, nterms = cu.family_owner, cu.family_terminal, cu.terminal_count
-    if not nterms.all():
-        t = np.flatnonzero(nterms == 0)[0]
-        raise AdtError(f"family type {cu.types[t]} has no terminal constructor; "
-                       "generation cannot terminate")
+    require_terminals(cu)
     mass = _terminal_mass(cu, p)
     own_mass = mass[:, owner]
     # p / inf is +0.0 for the non-terminals and the starved terminals
@@ -418,16 +417,26 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     m = _type_matrices(cu, p, focus)
     if focus is not None:
         focus.batch = m
+    return _expected(cu, cu.index[u.root], p, m, _star_vectors(cu, p), size)
+
+
+def _expected(cu: CompiledUniverse, root: int, p: np.ndarray, m: np.ndarray,
+              stars: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expected branching and last-level counts of the family constructors,
+    one row per row of ``p``, when ``root`` draws by ``p`` (type matrices
+    ``m``) on ``levels`` levels, then by ``stars`` on the final level."""
     # One row vector per map: (maps, 1, types), so each level is one
     # stacked vector-matrix product.
     v = np.zeros((len(p), 1, cu.nfamily))
-    v[:, 0, cu.index[u.root]] = 1.0
-    v, pop = _level_sums(v, m, size - 1)
-    v, pop = v[:, 0], pop[:, 0]
+    v[:, 0, root] = 1.0
     owner = cu.family_owner
-    branching = pop[:, owner] * p
-    last = np.where(cu.family_terminal, _star_vectors(cu, p) * _fill(cu, v, p)[:, owner], 0.0)
-    return branching, last
+    if levels:
+        v, pop = _level_sums(v, m, levels - 1)
+        v, pop = v[:, 0], pop[:, 0]
+        branching, fill = pop[:, owner] * p, _fill(cu, v, p)
+    else:  # the root alone, on the final level
+        branching, fill = np.zeros_like(p), v[:, 0]
+    return branching, np.where(cu.family_terminal, stars * fill[:, owner], 0.0)
 
 
 def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
@@ -445,6 +454,21 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     report = {cid: ConstructorExpectation(b, l)
               for cid, b, l in zip(u.compiled.ctors, branching[0].tolist(), last[0].tolist())}
     return PredictionReport(size, report)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
+    """Expected count of every constructor, foreign ones too, under a
+    size-bounded ``spec.Schedule``: ``predict_batch``'s process on its
+    rows, run for its levels, then its final row on the final level."""
+    cu, nfc = u.compiled, u.compiled.nfamily_ctors
+    p = np.array([schedule.rows[:nfc]])
+    branching, last = _expected(cu, cu.index[u.root], p, _type_matrices(cu, p),
+                                np.array([schedule.final[:nfc]]), schedule.levels)
+    report = PredictionReport(schedule.levels, dict(zip(cu.ctors, map(
+        ConstructorExpectation, branching[0].tolist(), last[0].tolist()))))
+    predict_foreign(u, report, dict(zip(cu.ctors[nfc:], schedule.rows[nfc:])))
+    return {**report.totals(), **report.per_foreign}
 
 
 def predict_foreign(u: ADTUniverse, report: PredictionReport,

@@ -1,12 +1,9 @@
 """Random value generation under three strategies, plus empirical statistics.
 
-Strategies:
-  dragen   - size-bounded; family children at size-1; at size 0 only the
-             type's terminal constructors (renormalized probabilities).
-  megadeth - size-bounded with halving; uniform constructor choice, family
-             children at size//2, terminals chosen uniformly at size 0.
-  derive   - unbounded uniform choice; aborts once the emitted constructor
-             count exceeds a budget.
+What each strategy draws at each size is its schedule (``spec.build_schedule``):
+dragen and megadeth are size-bounded and draw by its final row at size 0;
+derive is unbounded and aborts once the emitted constructor count exceeds
+a budget. The walk and the statistics read only the schedule.
 
 Randomness contract: streams are derived with splitmix64 from a base seed
 and an index. Values come from tree walks, one random.Random (MT19937)
@@ -49,6 +46,8 @@ from .spec import (
     STRATEGY_DRAGEN,
     STRATEGY_MEGADETH,
     GenSpec,
+    Schedule,
+    build_schedule,
 )
 
 DEFAULT_DERIVE_BUDGET = 10 ** 6
@@ -59,13 +58,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 
 _F_INT, _F_DOUBLE, _F_CHAR = (MODE_GROUND[atom] for atom in ("Int", "Double", "Char"))
-
-# remaining size of a node's family children, given the node's size
-_CHILD_SIZE = {
-    STRATEGY_DRAGEN: lambda sz: sz - 1,
-    STRATEGY_MEGADETH: lambda sz: sz // 2,
-    STRATEGY_DERIVE: lambda sz: -1,
-}
 
 # Samples the statistics engine simulates together: its working arrays are
 # bounded by this, not by the sample count.
@@ -185,57 +177,23 @@ class BudgetExhausted:
 
 
 class _Tables:
-    """Choice tables for one sampling configuration, over the universe's
-    compiled types and field rows. Per type, ``p_any`` and ``p_final`` hold
-    the constructor probabilities at any size and at size 0, normalized and
-    cut after the last positive entry (empty for a dead type); ``cum_any``
-    and ``cum_final`` are the bisect tables derived from them."""
+    """Choice tables for one schedule, over the universe's compiled types
+    and field rows. Per type, ``p_any`` and ``p_final`` hold the schedule's
+    rows at positive sizes and on the final level, cut after the last
+    positive entry (empty for a dead type); ``cum_any`` and ``cum_final``
+    are the bisect tables derived from them, and ``child_size`` is the
+    schedule's child rule."""
 
     __slots__ = ("types", "ctor_ids", "p_any", "p_final", "cum_any", "cum_final",
                  "child_size")
 
-    def __init__(self, u: ADTUniverse, strategy: str,
-                 probs: Mapping[str, float] | None,
-                 stars: Mapping[str, float] | None,
-                 foreign_probs: Mapping[str, float] | None):
-        cu = u.compiled
+    def __init__(self, cu: CompiledUniverse, schedule: Schedule):
         self.types = cu.types
         self.ctor_ids = [cu.ctors[s] for s in cu.slices]
-        self.child_size = _CHILD_SIZE[strategy]
-
-        if foreign_probs is None:
-            foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
-
-        self.p_any: list[list[float]] = []
-        self.p_final: list[list[float]] = []
-        self.cum_any: list[list[float]] = []
-        self.cum_final: list[list[float]] = []
-        for t, cids in enumerate(self.ctor_ids):
-            is_family = t < cu.nfamily
-            if not is_family:
-                weights = [foreign_probs[c] for c in cids]
-            elif strategy == STRATEGY_DRAGEN:
-                weights = [probs[c] for c in cids]
-            else:
-                weights = [1.0] * len(cids)
-            p_any = _normalized(weights)
-            self.p_any.append(p_any)
-            self.cum_any.append(_cumulative(p_any, len(cids)))
-
-            if is_family and strategy != STRATEGY_DERIVE:
-                terms = cu.terminal[cu.slices[t]].tolist()
-                if not any(terms):
-                    raise AdtError(
-                        f"family type {cu.types[t]} has no terminal constructor; "
-                        "size-bounded generation cannot terminate")
-                final = [(stars.get(c, 0.0) if strategy == STRATEGY_DRAGEN else 1.0)
-                         if term else 0.0 for c, term in zip(cids, terms)]
-                p_final = _normalized(final)
-                self.p_final.append(p_final)
-                self.cum_final.append(_cumulative(p_final, len(cids)))
-            else:
-                self.p_final.append(p_any)
-                self.cum_final.append(self.cum_any[-1])
+        self.child_size = schedule.child
+        rows, final = schedule.rows, schedule.final
+        self.p_any, self.cum_any = zip(*[_table(rows[s]) for s in cu.slices])
+        self.p_final, self.cum_final = zip(*[_table(final[s]) for s in cu.slices])
 
     def dead_type_error(self, t: int) -> AdtError:
         """The error for a draw from type ``t``'s empty table. A draw at a
@@ -306,14 +264,11 @@ class _Program:
             if stub:  # another walk built it meanwhile
                 return
             s, entries = self._frontier
-            child = max(self.tables.child_size(s), -1)
-            if child == s:  # megadeth at size 0
-                below, self._frontier = entries, None
-            elif child < 0:
+            if s == 0:  # the final level draws terminals, so no family child
                 below, self._frontier = self._foreign, None
             else:
                 below = [[] for _ in entries]
-                self._frontier = (child, below)
+                self._frontier = (self.tables.child_size(s), below)
             self._fill(s, entries, below)
 
 
@@ -341,26 +296,21 @@ def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
     return _Assemble((cid, len(row), pick)), kids, tuple(row[k][0] for k in ground)
 
 
-def _normalized(weights: list[float]) -> list[float]:
-    """Weights divided by their total, cut after the last positive weight, so
-    that no draw can land in a zero-probability tail; empty when no weight is
-    positive."""
-    total = sum(weights)
-    if total <= 0.0:
-        return []
-    last_pos = max(i for i, w in enumerate(weights) if w > 0)
-    return [w / total for w in weights[:last_pos + 1]]
-
-
-def _cumulative(p: list[float], n: int) -> list[float]:
-    """Running sums of p, with the last set to 1.0 so rounding can never push a
-    draw past it. A dead type gets n entries below every draw, which makes the
-    walk index past its constructors."""
-    if not p:
-        return [-1.0] * n
-    out = list(accumulate(p))
-    out[-1] = 1.0
-    return out
+def _table(row: list[float]) -> tuple[list[float], list[float]]:
+    """``row`` cut after its last positive entry, so that no draw can land
+    in a zero-probability tail, and its bisect table: the running sums, with
+    the last set to 1.0 so rounding can never push a draw past it. A dead
+    type's row is empty, and its table has an entry per constructor below
+    every draw, which makes the walk index past its constructors."""
+    n = len(row)
+    while n and not row[n - 1] > 0.0:
+        n -= 1
+    if not n:
+        return [], [-1.0] * len(row)
+    p = row[:n]
+    cum = list(accumulate(p))
+    cum[-1] = 1.0
+    return p, cum
 
 
 def _draw_ground(mode: int, rng: random.Random):
@@ -388,19 +338,17 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
 
     The last program built is kept per compiled universe under the key
     ``(strategy, size, probs, stars, foreign_probs)``, with copies of the
-    maps its tables read (None for a map the strategy ignores, and for
-    uniform foreign choice). A hit is one comparison of that key with the
-    caller's maps, so a map changed in place builds a new program. Callers
+    maps it was given (None stays None). A hit is one comparison of that
+    key with the caller's maps, so a map changed in place builds a new
+    program; the schedule and tables are built only on a miss. Callers
     that miss at the same time may each build one; each walks its own, so
     the race costs only time."""
     cu = u.compiled
-    if strategy != STRATEGY_DRAGEN:
-        probs = stars = None
     key = (strategy, size, probs, stars, foreign_probs)
     cached = _PROGRAMS.get(cu)
     if cached is not None and cached[0] == key:
         return cached[1]
-    tables = _Tables(u, strategy, probs, stars, foreign_probs)
+    tables = _Tables(cu, build_schedule(u, strategy, size, probs, stars, foreign_probs))
     program = _Program(cu, tables, cu.index[u.root], size)
     _PROGRAMS[cu] = ((strategy, size, _copy(probs), _copy(stars), _copy(foreign_probs)),
                      program)
@@ -459,7 +407,7 @@ def _build_walk(program: _Program, rng: random.Random,
                 extend(kids)
             return built[0]
         except IndexError:
-            if visit:  # drew from a dead type's table (see _cumulative)
+            if visit:  # drew from a dead type's table (see _table)
                 raise program.tables.dead_type_error(visit[2]) from None
             # a stub: visit[0] failed before the draw, so visit it again
             program.grow(visit)
@@ -593,8 +541,8 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
         raise AdtError("sample count must be a positive integer")
     size, budget = _checked(u, spec, spec.strategy, budget)
     cu = u.compiled
-    tables = _Tables(u, spec.strategy, spec.probabilities, spec.star_probabilities,
-                     foreign_probs)
+    tables = _Tables(cu, build_schedule(u, spec.strategy, size, spec.probabilities,
+                                        spec.star_probabilities, foreign_probs))
     ctors = cu.ctors
     sums = [0] * len(ctors)
     sumsq = [0] * len(ctors)

@@ -24,13 +24,7 @@ from .adt import (
 )
 from .costs import CostFunction
 from .prediction import Focus, mean_matrix_types, star_probs
-from .spec import (  # GenSpec and the strategies are re-exported from here
-    STRATEGIES,
-    STRATEGY_DERIVE,
-    STRATEGY_DRAGEN,
-    STRATEGY_MEGADETH,
-    GenSpec,
-)
+from .spec import STRATEGY_DRAGEN, GenSpec  # GenSpec is re-exported from here
 
 LOCAL_MINIMUM = "LocalMinimum"
 EPSILON_STOP = "EpsilonStop"

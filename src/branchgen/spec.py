@@ -1,17 +1,67 @@
-"""Generator specs: the sampling strategies and the tuned-generator record
-that ``optimize`` writes and the samplers read."""
+"""Generator specs: the sampling strategies, the schedule that says what
+each strategy draws at each size, and the tuned-generator record that
+``optimize`` writes and the samplers read."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from .adt import AdtError
+from .adt import ADTUniverse, AdtError, require_terminals, uniform_probmap
 
 STRATEGY_DRAGEN = "dragen"
 STRATEGY_MEGADETH = "megadeth"
 STRATEGY_DERIVE = "derive"
 STRATEGIES = (STRATEGY_DRAGEN, STRATEGY_MEGADETH, STRATEGY_DERIVE)
+
+# Per strategy: whether the family draws by the spec's maps (else
+# uniformly), the size of a node's family children given its own, and the
+# number of levels above the final one at a size (None: no final level).
+_RULES = {
+    STRATEGY_DRAGEN: (True, lambda sz: sz - 1, lambda n: n),
+    STRATEGY_MEGADETH: (False, lambda sz: sz // 2, lambda n: int(n).bit_length()),
+    STRATEGY_DERIVE: (False, lambda sz: -1, lambda n: None),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """What a generator draws at each size. ``rows`` and ``final`` hold
+    every compiled constructor's probability at positive sizes and on the
+    final level (size 0), normalized per type (all zero for a type with no
+    weight); ``child`` maps a node's size to its family children's, and
+    ``levels`` counts the levels above the final one (None: there is none)."""
+
+    rows: list[float]
+    final: list[float]
+    child: Callable[[int], int]
+    levels: int | None
+
+
+def build_schedule(u: ADTUniverse, strategy: str, size: int,
+                   probs: Mapping[str, float] | None = None,
+                   stars: Mapping[str, float] | None = None,
+                   foreign_probs: Mapping[str, float] | None = None) -> Schedule:
+    """The schedule of ``strategy`` at ``size``: dragen draws by ``probs``,
+    and on the final level by ``stars``; the others ignore both and draw
+    uniformly, megadeth over the terminals on the final level. Foreign
+    types draw by ``foreign_probs`` (default uniform) at every size."""
+    tuned, child, count_levels = _RULES[strategy]
+    cu, levels = u.compiled, count_levels(size)
+    family = cu.ctors[:cu.nfamily_ctors]
+    if foreign_probs is None:
+        foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
+    foreign = [foreign_probs[c] for c in cu.ctors[cu.nfamily_ctors:]]
+    rows = final = [probs[c] for c in family] if tuned else [1.0] * len(family)
+    if levels is not None:
+        require_terminals(cu)
+        final = [(stars.get(c, 0.0) if tuned else 1.0) if term else 0.0
+                 for c, term in zip(family, cu.family_terminal.tolist())]
+    rows, final = ([w / total if total > 0.0 else 0.0
+                    for s in cu.slices for total in [sum(ws[s])] for w in ws[s]]
+                   for ws in (rows + foreign, final + foreign))
+    return Schedule(rows, final, child, levels)
 
 
 @dataclass

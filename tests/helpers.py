@@ -28,8 +28,9 @@ from branchgen import (
     star_probs,
     terminal_constructors,
 )
-from branchgen.adt import FAMILY, MODE_FAMILY, MODE_FOREIGN, MODE_GROUND, unqualify
+from branchgen.adt import FAMILY, GROUND, MODE_FAMILY, MODE_FOREIGN, MODE_GROUND, unqualify
 from branchgen.sampling import BudgetExhausted, _Tables, stream_seed
+from branchgen.spec import build_schedule
 
 
 # Foreign types and ground atoms that ``random_universe(..., extras=True)``
@@ -472,11 +473,12 @@ def _reference_ground(mode, rng):
     return None  # Unit consumes no randomness
 
 
-def reference_walk(cu, tables, root_pos, size, rng, budget=None):
+def reference_walk(cu, tables, child_size, root_pos, size, rng, budget=None):
     """Expand one generation into mutable (constructor id, children) nodes,
     then freeze them bottom-up through an ``id()``-keyed dict. The draws are
     the tree walk's: the constructor, the node's ground atoms in field
-    order, then the children depth-first from left to right."""
+    order, then the children depth-first from left to right. Family
+    children are at ``child_size`` of their parent's size."""
     rows = [cu.rows[s] for s in cu.slices]
     rand = rng.random
     holder = [None]
@@ -492,7 +494,7 @@ def reference_walk(cu, tables, root_pos, size, rng, budget=None):
                 return BudgetExhausted(budget)
         row = rows[t][i]
         children = [None] * len(row)
-        child_sz = tables.child_size(sz)
+        child_sz = child_size(sz)
         pending = []
         for k, (mode, target) in enumerate(row):
             if mode == MODE_FAMILY:
@@ -525,19 +527,49 @@ def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
     (its size is used), ``size`` for megadeth, ``budget`` for derive, and
     ``foreign_probs`` for every strategy. The size-bounded strategies
     ignore the budget, as the samplers do."""
+    probs = stars = None
     if strategy == "dragen":
-        tables = _Tables(u, strategy, spec.probabilities, spec.star_probabilities,
-                         foreign_probs)
-        size = spec.size
-    else:
-        tables = _Tables(u, strategy, None, None, foreign_probs)
+        probs, stars, size = spec.probabilities, spec.star_probabilities, spec.size
     if strategy == "derive":
         size = -1
     else:
         budget = None
-    rng = random.Random(stream_seed(seed, index))
     cu = u.compiled
-    return reference_walk(cu, tables, cu.index[u.root], size, rng, budget)
+    schedule = build_schedule(u, strategy, size, probs, stars, foreign_probs)
+    rng = random.Random(stream_seed(seed, index))
+    return reference_walk(cu, _Tables(cu, schedule), schedule.child, cu.index[u.root], size,
+                          rng, budget)
+
+
+def megadeth_oracle(u, size):
+    """Exact expected counts of the halving generator at ``size``, read
+    from the declarations alone: uniform choice per type, family children
+    at size // 2, uniform terminals at size 0, and foreign children drawn
+    uniformly with no size bound."""
+    memo = {}
+
+    def expect(tid, sz):
+        key = (tid, sz)
+        if key in memo:
+            return memo[key]
+        ctors = u.decls[tid].constructors
+        if tid in u.family and sz == 0:
+            ctors = [c for c in ctors if not any(f.kind == FAMILY for f in c.fields)]
+        acc = {}
+        w = 1.0 / len(ctors)
+        for c in ctors:
+            cid = f"{tid}.{c.name}"
+            acc[cid] = acc.get(cid, 0.0) + w
+            for f in c.fields:
+                if f.kind == GROUND:
+                    continue
+                child = expect(f.target, sz // 2 if f.kind == FAMILY else -1)
+                for k, v in child.items():
+                    acc[k] = acc.get(k, 0.0) + w * v
+        memo[key] = acc
+        return acc
+
+    return expect(u.root, size)
 
 
 def _reference_atom_sexp(atom):

@@ -4,11 +4,13 @@ import pytest
 
 from branchgen import (
     BudgetExhausted,
+    GenSpec,
     adhoc_genspec,
     parse_universe,
     sample_derive,
     sample_dragen,
     sample_megadeth,
+    universe_hash,
     value_to_sexp,
 )
 from branchgen.cli import main
@@ -344,10 +346,59 @@ class TestVerify:
                            "--size", "5", "--count", "0")
         assert code == 1
 
-    def test_megadeth_rejected(self, capsys, tree_file):
-        code, _, err = run(capsys, "verify", "-f", tree_file, "--root", "Tree",
-                           "--size", "5", "--strategy", "megadeth", "--count", "10")
-        assert code == 1 and "dragen" in err
+    @pytest.mark.parametrize("src, root", [(TREE_SRC, "Tree"), (COMPOSITE_SRC, "Tree"),
+                                           (T1T2_SRC, "T1")], ids=["tree", "composite", "t1t2"])
+    def test_megadeth_passes(self, capsys, tmp_path, src, root):
+        import helpers
+        adt = tmp_path / "u.adt"
+        adt.write_text(src)
+        code, out, _ = run(capsys, "verify", "-f", str(adt), "--root", root, "--size", "10",
+                           "--strategy", "megadeth", "--count", "4000", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        want = helpers.megadeth_oracle(parse_universe(src, root), 10)
+        for cid, row in doc["perConstructor"].items():
+            assert row["predicted"] == pytest.approx(want.get(cid, 0.0), rel=1e-12, abs=0.0)
+
+    def test_derive_refused(self, capsys, tree_file):
+        code, out, err = run(capsys, "verify", "-f", tree_file, "--root", "Tree",
+                             "--size", "5", "--strategy", "derive", "--count", "10")
+        assert code == 1 and out == ""
+        assert err == ("error: verify compares against the prediction model, which covers "
+                       "the size-bounded strategies (dragen, megadeth)\n")
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    def test_size_zero_predicts_the_roots_final_row(self, capsys, tree_file, strategy):
+        code, out, _ = run(capsys, "verify", "-f", tree_file, "--root", "Tree", "--size", "0",
+                           "--strategy", strategy, "--count", "100")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True and doc["size"] == 0
+        rows = doc["perConstructor"]
+        assert rows["Tree.Node"] == {"predicted": 0.0, "observed": 0.0, "stdErr": 0.0,
+                                     "within": True}
+        assert [rows[f"Tree.Leaf{x}"]["predicted"] for x in "ABC"] == [1 / 3] * 3
+        assert sum(rows[f"Tree.Leaf{x}"]["observed"] for x in "ABC") == pytest.approx(1.0)
+
+    def test_final_level_draws_by_the_specs_stars(self, capsys, tree_file, tmp_path):
+        # a tuned Tree spec whose stars put every size-0 draw on LeafA: the
+        # prediction reads the stars, not ones derived from the probabilities
+        probs = {"Tree.LeafA": 0.17978360606318933, "Tree.LeafB": 0.059850332738310634,
+                 "Tree.LeafC": 0.05985434876880118, "Tree.Node": 0.7005117124296989}
+        data = adhoc_genspec(parse_universe(TREE_SRC, "Tree"), 10, "dragen",
+                             probs).to_json_dict()
+        data["starProbabilities"] = {"Tree.LeafA": 1.0, "Tree.LeafB": 0.0, "Tree.LeafC": 0.0}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "-f", tree_file, "--spec", str(spec),
+                           "--count", "20000")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        rows = doc["perConstructor"]
+        for cid, want in (("Tree.LeafA", 41.75), ("Tree.LeafB", 4.20), ("Tree.LeafC", 4.20)):
+            assert rows[cid]["predicted"] == pytest.approx(want, abs=0.005)
 
 
 class TestHistogram:
@@ -563,7 +614,7 @@ def test_spec_rejects_foreign_probabilities(capsys, tmp_path, command):
                    "got ['Bool.True', 'Bool.False']\n")
 
 
-@pytest.mark.parametrize("command", ["sample", "histogram"])
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
 def test_all_zero_stars_fail_at_size_zero(capsys, tree_file, tmp_path, command):
     # Node keeps its probability, so Tree is not dead: only its size-0
     # draws, from the star probabilities, have nothing to choose
@@ -576,3 +627,26 @@ def test_all_zero_stars_fail_at_size_zero(capsys, tree_file, tmp_path, command):
     assert code == 1
     assert err == ("error: generation reached type Tree at size 0, whose terminal "
                    "constructors all have star probability 0\n")
+
+
+NO_TERMINAL_SRC = "data T = N T T | M T"
+
+
+@pytest.mark.parametrize("argv", [
+    ("predict", "--root", "T", "--size", "3"),
+    ("verify", "--root", "T", "--size", "3", "--count", "10"),
+    ("verify", "--strategy", "megadeth", "--spec"),
+    ("sample", "--spec"),
+], ids=["predict", "verify", "verify-spec", "sample-spec"])
+def test_no_terminal_constructor_fails_with_one_message(capsys, tmp_path, argv):
+    adt = tmp_path / "t.adt"
+    adt.write_text(NO_TERMINAL_SRC)
+    if argv[-1] == "--spec":
+        spec = GenSpec("T", 3, "megadeth", {"T.N": 0.5, "T.M": 0.5}, {},
+                       universe_hash(parse_universe(NO_TERMINAL_SRC, "T")))
+        spec.save(tmp_path / "spec.json")
+        argv = (*argv, str(tmp_path / "spec.json"), "--count", "10")
+    code, out, err = run(capsys, argv[0], "-f", str(adt), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == ("error: family type T has no terminal constructor; "
+                   "size-bounded generation cannot terminate\n")

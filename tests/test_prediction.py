@@ -38,7 +38,9 @@ from branchgen.prediction import (
     _terminal_mass,
     _type_matrices,
     predict_batch,
+    predict_schedule,
 )
+from branchgen.spec import build_schedule
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 
@@ -566,6 +568,57 @@ class TestPredict:
             with pytest.raises(AdtError, match="must be finite and nonnegative"):
                 call(g0, m, 5000)
             assert np.isfinite(call(g0, m, 500).values).all()
+
+
+class TestSchedulePrediction:
+    """``predict_schedule``: the branching process on a schedule's rows, run
+    for its levels, then its final row on the final level."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 200))
+    def test_megadeth_matches_the_declaration_oracle(self, seed, size):
+        u, _ = helpers.random_universe(random.Random(seed), extras=True)
+        got = predict_schedule(u, build_schedule(u, "megadeth", size))
+        want = helpers.megadeth_oracle(u, size)
+        assert set(want) <= set(got)
+        for cid, value in got.items():
+            assert value == pytest.approx(want.get(cid, 0.0), rel=1e-12, abs=0.0), cid
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 200))
+    def test_dragen_with_derived_stars_is_the_report(self, seed, size):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, extras=True)
+        probs = helpers.random_probmap(rng, u)
+        schedule = build_schedule(u, "dragen", size, probs, star_probs(u, probs))
+        report = predict_constructors(u, probs, size)
+        want = {**report.totals(), **predict_foreign(u, report)}
+        got = predict_schedule(u, schedule)
+        assert got.keys() == want.keys()
+        for cid, value in got.items():
+            assert value == pytest.approx(want[cid], rel=1e-12, abs=1e-300), cid
+
+    def test_star_probabilities_are_the_specs(self, tree_u):
+        # the final level draws by the given stars, not by ones derived
+        # from the probabilities
+        probs = uniform_probmap(tree_u)
+        stars = {"Tree.LeafA": 2.0, "Tree.LeafB": 1.0, "Tree.LeafC": 1.0}
+        got = predict_schedule(tree_u, build_schedule(tree_u, "dragen", 1, probs, stars))
+        # the root draws each constructor with probability 1/4, and a Node
+        # root's two children draw leaves by the stars, normalized
+        assert got == {"Tree.LeafA": 0.25 + 0.5 * 0.5, "Tree.LeafB": 0.25 + 0.5 * 0.25,
+                       "Tree.LeafC": 0.25 + 0.5 * 0.25, "Tree.Node": 0.25}
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    def test_size_zero_is_the_roots_final_row(self, composite_u, strategy):
+        probs = uniform_probmap(composite_u, composite_u.family)
+        stars = {"Tree.LeafA": 0.5, "Tree.LeafB": 0.3, "Tree.LeafC": 0.2}
+        got = predict_schedule(composite_u, build_schedule(composite_u, strategy, 0,
+                                                           probs, stars))
+        a, b, c = (0.5, 0.3, 0.2) if strategy == "dragen" else (1 / 3,) * 3
+        assert got == {"Tree.LeafA": a, "Tree.LeafB": b, "Tree.LeafC": c, "Tree.Node": 0.0,
+                       "Maybe<Bool>.Nothing": a / 2, "Maybe<Bool>.Just": a / 2,
+                       "Bool.True": (a / 2 + 2 * b) / 2, "Bool.False": (a / 2 + 2 * b) / 2}
 
 
 class TestConstructorTypeConsistency:

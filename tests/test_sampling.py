@@ -37,6 +37,7 @@ from branchgen import (
 )
 from branchgen import sampling
 from branchgen.sampling import _BLOCK, _finish_stats, stream_seed
+from branchgen.spec import build_schedule
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 # Tree with mean offspring 1.8: counts grow ~1.8x per level
@@ -177,6 +178,49 @@ class TestMegadeth:
             for i in range(40):
                 helpers.typecheck_value(
                     sample_megadeth(u, probs, 10, seed=14, index=i), u)
+
+    def test_no_terminal_constructor(self):
+        u = parse_universe("data T = N T T | M T", "T")
+        with pytest.raises(AdtError) as err:
+            sample_megadeth(u, None, 3, seed=0)
+        assert str(err.value) == ("family type T has no terminal constructor; "
+                                  "size-bounded generation cannot terminate")
+
+
+class TestSchedule:
+    """``build_schedule``: one row per size class, normalized per type."""
+
+    @staticmethod
+    def normalized(weights):
+        total = sum(weights)
+        return [w / total if total > 0.0 else 0.0 for w in weights]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 9),
+           strategy=st.sampled_from(["dragen", "megadeth", "derive"]))
+    def test_rows_are_normalized_per_type(self, seed, size, strategy):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, extras=True)
+        cu = u.compiled
+        probs = helpers.random_probmap(rng, u)
+        stars = {c: rng.choice([0.0, rng.random()]) for c in probs}
+        foreign = _foreign_map(u, rng)
+        schedule = build_schedule(u, strategy, size, probs, stars, foreign)
+        tuned = strategy == "dragen"
+        weights = [probs[c] if tuned else 1.0 for c in cu.ctors[:cu.nfamily_ctors]]
+        finals = [(stars[c] if tuned else 1.0) if term else 0.0
+                  for c, term in zip(cu.ctors, cu.family_terminal.tolist())]
+        if strategy == "derive":
+            finals = weights
+        weights += [foreign[c] for c in cu.ctors[cu.nfamily_ctors:]]
+        finals += weights[cu.nfamily_ctors:]
+        for got, want in ((schedule.rows, weights), (schedule.final, finals)):
+            for s in cu.slices:
+                assert got[s] == self.normalized(want[s])
+        assert schedule.child(size) == {"dragen": size - 1, "megadeth": size // 2,
+                                        "derive": -1}[strategy]
+        assert schedule.levels == {"dragen": size, "megadeth": size.bit_length(),
+                                   "derive": None}[strategy]
 
 
 class TestDerive:
