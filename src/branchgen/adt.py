@@ -676,12 +676,13 @@ class CompiledUniverse:
         self.terminal = ~self.counts[:, :self.nfamily].any(axis=1)
         self.pair_ctor, self.pair_target = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
-        # The family constructors' owners and terminal flags, and the owner
-        # and number of each family type's terminals
+        # The family constructors' owners and terminal flags, the terminals'
+        # columns, and the owner and number of each family type's terminals
         nf, nfc = self.nfamily, self.nfamily_ctors
         self.family_owner = self.owner[:nfc]
         self.family_terminal = self.terminal[:nfc]
-        self.terminal_owner = self.family_owner[self.family_terminal]
+        self.terminal_cols = np.flatnonzero(self.family_terminal)
+        self.terminal_owner = self.family_owner[self.terminal_cols]
         self.terminal_count = np.bincount(self.terminal_owner, minlength=nf)
         # The bins of the prediction's two batch scatters: the last-level
         # fill by field target, and the terminal mass by owner

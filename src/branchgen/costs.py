@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .adt import ADTUniverse, AdtError, live_support, resolve_constructor
-from .prediction import Focus, predict_batch
+from .prediction import Process, _check_size, _star_vectors
 
 
 class ConstraintError(AdtError):
@@ -54,13 +54,14 @@ class CostFunction:
     def __call__(self, size: int, probs: Mapping[str, float]) -> float:
         return self.scores(size, [probs])[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def scores(self, size: int,
                maps: Sequence[Mapping[str, float]] | np.ndarray) -> list[float]:
         """The cost of each map, from one batched prediction; ``maps`` may
         also be a family-probability matrix (see ``predict_batch``). Each
         equals ``chi_square`` on that map's totals alone, bit for bit. A
         cost that overflows a double reads inf or nan, without a warning."""
-        return self._scores(size, maps)
+        return Scorer(self, size)(maps)
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -71,23 +72,42 @@ class CostFunction:
         bounds = (float(weights.min()), float(weights.max())) if len(weights) else (1.0, 1.0)
         return np.array([column[c] for c, _ in self.targets], dtype=np.intp), weights, *bounds
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def _scores(self, size: int, maps: Sequence[Mapping[str, float]] | np.ndarray,
-                focus: Focus | None = None) -> list[float]:
-        """``scores``, predicting through ``focus`` when one is given.
+
+class Scorer(Process):
+    """``cost``'s scores at one size, on the prediction engine read at the
+    target columns only. ``scores`` builds one per call; ``optimize`` builds
+    one per search, so the size, the expected counts and the terminal check
+    are checked once, and a step only predicts and sums.
+
+    With ``warn_once``, a type whose terminals starve warns the first time
+    it does and is silent after (see ``_star_vectors``); otherwise it warns
+    once per (map, type), as scoring the maps one at a time would."""
+
+    def __init__(self, cost: CostFunction, size: int, warn_once: bool = False):
+        _check_size(size)
+        columns, weights, low, high = cost._columns
+        self.expected = weights * size
+        # w * size rises with w, so the extreme weights bound every entry
+        if not (0.0 < low * size and high * size < math.inf):
+            e = self.expected
+            raise AdtError("expected entries must be positive and finite, "
+                           f"got {e[~((0.0 < e) & (e < math.inf))][0]}")
+        super().__init__(cost.universe, size, columns)
+        self.warned: set[int] | None = set() if warn_once else None
+
+    def __call__(self, maps: Sequence[Mapping[str, float]] | np.ndarray,
+                 types: np.ndarray | None = None) -> list[float]:
+        """The cost of each map; ``types`` names the family type each map
+        changes from the focus (see ``Process.matrices``).
 
         The chi-square sum is one cumulative sum per map over its targets in
         order, which adds the terms left to right as ``chi_square`` does."""
-        branching, last = predict_batch(self.universe, maps, size, focus)
-        columns, weights, low, high = self._columns
-        expected = weights * size
-        # w * size rises with w, so the extreme weights bound every entry
-        if not (0.0 < low * size and high * size < math.inf):
-            bad = expected[~((0.0 < expected) & (expected < math.inf))][0]
-            raise AdtError(f"expected entries must be positive and finite, got {bad}")
-        d = (branching + last)[:, columns] - expected
-        terms = d * d / expected
-        if not len(self.targets):
+        p = self.probs(maps)
+        branching, last = self.counts(p, self.matrices(p, types),
+                                      _star_vectors(self.cu, p, self.cols, self.warned))
+        d = branching + last - self.expected
+        terms = d * d / self.expected
+        if not terms.shape[1]:
             return [0.0] * len(terms)
         return terms.cumsum(axis=1)[:, -1].tolist()
 

@@ -7,7 +7,8 @@ expected generation is g0'·M^k and the expected population up to level k is
 the running sum of those terms. Terminal constructors get an extra
 last-level term because the final level can only draw terminals: by p
 renormalized within each type's terminal set (``predict_batch``), or by a
-schedule's final row after its levels (``predict_schedule``).
+schedule's final row after its levels (``predict_schedule``). Both run on
+one engine, ``Process``, as do the cost functions' scorers.
 
 Everything here reads ``u.compiled``, built once per universe and shared
 with the samplers, and sums in declaration order. The constructor-level
@@ -105,12 +106,18 @@ def _family_probs(cu: CompiledUniverse, maps: Sequence[Mapping[str, float]]) -> 
         _require_probs(probs, ctors)
     rows = [[probs[c] for c in ctors] for probs in maps]
     p = np.array(rows, dtype=float).reshape(len(maps), len(ctors))
+    check_probabilities(p, ctors)
+    return p
+
+
+def check_probabilities(p: np.ndarray, names: Sequence[str]) -> None:
+    """Reject the first entry of ``p``, rows of probabilities with one
+    column per name, that is not finite and nonnegative."""
     bad = ~(np.isfinite(p) & (p >= 0.0))
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise AdtError(f"probability of {ctors[c]} must be finite and nonnegative, "
+        raise AdtError(f"probability of {names[c]} must be finite and nonnegative, "
                        f"got {p[r, c]}")
-    return p
 
 
 def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
@@ -129,48 +136,17 @@ def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> Mean
     return MeanMatrix(CONSTRUCTOR, ctors, m)
 
 
-class Focus:
-    """A local search's focus map as the prediction engine sees it: its
-    type mean matrix, and for each map of the next batch the family type
-    whose probabilities that map changes. ``predict_batch`` keeps the
-    batch's matrices, so that ``move(i)`` makes map i the focus."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.types = np.empty(0, dtype=np.intp)
-        self.batch = np.empty((0, *matrix.shape))
-
-    def move(self, i: int) -> None:
-        self.matrix = self.batch[i]
-
-
-def _type_matrices(cu: CompiledUniverse, p: np.ndarray, focus: Focus | None = None) -> np.ndarray:
+def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """One type mean matrix per row of ``p``, each summed constructor by
     constructor in declaration order.
 
     Rank j adds every type's j-th constructor at once, so each cell gets
     0.0 + a0 + a1 + ... in declaration order. A pad adds 0.0 or -0.0,
-    which leaves a sum that starts at 0.0 unchanged.
-
-    With a ``focus``, row i of ``p`` agrees with the focus map outside the
-    constructors of family type ``focus.types[i]`` (an index of nfamily or
-    more changes none of them), so only that type's row is summed, the same
-    way, into a copy of the focus matrix: the result is the same bit for
-    bit."""
-    if focus is None:
-        prod = p[:, cu.type_cols, None] * cu.type_counts
-        m = np.zeros((len(p), cu.nfamily, cu.nfamily))
-        for j in range(prod.shape[2]):
-            m += prod[:, :, j]
-        return m
-    m = np.repeat(focus.matrix[None], len(p), axis=0)
-    rows = np.flatnonzero(focus.types < cu.nfamily)
-    t = focus.types[rows]
-    prod = p[rows[:, None], cu.type_cols[t], None] * cu.type_counts[t]
-    changed = np.zeros((len(rows), cu.nfamily))
-    for j in range(prod.shape[1]):
-        changed += prod[:, j]
-    m[rows, t] = changed
+    which leaves a sum that starts at 0.0 unchanged."""
+    prod = p.take(cu.type_cols, axis=1)[..., None] * cu.type_counts
+    m = np.zeros((len(p), cu.nfamily, cu.nfamily))
+    for j in range(prod.shape[2]):
+        m += prod[:, :, j]
     return m
 
 
@@ -316,38 +292,47 @@ def _fill(cu: CompiledUniverse, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Placeholders of each family type at the final level, one row per row
     of ``p``, spawned by the non-terminal constructors present at level
     size-1 (``v``, one row of type expectations per row of ``p``)."""
-    weights = (v[:, cu.family_owner] * p)[:, cu.pair_ctor]
+    weights = (v.take(cu.family_owner, axis=1) * p).take(cu.pair_ctor, axis=1)
     return _scatter(cu.fill_bins(len(p)), weights, (len(p), cu.nfamily))
 
 
 def _terminal_mass(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """Each family type's probability on its terminals, one row per row of
     ``p``."""
-    return _scatter(cu.mass_bins(len(p)), p[:, cu.family_terminal], (len(p), cu.nfamily))
+    return _scatter(cu.mass_bins(len(p)), p.take(cu.terminal_cols, axis=1),
+                    (len(p), cu.nfamily))
 
 
-def _star_vectors(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
-    """p* over the family constructors, one row per row of ``p``, zero for
-    non-terminals."""
-    owner, term, nterms = cu.family_owner, cu.family_terminal, cu.terminal_count
-    require_terminals(cu)
+def _star_vectors(cu: CompiledUniverse, p: np.ndarray, cols: np.ndarray | None = None,
+                  warned: set[int] | None = None) -> np.ndarray:
+    """p* at the family constructor columns ``cols`` (default all), one row
+    per row of ``p``, zero for non-terminals.
+
+    A type with probability mass left but none on its terminals falls back
+    to uniform terminals and warns: once per (row, type) in row-major
+    order, or, given the set ``warned`` of types already warned about, only
+    for a type not in it, which then joins it. A type with no mass at all
+    is the dead-type form and stays silent."""
+    if cols is None:
+        cols = np.arange(cu.nfamily_ctors)
+    owner, term = cu.family_owner[cols], cu.family_terminal[cols]
     mass = _terminal_mass(cu, p)
-    own_mass = mass[:, owner]
+    own_mass = mass.take(owner, axis=1)
     # p / inf is +0.0 for the non-terminals and the starved terminals
-    stars = p / np.where(term & (own_mass > 0.0), own_mass, np.inf)
+    stars = p.take(cols, axis=1) / np.where(term & (own_mass > 0.0), own_mass, np.inf)
     if mass.all():
         return stars
     starved = mass == 0.0
-    # A type with probability mass left but none on its terminals warns, once
-    # per (row, type) in row-major order; a type with no mass at all is the
-    # dead-type form and stays silent.
     live_types = (p[:, cu.type_cols] > 0.0).any(axis=2)
     for t in np.argwhere(starved & live_types)[:, 1].tolist():
-        warn_probability(
-            f"all terminal constructors of {cu.types[t]} have probability 0; "
-            "using a uniform terminal distribution at the last level")
+        if warned is None or t not in warned:
+            if warned is not None:
+                warned.add(t)
+            warn_probability(
+                f"all terminal constructors of {cu.types[t]} have probability 0; "
+                "using a uniform terminal distribution at the last level")
     fallback = term & starved[:, owner]
-    stars[fallback] = np.broadcast_to(1.0 / nterms[owner], p.shape)[fallback]
+    stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
     return stars
 
 
@@ -361,6 +346,7 @@ def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     (with a warning): the generator must still be able to stop.
     """
     cu = u.compiled
+    require_terminals(cu)
     stars = _star_vectors(cu, _family_probs(cu, [probs]))[0].tolist()
     return {cid: stars[c] for c, cid in enumerate(cu.ctors[:len(stars)]) if cu.terminal[c]}
 
@@ -387,56 +373,109 @@ class PredictionReport:
         return {cid: e.total for cid, e in self.per_constructor.items()}
 
 
+def _check_size(size: int) -> None:
+    if not isinstance(size, numbers.Integral) or size < 1:
+        raise AdtError(f"size must be a positive integer, got {size!r}")
+
+
+class Process:
+    """The prediction engine: ``u``'s branching process run for ``levels``
+    levels, then a final level that draws only terminals, read at the
+    family constructor columns ``cols`` (default all). What does not change
+    between calls is done once, here: the terminal check, the columns'
+    owners and terminal flags, and the root's start rows (kept for the
+    largest batch served). A search also keeps its focus map's type matrix
+    here (see ``matrices``). Each row is computed as in a batch of one.
+
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
+    a count that overflows a double reads inf or nan, without a numpy
+    RuntimeWarning, and callers that must print it reject it."""
+
+    def __init__(self, u: ADTUniverse, levels: int, cols: np.ndarray | None = None):
+        self.cu = cu = u.compiled
+        require_terminals(cu)
+        self.levels = levels
+        self.cols = cols = np.arange(cu.nfamily_ctors) if cols is None else cols
+        self.owner, self.terminal = cu.family_owner[cols], cu.family_terminal[cols]
+        self.root = cu.index[u.root]
+        self.start = np.empty((0, 1, cu.nfamily))
+        self.focus = self.batch = None
+
+    def probs(self, maps: Sequence[Mapping[str, float]] | np.ndarray) -> np.ndarray:
+        """``maps`` as a family-probability matrix (see ``predict_batch``)."""
+        cu = self.cu
+        if not isinstance(maps, np.ndarray):
+            return _family_probs(cu, maps)
+        p = maps.astype(float, copy=False)
+        if p.ndim != 2 or p.shape[1] != cu.nfamily_ctors:
+            raise AdtError(f"probability matrix of shape {p.shape} does not have "
+                           f"one column per family constructor ({cu.nfamily_ctors})")
+        return p
+
+    def matrices(self, p: np.ndarray, types: np.ndarray | None = None) -> np.ndarray:
+        """The type mean matrix of each row of ``p``, kept as the batch, so
+        that ``move(i)`` makes row i the focus.
+
+        With ``types``, row i of ``p`` agrees with the focus map outside the
+        constructors of family type types[i] (an index of nfamily or more
+        changes none of them), so only that type's row is summed, as in
+        ``_type_matrices``, into a copy of the focus matrix: the result is
+        the same bit for bit. A one-type family has no other rows to reuse,
+        so it takes the full build."""
+        cu = self.cu
+        if types is None or cu.nfamily == 1:
+            m = _type_matrices(cu, p)
+        else:
+            m = np.repeat(self.focus[None], len(p), axis=0)
+            rows = np.flatnonzero(types < cu.nfamily)
+            t = types[rows]
+            prod = p[rows[:, None], cu.type_cols[t], None] * cu.type_counts[t]
+            changed = np.zeros((len(rows), cu.nfamily))
+            for j in range(prod.shape[1]):
+                changed += prod[:, j]
+            m[rows, t] = changed
+        self.batch = m
+        return m
+
+    def move(self, i: int) -> None:
+        self.focus = self.batch[i]
+
+    def counts(self, p: np.ndarray, m: np.ndarray,
+               stars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Expected branching and last-level counts at the columns, one row
+        per row of ``p``: the root draws by ``p`` (type matrices ``m``) on
+        the levels, then by ``stars`` on the final level."""
+        if len(self.start) < len(p):
+            self.start = np.zeros((len(p), 1, self.cu.nfamily))
+            self.start[:, 0, self.root] = 1.0
+        # One row vector per map: (maps, 1, types), so each level is one
+        # stacked vector-matrix product.
+        v = self.start[:len(p)]
+        if self.levels:
+            v, pop = _level_sums(v, m, self.levels - 1)
+            v, pop = v[:, 0], pop[:, 0]
+            branching = pop.take(self.owner, axis=1) * p.take(self.cols, axis=1)
+            fill = _fill(self.cu, v, p)
+        else:  # the root alone, on the final level
+            branching, fill = np.zeros_like(stars), v[:, 0]
+        return branching, np.where(self.terminal, stars * fill.take(self.owner, axis=1), 0.0)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarray,
-                  size: int, focus: Focus | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected branching and last-level counts of the family constructors
     (columns in ``u.compiled.ctors`` order), one row per probability map.
     ``maps`` is a sequence of maps or a matrix of the family constructors'
     probabilities, one row per map, in the same column order.
 
-    All maps share one level loop over stacked type matrices. Every row is
-    computed with the same operations in the same order as a batch of one,
-    so a map's numbers do not depend on the batch it is scored in. With a
-    ``focus`` (see ``Focus``), each map's type matrix is the focus matrix
-    with one row rebuilt; the batch's matrices are kept on the focus.
-
-    The engine never emits a numpy RuntimeWarning: a count that overflows a
-    double reads inf or nan, and callers that must print it reject it.
+    All maps share one level loop over stacked type matrices, and a map's
+    numbers do not depend on its batch (see ``Process``).
     """
-    if not isinstance(size, numbers.Integral) or size < 1:
-        raise AdtError(f"size must be a positive integer, got {size!r}")
-    cu = u.compiled
-    if isinstance(maps, np.ndarray):
-        p = maps.astype(float, copy=False)
-        if p.ndim != 2 or p.shape[1] != cu.nfamily_ctors:
-            raise AdtError(f"probability matrix of shape {p.shape} does not have "
-                           f"one column per family constructor ({cu.nfamily_ctors})")
-    else:
-        p = _family_probs(cu, maps)
-    m = _type_matrices(cu, p, focus)
-    if focus is not None:
-        focus.batch = m
-    return _expected(cu, cu.index[u.root], p, m, _star_vectors(cu, p), size)
-
-
-def _expected(cu: CompiledUniverse, root: int, p: np.ndarray, m: np.ndarray,
-              stars: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expected branching and last-level counts of the family constructors,
-    one row per row of ``p``, when ``root`` draws by ``p`` (type matrices
-    ``m``) on ``levels`` levels, then by ``stars`` on the final level."""
-    # One row vector per map: (maps, 1, types), so each level is one
-    # stacked vector-matrix product.
-    v = np.zeros((len(p), 1, cu.nfamily))
-    v[:, 0, root] = 1.0
-    owner = cu.family_owner
-    if levels:
-        v, pop = _level_sums(v, m, levels - 1)
-        v, pop = v[:, 0], pop[:, 0]
-        branching, fill = pop[:, owner] * p, _fill(cu, v, p)
-    else:  # the root alone, on the final level
-        branching, fill = np.zeros_like(p), v[:, 0]
-    return branching, np.where(cu.family_terminal, stars * fill[:, owner], 0.0)
+    _check_size(size)
+    process = Process(u, size)
+    p = process.probs(maps)
+    return process.counts(p, process.matrices(p), _star_vectors(process.cu, p))
 
 
 def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
@@ -462,9 +501,9 @@ def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
     size-bounded ``spec.Schedule``: ``predict_batch``'s process on its
     rows, run for its levels, then its final row on the final level."""
     cu, nfc = u.compiled, u.compiled.nfamily_ctors
+    process = Process(u, schedule.levels)
     p = np.array([schedule.rows[:nfc]])
-    branching, last = _expected(cu, cu.index[u.root], p, _type_matrices(cu, p),
-                                np.array([schedule.final[:nfc]]), schedule.levels)
+    branching, last = process.counts(p, process.matrices(p), np.array([schedule.final[:nfc]]))
     report = PredictionReport(schedule.levels, dict(zip(cu.ctors, map(
         ConstructorExpectation, branching[0].tolist(), last[0].tolist()))))
     predict_foreign(u, report, dict(zip(cu.ctors[nfc:], schedule.rows[nfc:])))

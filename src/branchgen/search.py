@@ -22,13 +22,18 @@ from .adt import (
     uniform_probmap,
     universe_hash,
 )
-from .costs import CostFunction
-from .prediction import Focus, mean_matrix_types, star_probs
+from .costs import CostFunction, Scorer
+from .prediction import check_probabilities, star_probs
 from .spec import STRATEGY_DRAGEN, GenSpec  # GenSpec is re-exported from here
 
 LOCAL_MINIMUM = "LocalMinimum"
 EPSILON_STOP = "EpsilonStop"
 STEP_CAP = "StepCap"
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise AdtError("delta must be in (0, 1)")
 
 
 def _check_quantum(quantum: float) -> None:
@@ -47,8 +52,7 @@ class SearchConfig:
     quantum: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise AdtError("delta must be in (0, 1)")
+        _check_delta(self.delta)
         if not 0.0 < self.epsilon < math.inf:
             raise AdtError("epsilon must be positive and finite")
         if not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1:
@@ -81,12 +85,13 @@ def _keys(rows: np.ndarray, quantum: float) -> list[bytes]:
 
 class _Rows:
     """Probability maps over one key set as float rows, one column per key
-    in sorted-id order. A search step bumps every unpinned column by +delta
-    and then by -delta; the candidates are built as one matrix, and a dict
-    is made only for a row that leaves the search."""
+    in sorted-id order, then a pad column that is zero in every row. A
+    search step bumps every unpinned column by +delta and then by -delta;
+    the candidates are built as one matrix, and a dict is made only for a
+    row that leaves the search."""
 
     def __init__(self, u: ADTUniverse, keys: Iterable[str],
-                 pinned: frozenset[str] | set[str]):
+                 pinned: frozenset[str] | set[str], delta: float):
         self.keys = tuple(keys)
         self.order = tuple(sorted(self.keys))
         self.column = {cid: i for i, cid in enumerate(self.order)}
@@ -100,59 +105,62 @@ class _Rows:
         bumped = [i for i, cid in enumerate(self.order) if cid not in pinned]
         width = max(map(len, free.values()), default=0)
         # each bumped column's free siblings (itself included), padded with
-        # column n, which is zero in every candidate matrix
+        # the pad column n
         siblings = [free[types[i]] + [n] * (width - len(free[types[i]])) for i in bumped]
         # two candidates per bumped column: +delta, then -delta
         self.bumped = np.repeat(np.array(bumped, dtype=np.intp), 2)
         self.siblings = np.repeat(np.array(siblings, dtype=np.intp).reshape(-1, width), 2, axis=0)
-        self.sign = np.tile([1.0, -1.0], len(bumped))
-        self.at = np.arange(len(self.bumped))
+        self.shift = np.tile([delta, -delta], len(bumped))
+        # the cells a candidate writes, as flat indices into the k x (n + 1)
+        # candidate matrix, for ``take`` and ``put``
+        at = np.arange(len(self.bumped))
+        self.flat_bumped = at * (n + 1) + self.bumped
+        self.flat_siblings = at[:, None] * (n + 1) + self.siblings
 
     def row(self, probs: Mapping[str, float]) -> np.ndarray:
-        x = np.array([probs[cid] for cid in self.order], dtype=float)
-        if not np.isfinite(x).all():
-            raise AdtError("probabilities must be finite")
+        x = np.array([*(probs[cid] for cid in self.order), 0.0], dtype=float)
+        check_probabilities(x[None, :-1], self.order)
         return x
 
     def as_dict(self, row: np.ndarray) -> dict[str, float]:
         return dict(zip(self.keys, row[self.to_keys].tolist()))
 
-    def fresh(self, x: np.ndarray, delta: float, quantum: float,
+    def fresh(self, x: np.ndarray, quantum: float,
               seen: set[bytes]) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates one step from ``x`` whose keys are not in ``seen``,
-        in enumeration order, and the column each one bumped; their keys
-        join ``seen``.
+        """The candidates one step from the row ``x`` whose keys are not in
+        ``seen``, in enumeration order, and the column each one bumped;
+        their keys join ``seen``.
 
         A candidate sets the bumped entry to max(0, p ± delta) and divides
         the bumped type's free entries by their total, which is summed left
         to right in column order (as ``sum`` does), so every value equals
         the one-map-at-a-time arithmetic bit for bit. A candidate whose
         total is not positive is skipped."""
-        n, k = len(x), len(self.at)
-        if not k:
-            return np.empty((0, n)), self.bumped
-        rows = np.empty((k, n + 1))
-        rows[:, :n] = x
-        rows[:, n] = 0.0
-        moved = x[self.bumped] + self.sign * delta
-        rows[self.at, self.bumped] = np.where(moved > 0.0, moved, 0.0)
-        at = self.at[:, None]
-        entries = rows[at, self.siblings]
+        if not len(self.bumped):
+            return np.empty((0, len(x))), self.bumped
+        rows = np.empty((len(self.bumped), len(x)))
+        rows[:] = x
+        # p is finite and at least 0, and 0 < delta < 1, so p - delta is
+        # never -0.0 and the clamp gives what where(p ± delta > 0, ..., 0) does
+        rows.put(self.flat_bumped, np.maximum(x[self.bumped] + self.shift, 0.0))
+        entries = rows.take(self.flat_siblings)
         # cumsum adds sequentially; the zero padding leaves a total unchanged
-        total = np.cumsum(entries, axis=1)[:, -1]
+        total = entries.cumsum(axis=1)[:, -1]
         live = total > 0.0
         bumped = self.bumped
         if live.all():
-            rows[at, self.siblings] = entries / total[:, None]
+            rows.put(self.flat_siblings, entries / total[:, None])
         else:
-            rows, entries, total, bumped = rows[live], entries[live], total[live], bumped[live]
-            rows[at[:len(rows)], self.siblings[live]] = entries / total[:, None]
-        rows = rows[:, :n]
+            # a dead candidate's entries are all 0, and stay 0 until dropped
+            rows.put(self.flat_siblings, entries / np.where(live, total, 1.0)[:, None])
+            rows, bumped = rows[live], bumped[live]
         new = []
         for i, key in enumerate(_keys(rows, quantum)):
             if key not in seen:
                 seen.add(key)
                 new.append(i)
+        if len(new) == len(rows):
+            return rows, bumped
         return rows[new], bumped[new]
 
 
@@ -166,13 +174,15 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
     focus map or to an earlier candidate are dropped. Each map has the key
     order of ``probs``.
     """
+    _check_delta(delta)
     _check_quantum(quantum)
-    rows = _Rows(u, probs, pinned)
+    rows = _Rows(u, probs, pinned, delta)
     x = rows.row(probs)
-    fresh, _ = rows.fresh(x, delta, quantum, set(_keys(x[None], quantum)))
+    fresh, _ = rows.fresh(x, quantum, set(_keys(x[None], quantum)))
     return [rows.as_dict(r) for r in fresh]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
              config: SearchConfig | None = None) -> tuple[dict[str, float], SearchTrace]:
     """Best-improvement descent from ``init`` under ``cost``'s constraints.
@@ -180,12 +190,12 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     Every evaluated neighbor joins the visited set (keyed by its quantized
     probabilities), so no map is scored twice; ties between equally cheap
     neighbors resolve to the first in enumeration order. The search runs on
-    rows (see ``_Rows``), and a stock ``CostFunction`` scores each step's
-    fresh rows in one ``scores`` call, as a family-probability matrix. When
-    ``scores`` is not overridden either, the prediction also reuses the
-    focus map's type matrix (see ``Focus``): a candidate changes one type's
-    probabilities, so only that type's row is rebuilt. In a one-type family
-    that row is the whole matrix, so there every candidate's is built anew.
+    rows (see ``_Rows``). A stock ``CostFunction`` is scored through one
+    ``Scorer`` per run, one call per step, from the focus map's type
+    matrix; it warns once per starved type. A cost whose ``scores`` is
+    overridden gets one ``scores`` call per step; any other callable is
+    called once per map. The run is under one ``np.errstate`` that ignores
+    overflow and invalid results, so a cost that overflows reads inf or nan.
     Returns the best map found and the trace of accepted steps, whose maps
     have the key order of ``init``.
     """
@@ -198,33 +208,37 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     # Any other callable (a subclass with its own __call__, or a wrapper
     # that forwards calls) is opaque and can only be called once per map.
     batched = type(cost).__call__ is CostFunction.__call__
-    focus_cost = cost(size, init)
+    scorer = None
+    if batched and type(cost).scores is CostFunction.scores:
+        scorer = Scorer(cost, size, warn_once=True)
+        focus_cost = scorer([init])[0]
+        scorer.move(0)
+    else:
+        focus_cost = cost(size, init)
     evaluations = 1
     steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
-    rows = _Rows(u, init, cost.pinned)
+    rows = _Rows(u, init, cost.pinned, cfg.delta)
     x = rows.row(init)
     visited = set(_keys(x[None], cfg.quantum))
-    focus = None
+    cu = u.compiled
     if batched:
-        cu = u.compiled
-        family = [rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]]
-        if type(cost).scores is CostFunction.scores and cu.nfamily > 1:
-            focus = Focus(mean_matrix_types(u, init).entries)
-            # each column's type; a type outside the family changes no row
-            column_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
-                                    for cid in rows.order], dtype=np.intp)
+        family = np.array([rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]],
+                          dtype=np.intp)
+    if scorer is not None:
+        # each column's type; a type outside the family changes no row
+        column_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
+                                for cid in rows.order], dtype=np.intp)
 
     outcome = STEP_CAP
     for _ in range(cfg.max_steps):
-        fresh, bumped = rows.fresh(x, cfg.delta, cfg.quantum, visited)
+        fresh, bumped = rows.fresh(x, cfg.quantum, visited)
         if not len(fresh):
             outcome = LOCAL_MINIMUM
             break
-        if focus is not None:
-            focus.types = column_type[bumped]
-            costs = cost._scores(size, fresh[:, family], focus)
+        if scorer is not None:
+            costs = scorer(fresh.take(family, axis=1), column_type[bumped])
         elif batched:
-            costs = cost.scores(size, fresh[:, family])
+            costs = cost.scores(size, fresh.take(family, axis=1))
         else:
             costs = [cost(size, rows.as_dict(r)) for r in fresh]
         evaluations += len(fresh)
@@ -238,8 +252,8 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             outcome = EPSILON_STOP
             break
         x = fresh[best_i]
-        if focus is not None:
-            focus.move(best_i)
+        if scorer is not None:
+            scorer.move(best_i)
         focus_cost = best_cost
         steps.append((rows.as_dict(x), focus_cost))
 

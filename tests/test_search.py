@@ -25,8 +25,8 @@ from branchgen import (
     weighted_cost,
     without_cost,
 )
-from branchgen.costs import CostFunction
-from branchgen.prediction import Focus, _type_matrices, mean_matrix_types, predict_batch
+from branchgen.costs import CostFunction, Scorer
+from branchgen.prediction import _type_matrices
 from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP, _Rows
 from test_acceptance import TABLE_CFG, TABLE_ROWS
 
@@ -171,8 +171,9 @@ class TestOptimize:
             optimize(cost, 10, uniform_probmap(tree_u))
 
     def test_config_validation(self):
-        with pytest.raises(AdtError):
-            SearchConfig(delta=0.0)
+        for bad in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(AdtError, match=r"delta must be in \(0, 1\)"):
+                SearchConfig(delta=bad)
         with pytest.raises(AdtError):
             SearchConfig(epsilon=0.0)
         with pytest.raises(AdtError):
@@ -198,6 +199,16 @@ class TestOptimize:
             probs = dict(uniform_probmap(tree_u), **{"Tree.Node": bad})
             with pytest.raises(AdtError, match="finite"):
                 neighbors(tree_u, probs, 0.01)
+        # a negative entry is rejected as the prediction rejects it, not
+        # clamped to 0
+        probs = dict(uniform_probmap(tree_u), **{"Tree.LeafA": -0.5})
+        with pytest.raises(AdtError, match="probability of Tree.LeafA must be finite "
+                                           "and nonnegative, got -0.5"):
+            neighbors(tree_u, probs, 0.01)
+        # neighbors takes the deltas SearchConfig takes, and no others
+        for bad in (float("inf"), float("nan"), -0.1, 0.0, 1.0):
+            with pytest.raises(AdtError, match=r"delta must be in \(0, 1\)"):
+                neighbors(tree_u, uniform_probmap(tree_u), bad)
 
 
 def _search_input(rng, u, delta):
@@ -446,6 +457,31 @@ def _recorded(fn):
     return result, [str(w.message) for w in caught]
 
 
+def _candidates(rng, u, cost, delta, starve):
+    """A starting map for ``cost`` (starved when ``starve``) and its first
+    step's candidates: as maps, as a family-probability matrix, and with
+    the family type each one changes."""
+    probs, _ = _search_input(rng, u, delta)
+    init = renormalize_probmap(u, probs, cost.pinned)
+    if starve:
+        init = _starve(rng, u, init, cost.pinned)
+    rows = _Rows(u, init, cost.pinned, delta)
+    fresh, bumped = rows.fresh(rows.row(init), 1e-6, set())
+    cu = u.compiled
+    p = fresh[:, [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]]
+    types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in bumped], dtype=np.intp)
+    return init, [rows.as_dict(r) for r in fresh], p, types
+
+
+def _search_scorer(cost, size, init):
+    """The scorer ``optimize`` builds for ``cost``, focused on ``init``,
+    and the warnings scoring ``init`` gave."""
+    scorer = Scorer(cost, size, warn_once=True)
+    _, caught = _recorded(lambda: scorer([init]))
+    scorer.move(0)
+    return scorer, caught
+
+
 class TestFocusRows:
     """Scoring a step's candidates from the focus map's type matrix, with
     one row rebuilt per candidate, equals the full build bit for bit."""
@@ -459,26 +495,17 @@ class TestFocusRows:
         rng = random.Random(seed)
         u, _ = helpers.random_universe(rng, max_types=10, max_ctors=40)
         cost = _random_cost(rng, u, kind)
-        probs, _ = _search_input(rng, u, delta)
-        init = renormalize_probmap(u, probs, cost.pinned)
-        if starve:
-            init = _starve(rng, u, init, cost.pinned)
-        rows = _Rows(u, init, cost.pinned)
-        fresh, bumped = rows.fresh(rows.row(init), delta, 1e-6, set())
-        cu = u.compiled
-        p = fresh[:, [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]]
-        focus = Focus(mean_matrix_types(u, init).entries)
-        focus.types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in bumped],
-                               dtype=np.intp)
+        init, _, p, types = _candidates(rng, u, cost, delta, starve)
+        scorer, init_warnings = _search_scorer(cost, size, init)
 
-        full, full_warnings = _recorded(lambda: predict_batch(u, p, size))
-        got, got_warnings = _recorded(lambda: predict_batch(u, p, size, focus))
-        assert _same_bits(got[0], full[0]) and _same_bits(got[1], full[1])
-        assert got_warnings == full_warnings
-        assert _same_bits(focus.batch, _type_matrices(cu, p))
-        scored, scored_warnings = _recorded(lambda: cost._scores(size, p, focus))
-        assert _same_bits(scored, _recorded(lambda: cost.scores(size, p))[0])
-        assert scored_warnings == full_warnings
+        scored, scored_warnings = _recorded(lambda: scorer(p, types))
+        full, full_warnings = _recorded(lambda: cost.scores(size, p))
+        assert _same_bits(scored, full)
+        assert _same_bits(scorer.batch, _type_matrices(u.compiled, p))
+        # scores warns once per (map, type); the search's scorer once per
+        # type, and not again for a type it warned about on the focus
+        assert scored_warnings == [w for w in dict.fromkeys(full_warnings)
+                                   if w not in init_warnings]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -502,17 +529,91 @@ class TestFocusRows:
         assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref_steps]
         assert (trace.outcome, trace.evaluations) == (ref_outcome, ref_evaluations)
 
-    def test_ten_type_family_scores_through_the_focus(self, monkeypatch):
-        # the stock cost's search reaches predict_batch with a focus whose
-        # types name each candidate's bumped type
+    def test_one_scorer_per_search(self, monkeypatch):
+        # the stock cost's search builds one scorer, and scores the initial
+        # map, then each step's candidates in one call that names each
+        # candidate's bumped type
         u, _ = helpers.random_universe(random.Random(5), max_types=10, max_ctors=60)
-        seen = []
-        real = predict_batch
+        built, calls = [], []
 
-        def spy(u, maps, size, focus=None):
-            seen.append(focus is not None and len(focus.types) == len(maps))
-            return real(u, maps, size, focus)
+        class Spy(Scorer):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr("branchgen.costs.predict_batch", spy)
-        optimize(uniform_cost(u), 10, uniform_probmap(u, u.family), SearchConfig(max_steps=3))
-        assert seen[0] is False and all(seen[1:]) and len(seen) > 1
+            def __call__(self, maps, types=None):
+                calls.append((len(maps), None if types is None else len(types)))
+                return super().__call__(maps, types)
+
+        monkeypatch.setattr("branchgen.search.Scorer", Spy)
+        _, trace = optimize(uniform_cost(u), 10, uniform_probmap(u, u.family),
+                            SearchConfig(max_steps=3))
+        assert len(built) == 1
+        assert trace.outcome == STEP_CAP and len(calls) == len(trace.steps) == 4
+        assert calls[0] == (1, None) and all(n == t for n, t in calls[1:])
+        assert sum(n for n, _ in calls) == trace.evaluations
+
+    def test_search_warns_once_per_starved_type(self):
+        # T's only terminal is pinned to 0, so T starves in every map the
+        # search scores; U's terminal starts at 0, so U starves in some
+        u = parse_universe("data T = A | N T U | M T\ndata U = B | K U T", "T")
+        cost = CostFunction("starved", u, (("T.N", 1.0), ("T.M", 1.0), ("U.K", 1.0)),
+                            frozenset({"T.A"}))
+        init = {"T.A": 0.0, "T.N": 0.5, "T.M": 0.5, "U.B": 0.0, "U.K": 1.0}
+        config = SearchConfig(delta=0.05, max_steps=30)
+        (best, trace), caught = _recorded(lambda: optimize(cost, 6, init, config))
+        ref, ref_caught = _recorded(lambda: helpers.reference_optimize(cost, 6, init, config))
+        assert caught == [
+            f"all terminal constructors of {t} have probability 0; "
+            "using a uniform terminal distribution at the last level" for t in ("T", "U")]
+        assert len(trace.steps) > 5 and len(ref_caught) > trace.evaluations
+        assert (_items(best), [(_items(m), c) for m, c in trace.steps],
+                trace.outcome, trace.evaluations) == (
+            _items(ref[0]), [(_items(m), c) for m, c in ref[1]], ref[2], ref[3])
+
+
+def _one_type_cost(rng, kind):
+    """A random one-type family (the Table-1 shape) and a cost on it."""
+    while True:
+        u, _ = helpers.random_universe(rng, max_types=1, max_ctors=8)
+        if any(u.ctor_decl(c).family_arity() for c in u.family_constructors()):
+            return u, _random_cost(rng, u, kind)
+
+
+class TestScorer:
+    """The per-search scorer on one-type families, with pins and starved
+    terminals, bit for bit: against the scalar route up to size 12, and
+    against scoring the maps one at a time in the doubling branch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           size=st.integers(1, 12), starve=st.booleans(),
+           delta=st.sampled_from([0.01, 0.05, 0.3]))
+    def test_one_type_matches_scalar_cost(self, seed, kind, size, starve, delta):
+        rng = random.Random(seed)
+        u, cost = _one_type_cost(rng, kind)
+        init, maps, p, types = _candidates(rng, u, cost, delta, starve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scorer, _ = _search_scorer(cost, size, init)
+            got = scorer(p, types)
+        assert _same_bits(got, [helpers.scalar_cost(cost, size, m) for m in maps])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           size=st.integers(129, 300), starve=st.booleans(),
+           delta=st.sampled_from([0.01, 0.05, 0.3]))
+    def test_one_type_doubling_matches_one_map_at_a_time(self, seed, kind, size, starve, delta):
+        rng = random.Random(seed)
+        u, cost = _one_type_cost(rng, kind)
+        init, maps, p, types = _candidates(rng, u, cost, delta, starve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scorer, _ = _search_scorer(cost, size, init)
+            got = scorer(p, types)
+            want = [cost.scores(size, [m])[0] for m in maps]
+        # a supercritical map's counts may overflow to inf, and inf * 0 is
+        # nan: the bytes compare nans too
+        assert np.array(got).tobytes() == np.array(want).tobytes()
