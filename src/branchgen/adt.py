@@ -689,14 +689,17 @@ class CompiledUniverse:
         self.fill_bins = BatchBins(self.pair_target, nf)
         self.mass_bins = BatchBins(self.terminal_owner, nf)
 
-        # Type-major layout: type_cols[t, j] is family type t's j-th
-        # constructor, and type_counts[t, j] its family field counts. Rows
-        # are padded to the widest type; a pad points at t's first
-        # constructor and counts zero fields.
-        sizes = [s.stop - s.start for s in slices[:nf]]
+        # Type-major layout of the spawning constructors, the only ones
+        # with family fields: type_cols[t, j] is family type t's j-th
+        # non-terminal constructor, and type_counts[t, j] its family field
+        # counts. Rows are padded to the widest type; a pad points at t's
+        # first constructor and counts zero fields.
+        spawning = [[c for c in range(s.start, s.stop) if not self.terminal[c]]
+                    for s in slices[:nf]]
+        sizes = [len(cols) for cols in spawning]
         width = max(sizes)
-        self.type_cols = np.array([[*range(s.start, s.stop), *[s.start] * (width - n)]
-                                   for s, n in zip(slices, sizes)], dtype=np.intp)
+        self.type_cols = np.array([[*cols, *[s.start] * (width - n)]
+                                   for s, cols, n in zip(slices, spawning, sizes)], dtype=np.intp)
         self.type_counts = self.counts[self.type_cols, :nf].astype(float)
         self.type_counts[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
 

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .adt import ADTUniverse, AdtError, live_support, resolve_constructor
-from .prediction import Process, _check_size, _star_vectors
+from .prediction import Process, _check_size
 
 
 class ConstraintError(AdtError):
@@ -61,7 +61,8 @@ class CostFunction:
         also be a family-probability matrix (see ``predict_batch``). Each
         equals ``chi_square`` on that map's totals alone, bit for bit. A
         cost that overflows a double reads inf or nan, without a warning."""
-        return Scorer(self, size)(maps)
+        scorer = Scorer(self, size)
+        return scorer(scorer.probs(maps))
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -80,8 +81,8 @@ class Scorer(Process):
     are checked once, and a step only predicts and sums.
 
     With ``warn_once``, a type whose terminals starve warns the first time
-    it does and is silent after (see ``_star_vectors``); otherwise it warns
-    once per (map, type), as scoring the maps one at a time would."""
+    it does and is silent after (see ``Process``); otherwise it warns once
+    per (map, type), as scoring the maps one at a time would."""
 
     def __init__(self, cost: CostFunction, size: int, warn_once: bool = False):
         _check_size(size)
@@ -92,19 +93,23 @@ class Scorer(Process):
             e = self.expected
             raise AdtError("expected entries must be positive and finite, "
                            f"got {e[~((0.0 < e) & (e < math.inf))][0]}")
-        super().__init__(cost.universe, size, columns)
-        self.warned: set[int] | None = set() if warn_once else None
+        # a cost on every family constructor, in order, reads p as it is
+        every = tuple(c for c, _ in cost.targets) == cost.universe.family_constructors()
+        super().__init__(cost.universe, size, None if every else columns)
+        if warn_once:
+            self.warned = set()
 
     def __call__(self, maps: Sequence[Mapping[str, float]] | np.ndarray,
                  types: np.ndarray | None = None) -> list[float]:
         """The cost of each map; ``types`` names the family type each map
-        changes from the focus (see ``Process.matrices``).
+        changes from the focus (see ``Process.matrices``). A matrix is taken
+        as already checked (see ``probs``): a search checks its rows once.
 
         The chi-square sum is one cumulative sum per map over its targets in
         order, which adds the terms left to right as ``chi_square`` does."""
-        p = self.probs(maps)
-        branching, last = self.counts(p, self.matrices(p, types),
-                                      _star_vectors(self.cu, p, self.cols, self.warned))
+        p = maps if isinstance(maps, np.ndarray) else self.probs(maps)
+        pc = p if self.cols is None else p.take(self.cols, axis=1)
+        branching, last = self.counts(p, pc, self.matrices(p, types), self.stars(p, pc))
         d = branching + last - self.expected
         terms = d * d / self.expected
         if not terms.shape[1]:

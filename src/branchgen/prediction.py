@@ -140,9 +140,10 @@ def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """One type mean matrix per row of ``p``, each summed constructor by
     constructor in declaration order.
 
-    Rank j adds every type's j-th constructor at once, so each cell gets
-    0.0 + a0 + a1 + ... in declaration order. A pad adds 0.0 or -0.0,
-    which leaves a sum that starts at 0.0 unchanged."""
+    Rank j adds every type's j-th spawning constructor at once, so each
+    cell gets 0.0 + a0 + a1 + ... in declaration order. A terminal's term
+    and a pad's are p * 0, that is 0.0 or -0.0, and adding either leaves a
+    sum that starts at 0.0 unchanged, so both are left out."""
     prod = p.take(cu.type_cols, axis=1)[..., None] * cu.type_counts
     m = np.zeros((len(p), cu.nfamily, cu.nfamily))
     for j in range(prod.shape[2]):
@@ -190,9 +191,15 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     """
     if n <= LEVEL_LOOP_MAX:
         pop = v.copy()
-        for _ in range(n):
-            v = v @ m
-            pop += v
+        if m.shape[-1] == 1 and m.ndim == v.ndim == 3:
+            # a product of stacked 1x1 matrices is one multiplication, no sum
+            for _ in range(n):
+                v = v * m
+                pop += v
+        else:
+            for _ in range(n):
+                v = v @ m
+                pop += v
         return v, pop
     edges, seen = m > 0.0, v > 0.0
     for _ in range(m.shape[-1]):
@@ -303,39 +310,6 @@ def _terminal_mass(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
                     (len(p), cu.nfamily))
 
 
-def _star_vectors(cu: CompiledUniverse, p: np.ndarray, cols: np.ndarray | None = None,
-                  warned: set[int] | None = None) -> np.ndarray:
-    """p* at the family constructor columns ``cols`` (default all), one row
-    per row of ``p``, zero for non-terminals.
-
-    A type with probability mass left but none on its terminals falls back
-    to uniform terminals and warns: once per (row, type) in row-major
-    order, or, given the set ``warned`` of types already warned about, only
-    for a type not in it, which then joins it. A type with no mass at all
-    is the dead-type form and stays silent."""
-    if cols is None:
-        cols = np.arange(cu.nfamily_ctors)
-    owner, term = cu.family_owner[cols], cu.family_terminal[cols]
-    mass = _terminal_mass(cu, p)
-    own_mass = mass.take(owner, axis=1)
-    # p / inf is +0.0 for the non-terminals and the starved terminals
-    stars = p.take(cols, axis=1) / np.where(term & (own_mass > 0.0), own_mass, np.inf)
-    if mass.all():
-        return stars
-    starved = mass == 0.0
-    live_types = (p[:, cu.type_cols] > 0.0).any(axis=2)
-    for t in np.argwhere(starved & live_types)[:, 1].tolist():
-        if warned is None or t not in warned:
-            if warned is not None:
-                warned.add(t)
-            warn_probability(
-                f"all terminal constructors of {cu.types[t]} have probability 0; "
-                "using a uniform terminal distribution at the last level")
-    fallback = term & starved[:, owner]
-    stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
-    return stars
-
-
 def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     """Per-type renormalized terminal probabilities, used when the remaining
     size is zero: p*(C) = p(C) / sum of p over the type's terminals.
@@ -346,8 +320,9 @@ def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     (with a warning): the generator must still be able to stop.
     """
     cu = u.compiled
-    require_terminals(cu)
-    stars = _star_vectors(cu, _family_probs(cu, [probs]))[0].tolist()
+    process = Process(u, 0)  # checks the terminals first
+    p = _family_probs(cu, [probs])
+    stars = process.stars(p, p)[0].tolist()
     return {cid: stars[c] for c, cid in enumerate(cu.ctors[:len(stars)]) if cu.terminal[c]}
 
 
@@ -381,11 +356,17 @@ def _check_size(size: int) -> None:
 class Process:
     """The prediction engine: ``u``'s branching process run for ``levels``
     levels, then a final level that draws only terminals, read at the
-    family constructor columns ``cols`` (default all). What does not change
-    between calls is done once, here: the terminal check, the columns'
-    owners and terminal flags, and the root's start rows (kept for the
-    largest batch served). A search also keeps its focus map's type matrix
-    here (see ``matrices``). Each row is computed as in a batch of one.
+    family constructor columns ``cols`` (None for all, in order). What does
+    not change between calls is done once, here: the terminal check, the
+    columns' owners and terminal flags, and the root's start rows (kept for
+    the largest batch served). A search also keeps its focus map's type
+    matrix here (see ``matrices``). Each row is computed as in a batch of
+    one.
+
+    A type with probability mass left but none on its terminals falls back
+    to uniform terminals on the final level, and warns (see ``stars``):
+    once per (row, type), or, when ``warned`` is a set of the types already
+    warned about, only for a type not in it, which then joins it.
 
     Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
     a count that overflows a double reads inf or nan, without a numpy
@@ -395,14 +376,19 @@ class Process:
         self.cu = cu = u.compiled
         require_terminals(cu)
         self.levels = levels
-        self.cols = cols = np.arange(cu.nfamily_ctors) if cols is None else cols
-        self.owner, self.terminal = cu.family_owner[cols], cu.family_terminal[cols]
+        self.cols = cols
+        if cols is None:
+            self.owner, self.terminal = cu.family_owner, cu.family_terminal
+        else:
+            self.owner, self.terminal = cu.family_owner[cols], cu.family_terminal[cols]
         self.root = cu.index[u.root]
         self.start = np.empty((0, 1, cu.nfamily))
         self.focus = self.batch = None
+        self.warned: set[int] | None = None
 
     def probs(self, maps: Sequence[Mapping[str, float]] | np.ndarray) -> np.ndarray:
-        """``maps`` as a family-probability matrix (see ``predict_batch``)."""
+        """``maps`` as a family-probability matrix (see ``predict_batch``),
+        each entry checked to be finite and nonnegative."""
         cu = self.cu
         if not isinstance(maps, np.ndarray):
             return _family_probs(cu, maps)
@@ -410,6 +396,7 @@ class Process:
         if p.ndim != 2 or p.shape[1] != cu.nfamily_ctors:
             raise AdtError(f"probability matrix of shape {p.shape} does not have "
                            f"one column per family constructor ({cu.nfamily_ctors})")
+        check_probabilities(p, cu.ctors)
         return p
 
     def matrices(self, p: np.ndarray, types: np.ndarray | None = None) -> np.ndarray:
@@ -440,11 +427,41 @@ class Process:
     def move(self, i: int) -> None:
         self.focus = self.batch[i]
 
-    def counts(self, p: np.ndarray, m: np.ndarray,
+    def stars(self, p: np.ndarray, pc: np.ndarray) -> np.ndarray:
+        """p* at the columns, one row per row of ``p`` (``pc`` is ``p`` at
+        the columns), zero for non-terminals; a starved type falls back to
+        uniform terminals (see the class). A type with no mass at all is
+        the dead-type form and stays silent."""
+        cu = self.cu
+        mass = _terminal_mass(cu, p)
+        own_mass = mass.take(self.owner, axis=1)
+        # p / inf is +0.0 for the non-terminals and the starved terminals
+        stars = pc / np.where(self.terminal & (own_mass > 0.0), own_mass, np.inf)
+        if mass.all():
+            return stars
+        starved = mass == 0.0
+        # a starved type's mass, if any, is on its spawning constructors;
+        # the pads of a type with none read one of its zero terminals
+        live_types = (p.take(cu.type_cols, axis=1) > 0.0).any(axis=2)
+        warned = self.warned
+        for t in np.argwhere(starved & live_types)[:, 1].tolist():
+            if warned is None or t not in warned:
+                if warned is not None:
+                    warned.add(t)
+                warn_probability(
+                    f"all terminal constructors of {cu.types[t]} have probability 0; "
+                    "using a uniform terminal distribution at the last level")
+        fallback = self.terminal & starved.take(self.owner, axis=1)
+        stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[self.owner],
+                                          stars.shape)[fallback]
+        return stars
+
+    def counts(self, p: np.ndarray, pc: np.ndarray, m: np.ndarray,
                stars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected branching and last-level counts at the columns, one row
-        per row of ``p``: the root draws by ``p`` (type matrices ``m``) on
-        the levels, then by ``stars`` on the final level."""
+        per row of ``p`` (``pc`` is ``p`` at the columns): the root draws by
+        ``p`` (type matrices ``m``) on the levels, then by ``stars`` on the
+        final level."""
         if len(self.start) < len(p):
             self.start = np.zeros((len(p), 1, self.cu.nfamily))
             self.start[:, 0, self.root] = 1.0
@@ -454,7 +471,7 @@ class Process:
         if self.levels:
             v, pop = _level_sums(v, m, self.levels - 1)
             v, pop = v[:, 0], pop[:, 0]
-            branching = pop.take(self.owner, axis=1) * p.take(self.cols, axis=1)
+            branching = pop.take(self.owner, axis=1) * pc
             fill = _fill(self.cu, v, p)
         else:  # the root alone, on the final level
             branching, fill = np.zeros_like(stars), v[:, 0]
@@ -475,7 +492,7 @@ def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarr
     _check_size(size)
     process = Process(u, size)
     p = process.probs(maps)
-    return process.counts(p, process.matrices(p), _star_vectors(process.cu, p))
+    return process.counts(p, p, process.matrices(p), process.stars(p, p))
 
 
 def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
@@ -503,7 +520,7 @@ def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
     cu, nfc = u.compiled, u.compiled.nfamily_ctors
     process = Process(u, schedule.levels)
     p = np.array([schedule.rows[:nfc]])
-    branching, last = process.counts(p, process.matrices(p), np.array([schedule.final[:nfc]]))
+    branching, last = process.counts(p, p, process.matrices(p), np.array([schedule.final[:nfc]]))
     report = PredictionReport(schedule.levels, dict(zip(cu.ctors, map(
         ConstructorExpectation, branching[0].tolist(), last[0].tolist()))))
     predict_foreign(u, report, dict(zip(cu.ctors[nfc:], schedule.rows[nfc:])))

@@ -74,15 +74,6 @@ class SearchTrace:
     evaluations: int = 0
 
 
-def _keys(rows: np.ndarray, quantum: float) -> list[bytes]:
-    """Each row's quantized key: round(p / quantum) per entry, half to even
-    as ``round`` does, as bytes (+ 0.0 folds -0.0 into 0.0)."""
-    keys = np.rint(rows / quantum) + 0.0
-    width = keys.shape[1] * keys.itemsize
-    buf = keys.tobytes()
-    return [buf[i * width:(i + 1) * width] for i in range(len(keys))]
-
-
 class _Rows:
     """Probability maps over one key set as float rows, one column per key
     in sorted-id order, then a pad column that is zero in every row. A
@@ -116,14 +107,23 @@ class _Rows:
         at = np.arange(len(self.bumped))
         self.flat_bumped = at * (n + 1) + self.bumped
         self.flat_siblings = at[:, None] * (n + 1) + self.siblings
+        # a row's bytes as one void scalar, for ``quantized``
+        self.row_bytes = np.dtype((np.void, (n + 1) * np.dtype(float).itemsize))
 
     def row(self, probs: Mapping[str, float]) -> np.ndarray:
         x = np.array([*(probs[cid] for cid in self.order), 0.0], dtype=float)
         check_probabilities(x[None, :-1], self.order)
         return x
 
+    def quantized(self, rows: np.ndarray, quantum: float) -> list[bytes]:
+        """Each row's key: round(p / quantum) per entry, half to even as
+        ``round`` does, as bytes (+ 0.0 folds -0.0 into 0.0)."""
+        keys = np.rint(rows / quantum) + 0.0
+        # one void scalar per row, which ``tolist`` gives as its bytes
+        return keys.view(self.row_bytes).ravel().tolist()
+
     def as_dict(self, row: np.ndarray) -> dict[str, float]:
-        return dict(zip(self.keys, row[self.to_keys].tolist()))
+        return dict(zip(self.keys, row.take(self.to_keys).tolist()))
 
     def fresh(self, x: np.ndarray, quantum: float,
               seen: set[bytes]) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +142,7 @@ class _Rows:
         rows[:] = x
         # p is finite and at least 0, and 0 < delta < 1, so p - delta is
         # never -0.0 and the clamp gives what where(p ± delta > 0, ..., 0) does
-        rows.put(self.flat_bumped, np.maximum(x[self.bumped] + self.shift, 0.0))
+        rows.put(self.flat_bumped, np.maximum(x.take(self.bumped) + self.shift, 0.0))
         entries = rows.take(self.flat_siblings)
         # cumsum adds sequentially; the zero padding leaves a total unchanged
         total = entries.cumsum(axis=1)[:, -1]
@@ -153,15 +153,15 @@ class _Rows:
         else:
             # a dead candidate's entries are all 0, and stay 0 until dropped
             rows.put(self.flat_siblings, entries / np.where(live, total, 1.0)[:, None])
-            rows, bumped = rows[live], bumped[live]
+            rows, bumped = rows.compress(live, axis=0), bumped.compress(live)
         new = []
-        for i, key in enumerate(_keys(rows, quantum)):
+        for i, key in enumerate(self.quantized(rows, quantum)):
             if key not in seen:
                 seen.add(key)
                 new.append(i)
         if len(new) == len(rows):
             return rows, bumped
-        return rows[new], bumped[new]
+        return rows.take(new, axis=0), bumped.take(new)
 
 
 def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
@@ -178,7 +178,7 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
     _check_quantum(quantum)
     rows = _Rows(u, probs, pinned, delta)
     x = rows.row(probs)
-    fresh, _ = rows.fresh(x, quantum, set(_keys(x[None], quantum)))
+    fresh, _ = rows.fresh(x, quantum, set(rows.quantized(x[None], quantum)))
     return [rows.as_dict(r) for r in fresh]
 
 
@@ -219,7 +219,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
     rows = _Rows(u, init, cost.pinned, cfg.delta)
     x = rows.row(init)
-    visited = set(_keys(x[None], cfg.quantum))
+    visited = set(rows.quantized(x[None], cfg.quantum))
     cu = u.compiled
     if batched:
         family = np.array([rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]],
@@ -236,7 +236,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             outcome = LOCAL_MINIMUM
             break
         if scorer is not None:
-            costs = scorer(fresh.take(family, axis=1), column_type[bumped])
+            costs = scorer(fresh.take(family, axis=1), column_type.take(bumped))
         elif batched:
             costs = cost.scores(size, fresh.take(family, axis=1))
         else:

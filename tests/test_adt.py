@@ -366,24 +366,37 @@ class TestCompiled:
             assert cu.terminal[c] == (decl.family_arity() == 0)
 
     def test_type_major_layout(self, composite_u):
+        # each family type's spawning (non-terminal) constructors in
+        # declaration order, padded to the widest type with the type's first
+        # constructor at zero counts; terminals are left out
+        cu = parse_universe("data A = LA | NA B A | MA A\ndata B = NB A | LB", "A").compiled
+        assert cu.type_cols.tolist() == [[1, 2], [3, 3]]
+        assert cu.type_counts.tolist() == [[[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        cu = parse_universe("data U = A | B", "U").compiled
+        assert cu.type_cols.shape == (1, 0) and cu.type_counts.shape == (1, 0, 1)
+
         rng = random.Random(17)
         universes = [composite_u, parse_universe("data A = LA | NA B A\ndata B = NB A", "A")]
-        universes += [helpers.random_universe(rng, max_types=10, max_ctors=60)[0]
+        universes += [helpers.random_universe(rng, max_types=10, max_ctors=60, extras=True)[0]
                       for _ in range(30)]
         for u in universes:
             cu = u.compiled
             nf = cu.nfamily
-            width = max(s.stop - s.start for s in cu.slices[:nf])
+            spawning = [[c for c in range(s.start, s.stop)
+                         if u.ctor_decl(cu.ctors[c]).family_arity()] for s in cu.slices[:nf]]
+            width = max(map(len, spawning))
             assert cu.type_cols.shape == (nf, width)
             assert cu.type_counts.shape == (nf, width, nf)
             assert cu.type_counts.dtype == float
-            for t, s in enumerate(cu.slices[:nf]):
-                n = s.stop - s.start
-                assert cu.type_cols[t, :n].tolist() == list(range(s.start, s.stop))
+            for t, (s, cols) in enumerate(zip(cu.slices[:nf], spawning)):
+                n = len(cols)
+                assert cu.type_cols[t, :n].tolist() == cols
                 assert (cu.type_cols[t, n:] == s.start).all()
                 assert (cu.type_counts[t, n:] == 0.0).all()
-                # the pads dropped, the rows are the counts of t's constructors
-                assert (cu.type_counts[t, :n] == cu.counts[s, :nf]).all()
+                # the pads dropped, the rows are the counts of t's spawning
+                # constructors, each with a family field
+                assert (cu.type_counts[t, :n] == cu.counts[cols, :nf]).all()
+                assert cu.type_counts[t, :n].any(axis=1).all()
 
     def test_built_once_and_shared(self, monkeypatch):
         calls = []

@@ -24,6 +24,7 @@ from branchgen import (
     without_cost,
     without_types_cost,
 )
+from branchgen.prediction import predict_batch
 
 
 class TestChiSquare:
@@ -325,6 +326,27 @@ class TestBatchedScores:
     def test_probability_matrix_needs_one_column_per_constructor(self, tree_u):
         with pytest.raises(AdtError, match="one column per family constructor"):
             uniform_cost(tree_u).scores(10, np.full((2, 3), 0.25))
+
+    @pytest.mark.parametrize("row, bad", [([-0.5, 0.5, 0.5, 0.5], "Tree.LeafA.*got -0.5"),
+                                          ([0.2, np.nan, 0.3, 0.5], "Tree.LeafB.*got nan"),
+                                          ([0.2, 0.3, 0.5, np.inf], "Tree.Node.*got inf")])
+    def test_probability_matrix_is_checked_as_maps_are(self, tree_u, row, bad):
+        # the matrix route rejects what the dict route rejects, with its message
+        maps = np.array([[0.25, 0.25, 0.25, 0.25], row])
+        cost = uniform_cost(tree_u)
+        with pytest.raises(AdtError, match=bad):
+            cost.scores(10, maps)
+        with pytest.raises(AdtError, match=bad):
+            cost.scores(10, [dict(zip(tree_u.family_constructors(), r)) for r in maps])
+        with pytest.raises(AdtError, match=bad):
+            predict_batch(tree_u, maps, 10)
+
+    def test_negative_and_nan_entries_in_one_matrix(self, tree_u):
+        maps = np.array([[-0.5, 0.5, 0.5, 0.5], [np.nan, 0.2, 0.3, 0.5]])
+        with pytest.raises(AdtError, match="Tree.LeafA must be finite and nonnegative, got -0.5"):
+            uniform_cost(tree_u).scores(10, maps)
+        with pytest.raises(AdtError, match="Tree.LeafA must be finite and nonnegative, got -0.5"):
+            predict_batch(tree_u, maps[:1], 10)
 
 
 EXCLUSIONS = {"only": only_cost, "without": without_cost,

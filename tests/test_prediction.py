@@ -30,11 +30,11 @@ from branchgen.prediction import (
     TYPE,
     ConstructorExpectation,
     PredictionReport,
+    Process,
     _family_probs,
     _fill,
     _level_sums,
     _scatter,
-    _star_vectors,
     _terminal_mass,
     _type_matrices,
     predict_batch,
@@ -141,6 +141,74 @@ class TestTypeMatrices:
         assert got.tobytes() == helpers.type_matrices_add_at(cu, p).tobytes()
 
 
+def _spawning_universe(rng, one_type):
+    """A random family with foreign types and ground atoms, or a one-type
+    family of 8 to 16 constructors, the first a terminal."""
+    if not one_type:
+        return helpers.random_universe(rng, max_types=10, max_ctors=60, extras=True)[0]
+    fields = ["T0", "T0", "T0", "Int", "F"]
+    alts = ["K0"] + [" ".join([f"K{i}"] + rng.sample(fields, rng.randint(0, 3)))
+                     for i in range(1, rng.randint(8, 16))]
+    return parse_universe("\n".join(["data T0 = " + " | ".join(alts), *helpers.EXTRA_DECLS]),
+                          "T0")
+
+
+def _probability_rows(rng, k, n):
+    """k rows of n probabilities, about a third of them 0.0, some large."""
+    return np.array([[rng.choice([0.0, rng.random(), rng.expovariate(0.01)]) for _ in range(n)]
+                     for _ in range(k)]).reshape(k, n)
+
+
+class TestSpawningRanks:
+    """The type matrices sum only the spawning constructors, rank by rank;
+    a terminal's term is p * 0, so leaving it out keeps every bit of the
+    full-rank sum in declaration order (``helpers.type_matrices_add_at``).
+    Stacks of 1x1 matrices take each level as one multiplication, which is
+    the ``@`` product's one term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), one_type=st.booleans(), k=st.integers(1, 12))
+    def test_type_matrices_match_full_rank_sum(self, seed, one_type, k):
+        rng = random.Random(seed)
+        cu = _spawning_universe(rng, one_type).compiled
+        p = _probability_rows(rng, k, cu.nfamily_ctors)
+        assert _same_bits(_type_matrices(cu, p), helpers.type_matrices_add_at(cu, p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), one_type=st.booleans(), k=st.integers(1, 12))
+    def test_focused_rebuild_matches_full_rank_sum(self, seed, one_type, k):
+        # each candidate changes the focus map's constructors of one type;
+        # an index of nfamily changes none of them
+        rng = random.Random(seed)
+        u = _spawning_universe(rng, one_type)
+        cu = u.compiled
+        focus = _probability_rows(rng, 1, cu.nfamily_ctors)
+        process = Process(u, 1)
+        process.matrices(focus)
+        process.move(0)
+        types = np.array([rng.randint(0, cu.nfamily) for _ in range(k)], dtype=np.intp)
+        p = focus.repeat(k, axis=0)
+        for i, t in enumerate(types.tolist()):
+            if t < cu.nfamily:
+                s = cu.slices[t]
+                p[i, s] = _probability_rows(rng, 1, s.stop - s.start)
+        assert _same_bits(process.matrices(p, types), helpers.type_matrices_add_at(cu, p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 12),
+           n=st.integers(0, LEVEL_LOOP_MAX))
+    def test_one_type_level_steps_match_matmul(self, seed, k, n):
+        rng = random.Random(seed)
+        u = _spawning_universe(rng, one_type=True)
+        m = _type_matrices(u.compiled, _probability_rows(rng, k, u.compiled.nfamily_ctors))
+        v = np.ones((k, 1, 1))
+        # large means overflow to inf within the 128 levels
+        with np.errstate(over="ignore"):
+            got, want = _level_sums(v, m, n), helpers.level_sums_loop(v, m, n)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (k, 1, 1) and g.tobytes() == w.tobytes()
+
+
 def _same_bits(got, want):
     return (got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
             and np.array_equal(np.signbit(got), np.signbit(want)))
@@ -178,7 +246,7 @@ class TestScatterKernels:
             assert _same_bits(_terminal_mass(cu, p), helpers.terminal_mass_add_at(cu, p))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                stars = _star_vectors(cu, p)
+                stars = Process(u, 1).stars(p, p)
             assert all("all terminal constructors of" in str(w.message) for w in caught)
             assert _same_bits(stars, helpers.star_vectors_masked(cu, p))
 
@@ -207,7 +275,7 @@ class TestScatterKernels:
         empty = np.zeros((0, cu.nfamily_ctors))
         assert _same_bits(_fill(cu, np.zeros((0, cu.nfamily)), empty),
                           np.zeros((0, cu.nfamily)))
-        assert _same_bits(_star_vectors(cu, empty), empty)
+        assert _same_bits(Process(u, 1).stars(empty, empty), empty)
 
     def test_family_without_fields(self):
         # no (constructor, family field) pairs: the fill adds no weights

@@ -1,5 +1,6 @@
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,20 @@ class TestRowsMatchReference:
         got = neighbors(u, probs, 0.25, quantum=1.0)
         assert got == helpers.reference_neighbors(u, probs, 0.25, quantum=1.0)
         assert {"U.A": 0.4, "U.B": 0.2, "U.C": 0.4} not in got
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 130),
+           quantum=st.sampled_from([1e-6, 1e-3, 0.02, 1.0]))
+    def test_keys_are_each_rows_bytes(self, seed, k, quantum):
+        # one key per row, in row order: the bytes of that row's quantized
+        # entries, each taken on its own
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, 10, 60)
+        rows = _Rows(u, u.family_constructors(), frozenset(), 0.01)
+        m = np.array([[rng.choice([0.0, -0.0, 0.5, rng.random()]) for _ in rows.order] + [0.0]
+                      for _ in range(k)]).reshape(k, len(rows.order) + 1)
+        assert rows.quantized(m, quantum) == [
+            (np.rint(r / quantum) + 0.0).tobytes() for r in m]
 
     def test_negative_zero_keys_like_zero(self):
         # A's -delta bump clamps -0.0 to 0.0 and leaves the map unchanged
@@ -617,3 +632,25 @@ class TestScorer:
         # a supercritical map's counts may overflow to inf, and inf * 0 is
         # nan: the bytes compare nans too
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class TestConvergedWide60:
+    """The search path on a realistic universe, run to convergence: the
+    wide60 benchmark family at seed 0 (checked in next to this file), under
+    the uniform cost at size 10 with delta 0.01."""
+
+    def test_uniform_search_reaches_the_pinned_endpoint(self):
+        text = (Path(__file__).parent / "wide60_seed0.adt").read_text(encoding="utf-8")
+        u = parse_universe(text, "T0")
+        cost = uniform_cost(u)
+        init = renormalize_probmap(u, uniform_probmap(u, u.family), pinned=cost.pinned)
+        (best, trace), caught = _recorded(
+            lambda: optimize(cost, 10, init, SearchConfig(delta=0.01)))
+        assert trace.outcome == LOCAL_MINIMUM
+        assert len(trace.steps) == 1437 and trace.evaluations == 166_354
+        assert trace.steps[-1][1] == pytest.approx(174.4015294198668, rel=1e-12, abs=0.0)
+        assert best == trace.steps[-1][0]
+        # the search warns once per type it starves, and only about that
+        assert caught and len(set(caught)) == len(caught)
+        assert all(w.endswith("have probability 0; using a uniform terminal distribution "
+                              "at the last level") for w in caught)
