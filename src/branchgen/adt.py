@@ -715,13 +715,12 @@ def require_terminals(cu: CompiledUniverse) -> None:
 @dataclass(frozen=True)
 class CdgEdge:
     """Dependency edge: generating ``parent`` forces ``multiplicity``
-    independent choices of ``child``'s type, each picking ``child`` with the
-    probability named by ``prob_symbol``."""
+    independent choices of ``child``'s type, each picking ``child`` with its
+    probability."""
 
     parent: str
     child: str
     multiplicity: int
-    prob_symbol: str
 
 
 @dataclass(frozen=True)
@@ -736,7 +735,7 @@ class CDG:
 def build_cdg(u: ADTUniverse) -> CDG:
     cu = u.compiled
     edges = [
-        CdgEdge(parent, child, int(cu.counts[c, t]), child)
+        CdgEdge(parent, child, int(cu.counts[c, t]))
         for c, parent in enumerate(cu.ctors)
         for t in dict.fromkeys(t for mode, t in cu.rows[c] if mode == MODE_FOREIGN)
         for child in cu.ctors[cu.slices[t]]

@@ -223,6 +223,11 @@ def _cmd_optimize(args) -> int:
     if args.size < 1:
         raise AdtError("--size must be at least 1")
     cost = parse_cost_expression(u, args.cost)
+    quantum = SearchConfig.quantum
+    if args.delta < quantum:
+        # every bumped map would key as its focus, and the search would stop at once
+        raise AdtError(f"--delta must be at least the search quantum {quantum:g}, "
+                       f"got {args.delta:g}")
     config = SearchConfig(delta=args.delta, epsilon=args.epsilon,
                           max_steps=args.max_steps)
     spec, trace = derive_generator_with_trace(u, args.size, cost, config)

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .adt import ADTUniverse, AdtError, live_support, resolve_constructor
-from .prediction import Process, _check_size
+from .prediction import Process, _check_size, _family_probs
 
 
 class ConstraintError(AdtError):
@@ -22,10 +22,7 @@ class ConstraintError(AdtError):
 def chi_square(observed: Sequence[float], expected: Sequence[float]) -> float:
     """sum((obs - exp)^2 / exp); expected entries must be positive and
     finite (an infinite one, such as a huge weight times the size, would
-    make the sum NaN).
-
-    An observed entry may be a numpy array of values of one target; the
-    result is then an array, each element summed in the same order."""
+    make the sum NaN)."""
     if len(observed) != len(expected):
         raise AdtError("observed and expected lengths differ")
     total = 0.0
@@ -55,14 +52,12 @@ class CostFunction:
         return self.scores(size, [probs])[0]
 
     @np.errstate(over="ignore", invalid="ignore")
-    def scores(self, size: int,
-               maps: Sequence[Mapping[str, float]] | np.ndarray) -> list[float]:
-        """The cost of each map, from one batched prediction; ``maps`` may
-        also be a family-probability matrix (see ``predict_batch``). Each
-        equals ``chi_square`` on that map's totals alone, bit for bit. A
-        cost that overflows a double reads inf or nan, without a warning."""
+    def scores(self, size: int, maps: Sequence[Mapping[str, float]]) -> list[float]:
+        """The cost of each map, from one batched prediction. Each equals
+        ``chi_square`` on that map's totals alone, bit for bit. A cost that
+        overflows a double reads inf or nan, without a warning."""
         scorer = Scorer(self, size)
-        return scorer(scorer.probs(maps))
+        return scorer(_family_probs(scorer.cu, maps))
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -99,15 +94,14 @@ class Scorer(Process):
         if warn_once:
             self.warned = set()
 
-    def __call__(self, maps: Sequence[Mapping[str, float]] | np.ndarray,
-                 types: np.ndarray | None = None) -> list[float]:
-        """The cost of each map; ``types`` names the family type each map
-        changes from the focus (see ``Process.matrices``). A matrix is taken
-        as already checked (see ``probs``): a search checks its rows once.
+    def __call__(self, p: np.ndarray, types: np.ndarray | None = None) -> list[float]:
+        """The cost of each row of ``p``, a family-probability matrix whose
+        entries are already checked (see ``_family_probs``): a search checks
+        its rows once. ``types`` names the family type each row changes from
+        the focus (see ``Process.matrices``).
 
         The chi-square sum is one cumulative sum per map over its targets in
         order, which adds the terms left to right as ``chi_square`` does."""
-        p = maps if isinstance(maps, np.ndarray) else self.probs(maps)
         pc = p if self.cols is None else p.take(self.cols, axis=1)
         branching, last = self.counts(p, pc, self.matrices(p, types), self.stars(p, pc))
         d = branching + last - self.expected

@@ -342,7 +342,6 @@ class PredictionReport:
 
     size: int
     per_constructor: dict[str, ConstructorExpectation]
-    per_foreign: dict[str, float] = field(default_factory=dict)
 
     def totals(self) -> dict[str, float]:
         return {cid: e.total for cid, e in self.per_constructor.items()}
@@ -385,19 +384,6 @@ class Process:
         self.start = np.empty((0, 1, cu.nfamily))
         self.focus = self.batch = None
         self.warned: set[int] | None = None
-
-    def probs(self, maps: Sequence[Mapping[str, float]] | np.ndarray) -> np.ndarray:
-        """``maps`` as a family-probability matrix (see ``predict_batch``),
-        each entry checked to be finite and nonnegative."""
-        cu = self.cu
-        if not isinstance(maps, np.ndarray):
-            return _family_probs(cu, maps)
-        p = maps.astype(float, copy=False)
-        if p.ndim != 2 or p.shape[1] != cu.nfamily_ctors:
-            raise AdtError(f"probability matrix of shape {p.shape} does not have "
-                           f"one column per family constructor ({cu.nfamily_ctors})")
-        check_probabilities(p, cu.ctors)
-        return p
 
     def matrices(self, p: np.ndarray, types: np.ndarray | None = None) -> np.ndarray:
         """The type mean matrix of each row of ``p``, kept as the batch, so
@@ -479,19 +465,17 @@ class Process:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]] | np.ndarray,
+def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]],
                   size: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected branching and last-level counts of the family constructors
     (columns in ``u.compiled.ctors`` order), one row per probability map.
-    ``maps`` is a sequence of maps or a matrix of the family constructors'
-    probabilities, one row per map, in the same column order.
 
     All maps share one level loop over stacked type matrices, and a map's
     numbers do not depend on its batch (see ``Process``).
     """
     _check_size(size)
     process = Process(u, size)
-    p = process.probs(maps)
+    p = _family_probs(process.cu, maps)
     return process.counts(p, p, process.matrices(p), process.stars(p, p))
 
 
@@ -523,8 +507,8 @@ def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
     branching, last = process.counts(p, p, process.matrices(p), np.array([schedule.final[:nfc]]))
     report = PredictionReport(schedule.levels, dict(zip(cu.ctors, map(
         ConstructorExpectation, branching[0].tolist(), last[0].tolist()))))
-    predict_foreign(u, report, dict(zip(cu.ctors[nfc:], schedule.rows[nfc:])))
-    return {**report.totals(), **report.per_foreign}
+    foreign = predict_foreign(u, report, dict(zip(cu.ctors[nfc:], schedule.rows[nfc:])))
+    return {**report.totals(), **foreign}
 
 
 def predict_foreign(u: ADTUniverse, report: PredictionReport,
@@ -532,10 +516,7 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
     """Expected counts of foreign constructors, propagated through the
     acyclic foreign types: each expected parent contributes its field
     multiplicities, and each value of a foreign type splits among that
-    type's constructors by their probabilities.
-
-    The result is also recorded on ``report.per_foreign``.
-    """
+    type's constructors by their probabilities."""
     cu = u.compiled
     nfc = cu.nfamily_ctors
     if foreign_probs is None:
@@ -556,7 +537,6 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
         for mode, target in cu.rows[c]:
             if mode == MODE_FOREIGN:
                 placeholders[target] += expected
-    report.per_foreign = dict(out)
     return out
 
 

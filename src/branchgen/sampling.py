@@ -184,12 +184,10 @@ class _Tables:
     are the bisect tables derived from them, and ``child_size`` is the
     schedule's child rule."""
 
-    __slots__ = ("types", "ctor_ids", "p_any", "p_final", "cum_any", "cum_final",
-                 "child_size")
+    __slots__ = ("types", "p_any", "p_final", "cum_any", "cum_final", "child_size")
 
     def __init__(self, cu: CompiledUniverse, schedule: Schedule):
         self.types = cu.types
-        self.ctor_ids = [cu.ctors[s] for s in cu.slices]
         self.child_size = schedule.child
         rows, final = schedule.rows, schedule.final
         self.p_any, self.cum_any = zip(*[_table(rows[s]) for s in cu.slices])

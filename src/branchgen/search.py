@@ -23,7 +23,7 @@ from .adt import (
     universe_hash,
 )
 from .costs import CostFunction, Scorer
-from .prediction import check_probabilities, star_probs
+from .prediction import _family_probs, check_probabilities, star_probs
 from .spec import STRATEGY_DRAGEN, GenSpec  # GenSpec is re-exported from here
 
 LOCAL_MINIMUM = "LocalMinimum"
@@ -192,8 +192,8 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     neighbors resolve to the first in enumeration order. The search runs on
     rows (see ``_Rows``). A stock ``CostFunction`` is scored through one
     ``Scorer`` per run, one call per step, from the focus map's type
-    matrix; it warns once per starved type. A cost whose ``scores`` is
-    overridden gets one ``scores`` call per step; any other callable is
+    matrix; it warns once per starved type. Any other cost, including a
+    ``CostFunction`` whose ``__call__`` or ``scores`` is overridden, is
     called once per map. The run is under one ``np.errstate`` that ignores
     overflow and invalid results, so a cost that overflows reads inf or nan.
     Returns the best map found and the trace of accepted steps, whose maps
@@ -205,13 +205,13 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             raise AdtError(f"initial probability map violates pinned constraint on {cid}")
 
     u = cost.universe
-    # Any other callable (a subclass with its own __call__, or a wrapper
-    # that forwards calls) is opaque and can only be called once per map.
-    batched = type(cost).__call__ is CostFunction.__call__
+    cu = u.compiled
+    # Any other cost (a subclass that overrides __call__ or scores, or a
+    # wrapper that forwards calls) is opaque and is called once per map.
     scorer = None
-    if batched and type(cost).scores is CostFunction.scores:
+    if type(cost).__call__ is CostFunction.__call__ and type(cost).scores is CostFunction.scores:
         scorer = Scorer(cost, size, warn_once=True)
-        focus_cost = scorer([init])[0]
+        focus_cost = scorer(_family_probs(cu, [init]))[0]
         scorer.move(0)
     else:
         focus_cost = cost(size, init)
@@ -220,11 +220,9 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     rows = _Rows(u, init, cost.pinned, cfg.delta)
     x = rows.row(init)
     visited = set(rows.quantized(x[None], cfg.quantum))
-    cu = u.compiled
-    if batched:
+    if scorer is not None:
         family = np.array([rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]],
                           dtype=np.intp)
-    if scorer is not None:
         # each column's type; a type outside the family changes no row
         column_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
                                 for cid in rows.order], dtype=np.intp)
@@ -237,8 +235,6 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             break
         if scorer is not None:
             costs = scorer(fresh.take(family, axis=1), column_type.take(bumped))
-        elif batched:
-            costs = cost.scores(size, fresh.take(family, axis=1))
         else:
             costs = [cost(size, rows.as_dict(r)) for r in fresh]
         evaluations += len(fresh)

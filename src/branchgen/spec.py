@@ -90,12 +90,17 @@ class GenSpec:
         try:
             spec = cls(
                 root=data["root"],
-                size=int(data["size"]),
+                size=data["size"],
                 strategy=data["strategy"],
                 probabilities={k: float(v) for k, v in data["probabilities"].items()},
                 star_probabilities={k: float(v) for k, v in data["starProbabilities"].items()},
                 universe_hash=data["universeHash"],
             )
+            for key in ("root", "strategy", "universeHash"):
+                if not isinstance(data[key], str):
+                    raise TypeError(f"{key} must be a string, got {data[key]!r}")
+            if type(spec.size) is not int:  # a bool is an int, and not a size
+                raise TypeError(f"size must be an integer, got {spec.size!r}")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AdtError(f"malformed generator spec: {exc!r}") from None
         if spec.strategy not in STRATEGIES:

@@ -504,7 +504,7 @@ def reference_walk(cu, tables, child_size, root_pos, size, rng, budget=None):
             else:
                 children[k] = _reference_ground(mode, rng)
         stack.extend(reversed(pending))
-        sink[slot] = (tables.ctor_ids[t][i], children)
+        sink[slot] = (cu.ctors[cu.slices[t].start + i], children)
 
     order = []
     todo = [holder[0]]

@@ -165,6 +165,24 @@ class TestParseErrors:
         with pytest.raises(AdtError, match="too many generic instantiations"):
             parse_universe(src, "T")
 
+    @pytest.mark.parametrize("src, message", [
+        ("data T =", "unexpected end of input"),
+        ("data T X", "expected '=', found 'X'"),
+        ("T = X", "expected 'data', found 'T'"),
+        ("data t = X", "type name must start uppercase: 't'"),
+        ("data T = X = Y", "unexpected '='"),
+        ("data T = X (a Int)", "generic application must name a type: 'a'"),
+        ("data T = X (Maybe data)", "unexpected 'data'"),
+        ("data T = X (Wat Int)", "unknown type reference 'Wat' in T"),
+        ("data P a a = PN\ndata T = X", "duplicate type variable in P"),
+    ], ids=["end-of-input", "expected-equals", "expected-data", "lowercase-type",
+            "second-equals", "lowercase-application", "data-as-field",
+            "unknown-generic", "duplicate-tyvar"])
+    def test_rejected_with_message(self, src, message):
+        with pytest.raises(AdtError) as exc:
+            parse_universe(src, "T")
+        assert message in str(exc.value)
+
     def test_unreachable_recursive_component_allowed(self):
         src = """
         data Loop = Self Loop | Stop
@@ -185,6 +203,14 @@ class TestStructure:
             branching_factor("Tree.Nope", "Tree", tree_u)
         with pytest.raises(AdtError):
             branching_factor("Tree.Node", "Nope", tree_u)
+
+    @pytest.mark.parametrize("lookup, message", [
+        (lambda u: u.constructors_of("Nope"), "unknown type: Nope"),
+        (lambda u: u.ctor_type("Tree.Nope"), "unknown constructor: Tree.Nope"),
+    ], ids=["constructors-of", "ctor-type"])
+    def test_lookup_of_unknown_id(self, tree_u, lookup, message):
+        with pytest.raises(AdtError, match=message):
+            lookup(tree_u)
 
     def test_terminals(self, tree_u, treepp_u, t1t2_u):
         assert set(terminal_constructors("Tree", tree_u)) == {
@@ -342,10 +368,6 @@ class TestCdg:
         assert edges[("Tree.LeafB", "Bool.False")] == 2
         assert ("Tree.Node", "Bool.True") not in edges
 
-    def test_prob_symbol_names_child(self, composite_u):
-        cdg = build_cdg(composite_u)
-        assert all(e.prob_symbol == e.child for e in cdg.edges)
-
     def test_no_foreign_no_edges(self, tree_u):
         assert build_cdg(tree_u).edges == ()
 
@@ -486,6 +508,16 @@ class TestProbMaps:
     def test_load_rejects_unknown(self, tree_u):
         with pytest.raises(AdtError, match="unknown constructor"):
             load_probmap({"probabilities": {"Tree.Nope": 1.0}}, tree_u)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], 'must be {"probabilities"'),
+        ({"probs": {}}, 'must be {"probabilities"'),
+        ({"probabilities": [1]}, '"probabilities" must be an object'),
+    ], ids=["list", "no-probabilities", "probabilities-list"])
+    def test_load_rejects_malformed_document(self, tree_u, doc, message):
+        with pytest.raises(AdtError) as exc:
+            load_probmap(doc, tree_u)
+        assert message in str(exc.value)
 
     def test_load_rejects_bad_per_type_sum(self, tree_u):
         doc = {"probabilities": dict.fromkeys(tree_u.family_constructors(), 0.3)}

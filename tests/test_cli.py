@@ -211,6 +211,36 @@ class TestOptimize:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--size", "0", "--size must be at least 1"),
+        # every candidate would quantize to the start map's key
+        ("--delta", "5e-7", "--delta must be at least the search quantum 1e-06, got 5e-07"),
+    ], ids=["size-zero", "delta-below-quantum"])
+    def test_rejected_with_message(self, capsys, tree_file, flag, value, message):
+        code, out, err = run(capsys, "optimize", "-f", tree_file, "--root", "Tree",
+                             "--size", "10", flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_delta_at_the_quantum_takes_steps(self, capsys, tree_file):
+        code, out, _ = run(capsys, "optimize", "-f", tree_file, "--root", "Tree",
+                           "--size", "10", "--delta", "1e-6", "--max-steps", "3")
+        assert code == 0 and json.loads(out)["trace"]["steps"] == 3
+
+
+@pytest.mark.parametrize("argv,seed,message", [
+    (("predict", "--size", "3"), None, "--root is required"),
+    (("predict", "--root", "Tree", "--size", "0"), None, "--size must be at least 1"),
+    (("sample", "--root", "Tree", "--count", "1"), None, "either --spec or --size is required"),
+    (("sample", "--root", "Tree", "--size", "3", "--count", "1"), "abc",
+     "DRAGEN_SEED must be an integer, got 'abc'"),
+], ids=["no-root", "predict-size-zero", "no-size", "bad-seed-variable"])
+def test_usage_fails_with_message(capsys, tree_file, monkeypatch, argv, seed, message):
+    if seed is not None:
+        monkeypatch.setenv("DRAGEN_SEED", seed)
+    code, out, err = run(capsys, argv[0], "-f", tree_file, *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestSample:
     def test_deterministic_under_seed(self, capsys, tree_file, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -581,6 +611,30 @@ def test_malformed_spec_fails_cleanly(capsys, tree_file, tmp_path, command, edit
                          "--count", "20")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and cid in err
+
+
+# One field of a valid Tree spec each, set to a value of the wrong type.
+_MISTYPED_SPECS = {
+    "root-int": ("root", 5, "root must be a string, got 5"),
+    "strategy-int": ("strategy", 5, "strategy must be a string, got 5"),
+    "hash-int": ("universeHash", 5, "universeHash must be a string, got 5"),
+    "size-float": ("size", 1.5, "size must be an integer, got 1.5"),
+    "size-bool": ("size", True, "size must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
+@pytest.mark.parametrize("edit", list(_MISTYPED_SPECS))
+def test_mistyped_spec_field_fails_cleanly(capsys, tree_file, tmp_path, command, edit):
+    key, value, message = _MISTYPED_SPECS[edit]
+    data = adhoc_genspec(parse_universe(TREE_SRC, "Tree"), 5, "dragen").to_json_dict()
+    data[key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "-f", tree_file, "--root", "Tree",
+                         "--spec", str(spec), "--count", "20")
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed generator spec: TypeError('{message}')\n"
 
 
 def test_spec_must_name_every_family_constructor(capsys, tmp_path):

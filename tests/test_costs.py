@@ -127,6 +127,9 @@ class TestWeighted:
     def test_foreign_constructor_rejected(self, composite_u):
         with pytest.raises(ConstraintError, match="not in the branching family"):
             weighted_cost(composite_u, {"Bool.True": 1})
+        for make in (only_cost, without_cost):
+            with pytest.raises(ConstraintError, match="Bool.True is not in the branching family"):
+                make(composite_u, ["Bool.True"])
 
 
 class TestOnlyWithout:
@@ -248,6 +251,8 @@ class TestCostExpressions:
         for text in ("nope", "weighted(X)", "weighted(LeafA=much)", "only()(", ""):
             with pytest.raises(AdtError):
                 parse_cost_expression(tree_u, text)
+        with pytest.raises(AdtError, match="uniform takes no arguments"):
+            parse_cost_expression(tree_u, "uniform(Node)")
 
 
 def _random_cost(rng, u, kind):
@@ -312,41 +317,27 @@ class TestBatchedScores:
     def test_empty_batch(self, tree_u):
         assert uniform_cost(tree_u).scores(10, []) == []
 
-    def test_probability_matrix_equals_maps(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            u, _ = helpers.random_universe(rng, max_types=6, max_ctors=20)
-            cost = uniform_cost(u)
-            maps = neighbors(u, helpers.random_probmap(rng, u), 0.05)
-            cu = u.compiled
-            ctors = cu.ctors[:cu.nfamily_ctors]
-            matrix = np.array([[m[c] for c in ctors] for m in maps]).reshape(-1, len(ctors))
-            assert cost.scores(7, matrix) == cost.scores(7, maps)
-
-    def test_probability_matrix_needs_one_column_per_constructor(self, tree_u):
-        with pytest.raises(AdtError, match="one column per family constructor"):
-            uniform_cost(tree_u).scores(10, np.full((2, 3), 0.25))
-
     @pytest.mark.parametrize("row, bad", [([-0.5, 0.5, 0.5, 0.5], "Tree.LeafA.*got -0.5"),
                                           ([0.2, np.nan, 0.3, 0.5], "Tree.LeafB.*got nan"),
                                           ([0.2, 0.3, 0.5, np.inf], "Tree.Node.*got inf")])
     def test_probability_matrix_is_checked_as_maps_are(self, tree_u, row, bad):
-        # the matrix route rejects what the dict route rejects, with its message
-        maps = np.array([[0.25, 0.25, 0.25, 0.25], row])
-        cost = uniform_cost(tree_u)
+        # a batch's maps are checked entry by entry, each error naming its
+        # constructor
+        maps = [dict(zip(tree_u.family_constructors(), r))
+                for r in ([0.25, 0.25, 0.25, 0.25], row)]
         with pytest.raises(AdtError, match=bad):
-            cost.scores(10, maps)
-        with pytest.raises(AdtError, match=bad):
-            cost.scores(10, [dict(zip(tree_u.family_constructors(), r)) for r in maps])
+            uniform_cost(tree_u).scores(10, maps)
         with pytest.raises(AdtError, match=bad):
             predict_batch(tree_u, maps, 10)
 
     def test_negative_and_nan_entries_in_one_matrix(self, tree_u):
-        maps = np.array([[-0.5, 0.5, 0.5, 0.5], [np.nan, 0.2, 0.3, 0.5]])
+        # the first bad entry of the batch, in row-major order, is reported
+        maps = [dict(zip(tree_u.family_constructors(), r))
+                for r in ([-0.5, 0.5, 0.5, 0.5], [np.nan, 0.2, 0.3, 0.5])]
         with pytest.raises(AdtError, match="Tree.LeafA must be finite and nonnegative, got -0.5"):
             uniform_cost(tree_u).scores(10, maps)
         with pytest.raises(AdtError, match="Tree.LeafA must be finite and nonnegative, got -0.5"):
-            predict_batch(tree_u, maps[:1], 10)
+            predict_batch(tree_u, maps, 10)
 
 
 EXCLUSIONS = {"only": only_cost, "without": without_cost,

@@ -214,13 +214,18 @@ def _same_bits(got, want):
             and np.array_equal(np.signbit(got), np.signbit(want)))
 
 
-def _batch(rng, u, k, zeros):
-    cu = u.compiled
+def _maps(rng, u, k, zeros):
     maps = [helpers.random_probmap(rng, u) for _ in range(k)]
     if zeros:
         for probs in maps:
             probs.update({c: 0.0 for c in probs if rng.random() < 0.3})
-    return np.array([[probs[c] for c in cu.ctors[:cu.nfamily_ctors]] for probs in maps],
+    return maps
+
+
+def _batch(rng, u, k, zeros):
+    cu = u.compiled
+    return np.array([[probs[c] for c in cu.ctors[:cu.nfamily_ctors]]
+                     for probs in _maps(rng, u, k, zeros)],
                     dtype=float).reshape(k, cu.nfamily_ctors)
 
 
@@ -266,11 +271,11 @@ class TestScatterKernels:
     def test_one_row_and_empty_batches(self):
         u, _ = helpers.random_universe(random.Random(7), max_types=10, max_ctors=60)
         cu = u.compiled
-        p = _batch(random.Random(8), u, 5, zeros=False)
-        branching, last = predict_batch(u, p, 6)
-        one = predict_batch(u, p[:1], 6)
+        maps = _maps(random.Random(8), u, 5, zeros=False)
+        branching, last = predict_batch(u, maps, 6)
+        one = predict_batch(u, maps[:1], 6)
         assert _same_bits(one[0], branching[:1]) and _same_bits(one[1], last[:1])
-        for got in predict_batch(u, p[:0], 6):
+        for got in predict_batch(u, [], 6):
             assert _same_bits(got, np.zeros((0, cu.nfamily_ctors)))
         empty = np.zeros((0, cu.nfamily_ctors))
         assert _same_bits(_fill(cu, np.zeros((0, cu.nfamily)), empty),
@@ -413,6 +418,24 @@ class TestPopulations:
         g0 = initial_population(tree_u, probs, "constructor")
         pop = expected_population(g0, m, 10)
         assert pop.get("Tree.Node") == pytest.approx(69.1173, rel=1e-3)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda u: MeanMatrix(TYPE, ("Tree",), np.zeros((2, 2))),
+         "mean matrix shape (2, 2) does not match index size 1"),
+        (lambda u: MeanMatrix(TYPE, ("Tree",), [[-0.5]]), "mean matrix entries must be nonnegative"),
+        (lambda u: PopulationVector(("Tree",), np.zeros(2)),
+         "population vector length does not match its index"),
+        (lambda u: initial_population(u, uniform_probmap(u), "value"),
+         "unknown granularity: 'value'"),
+        (lambda u: expected_generation(initial_population(u, uniform_probmap(u), TYPE),
+                                       mean_matrix_types(u, uniform_probmap(u)), -1),
+         "generation number must be nonnegative"),
+    ], ids=["matrix-shape", "matrix-negative", "vector-length", "granularity",
+            "negative-generation"])
+    def test_malformed_arguments_rejected(self, tree_u, make, message):
+        with pytest.raises(AdtError) as exc:
+            make(tree_u)
+        assert str(exc.value) == message
 
     def test_critical_process_sum(self):
         # m = 1 exactly: the iterative sum crosses the singular (I - M) case
@@ -761,7 +784,6 @@ class TestForeign:
         assert out["Wrap.W"] == pytest.approx(leafs)
         assert out["Maybe<Bool>.Just"] == pytest.approx(leafs / 2)
         assert out["Bool.True"] == pytest.approx(0.75 * leafs)
-        assert report.per_foreign == out
 
 
 class TestExtinction:

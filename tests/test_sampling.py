@@ -344,7 +344,7 @@ class TestSamplerSetup:
     def test_unknown_strategy(self, tree_u):
         spec = dragen_spec(tree_u, 3)
         spec.strategy = "quickcheck"
-        for call in self.calls(tree_u, spec):
+        for call in [*self.calls(tree_u, spec), lambda: adhoc_genspec(tree_u, 3, "quickcheck")]:
             with pytest.raises(AdtError, match="unknown strategy 'quickcheck'"):
                 call()
 

@@ -27,7 +27,7 @@ from branchgen import (
     without_cost,
 )
 from branchgen.costs import CostFunction, Scorer
-from branchgen.prediction import _type_matrices
+from branchgen.prediction import _family_probs, _type_matrices
 from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP, _Rows
 from test_acceptance import TABLE_CFG, TABLE_ROWS
 
@@ -361,7 +361,9 @@ class TestScoringRoutes:
         init = uniform_probmap(u, u.family)
         assert _run(Forwarding(cost), 10, init, config) == _run(cost, 10, init, config)
 
-    def test_stock_cost_scores_each_step_in_one_batch(self, tree_u):
+    def test_overridden_scores_is_scored_per_map(self, tree_u):
+        # the inherited __call__ runs the overridden scores on one map at a
+        # time, and the search follows the stock cost's path
         batches = []
         inner = uniform_cost(tree_u)
 
@@ -371,9 +373,10 @@ class TestScoringRoutes:
                 return super().scores(size, maps)
 
         cost = Counting(inner.label, inner.universe, inner.targets, inner.pinned)
-        _, trace = optimize(cost, 10, uniform_probmap(tree_u))
-        assert sum(batches) == trace.evaluations
-        assert len(batches) <= len(trace.steps) + 1 < trace.evaluations
+        init = uniform_probmap(tree_u)
+        got = _run(cost, 10, init, None)
+        assert got == _run(inner, 10, init, None)
+        assert batches == [1] * got[3] and got[3] > len(got[1])
 
 
 class TestTableOneLandscape:
@@ -438,6 +441,23 @@ class TestDeriveGenerator:
                 "root": "T", "size": 1, "strategy": "nope",
                 "probabilities": {}, "starProbabilities": {},
                 "universeHash": ""})
+        with pytest.raises(AdtError, match="generator size must be nonnegative"):
+            GenSpec.from_json_dict({
+                "root": "T", "size": -1, "strategy": "dragen",
+                "probabilities": {}, "starProbabilities": {},
+                "universeHash": ""})
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read {path}: No such file or directory"),
+        ('{"root": ', "malformed generator spec {path}: Expecting value"),
+    ], ids=["missing", "not-json"])
+    def test_genspec_load_errors(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(AdtError) as exc:
+            GenSpec.load(path)
+        assert str(exc.value).startswith(message.format(path=path))
 
 
 def _starve(rng, u, probs, pinned):
@@ -492,7 +512,7 @@ def _search_scorer(cost, size, init):
     """The scorer ``optimize`` builds for ``cost``, focused on ``init``,
     and the warnings scoring ``init`` gave."""
     scorer = Scorer(cost, size, warn_once=True)
-    _, caught = _recorded(lambda: scorer([init]))
+    _, caught = _recorded(lambda: scorer(_family_probs(cost.universe.compiled, [init])))
     scorer.move(0)
     return scorer, caught
 
@@ -514,11 +534,11 @@ class TestFocusRows:
         scorer, init_warnings = _search_scorer(cost, size, init)
 
         scored, scored_warnings = _recorded(lambda: scorer(p, types))
-        full, full_warnings = _recorded(lambda: cost.scores(size, p))
+        full, full_warnings = _recorded(lambda: Scorer(cost, size)(p))
         assert _same_bits(scored, full)
         assert _same_bits(scorer.batch, _type_matrices(u.compiled, p))
-        # scores warns once per (map, type); the search's scorer once per
-        # type, and not again for a type it warned about on the focus
+        # the full build warns once per (map, type); the search's scorer
+        # once per type, and not again for a type it warned about on the focus
         assert scored_warnings == [w for w in dict.fromkeys(full_warnings)
                                    if w not in init_warnings]
 
@@ -556,9 +576,9 @@ class TestFocusRows:
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-            def __call__(self, maps, types=None):
-                calls.append((len(maps), None if types is None else len(types)))
-                return super().__call__(maps, types)
+            def __call__(self, p, types=None):
+                calls.append((len(p), None if types is None else len(types)))
+                return super().__call__(p, types)
 
         monkeypatch.setattr("branchgen.search.Scorer", Spy)
         _, trace = optimize(uniform_cost(u), 10, uniform_probmap(u, u.family),
