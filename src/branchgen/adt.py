@@ -376,8 +376,6 @@ class _Monomorphizer:
     def _resolve(self, syn: _FieldSyn, subst: dict[str, _Target], where: str,
                  refs: list[_Job]) -> _Target:
         if syn.kind == "var":
-            if syn.name not in subst:
-                raise AdtError(f"unbound type variable {syn.name!r} in {where}")
             return subst[syn.name]
         if syn.kind == "name":
             if syn.name in GROUND_ATOMS:
@@ -811,6 +809,14 @@ def probmap_to_json(probs: Mapping[str, float]) -> dict:
     return {"probabilities": dict(sorted(probs.items()))}
 
 
+def as_probability(cid: str, p) -> float:
+    """A probability file's entry for ``cid`` as a float. ``float`` also
+    takes a bool or a numeric string, which are not numbers there."""
+    if isinstance(p, (bool, str)):
+        raise TypeError(f"probability of {cid} must be a number, got {p!r}")
+    return float(p)
+
+
 def load_probmap(data, u: ADTUniverse) -> dict[str, float]:
     """Load a probability map from a JSON document (dict or text)."""
     if isinstance(data, str):
@@ -828,7 +834,7 @@ def load_probmap(data, u: ADTUniverse) -> dict[str, float]:
         if not u.has_ctor(cid):
             raise AdtError(f"unknown constructor: {cid}")
         try:
-            probs[cid] = float(p)
+            probs[cid] = as_probability(cid, p)
         except (TypeError, ValueError):
             raise AdtError(f"probability of {cid} must be a number, got {p!r}") from None
     validate_probmap(u, probs)

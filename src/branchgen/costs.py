@@ -101,14 +101,16 @@ class Scorer(Process):
         the focus (see ``Process.matrices``).
 
         The chi-square sum is one cumulative sum per map over its targets in
-        order, which adds the terms left to right as ``chi_square`` does."""
+        order (``np.add.accumulate``, the kernel of ``cumsum`` without its
+        method's overhead), which adds the terms left to right as
+        ``chi_square`` does."""
         pc = p if self.cols is None else p.take(self.cols, axis=1)
         branching, last = self.counts(p, pc, self.matrices(p, types), self.stars(p, pc))
         d = branching + last - self.expected
         terms = d * d / self.expected
         if not terms.shape[1]:
             return [0.0] * len(terms)
-        return terms.cumsum(axis=1)[:, -1].tolist()
+        return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
 
 def uniform_cost(u: ADTUniverse) -> CostFunction:

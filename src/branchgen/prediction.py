@@ -177,7 +177,11 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     ``v`` may be one row vector or a stack of them, each with its own matrix.
 
     Up to ``LEVEL_LOOP_MAX`` levels this takes n successive vector-matrix
-    products. Above it, it raises B = [[M, I], [0, I]] to the n-th power by
+    products. On a stack of 1x1 matrices (a one-type family's batch) that
+    loop is one running product, sequential as the loop is, so the bits
+    are the loop's: ``np.multiply.accumulate`` over v, m, ..., m gives the
+    generations and ``np.add.accumulate`` of those the populations. Above
+    it, it raises B = [[M, I], [0, I]] to the n-th power by
     repeated squaring, since B^n = [[M^n, sum(k<n) M^k], [0, I]]: O(log n)
     products on the blocks. Neither inverts (I - M), so the singular,
     critical case needs no special treatment. The doubling first zeroes the
@@ -190,16 +194,18 @@ def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     product (see ``_shrink_rows``).
     """
     if n <= LEVEL_LOOP_MAX:
-        pop = v.copy()
         if m.shape[-1] == 1 and m.ndim == v.ndim == 3:
-            # a product of stacked 1x1 matrices is one multiplication, no sum
-            for _ in range(n):
-                v = v * m
-                pop += v
-        else:
-            for _ in range(n):
-                v = v @ m
-                pop += v
+            # row i is v_i, m_i, ..., m_i: a 1x1 product is one
+            # multiplication, no sum
+            levels = np.empty((len(v), n + 1))
+            levels[:, :1] = v[:, 0]
+            levels[:, 1:] = m[:, 0]
+            np.multiply.accumulate(levels, axis=1, out=levels)
+            return levels[:, -1:, None], np.add.accumulate(levels, axis=1)[:, -1:, None]
+        pop = v.copy()
+        for _ in range(n):
+            v = v @ m
+            pop += v
         return v, pop
     edges, seen = m > 0.0, v > 0.0
     for _ in range(m.shape[-1]):
@@ -287,10 +293,10 @@ def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> Populati
 def _scatter(bins: np.ndarray, weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """A scatter-add of ``weights`` into zeros of ``shape`` as one
     ``np.bincount``: entry k of ``weights``, in C order, goes to cell bins[k]
-    of the row-major array (entries of ``bins`` past weights.size are
-    ignored). Each cell adds its weights in input order starting from 0.0,
-    as numpy's unbuffered ``add.at`` does, so the two agree bit for bit."""
-    sums = np.bincount(bins[:weights.size], weights.ravel(), shape[0] * shape[1])
+    of the row-major array, and ``bins`` has one entry per weight. Each
+    cell adds its weights in input order starting from 0.0, as numpy's
+    unbuffered ``add.at`` does, so the two agree bit for bit."""
+    sums = np.bincount(bins, weights.ravel(), shape[0] * shape[1])
     # with no weights at all, bincount returns integer zeros
     return sums.astype(float, copy=False).reshape(shape)
 
@@ -357,10 +363,10 @@ class Process:
     levels, then a final level that draws only terminals, read at the
     family constructor columns ``cols`` (None for all, in order). What does
     not change between calls is done once, here: the terminal check, the
-    columns' owners and terminal flags, and the root's start rows (kept for
-    the largest batch served). A search also keeps its focus map's type
-    matrix here (see ``matrices``). Each row is computed as in a batch of
-    one.
+    columns' owners, terminal flags and star pad (see ``stars``), and the
+    root's start rows (kept for the largest batch served). A search also
+    keeps its focus map's type matrix here (see ``matrices``). Each row is
+    computed as in a batch of one.
 
     A type with probability mass left but none on its terminals falls back
     to uniform terminals on the final level, and warns (see ``stars``):
@@ -380,6 +386,8 @@ class Process:
             self.owner, self.terminal = cu.family_owner, cu.family_terminal
         else:
             self.owner, self.terminal = cu.family_owner[cols], cu.family_terminal[cols]
+        # added to a column's terminal mass: p / inf is 0 off the terminals
+        self.pad = np.where(self.terminal, 0.0, np.inf)
         self.root = cu.index[u.root]
         self.start = np.empty((0, 1, cu.nfamily))
         self.focus = self.batch = None
@@ -417,14 +425,19 @@ class Process:
         """p* at the columns, one row per row of ``p`` (``pc`` is ``p`` at
         the columns), zero for non-terminals; a starved type falls back to
         uniform terminals (see the class). A type with no mass at all is
-        the dead-type form and stays silent."""
+        the dead-type form and stays silent.
+
+        When every type has terminal mass, p* is one division by the
+        column's terminal mass plus ``pad``, which is 0 at a terminal and
+        inf elsewhere, where p / inf is +0.0; otherwise by the mass where
+        a terminal has some and inf where not, then the fallback. The two
+        divisors are equal wherever both apply, so the bits are too."""
         cu = self.cu
         mass = _terminal_mass(cu, p)
         own_mass = mass.take(self.owner, axis=1)
-        # p / inf is +0.0 for the non-terminals and the starved terminals
-        stars = pc / np.where(self.terminal & (own_mass > 0.0), own_mass, np.inf)
         if mass.all():
-            return stars
+            return pc / (own_mass + self.pad)
+        stars = pc / np.where(self.terminal & (own_mass > 0.0), own_mass, np.inf)
         starved = mass == 0.0
         # a starved type's mass, if any, is on its spawning constructors;
         # the pads of a type with none read one of its zero terminals

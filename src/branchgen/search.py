@@ -144,15 +144,16 @@ class _Rows:
         # never -0.0 and the clamp gives what where(p ± delta > 0, ..., 0) does
         rows.put(self.flat_bumped, np.maximum(x.take(self.bumped) + self.shift, 0.0))
         entries = rows.take(self.flat_siblings)
-        # cumsum adds sequentially; the zero padding leaves a total unchanged
-        total = entries.cumsum(axis=1)[:, -1]
-        live = total > 0.0
+        # a cumulative sum adds sequentially; the zero padding leaves a
+        # total unchanged
+        total = np.add.accumulate(entries, axis=1)[:, -1:]
         bumped = self.bumped
-        if live.all():
-            rows.put(self.flat_siblings, entries / total[:, None])
+        if total.min() > 0.0:
+            rows.put(self.flat_siblings, entries / total)
         else:
             # a dead candidate's entries are all 0, and stay 0 until dropped
-            rows.put(self.flat_siblings, entries / np.where(live, total, 1.0)[:, None])
+            live = total[:, 0] > 0.0
+            rows.put(self.flat_siblings, entries / np.where(live[:, None], total, 1.0))
             rows, bumped = rows.compress(live, axis=0), bumped.compress(live)
         new = []
         for i, key in enumerate(self.quantized(rows, quantum)):

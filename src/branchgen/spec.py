@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .adt import ADTUniverse, AdtError, require_terminals, uniform_probmap
+from .adt import ADTUniverse, AdtError, as_probability, require_terminals, uniform_probmap
 
 STRATEGY_DRAGEN = "dragen"
 STRATEGY_MEGADETH = "megadeth"
@@ -92,8 +92,9 @@ class GenSpec:
                 root=data["root"],
                 size=data["size"],
                 strategy=data["strategy"],
-                probabilities={k: float(v) for k, v in data["probabilities"].items()},
-                star_probabilities={k: float(v) for k, v in data["starProbabilities"].items()},
+                probabilities={k: as_probability(k, v) for k, v in data["probabilities"].items()},
+                star_probabilities={k: as_probability(k, v)
+                                    for k, v in data["starProbabilities"].items()},
                 universe_hash=data["universeHash"],
             )
             for key in ("root", "strategy", "universeHash"):

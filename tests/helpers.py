@@ -191,6 +191,23 @@ def star_vectors_masked(cu, p):
     return stars
 
 
+def stars_where(cu, cols, p):
+    """p* at the family columns ``cols`` (None for all) by the mask and
+    ``np.where`` over the terminal masses of ``terminal_mass_add_at``,
+    uniform over a type's terminals where they have no mass, without the
+    warning: the formula the library's padded division replaced where every
+    type has terminal mass, and still uses where one does not. The library
+    must match it byte for byte."""
+    cols = np.arange(cu.nfamily_ctors) if cols is None else cols
+    owner, term, pc = cu.family_owner[cols], cu.family_terminal[cols], p[:, cols]
+    mass = terminal_mass_add_at(cu, p)
+    own_mass = mass[:, owner]
+    stars = pc / np.where(term & (own_mass > 0.0), own_mass, np.inf)
+    fallback = term & (own_mass == 0.0)
+    stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
+    return stars
+
+
 def type_sums_add_at(row_type, weights, ntypes):
     """The rows of ``weights`` summed per type, row i into row_type[i], by
     ``np.add.at``: how the extinction solve summed its mean matrix and its
@@ -206,6 +223,17 @@ def level_sums_loop(v, m, n):
     pop = v.copy()
     for _ in range(n):
         v = v @ m
+        pop += v
+    return v, pop
+
+
+def level_sums_elementwise(v, m, n):
+    """``level_sums_loop`` on a stack of 1x1 matrices as n elementwise
+    products and n additions: the one-type level loop that the library's
+    running product replaced. The library must match it byte for byte."""
+    pop = v.copy()
+    for _ in range(n):
+        v = v * m
         pop += v
     return v, pop
 

@@ -519,6 +519,15 @@ class TestProbMaps:
             load_probmap(doc, tree_u)
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("value", [True, False, "0", "0.25", None, [0.25]],
+                             ids=["true", "false", "zero-string", "number-string", "null",
+                                  "list"])
+    def test_load_rejects_non_number(self, tree_u, value):
+        doc = {"probabilities": {**uniform_probmap(tree_u), "Tree.LeafB": value}}
+        with pytest.raises(AdtError) as exc:
+            load_probmap(doc, tree_u)
+        assert str(exc.value) == f"probability of Tree.LeafB must be a number, got {value!r}"
+
     def test_load_rejects_bad_per_type_sum(self, tree_u):
         doc = {"probabilities": dict.fromkeys(tree_u.family_constructors(), 0.3)}
         with pytest.raises(AdtError):

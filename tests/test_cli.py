@@ -583,6 +583,19 @@ def test_nan_probability_fails_cleanly(capsys, tree_file, tmp_path, command):
     assert err.startswith("error:") and "Tree.LeafA" in err
 
 
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_non_number_probability_fails_cleanly(capsys, tree_file, tmp_path, command):
+    # float() takes False and "0", but neither is a probability
+    probs = tmp_path / "p.json"
+    probs.write_text('{"probabilities": {"Tree.LeafA": false, "Tree.LeafB": "0", '
+                     '"Tree.LeafC": 0, "Tree.Node": true}}')
+    extra = ("--count", "10") if command == "verify" else ()
+    code, out, err = run(capsys, command, "-f", tree_file, "--root", "Tree", "--size", "5",
+                         "--probs", str(probs), *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: probability of Tree.LeafA must be a number, got False\n"
+
 # One edit each to a valid Tree spec: (map, constructor, new value or None
 # to delete the entry).
 _MALFORMED_SPECS = {
@@ -650,6 +663,29 @@ def test_spec_must_name_every_family_constructor(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err == "error: generator spec has no probabilities for ['T2.C', 'T2.D']\n"
 
+
+# One probability of a valid Tree spec each, set to a bool or a string
+_NON_NUMBER_SPECS = {
+    "bool": ("probabilities", "Tree.Node", True),
+    "string": ("probabilities", "Tree.LeafA", "0"),
+    "bool-star": ("starProbabilities", "Tree.LeafB", False),
+    "string-star": ("starProbabilities", "Tree.LeafC", "0.5"),
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
+@pytest.mark.parametrize("edit", list(_NON_NUMBER_SPECS))
+def test_non_number_spec_probability_fails_cleanly(capsys, tree_file, tmp_path, command, edit):
+    key, cid, value = _NON_NUMBER_SPECS[edit]
+    data = adhoc_genspec(parse_universe(TREE_SRC, "Tree"), 5, "dragen").to_json_dict()
+    data[key][cid] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "-f", tree_file, "--root", "Tree",
+                         "--spec", str(spec), "--count", "20")
+    assert (code, out) == (1, "")
+    message = TypeError(f"probability of {cid} must be a number, got {value!r}")
+    assert err == f"error: malformed generator spec: {message!r}\n"
 
 @pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
 def test_spec_rejects_foreign_probabilities(capsys, tmp_path, command):

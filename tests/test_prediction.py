@@ -208,6 +208,20 @@ class TestSpawningRanks:
         for g, w in zip(got, want):
             assert g.shape == w.shape == (k, 1, 1) and g.tobytes() == w.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.sampled_from([1, 1, 2, 5, 12, 40]), n=st.integers(0, LEVEL_LOOP_MAX),
+           data=st.data())
+    def test_one_type_running_product_matches_elementwise_loop(self, k, n, data):
+        # zeros, means that overflow to inf within n levels, and starts of
+        # 0 that meet inf (0 * inf is nan)
+        entries = st.sampled_from([0.0, 1e-200, 0.3, 1.0, 1.7, 1e10, 1e300, np.inf])
+        v = np.array(data.draw(st.lists(entries, min_size=k, max_size=k))).reshape(k, 1, 1)
+        m = np.array(data.draw(st.lists(entries, min_size=k, max_size=k))).reshape(k, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got, want = _level_sums(v, m, n), helpers.level_sums_elementwise(v, m, n)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (k, 1, 1) and g.tobytes() == w.tobytes()
+
 
 def _same_bits(got, want):
     return (got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
@@ -254,6 +268,28 @@ class TestScatterKernels:
                 stars = Process(u, 1).stars(p, p)
             assert all("all terminal constructors of" in str(w.message) for w in caught)
             assert _same_bits(stars, helpers.star_vectors_masked(cu, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 1, 2, 7, 30]),
+           zeros=st.booleans(), huge=st.booleans(), every=st.booleans())
+    def test_stars_match_the_where_formula(self, seed, k, zeros, huge, every):
+        # the padded division where every type has terminal mass, the
+        # where form where one starves; with huge entries a type's terminal
+        # mass can overflow to inf, which reads p / inf = 0
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=10, max_ctors=60)
+        cu = u.compiled
+        p = _batch(rng, u, k, zeros)
+        if huge:
+            p[np.array([[rng.random() < 0.3 for _ in range(p.shape[1])] for _ in range(k)])] = 1e308
+        cols = None if every else np.array(sorted(rng.sample(range(cu.nfamily_ctors),
+                                                             rng.randint(1, cu.nfamily_ctors))))
+        pc = p if cols is None else p[:, cols]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with np.errstate(over="ignore"):
+                got, want = Process(u, 1, cols).stars(p, pc), helpers.stars_where(cu, cols, p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), ntypes=st.integers(1, 10),
