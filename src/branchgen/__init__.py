@@ -10,7 +10,6 @@ from .adt import (
     Field,
     ParseError,
     TypeDecl,
-    branching_factor,
     build_cdg,
     load_probmap,
     parse_universe,
@@ -37,15 +36,8 @@ from .costs import (
 )
 from .prediction import (
     ConstructorExpectation,
-    MeanMatrix,
-    PopulationVector,
     PredictionReport,
-    expected_generation,
-    expected_population,
     extinction_probability,
-    initial_population,
-    mean_matrix_constructors,
-    mean_matrix_types,
     predict_constructors,
     predict_foreign,
     prediction_report_json,
@@ -56,7 +48,6 @@ from .sampling import (
     SampleStats,
     Value,
     adhoc_genspec,
-    count_constructors,
     empirical_stats,
     histogram_csv,
     sample_derive,
@@ -69,7 +60,6 @@ from .sampling import (
 from .search import (
     SearchConfig,
     SearchTrace,
-    derive_generator,
     derive_generator_with_trace,
     neighbors,
     optimize,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -579,16 +580,6 @@ def universe_hash(u: ADTUniverse) -> str:
 # Structural queries
 # ---------------------------------------------------------------------------
 
-def branching_factor(ctor_id: str, type_id: str, u: ADTUniverse) -> int:
-    """Number of fields of ``ctor_id`` whose type is ``type_id``. It reads
-    the declarations, not ``u.compiled``: with ``mean_matrix_constructors``
-    it is the reference route the tests compare against."""
-    decl = u.ctor_decl(ctor_id)
-    if type_id not in u.decls:
-        raise AdtError(f"unknown type: {type_id}")
-    return sum(1 for f in decl.fields if f.kind != GROUND and f.target == type_id)
-
-
 def terminal_constructors(type_id: str, u: ADTUniverse) -> tuple[str, ...]:
     """Constructors of a family type with no family-typed fields, in
     declaration order."""
@@ -815,6 +806,19 @@ def as_probability(cid: str, p) -> float:
     if isinstance(p, (bool, str)):
         raise TypeError(f"probability of {cid} must be a number, got {p!r}")
     return float(p)
+
+
+def as_integer(n, message: str, least: int | None = None) -> int:
+    """``n`` as an int, of at least ``least`` if given, else an ``AdtError``
+    of ``message`` and ``n``. A numpy integer passes; a bool or a
+    non-integral number does not, though ``int`` takes both."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise AdtError(f"{message}, got {n!r}")
+        n = int(n)
+    if least is not None and n < least:
+        raise AdtError(f"{message}, got {n!r}")
+    return n
 
 
 def load_probmap(data, u: ADTUniverse) -> dict[str, float]:

@@ -11,15 +11,12 @@ schedule's final row after its levels (``predict_schedule``). Both run on
 one engine, ``Process``, as do the cost functions' scorers.
 
 Everything here reads ``u.compiled``, built once per universe and shared
-with the samplers, and sums in declaration order. The constructor-level
-route (``mean_matrix_constructors``) reads the declarations instead: it is
-the independent reference the tests compare against.
+with the samplers, and sums in declaration order.
 """
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,16 +27,13 @@ from .adt import (
     AdtError,
     CompiledUniverse,
     _reachable,
-    branching_factor,
+    as_integer,
     flat_bins,
     live_graph,
     require_terminals,
     uniform_probmap,
     warn_probability,
 )
-
-CONSTRUCTOR = "constructor"
-TYPE = "type"
 
 LEVEL_LOOP_MAX = 128            # above this many levels, _level_sums doubles
 DOUBLING_ROW_EXP = 500          # the doubling's block rows stay below 2^this
@@ -48,48 +42,6 @@ EXTINCTION_TOL = 1e-15          # Newton stops once no entry moves more than thi
 EXTINCTION_MAX_ITER = 300
 EXTINCTION_RHO_SLACK = 1e-12    # rounding allowed in the spectral radius test
 LOG_ZERO = -1e3                 # log 0 in the extinction solve; exp(-745) is 0.0
-
-
-@dataclass(eq=False)
-class MeanMatrix:
-    """Square matrix of expected offspring per parent, at constructor or
-    type granularity. Entry (i, j) is the expected number of j's produced
-    directly by one i."""
-
-    granularity: str
-    index: tuple[str, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        n = len(self.index)
-        if self.entries.shape != (n, n):
-            raise AdtError(f"mean matrix shape {self.entries.shape} does not match index size {n}")
-        if (self.entries < 0).any():
-            raise AdtError("mean matrix entries must be nonnegative")
-
-
-@dataclass(eq=False)
-class PopulationVector:
-    """Expected counts keyed by an ordered id list."""
-
-    index: tuple[str, ...]
-    values: np.ndarray
-    _pos: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.index),):
-            raise AdtError("population vector length does not match its index")
-        if not np.isfinite(self.values).all() or (self.values < 0).any():
-            raise AdtError("population vector entries must be finite and nonnegative")
-        self._pos = {name: i for i, name in enumerate(self.index)}
-
-    def get(self, name: str) -> float:
-        return float(self.values[self._pos[name]])
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.index, self.values)}
 
 
 def _require_probs(probs: Mapping[str, float], ctors: tuple[str, ...]) -> None:
@@ -120,22 +72,6 @@ def check_probabilities(p: np.ndarray, names: Sequence[str]) -> None:
                        f"got {p[r, c]}")
 
 
-def mean_matrix_constructors(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
-    """Offspring means over the family's constructors:
-    entry (i, j) = branching_factor(type(j), i) * p(j). It reads the
-    declarations, not ``u.compiled``: this is the reference route."""
-    ctors = u.family_constructors()
-    _require_probs(probs, ctors)
-    n = len(ctors)
-    m = np.zeros((n, n))
-    for i, ci in enumerate(ctors):
-        for j, cj in enumerate(ctors):
-            beta = branching_factor(ci, u.ctor_type(cj), u)
-            if beta:
-                m[i, j] = beta * probs[cj]
-    return MeanMatrix(CONSTRUCTOR, ctors, m)
-
-
 def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """One type mean matrix per row of ``p``, each summed constructor by
     constructor in declaration order.
@@ -149,27 +85,6 @@ def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     for j in range(prod.shape[2]):
         m += prod[:, :, j]
     return m
-
-
-def mean_matrix_types(u: ADTUniverse, probs: Mapping[str, float]) -> MeanMatrix:
-    """Offspring means over the family's types:
-    entry (u, v) = sum over constructors C of u of branching_factor(v, C) * p(C)."""
-    cu = u.compiled
-    return MeanMatrix(TYPE, u.family, _type_matrices(cu, _family_probs(cu, [probs]))[0])
-
-
-def initial_population(u: ADTUniverse, probs: Mapping[str, float],
-                       granularity: str = CONSTRUCTOR) -> PopulationVector:
-    """Level-0 expectations: the root type's constructor probabilities at
-    constructor granularity, or a unit mass at the root type."""
-    cu = u.compiled
-    root = cu.index[u.root]
-    if granularity == CONSTRUCTOR:
-        p = _family_probs(cu, [probs])[0]
-        return PopulationVector(cu.ctors[:len(p)], np.where(cu.family_owner == root, p, 0.0))
-    if granularity == TYPE:
-        return PopulationVector(u.family, np.arange(cu.nfamily) == root)
-    raise AdtError(f"unknown granularity: {granularity!r}")
 
 
 def _level_sums(v: np.ndarray, m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,27 +184,6 @@ def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(x, np.clip(e, -_LDEXP_CLIP, _LDEXP_CLIP).astype(np.int32))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _checked_level_sums(g0: PopulationVector, m: MeanMatrix, n: int):
-    """``_level_sums`` of a checked vector and matrix; an overflow is left
-    to ``PopulationVector``, which rejects the non-finite result."""
-    if g0.index != m.index:
-        raise AdtError("population vector and mean matrix are indexed differently")
-    if n < 0:
-        raise AdtError("generation number must be nonnegative")
-    return _level_sums(g0.values.copy(), m.entries, n)
-
-
-def expected_generation(g0: PopulationVector, m: MeanMatrix, n: int) -> PopulationVector:
-    """g0'·M^n."""
-    return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[0])
-
-
-def expected_population(g0: PopulationVector, m: MeanMatrix, n: int) -> PopulationVector:
-    """Cumulative expectation sum(k=0..n) g0'·M^k."""
-    return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[1])
-
-
 def _scatter(bins: np.ndarray, weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """A scatter-add of ``weights`` into zeros of ``shape`` as one
     ``np.bincount``: entry k of ``weights``, in C order, goes to cell bins[k]
@@ -353,9 +247,8 @@ class PredictionReport:
         return {cid: e.total for cid, e in self.per_constructor.items()}
 
 
-def _check_size(size: int) -> None:
-    if not isinstance(size, numbers.Integral) or size < 1:
-        raise AdtError(f"size must be a positive integer, got {size!r}")
+def _check_size(size: int) -> int:
+    return as_integer(size, "size must be a positive integer", 1)
 
 
 class Process:
@@ -503,6 +396,7 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     quantities; the result agrees with the direct constructor-matrix
     computation. This is ``predict_batch`` on one map.
     """
+    size = _check_size(size)
     branching, last = predict_batch(u, [probs], size)
     report = {cid: ConstructorExpectation(b, l)
               for cid, b, l in zip(u.compiled.ctors, branching[0].tolist(), last[0].tolist())}
@@ -553,8 +447,9 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
     return out
 
 
-def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> PopulationVector:
-    """Probability that unbounded generation of each family type terminates.
+def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
+    """Probability that unbounded generation of each family type terminates,
+    by type id in ``u.family`` order.
 
     This is the least fixpoint of q(t) = sum over constructors C of t of
     p(C) * product of q(type(f)) over C's family-typed fields, with each
@@ -603,7 +498,7 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> Popula
     y = np.ones(nf)             # 1 - q
     for _, comp in sorted(comps, key=lambda c: c[0]):
         y[comp] = _extinction_component(p, counts, owner, y, comp)
-    return PopulationVector(u.family, 1.0 - y)
+    return dict(zip(u.family, (1.0 - y).tolist()))
 
 
 @np.errstate(divide="ignore")
@@ -680,11 +575,10 @@ def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int
     last = {cid: e.last_level for cid, e in sorted(report.per_constructor.items())}
     if not np.isfinite([*expected.values(), *last.values(), *foreign.values()]).all():
         raise AdtError(f"expected constructor counts at size {size} overflow a double")
-    extinction = extinction_probability(u, probs)
     return {
-        "size": size,
+        "size": report.size,
         "expected": expected,
         "lastLevel": last,
         "foreign": dict(sorted(foreign.items())),
-        "extinction": {tid: extinction.get(tid) for tid in u.family},
+        "extinction": extinction_probability(u, probs),
     }

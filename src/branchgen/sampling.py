@@ -35,6 +35,7 @@ from .adt import (
     ADTUniverse,
     AdtError,
     CompiledUniverse,
+    as_integer,
     uniform_probmap,
     unqualify,
     universe_hash,
@@ -421,15 +422,11 @@ def _walk(program: _Program, seed: int, index: int,
 def _bounded_size(size: int) -> int:
     """``size`` for a size-bounded strategy, which never reaches size 0 from
     a negative size and would run unbounded."""
-    if size < 0:
-        raise AdtError("generator size must be nonnegative")
-    return size
+    return as_integer(size, "generator size must be a nonnegative integer", 0)
 
 
 def _positive_budget(budget: int) -> int:
-    if budget < 1:
-        raise AdtError("budget must be a positive integer")
-    return budget
+    return as_integer(budget, "budget must be a positive integer", 1)
 
 
 def _checked(u: ADTUniverse, spec: GenSpec, strategy: str,
@@ -486,19 +483,6 @@ def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
     return (_walk(program, seed, i, budget) for i in range(count))
 
 
-def count_constructors(v: Value) -> dict[str, int]:
-    """Multiset of constructor ids in a value; ground atoms are not counted."""
-    counts: dict[str, int] = {}
-    stack = [v]
-    while stack:
-        node = stack.pop()
-        counts[node.constructor] = counts.get(node.constructor, 0) + 1
-        for ch in node.children:
-            if isinstance(ch, Value):
-                stack.append(ch)
-    return counts
-
-
 @dataclass
 class SampleStats:
     """Aggregated per-constructor statistics over a sampling run.
@@ -535,8 +519,7 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
     have the distribution of the tree walk's (``sample_*``) counts, but
     sample i's statistics do not replay the value of index i.
     """
-    if samples < 1:
-        raise AdtError("sample count must be a positive integer")
+    samples = as_integer(samples, "sample count must be a positive integer", 1)
     size, budget = _checked(u, spec, spec.strategy, budget)
     cu = u.compiled
     tables = _Tables(cu, build_schedule(u, spec.strategy, size, spec.probabilities,
@@ -738,7 +721,7 @@ def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
     if strategy not in STRATEGIES:
         raise AdtError(f"unknown strategy {strategy!r}")
     if strategy != STRATEGY_DERIVE:
-        _bounded_size(size)
+        size = _bounded_size(size)
     family_probs = {c: p for c, p in (probs or uniform_probmap(u, u.family)).items()
                     if u.is_family(u.ctor_type(c))}
     stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, family_probs)

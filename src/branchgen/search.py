@@ -9,7 +9,6 @@ neighbor while each move improves the cost by more than epsilon.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -18,6 +17,7 @@ import numpy as np
 from .adt import (
     ADTUniverse,
     AdtError,
+    as_integer,
     renormalize_probmap,
     uniform_probmap,
     universe_hash,
@@ -55,8 +55,7 @@ class SearchConfig:
         _check_delta(self.delta)
         if not 0.0 < self.epsilon < math.inf:
             raise AdtError("epsilon must be positive and finite")
-        if not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1:
-            raise AdtError("max_steps must be an integer of at least 1")
+        as_integer(self.max_steps, "max_steps must be an integer of at least 1", 1)
         _check_quantum(self.quantum)
 
 
@@ -273,8 +272,3 @@ def derive_generator_with_trace(
         universe_hash=universe_hash(u),
     )
     return spec, trace
-
-
-def derive_generator(u: ADTUniverse, size: int, cost: CostFunction,
-                     config: SearchConfig | None = None) -> GenSpec:
-    return derive_generator_with_trace(u, size, cost, config)[0]

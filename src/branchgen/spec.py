@@ -8,7 +8,14 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .adt import ADTUniverse, AdtError, as_probability, require_terminals, uniform_probmap
+from .adt import (
+    ADTUniverse,
+    AdtError,
+    as_integer,
+    as_probability,
+    require_terminals,
+    uniform_probmap,
+)
 
 STRATEGY_DRAGEN = "dragen"
 STRATEGY_MEGADETH = "megadeth"
@@ -100,8 +107,10 @@ class GenSpec:
             for key in ("root", "strategy", "universeHash"):
                 if not isinstance(data[key], str):
                     raise TypeError(f"{key} must be a string, got {data[key]!r}")
-            if type(spec.size) is not int:  # a bool is an int, and not a size
-                raise TypeError(f"size must be an integer, got {spec.size!r}")
+            try:
+                as_integer(spec.size, "size must be an integer")
+            except AdtError as exc:  # reported as the other mistyped fields are
+                raise TypeError(*exc.args) from None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AdtError(f"malformed generator spec: {exc!r}") from None
         if spec.strategy not in STRATEGIES:

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the main library's code paths: the
 depth-1 oracle enumerates generator outcomes exhaustively, and the
 constructor-matrix route recomputes the report from the constructor-level
-mean matrix instead of the type-level one the implementation uses.
+mean matrix instead of the type-level one the implementation uses. That
+route's matrices, populations and generations (``MeanMatrix``,
+``PopulationVector`` and the functions on them) live here, not in the
+library: only the tests read them.
 """
 
 import itertools
@@ -16,19 +19,16 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from branchgen import (
+    AdtError,
     ConstraintError,
     Value,
-    branching_factor,
     chi_square,
-    expected_generation,
-    expected_population,
-    initial_population,
-    mean_matrix_constructors,
     parse_universe,
     star_probs,
     terminal_constructors,
 )
 from branchgen.adt import FAMILY, GROUND, MODE_FAMILY, MODE_FOREIGN, MODE_GROUND, unqualify
+from branchgen.prediction import _family_probs, _level_sums, _require_probs, _type_matrices
 from branchgen.sampling import BudgetExhausted, _Tables, stream_seed
 from branchgen.spec import build_schedule
 
@@ -123,6 +123,116 @@ def enumerate_depth1(u, probs):
             for t_cid, _ in combo:
                 expected[t_cid] += p_outcome
     return expected
+
+
+CONSTRUCTOR = "constructor"
+TYPE = "type"
+
+
+@dataclass(eq=False)
+class MeanMatrix:
+    """Square matrix of expected offspring per parent, at constructor or
+    type granularity. Entry (i, j) is the expected number of j's produced
+    directly by one i."""
+
+    granularity: str
+    index: tuple
+    entries: np.ndarray
+
+    def __post_init__(self):
+        self.entries = np.asarray(self.entries, dtype=float)
+
+
+@dataclass(eq=False)
+class PopulationVector:
+    """Expected counts keyed by an ordered id list; an overflowed count is
+    an ``AdtError``."""
+
+    index: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if not np.isfinite(self.values).all() or (self.values < 0).any():
+            raise AdtError("population vector entries must be finite and nonnegative")
+
+    def get(self, name):
+        return float(self.values[self.index.index(name)])
+
+    def as_dict(self):
+        return dict(zip(self.index, self.values.tolist()))
+
+
+def branching_factor(ctor_id, type_id, u):
+    """Number of fields of ``ctor_id`` whose type is ``type_id``, read from
+    the declarations, not ``u.compiled``."""
+    return sum(1 for f in u.ctor_decl(ctor_id).fields
+               if f.kind != GROUND and f.target == type_id)
+
+
+def count_constructors(v):
+    """Multiset of constructor ids in a value; ground atoms are not counted."""
+    counts = {}
+    stack = [v]
+    while stack:
+        node = stack.pop()
+        counts[node.constructor] = counts.get(node.constructor, 0) + 1
+        stack.extend(ch for ch in node.children if isinstance(ch, Value))
+    return counts
+
+
+def mean_matrix_constructors(u, probs):
+    """Offspring means over the family's constructors:
+    entry (i, j) = branching_factor(i, type(j)) * p(j), from the
+    declarations."""
+    ctors = u.family_constructors()
+    _require_probs(probs, ctors)
+    m = np.zeros((len(ctors), len(ctors)))
+    for i, ci in enumerate(ctors):
+        for j, cj in enumerate(ctors):
+            beta = branching_factor(ci, u.ctor_type(cj), u)
+            if beta:
+                m[i, j] = beta * probs[cj]
+    return MeanMatrix(CONSTRUCTOR, ctors, m)
+
+
+def mean_matrix_types(u, probs):
+    """Offspring means over the family's types, by the library's
+    ``_type_matrices``: entry (u, v) = sum over constructors C of u of
+    branching_factor(C, v) * p(C)."""
+    cu = u.compiled
+    return MeanMatrix(TYPE, u.family, _type_matrices(cu, _family_probs(cu, [probs]))[0])
+
+
+def initial_population(u, probs, granularity=CONSTRUCTOR):
+    """Level-0 expectations: a unit mass at the root type at type
+    granularity, else the root type's constructor probabilities."""
+    cu = u.compiled
+    root = cu.index[u.root]
+    if granularity == TYPE:
+        return PopulationVector(u.family, np.arange(cu.nfamily) == root)
+    p = _family_probs(cu, [probs])[0]
+    return PopulationVector(cu.ctors[:len(p)], np.where(cu.family_owner == root, p, 0.0))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _checked_level_sums(g0, m, n):
+    """The library's ``_level_sums`` of a vector and a matrix over the same
+    index; an overflow is left to ``PopulationVector``, which rejects the
+    non-finite result."""
+    if g0.index != m.index:
+        raise AdtError("population vector and mean matrix are indexed differently")
+    return _level_sums(g0.values.copy(), m.entries, n)
+
+
+def expected_generation(g0, m, n):
+    """g0'·M^n."""
+    return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[0])
+
+
+def expected_population(g0, m, n):
+    """Cumulative expectation sum(k=0..n) g0'·M^k."""
+    return PopulationVector(g0.index, _checked_level_sums(g0, m, n)[1])
 
 
 def predict_via_constructor_matrix(u, probs, size):

@@ -14,12 +14,7 @@ from branchgen import (
     adhoc_genspec,
     derive_generator_with_trace,
     empirical_stats,
-    expected_generation,
-    expected_population,
     extinction_probability,
-    initial_population,
-    mean_matrix_constructors,
-    mean_matrix_types,
     only_cost,
     parse_universe,
     predict_constructors,
@@ -30,6 +25,13 @@ from branchgen import (
     without_cost,
 )
 from branchgen.search import SearchConfig
+from helpers import (
+    expected_generation,
+    expected_population,
+    initial_population,
+    mean_matrix_constructors,
+    mean_matrix_types,
+)
 from conftest import COMPOSITE_SRC, DERIVE_SRC, TREE_SRC, TREEP_SRC, TREEPP_SRC, T1T2_SRC
 
 SAMPLES = 100_000

@@ -9,14 +9,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from branchgen import (
     AdtError,
-    MeanMatrix,
-    PopulationVector,
-    expected_generation,
-    expected_population,
     extinction_probability,
-    initial_population,
-    mean_matrix_constructors,
-    mean_matrix_types,
     parse_universe,
     predict_constructors,
     predict_foreign,
@@ -27,7 +20,6 @@ from branchgen import (
 from branchgen.adt import flat_bins
 from branchgen.prediction import (
     LEVEL_LOOP_MAX,
-    TYPE,
     ConstructorExpectation,
     PredictionReport,
     Process,
@@ -41,6 +33,16 @@ from branchgen.prediction import (
     predict_schedule,
 )
 from branchgen.spec import build_schedule
+from helpers import (
+    TYPE,
+    MeanMatrix,
+    PopulationVector,
+    expected_generation,
+    expected_population,
+    initial_population,
+    mean_matrix_constructors,
+    mean_matrix_types,
+)
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 
@@ -455,24 +457,6 @@ class TestPopulations:
         pop = expected_population(g0, m, 10)
         assert pop.get("Tree.Node") == pytest.approx(69.1173, rel=1e-3)
 
-    @pytest.mark.parametrize("make, message", [
-        (lambda u: MeanMatrix(TYPE, ("Tree",), np.zeros((2, 2))),
-         "mean matrix shape (2, 2) does not match index size 1"),
-        (lambda u: MeanMatrix(TYPE, ("Tree",), [[-0.5]]), "mean matrix entries must be nonnegative"),
-        (lambda u: PopulationVector(("Tree",), np.zeros(2)),
-         "population vector length does not match its index"),
-        (lambda u: initial_population(u, uniform_probmap(u), "value"),
-         "unknown granularity: 'value'"),
-        (lambda u: expected_generation(initial_population(u, uniform_probmap(u), TYPE),
-                                       mean_matrix_types(u, uniform_probmap(u)), -1),
-         "generation number must be nonnegative"),
-    ], ids=["matrix-shape", "matrix-negative", "vector-length", "granularity",
-            "negative-generation"])
-    def test_malformed_arguments_rejected(self, tree_u, make, message):
-        with pytest.raises(AdtError) as exc:
-            make(tree_u)
-        assert str(exc.value) == message
-
     def test_critical_process_sum(self):
         # m = 1 exactly: the iterative sum crosses the singular (I - M) case
         g0 = PopulationVector(("X",), np.array([1.0]))
@@ -646,7 +630,7 @@ class TestPredict:
         with pytest.raises(AdtError, match="positive"):
             predict_constructors(tree_u, uniform_probmap(tree_u), 0)
 
-    @pytest.mark.parametrize("size", [2.5, 10.0, "10", None])
+    @pytest.mark.parametrize("size", [2.5, 10.0, "10", None, True])
     def test_size_must_be_an_integer(self, tree_u, size):
         with pytest.raises(AdtError, match="positive integer"):
             predict_constructors(tree_u, uniform_probmap(tree_u), size)
@@ -655,6 +639,7 @@ class TestPredict:
         probs = uniform_probmap(tree_u)
         assert (predict_constructors(tree_u, probs, np.int64(7)).totals()
                 == predict_constructors(tree_u, probs, 7).totals())
+        assert type(prediction_report_json(tree_u, probs, np.int64(7))["size"]) is int
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.25])
     def test_bad_probability_rejected_at_the_edge(self, tree_u, bad):
@@ -843,6 +828,11 @@ class TestExtinction:
         q = extinction_probability(tree_u, uniform_probmap(tree_u))
         assert q.get("Tree") == pytest.approx(1.0, abs=1e-9)
 
+    def test_a_dict_of_floats_in_family_order(self, t1t2_u):
+        q = extinction_probability(t1t2_u, half_probs(t1t2_u))
+        assert list(q) == list(t1t2_u.family)
+        assert all(type(v) is float for v in q.values())
+
 
 class TestReportJson:
     def test_schema(self, composite_u):
@@ -872,7 +862,7 @@ class TestExtinctionNewton:
             # zero entries may cut the family into several components, or
             # leave a type that can no longer finish a value
             probs.update({c: 0.0 for c in probs if rng.random() < 0.3})
-        got = extinction_probability(u, probs).as_dict()
+        got = extinction_probability(u, probs)
         want = helpers.extinction_oracle(u, probs)
         assert got.keys() == want.keys()
         for tid in want:
@@ -909,7 +899,7 @@ class TestExtinctionNewton:
         assert b / (b + c) + c / (b + c) > 1.0
         probs = {"S.A": 0.0, "S.B": b, "S.C": c, "T.L": 0.31617713722134233,
                  "T.W": 0.2135246620646961}
-        got = extinction_probability(u, probs).as_dict()
+        got = extinction_probability(u, probs)
         want = helpers.extinction_oracle(u, probs)
         for tid in want:
             assert abs(got[tid] - want[tid]) <= 1e-15, tid
@@ -920,7 +910,7 @@ class TestExtinctionNewton:
     def test_critical_two_type_component_is_exactly_one(self, t1t2_u):
         # mean matrix [[0.5, 0.5], [1, 0]] has spectral radius 1
         probs = {"T1.A": 0.5, "T1.B": 0.5, "T2.C": 0.0, "T2.D": 1.0}
-        assert extinction_probability(t1t2_u, probs).as_dict() == {"T1": 1.0, "T2": 1.0}
+        assert extinction_probability(t1t2_u, probs) == {"T1": 1.0, "T2": 1.0}
 
     def test_reducible_family(self):
         # B2 = 0 leaves B unable to reach A, so B is a component below A
@@ -929,13 +919,13 @@ class TestExtinctionNewton:
                            "data B = B0 | B1 B B | B2 A", "A")
         probs = {"A.A0": 0.4, "A.A1": 0.3, "A.A2": 0.3,
                  "B.B0": 0.3, "B.B1": 0.7, "B.B2": 0.0}
-        got = extinction_probability(u, probs).as_dict()
+        got = extinction_probability(u, probs)
         assert got["B"] == pytest.approx(3.0 / 7.0, abs=1e-15)
         want = helpers.extinction_oracle(u, probs)
         assert abs(got["A"] - want["A"]) <= 1e-15
         # a subcritical component whose field below it can fail is not 1
         probs.update({"A.A0": 0.8, "A.A1": 0.1, "A.A2": 0.1})
-        got = extinction_probability(u, probs).as_dict()
+        got = extinction_probability(u, probs)
         assert got["A"] < 1.0
         assert abs(got["A"] - helpers.extinction_oracle(u, probs)["A"]) <= 1e-15
 
@@ -944,7 +934,7 @@ class TestExtinctionNewton:
         # exactly 1, and so is subcritical A above it
         u = parse_universe("data A = A0 | A1 A B\ndata B = B0 | B1 B B | B2 A", "A")
         probs = {"A.A0": 0.6, "A.A1": 0.4, "B.B0": 0.5, "B.B1": 0.5, "B.B2": 0.0}
-        assert extinction_probability(u, probs).as_dict() == {"A": 1.0, "B": 1.0}
+        assert extinction_probability(u, probs) == {"A": 1.0, "B": 1.0}
 
     @pytest.mark.parametrize("src,probs,want", [
         # no terminal mass: the process never stops
@@ -960,14 +950,14 @@ class TestExtinctionNewton:
     ], ids=["no-terminal-mass", "one-child-cycle", "dead-type", "unfinishable-type"])
     def test_dead_components(self, src, probs, want):
         u = parse_universe(src, next(iter(want)))
-        assert extinction_probability(u, probs).as_dict() == want
+        assert extinction_probability(u, probs) == want
         assert helpers.extinction_oracle(u, probs) == want
 
     def test_all_terminal_family_member(self):
         # C has only terminals; the family's other types still recurse
         u = parse_universe("data A = A0 | A1 A C\ndata C = C0 | C1 | C2 A", "A")
         probs = {"A.A0": 0.5, "A.A1": 0.5, "C.C0": 0.5, "C.C1": 0.5, "C.C2": 0.0}
-        assert extinction_probability(u, probs).as_dict() == {"A": 1.0, "C": 1.0}
+        assert extinction_probability(u, probs) == {"A": 1.0, "C": 1.0}
 
     def test_unnormalized_map_is_renormalized(self, tree_u):
         # the sampler draws in proportion, so a scaled map has the same odds

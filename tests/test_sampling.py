@@ -11,6 +11,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,6 @@ from branchgen import (
     BudgetExhausted,
     Value,
     adhoc_genspec,
-    count_constructors,
     empirical_stats,
     extinction_probability,
     histogram_csv,
@@ -38,6 +38,7 @@ from branchgen import (
 from branchgen import sampling
 from branchgen.sampling import _BLOCK, _finish_stats, stream_seed
 from branchgen.spec import build_schedule
+from helpers import count_constructors
 
 TREEP_P = {"Tree'.Leaf": 0.2, "Tree'.NodeA": 0.5, "Tree'.NodeB": 0.3}
 # Tree with mean offspring 1.8: counts grow ~1.8x per level
@@ -355,6 +356,41 @@ class TestSamplerSetup:
         for call in self.calls(tree_u, spec):
             with pytest.raises(AdtError, match="spec root Other does not match"):
                 call()
+
+    # sizes, budgets and sample counts are integers: a bool or a float is
+    # an error, though ``int`` and ``range`` would take some of them
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_size_must_be_an_integer(self, tree_u, bad):
+        message = "generator size must be a nonnegative integer"
+        spec = dragen_spec(tree_u, 3)
+        spec.size = bad
+        for call in [*self.calls(tree_u, spec), lambda: sample_dragen(tree_u, spec, 0),
+                     lambda: adhoc_genspec(tree_u, bad, "dragen"),
+                     lambda: sample_megadeth(tree_u, None, bad, 0)]:
+            with pytest.raises(AdtError, match=message):
+                call()
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_budget_must_be_an_integer(self, tree_u, bad):
+        spec = adhoc_genspec(tree_u, 3, "derive")
+        for call in [lambda: sample_derive(tree_u, bad, 0),
+                     lambda: sample_values(tree_u, spec, 0, 3, budget=bad),
+                     lambda: empirical_stats(tree_u, spec, 10, 0, budget=bad)]:
+            with pytest.raises(AdtError, match="budget must be a positive integer"):
+                call()
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_sample_count_must_be_an_integer(self, tree_u, bad):
+        with pytest.raises(AdtError, match="sample count must be a positive integer"):
+            empirical_stats(tree_u, dragen_spec(tree_u, 3), bad, 0)
+
+    def test_numpy_integers_pass(self, tree_u):
+        spec = dragen_spec(tree_u, np.int64(3))
+        assert type(spec.size) is int
+        assert sample_dragen(tree_u, spec, 0) == sample_dragen(tree_u, dragen_spec(tree_u, 3), 0)
+        stats = empirical_stats(tree_u, spec, np.int64(10), 0)
+        assert type(stats.samples) is int and stats.samples == 10
+        assert sample_derive(tree_u, np.int64(100), 0) == sample_derive(tree_u, 100, 0)
 
 
 class TestEngineMatchesTreeWalk:

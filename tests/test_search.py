@@ -11,7 +11,6 @@ from branchgen import (
     AdtError,
     GenSpec,
     SearchConfig,
-    derive_generator,
     derive_generator_with_trace,
     neighbors,
     optimize,
@@ -187,6 +186,12 @@ class TestOptimize:
             with pytest.raises(AdtError):
                 SearchConfig(max_steps=bad)
 
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "10"])
+    def test_max_steps_must_be_an_integer(self, bad):
+        with pytest.raises(AdtError, match="max_steps must be an integer of at least 1"):
+            SearchConfig(max_steps=bad)
+        assert SearchConfig(max_steps=np.int64(3)).max_steps == 3
 
     def test_quantum_reciprocal_must_be_finite(self, tree_u):
         with pytest.raises(AdtError, match="reciprocal"):
@@ -386,7 +391,7 @@ class TestTableOneLandscape:
     CFG = SearchConfig(delta=0.002)
 
     def test_uniform_row(self, tree_u):
-        spec = derive_generator(tree_u, 10, uniform_cost(tree_u), self.CFG)
+        spec, _ = derive_generator_with_trace(tree_u, 10, uniform_cost(tree_u), self.CFG)
         totals = predict_constructors(tree_u, spec.probabilities, 10).totals()
         published = {"Tree.LeafA": 5.26, "Tree.LeafB": 5.26,
                      "Tree.LeafC": 5.21, "Tree.Node": 14.73}
@@ -396,7 +401,7 @@ class TestTableOneLandscape:
     def test_weighted_leaf_ratio(self, tree_u):
         cost = weighted_cost(tree_u, {"Tree.LeafA": 3, "Tree.LeafB": 1,
                                       "Tree.LeafC": 1})
-        spec = derive_generator(tree_u, 10, cost, self.CFG)
+        spec, _ = derive_generator_with_trace(tree_u, 10, cost, self.CFG)
         totals = predict_constructors(tree_u, spec.probabilities, 10).totals()
         assert totals["Tree.LeafA"] / totals["Tree.LeafB"] == pytest.approx(3.0, rel=0.10)
         assert totals["Tree.LeafA"] / totals["Tree.LeafC"] == pytest.approx(3.0, rel=0.10)
@@ -414,8 +419,8 @@ class TestDeriveGenerator:
         assert trace.steps
 
     def test_constraint_pinning(self, treepp_u):
-        spec = derive_generator(treepp_u, 10,
-                                only_cost(treepp_u, ["LeafA", "NodeA"]))
+        spec, _ = derive_generator_with_trace(treepp_u, 10,
+                                              only_cost(treepp_u, ["LeafA", "NodeA"]))
         assert spec.probabilities["Tree''.LeafB"] == 0.0
         assert spec.probabilities["Tree''.NodeB"] == 0.0
         assert spec.star_probabilities["Tree''.LeafA"] == 1.0
@@ -427,7 +432,7 @@ class TestDeriveGenerator:
         assert len(trace.steps) == 1
 
     def test_genspec_json_round_trip(self, tree_u, tmp_path):
-        spec = derive_generator(tree_u, 10, uniform_cost(tree_u))
+        spec = derive_generator_with_trace(tree_u, 10, uniform_cost(tree_u))[0]
         path = tmp_path / "spec.json"
         spec.save(path)
         again = GenSpec.load(path)
