@@ -18,12 +18,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,9 +124,11 @@ class ADTUniverse:
     def __post_init__(self):
         self._family_set = frozenset(self.family)
         index: dict[str, tuple[str, ConstructorDecl]] = {}
+        self._ctors_of: dict[str, tuple[str, ...]] = {}
         for tid, decl in self.decls.items():
-            for ctor in decl.constructors:
-                index[qualify(tid, ctor.name)] = (tid, ctor)
+            ids = self._ctors_of[tid] = tuple(qualify(tid, c.name) for c in decl.constructors)
+            for cid, ctor in zip(ids, decl.constructors):
+                index[cid] = (tid, ctor)
         self._ctor_index = index
         self._foreign = _foreign_order(self.root, self._family_set, self.type_graph)
 
@@ -135,10 +138,10 @@ class ADTUniverse:
         return type_id in self._family_set
 
     def constructors_of(self, type_id: str) -> tuple[str, ...]:
-        decl = self.decls.get(type_id)
-        if decl is None:
-            raise AdtError(f"unknown type: {type_id}")
-        return tuple(qualify(type_id, c.name) for c in decl.constructors)
+        try:
+            return self._ctors_of[type_id]
+        except KeyError:
+            raise AdtError(f"unknown type: {type_id}") from None
 
     def family_constructors(self) -> tuple[str, ...]:
         return self.compiled.ctors[:self.compiled.nfamily_ctors]
@@ -800,12 +803,39 @@ def probmap_to_json(probs: Mapping[str, float]) -> dict:
     return {"probabilities": dict(sorted(probs.items()))}
 
 
+def is_number(x) -> bool:
+    """Whether ``x`` is a real number: an int, a float or a numpy number.
+    A bool or a numeric string is not, though ``float`` takes both."""
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
 def as_probability(cid: str, p) -> float:
-    """A probability file's entry for ``cid`` as a float. ``float`` also
-    takes a bool or a numeric string, which are not numbers there."""
-    if isinstance(p, (bool, str)):
+    """A probability file's entry for ``cid`` as a float; one that is not a
+    number (see ``is_number``) is a ``TypeError``."""
+    if not is_number(p):
         raise TypeError(f"probability of {cid} must be a number, got {p!r}")
     return float(p)
+
+
+def read_probabilities(probs: Mapping[str, float], ctors: Sequence[str]) -> list[float]:
+    """The entries of ``probs`` for ``ctors``, in order, as floats, by the
+    one rule for a probability: present, a number, finite and nonnegative.
+    The missing entries, else the first entry that breaks the rule, are an
+    ``AdtError``. Every map a prediction, a cost, a search or a sampler
+    reads goes through here."""
+    missing = [c for c in ctors if c not in probs]
+    if missing:
+        raise AdtError(f"missing probability entries: {missing}")
+    out = []
+    for c in ctors:
+        p = probs[c]
+        if not is_number(p):
+            raise AdtError(f"probability of {c} must be a number, got {p!r}")
+        p = float(p)
+        if not 0.0 <= p < math.inf:
+            raise AdtError(f"probability of {c} must be finite and nonnegative, got {p}")
+        out.append(p)
+    return out
 
 
 def as_integer(n, message: str, least: int | None = None) -> int:
@@ -839,8 +869,8 @@ def load_probmap(data, u: ADTUniverse) -> dict[str, float]:
             raise AdtError(f"unknown constructor: {cid}")
         try:
             probs[cid] = as_probability(cid, p)
-        except (TypeError, ValueError):
-            raise AdtError(f"probability of {cid} must be a number, got {p!r}") from None
+        except TypeError as exc:
+            raise AdtError(*exc.args) from None
     validate_probmap(u, probs)
     return probs
 

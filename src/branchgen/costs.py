@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .adt import ADTUniverse, AdtError, live_support, resolve_constructor
+from .adt import ADTUniverse, AdtError, is_number, live_support, resolve_constructor
 from .prediction import Process, _check_size, _family_probs
 
 
@@ -48,16 +48,13 @@ class CostFunction:
     targets: tuple[tuple[str, float], ...]
     pinned: frozenset[str]
 
-    def __call__(self, size: int, probs: Mapping[str, float]) -> float:
-        return self.scores(size, [probs])[0]
-
     @np.errstate(over="ignore", invalid="ignore")
-    def scores(self, size: int, maps: Sequence[Mapping[str, float]]) -> list[float]:
-        """The cost of each map, from one batched prediction. Each equals
-        ``chi_square`` on that map's totals alone, bit for bit. A cost that
-        overflows a double reads inf or nan, without a warning."""
+    def __call__(self, size: int, probs: Mapping[str, float]) -> float:
+        """The cost of ``probs`` at ``size``, on one ``Scorer``: ``chi_square``
+        on the map's totals, bit for bit. A cost that overflows a double
+        reads inf or nan, without a warning."""
         scorer = Scorer(self, size)
-        return scorer(_family_probs(scorer.cu, maps))
+        return scorer(_family_probs(scorer.cu, probs))[0]
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -70,29 +67,22 @@ class CostFunction:
 
 
 class Scorer(Process):
-    """``cost``'s scores at one size, on the prediction engine read at the
-    target columns only. ``scores`` builds one per call; ``optimize`` builds
-    one per search, so the size, the expected counts and the terminal check
-    are checked once, and a step only predicts and sums.
+    """``cost``'s scores at one size, on the prediction engine. A cost's
+    ``__call__`` builds one per map; ``optimize`` builds one per search, so
+    the size, the expected counts and the terminal check are checked once,
+    and a step only predicts and sums. A type whose terminals starve warns
+    the first time it does and is silent after (see ``Process``)."""
 
-    With ``warn_once``, a type whose terminals starve warns the first time
-    it does and is silent after (see ``Process``); otherwise it warns once
-    per (map, type), as scoring the maps one at a time would."""
-
-    def __init__(self, cost: CostFunction, size: int, warn_once: bool = False):
+    def __init__(self, cost: CostFunction, size: int):
         _check_size(size)
-        columns, weights, low, high = cost._columns
+        self.columns, weights, low, high = cost._columns
         self.expected = weights * size
         # w * size rises with w, so the extreme weights bound every entry
         if not (0.0 < low * size and high * size < math.inf):
             e = self.expected
             raise AdtError("expected entries must be positive and finite, "
                            f"got {e[~((0.0 < e) & (e < math.inf))][0]}")
-        # a cost on every family constructor, in order, reads p as it is
-        every = tuple(c for c, _ in cost.targets) == cost.universe.family_constructors()
-        super().__init__(cost.universe, size, None if every else columns)
-        if warn_once:
-            self.warned = set()
+        super().__init__(cost.universe, size)
 
     def __call__(self, p: np.ndarray, types: np.ndarray | None = None) -> list[float]:
         """The cost of each row of ``p``, a family-probability matrix whose
@@ -100,13 +90,13 @@ class Scorer(Process):
         its rows once. ``types`` names the family type each row changes from
         the focus (see ``Process.matrices``).
 
-        The chi-square sum is one cumulative sum per map over its targets in
-        order (``np.add.accumulate``, the kernel of ``cumsum`` without its
-        method's overhead), which adds the terms left to right as
-        ``chi_square`` does."""
-        pc = p if self.cols is None else p.take(self.cols, axis=1)
-        branching, last = self.counts(p, pc, self.matrices(p, types), self.stars(p, pc))
-        d = branching + last - self.expected
+        The targets' totals are taken from every constructor's with one
+        ``take``. The chi-square sum is one cumulative sum per map over the
+        targets in order (``np.add.accumulate``, the kernel of ``cumsum``
+        without its method's overhead), which adds the terms left to right
+        as ``chi_square`` does."""
+        branching, last = self.counts(p, self.stars(p), types)
+        d = (branching + last).take(self.columns, axis=1) - self.expected
         terms = d * d / self.expected
         if not terms.shape[1]:
             return [0.0] * len(terms)
@@ -130,6 +120,8 @@ def weighted_cost(u: ADTUniverse, weights: Mapping[str, float]) -> CostFunction:
         cid = resolve_constructor(u, name)
         if cid not in family:
             raise ConstraintError(f"{cid} is not in the branching family")
+        if not is_number(w):
+            raise AdtError(f"weight for {cid} must be a number, got {w!r}")
         if not 0.0 < w < math.inf:
             raise AdtError(f"weight for {cid} must be positive and finite, got {w}")
         resolved[cid] = float(w)

@@ -6,9 +6,9 @@ generation. With the offspring mean matrix M and initial vector g0, the
 expected generation is g0'·M^k and the expected population up to level k is
 the running sum of those terms. Terminal constructors get an extra
 last-level term because the final level can only draw terminals: by p
-renormalized within each type's terminal set (``predict_batch``), or by a
-schedule's final row after its levels (``predict_schedule``). Both run on
-one engine, ``Process``, as do the cost functions' scorers.
+renormalized within each type's terminal set (``predict_constructors``), or
+by a schedule's final row after its levels (``predict_schedule``). Both run
+on one engine, ``Process``, as do the cost functions' scorers.
 
 Everything here reads ``u.compiled``, built once per universe and shared
 with the samplers, and sums in declaration order.
@@ -17,7 +17,7 @@ with the samplers, and sums in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .adt import (
     as_integer,
     flat_bins,
     live_graph,
+    read_probabilities,
     require_terminals,
     uniform_probmap,
     warn_probability,
@@ -44,32 +45,10 @@ EXTINCTION_RHO_SLACK = 1e-12    # rounding allowed in the spectral radius test
 LOG_ZERO = -1e3                 # log 0 in the extinction solve; exp(-745) is 0.0
 
 
-def _require_probs(probs: Mapping[str, float], ctors: tuple[str, ...]) -> None:
-    missing = [c for c in ctors if c not in probs]
-    if missing:
-        raise AdtError(f"missing probability entries: {missing}")
-
-
-def _family_probs(cu: CompiledUniverse, maps: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """The family constructors' probabilities, one row per map, each
-    checked to be finite and nonnegative."""
-    ctors = cu.ctors[:cu.nfamily_ctors]
-    for probs in maps:
-        _require_probs(probs, ctors)
-    rows = [[probs[c] for c in ctors] for probs in maps]
-    p = np.array(rows, dtype=float).reshape(len(maps), len(ctors))
-    check_probabilities(p, ctors)
-    return p
-
-
-def check_probabilities(p: np.ndarray, names: Sequence[str]) -> None:
-    """Reject the first entry of ``p``, rows of probabilities with one
-    column per name, that is not finite and nonnegative."""
-    bad = ~(np.isfinite(p) & (p >= 0.0))
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise AdtError(f"probability of {names[c]} must be finite and nonnegative, "
-                       f"got {p[r, c]}")
+def _family_probs(cu: CompiledUniverse, probs: Mapping[str, float]) -> np.ndarray:
+    """The family constructors' probabilities in ``probs`` as one row,
+    checked by ``read_probabilities``."""
+    return np.array([read_probabilities(probs, cu.ctors[:cu.nfamily_ctors])])
 
 
 def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
@@ -221,8 +200,7 @@ def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     """
     cu = u.compiled
     process = Process(u, 0)  # checks the terminals first
-    p = _family_probs(cu, [probs])
-    stars = process.stars(p, p)[0].tolist()
+    stars = process.stars(_family_probs(cu, probs))[0].tolist()
     return {cid: stars[c] for c, cid in enumerate(cu.ctors[:len(stars)]) if cu.terminal[c]}
 
 
@@ -253,38 +231,32 @@ def _check_size(size: int) -> int:
 
 class Process:
     """The prediction engine: ``u``'s branching process run for ``levels``
-    levels, then a final level that draws only terminals, read at the
-    family constructor columns ``cols`` (None for all, in order). What does
-    not change between calls is done once, here: the terminal check, the
-    columns' owners, terminal flags and star pad (see ``stars``), and the
-    root's start rows (kept for the largest batch served). A search also
-    keeps its focus map's type matrix here (see ``matrices``). Each row is
-    computed as in a batch of one.
+    levels, then a final level that draws only terminals, over every family
+    constructor, one row per map. What does not change between calls is
+    done once, here: the terminal check, the star pad (see ``stars``), and
+    the root's start rows (kept for the largest batch served). A search
+    also keeps its focus map's type matrix here (see ``matrices``). Each
+    row is computed as in a batch of one.
 
     A type with probability mass left but none on its terminals falls back
-    to uniform terminals on the final level, and warns (see ``stars``):
-    once per (row, type), or, when ``warned`` is a set of the types already
-    warned about, only for a type not in it, which then joins it.
+    to uniform terminals on the final level, and warns (see ``stars``) the
+    first time it does in this engine: ``warned`` holds the types already
+    warned about.
 
     Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
     a count that overflows a double reads inf or nan, without a numpy
     RuntimeWarning, and callers that must print it reject it."""
 
-    def __init__(self, u: ADTUniverse, levels: int, cols: np.ndarray | None = None):
+    def __init__(self, u: ADTUniverse, levels: int):
         self.cu = cu = u.compiled
         require_terminals(cu)
         self.levels = levels
-        self.cols = cols
-        if cols is None:
-            self.owner, self.terminal = cu.family_owner, cu.family_terminal
-        else:
-            self.owner, self.terminal = cu.family_owner[cols], cu.family_terminal[cols]
         # added to a column's terminal mass: p / inf is 0 off the terminals
-        self.pad = np.where(self.terminal, 0.0, np.inf)
+        self.pad = np.where(cu.family_terminal, 0.0, np.inf)
         self.root = cu.index[u.root]
         self.start = np.empty((0, 1, cu.nfamily))
         self.focus = self.batch = None
-        self.warned: set[int] | None = None
+        self.warned: set[int] = set()
 
     def matrices(self, p: np.ndarray, types: np.ndarray | None = None) -> np.ndarray:
         """The type mean matrix of each row of ``p``, kept as the batch, so
@@ -314,11 +286,10 @@ class Process:
     def move(self, i: int) -> None:
         self.focus = self.batch[i]
 
-    def stars(self, p: np.ndarray, pc: np.ndarray) -> np.ndarray:
-        """p* at the columns, one row per row of ``p`` (``pc`` is ``p`` at
-        the columns), zero for non-terminals; a starved type falls back to
-        uniform terminals (see the class). A type with no mass at all is
-        the dead-type form and stays silent.
+    def stars(self, p: np.ndarray) -> np.ndarray:
+        """p*, one row per row of ``p``, zero for non-terminals; a starved
+        type falls back to uniform terminals (see the class). A type with no
+        mass at all is the dead-type form and stays silent.
 
         When every type has terminal mass, p* is one division by the
         column's terminal mass plus ``pad``, which is 0 at a terminal and
@@ -326,65 +297,51 @@ class Process:
         a terminal has some and inf where not, then the fallback. The two
         divisors are equal wherever both apply, so the bits are too."""
         cu = self.cu
+        owner, terminal = cu.family_owner, cu.family_terminal
         mass = _terminal_mass(cu, p)
-        own_mass = mass.take(self.owner, axis=1)
+        own_mass = mass.take(owner, axis=1)
         if mass.all():
-            return pc / (own_mass + self.pad)
-        stars = pc / np.where(self.terminal & (own_mass > 0.0), own_mass, np.inf)
+            return p / (own_mass + self.pad)
+        stars = p / np.where(terminal & (own_mass > 0.0), own_mass, np.inf)
         starved = mass == 0.0
         # a starved type's mass, if any, is on its spawning constructors;
         # the pads of a type with none read one of its zero terminals
         live_types = (p.take(cu.type_cols, axis=1) > 0.0).any(axis=2)
-        warned = self.warned
         for t in np.argwhere(starved & live_types)[:, 1].tolist():
-            if warned is None or t not in warned:
-                if warned is not None:
-                    warned.add(t)
+            if t not in self.warned:
+                self.warned.add(t)
                 warn_probability(
                     f"all terminal constructors of {cu.types[t]} have probability 0; "
                     "using a uniform terminal distribution at the last level")
-        fallback = self.terminal & starved.take(self.owner, axis=1)
-        stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[self.owner],
-                                          stars.shape)[fallback]
+        fallback = terminal & starved.take(owner, axis=1)
+        stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
         return stars
 
-    def counts(self, p: np.ndarray, pc: np.ndarray, m: np.ndarray,
-               stars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expected branching and last-level counts at the columns, one row
-        per row of ``p`` (``pc`` is ``p`` at the columns): the root draws by
-        ``p`` (type matrices ``m``) on the levels, then by ``stars`` on the
-        final level."""
+    def counts(self, p: np.ndarray, stars: np.ndarray,
+               types: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Expected branching and last-level counts of the family
+        constructors, one row per row of ``p``: the root draws by ``p`` on
+        the levels (type matrices from ``matrices(p, types)``), then by
+        ``stars`` on the final level."""
+        cu = self.cu
         if len(self.start) < len(p):
-            self.start = np.zeros((len(p), 1, self.cu.nfamily))
+            self.start = np.zeros((len(p), 1, cu.nfamily))
             self.start[:, 0, self.root] = 1.0
         # One row vector per map: (maps, 1, types), so each level is one
         # stacked vector-matrix product.
         v = self.start[:len(p)]
         if self.levels:
-            v, pop = _level_sums(v, m, self.levels - 1)
+            v, pop = _level_sums(v, self.matrices(p, types), self.levels - 1)
             v, pop = v[:, 0], pop[:, 0]
-            branching = pop.take(self.owner, axis=1) * pc
-            fill = _fill(self.cu, v, p)
+            branching = pop.take(cu.family_owner, axis=1) * p
+            fill = _fill(cu, v, p)
         else:  # the root alone, on the final level
             branching, fill = np.zeros_like(stars), v[:, 0]
-        return branching, np.where(self.terminal, stars * fill.take(self.owner, axis=1), 0.0)
+        last = stars * fill.take(cu.family_owner, axis=1)
+        return branching, np.where(cu.family_terminal, last, 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def predict_batch(u: ADTUniverse, maps: Sequence[Mapping[str, float]],
-                  size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expected branching and last-level counts of the family constructors
-    (columns in ``u.compiled.ctors`` order), one row per probability map.
-
-    All maps share one level loop over stacked type matrices, and a map's
-    numbers do not depend on its batch (see ``Process``).
-    """
-    _check_size(size)
-    process = Process(u, size)
-    p = _family_probs(process.cu, maps)
-    return process.counts(p, p, process.matrices(p), process.stars(p, p))
-
-
 def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
                          size: int) -> PredictionReport:
     """Expected constructor counts for a run at the given size.
@@ -394,10 +351,12 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     the placeholders of T spawned into level `size` by the non-terminals
     at level size-1. Constructor expectations are derived from type-level
     quantities; the result agrees with the direct constructor-matrix
-    computation. This is ``predict_batch`` on one map.
+    computation.
     """
     size = _check_size(size)
-    branching, last = predict_batch(u, [probs], size)
+    process = Process(u, size)
+    p = _family_probs(process.cu, probs)
+    branching, last = process.counts(p, process.stars(p))
     report = {cid: ConstructorExpectation(b, l)
               for cid, b, l in zip(u.compiled.ctors, branching[0].tolist(), last[0].tolist())}
     return PredictionReport(size, report)
@@ -406,12 +365,12 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
 @np.errstate(over="ignore", invalid="ignore")
 def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
     """Expected count of every constructor, foreign ones too, under a
-    size-bounded ``spec.Schedule``: ``predict_batch``'s process on its
-    rows, run for its levels, then its final row on the final level."""
+    size-bounded ``spec.Schedule``: the engine on its rows, run for its
+    levels, then its final row on the final level."""
     cu, nfc = u.compiled, u.compiled.nfamily_ctors
     process = Process(u, schedule.levels)
-    p = np.array([schedule.rows[:nfc]])
-    branching, last = process.counts(p, p, process.matrices(p), np.array([schedule.final[:nfc]]))
+    branching, last = process.counts(np.array([schedule.rows[:nfc]]),
+                                     np.array([schedule.final[:nfc]]))
     report = PredictionReport(schedule.levels, dict(zip(cu.ctors, map(
         ConstructorExpectation, branching[0].tolist(), last[0].tolist()))))
     foreign = predict_foreign(u, report, dict(zip(cu.ctors[nfc:], schedule.rows[nfc:])))
@@ -428,7 +387,7 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
     nfc = cu.nfamily_ctors
     if foreign_probs is None:
         foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
-    _require_probs(foreign_probs, cu.ctors[nfc:])
+    foreign = read_probabilities(foreign_probs, cu.ctors[nfc:])
 
     # Types are in topological order, so each foreign type has all of its
     # placeholders before its own constructors are reached.
@@ -439,7 +398,7 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
         if c < nfc:
             expected = totals[cid]
         else:
-            expected = placeholders[cu.owner[c]] * foreign_probs[cid]
+            expected = placeholders[cu.owner[c]] * foreign[c - nfc]
             out[cid] = expected
         for mode, target in cu.rows[c]:
             if mode == MODE_FOREIGN:
@@ -465,7 +424,7 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> dict[s
     """
     cu = u.compiled
     nf, owner = cu.nfamily, cu.family_owner
-    p = _family_probs(cu, [probs])[0]
+    p = _family_probs(cu, probs)[0]
     mass = np.bincount(owner, p, minlength=nf)[owner]
     p = np.divide(p, mass, out=np.zeros_like(p), where=mass > 0.0)
     counts = cu.counts[:cu.nfamily_ctors, :nf]

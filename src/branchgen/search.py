@@ -18,12 +18,14 @@ from .adt import (
     ADTUniverse,
     AdtError,
     as_integer,
+    is_number,
+    read_probabilities,
     renormalize_probmap,
     uniform_probmap,
     universe_hash,
 )
 from .costs import CostFunction, Scorer
-from .prediction import _family_probs, check_probabilities, star_probs
+from .prediction import _family_probs, star_probs
 from .spec import STRATEGY_DRAGEN, GenSpec  # GenSpec is re-exported from here
 
 LOCAL_MINIMUM = "LocalMinimum"
@@ -32,12 +34,12 @@ STEP_CAP = "StepCap"
 
 
 def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
+    if not (is_number(delta) and 0.0 < delta < 1.0):
         raise AdtError("delta must be in (0, 1)")
 
 
 def _check_quantum(quantum: float) -> None:
-    if not 0.0 < quantum < math.inf:
+    if not (is_number(quantum) and 0.0 < quantum < math.inf):
         raise AdtError("quantum must be positive and finite")
     if not math.isfinite(1.0 / quantum):
         # p / quantum would overflow, and every map would quantize alike
@@ -53,7 +55,7 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_delta(self.delta)
-        if not 0.0 < self.epsilon < math.inf:
+        if not (is_number(self.epsilon) and 0.0 < self.epsilon < math.inf):
             raise AdtError("epsilon must be positive and finite")
         as_integer(self.max_steps, "max_steps must be an integer of at least 1", 1)
         _check_quantum(self.quantum)
@@ -83,7 +85,10 @@ class _Rows:
     def __init__(self, u: ADTUniverse, keys: Iterable[str],
                  pinned: frozenset[str] | set[str], delta: float):
         self.keys = tuple(keys)
-        self.order = tuple(sorted(self.keys))
+        # every constructor of a keyed type: one that is not a key is
+        # missing, and ``row`` rejects it
+        self.order = tuple(sorted({c for t in {u.ctor_type(k) for k in self.keys}
+                                   for c in u.constructors_of(t)}))
         self.column = {cid: i for i, cid in enumerate(self.order)}
         self.to_keys = np.array([self.column[k] for k in self.keys], dtype=np.intp)
         n = len(self.order)
@@ -110,9 +115,7 @@ class _Rows:
         self.row_bytes = np.dtype((np.void, (n + 1) * np.dtype(float).itemsize))
 
     def row(self, probs: Mapping[str, float]) -> np.ndarray:
-        x = np.array([*(probs[cid] for cid in self.order), 0.0], dtype=float)
-        check_probabilities(x[None, :-1], self.order)
-        return x
+        return np.array([*read_probabilities(probs, self.order), 0.0])
 
     def quantized(self, rows: np.ndarray, quantum: float) -> list[bytes]:
         """Each row's key: round(p / quantum) per entry, half to even as
@@ -190,14 +193,14 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     Every evaluated neighbor joins the visited set (keyed by its quantized
     probabilities), so no map is scored twice; ties between equally cheap
     neighbors resolve to the first in enumeration order. The search runs on
-    rows (see ``_Rows``). A stock ``CostFunction`` is scored through one
-    ``Scorer`` per run, one call per step, from the focus map's type
-    matrix; it warns once per starved type. Any other cost, including a
-    ``CostFunction`` whose ``__call__`` or ``scores`` is overridden, is
-    called once per map. The run is under one ``np.errstate`` that ignores
-    overflow and invalid results, so a cost that overflows reads inf or nan.
-    Returns the best map found and the trace of accepted steps, whose maps
-    have the key order of ``init``.
+    rows (see ``_Rows``). A cost whose ``__call__`` is ``CostFunction``'s is
+    scored through one ``Scorer`` per run, one call per step, from the
+    focus map's type matrix; it warns once per starved type. Any other cost,
+    such as a wrapper that forwards calls, is called once per map. The run
+    is under one ``np.errstate`` that ignores overflow and invalid results,
+    so a cost that overflows reads inf or nan. Returns the best map found
+    and the trace of accepted steps, whose maps have the key order of
+    ``init``.
     """
     cfg = config or SearchConfig()
     for cid in cost.pinned:
@@ -206,12 +209,12 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
 
     u = cost.universe
     cu = u.compiled
-    # Any other cost (a subclass that overrides __call__ or scores, or a
-    # wrapper that forwards calls) is opaque and is called once per map.
+    # Any other cost (a subclass that overrides __call__, or a wrapper that
+    # forwards calls) is opaque and is called once per map.
     scorer = None
-    if type(cost).__call__ is CostFunction.__call__ and type(cost).scores is CostFunction.scores:
-        scorer = Scorer(cost, size, warn_once=True)
-        focus_cost = scorer(_family_probs(cu, [init]))[0]
+    if type(cost).__call__ is CostFunction.__call__:
+        scorer = Scorer(cost, size)
+        focus_cost = scorer(_family_probs(cu, init))[0]
         scorer.move(0)
     else:
         focus_cost = cost(size, init)

@@ -13,6 +13,7 @@ from .adt import (
     AdtError,
     as_integer,
     as_probability,
+    read_probabilities,
     require_terminals,
     uniform_probmap,
 )
@@ -51,18 +52,23 @@ def build_schedule(u: ADTUniverse, strategy: str, size: int,
                    stars: Mapping[str, float] | None = None,
                    foreign_probs: Mapping[str, float] | None = None) -> Schedule:
     """The schedule of ``strategy`` at ``size``: dragen draws by ``probs``,
-    and on the final level by ``stars``; the others ignore both and draw
-    uniformly, megadeth over the terminals on the final level. Foreign
-    types draw by ``foreign_probs`` (default uniform) at every size."""
+    and on the final level by ``stars`` (a terminal they do not name reads
+    0); the others ignore both and draw uniformly, megadeth over the
+    terminals on the final level. Foreign types draw by ``foreign_probs``
+    (default uniform) at every size. Each entry read is checked by
+    ``read_probabilities``."""
     tuned, child, count_levels = _RULES[strategy]
     cu, levels = u.compiled, count_levels(size)
     family = cu.ctors[:cu.nfamily_ctors]
+    rows = final = read_probabilities(probs, family) if tuned else [1.0] * len(family)
     if foreign_probs is None:
         foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
-    foreign = [foreign_probs[c] for c in cu.ctors[cu.nfamily_ctors:]]
-    rows = final = [probs[c] for c in family] if tuned else [1.0] * len(family)
+    foreign = read_probabilities(foreign_probs, cu.ctors[cu.nfamily_ctors:])
     if levels is not None:
         require_terminals(cu)
+        if tuned:
+            named = [c for c in family if c in stars]
+            stars = dict(zip(named, read_probabilities(stars, named)))
         final = [(stars.get(c, 0.0) if tuned else 1.0) if term else 0.0
                  for c, term in zip(family, cu.family_terminal.tolist())]
     rows, final = ([w / total if total > 0.0 else 0.0

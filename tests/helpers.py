@@ -27,8 +27,16 @@ from branchgen import (
     star_probs,
     terminal_constructors,
 )
-from branchgen.adt import FAMILY, GROUND, MODE_FAMILY, MODE_FOREIGN, MODE_GROUND, unqualify
-from branchgen.prediction import _family_probs, _level_sums, _require_probs, _type_matrices
+from branchgen.adt import (
+    FAMILY,
+    GROUND,
+    MODE_FAMILY,
+    MODE_FOREIGN,
+    MODE_GROUND,
+    read_probabilities,
+    unqualify,
+)
+from branchgen.prediction import Process, _family_probs, _level_sums, _type_matrices
 from branchgen.sampling import BudgetExhausted, _Tables, stream_seed
 from branchgen.spec import build_schedule
 
@@ -186,13 +194,13 @@ def mean_matrix_constructors(u, probs):
     entry (i, j) = branching_factor(i, type(j)) * p(j), from the
     declarations."""
     ctors = u.family_constructors()
-    _require_probs(probs, ctors)
+    p = read_probabilities(probs, ctors)
     m = np.zeros((len(ctors), len(ctors)))
     for i, ci in enumerate(ctors):
         for j, cj in enumerate(ctors):
             beta = branching_factor(ci, u.ctor_type(cj), u)
             if beta:
-                m[i, j] = beta * probs[cj]
+                m[i, j] = beta * p[j]
     return MeanMatrix(CONSTRUCTOR, ctors, m)
 
 
@@ -201,7 +209,7 @@ def mean_matrix_types(u, probs):
     ``_type_matrices``: entry (u, v) = sum over constructors C of u of
     branching_factor(C, v) * p(C)."""
     cu = u.compiled
-    return MeanMatrix(TYPE, u.family, _type_matrices(cu, _family_probs(cu, [probs]))[0])
+    return MeanMatrix(TYPE, u.family, _type_matrices(cu, _family_probs(cu, probs))[0])
 
 
 def initial_population(u, probs, granularity=CONSTRUCTOR):
@@ -211,8 +219,24 @@ def initial_population(u, probs, granularity=CONSTRUCTOR):
     root = cu.index[u.root]
     if granularity == TYPE:
         return PopulationVector(u.family, np.arange(cu.nfamily) == root)
-    p = _family_probs(cu, [probs])[0]
+    p = _family_probs(cu, probs)[0]
     return PopulationVector(cu.ctors[:len(p)], np.where(cu.family_owner == root, p, 0.0))
+
+
+def family_rows(u, maps):
+    """The family constructors' probabilities, one checked row per map."""
+    cu = u.compiled
+    return np.array([_family_probs(cu, m)[0] for m in maps]).reshape(len(maps), cu.nfamily_ctors)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def predict_rows(u, maps, size):
+    """Expected branching and last-level counts of the family constructors,
+    one row per map, from one engine run on the stacked maps, as a search
+    step scores its candidates."""
+    process = Process(u, size)
+    p = family_rows(u, maps)
+    return process.counts(p, process.stars(p))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -301,18 +325,15 @@ def star_vectors_masked(cu, p):
     return stars
 
 
-def stars_where(cu, cols, p):
-    """p* at the family columns ``cols`` (None for all) by the mask and
-    ``np.where`` over the terminal masses of ``terminal_mass_add_at``,
-    uniform over a type's terminals where they have no mass, without the
-    warning: the formula the library's padded division replaced where every
-    type has terminal mass, and still uses where one does not. The library
-    must match it byte for byte."""
-    cols = np.arange(cu.nfamily_ctors) if cols is None else cols
-    owner, term, pc = cu.family_owner[cols], cu.family_terminal[cols], p[:, cols]
-    mass = terminal_mass_add_at(cu, p)
-    own_mass = mass[:, owner]
-    stars = pc / np.where(term & (own_mass > 0.0), own_mass, np.inf)
+def stars_where(cu, p):
+    """p* by the mask and ``np.where`` over the terminal masses of
+    ``terminal_mass_add_at``, uniform over a type's terminals where they
+    have no mass, without the warning: the formula the library's padded
+    division replaced where every type has terminal mass, and still uses
+    where one does not. The library must match it byte for byte."""
+    owner, term = cu.family_owner, cu.family_terminal
+    own_mass = terminal_mass_add_at(cu, p)[:, owner]
+    stars = p / np.where(term & (own_mass > 0.0), own_mass, np.inf)
     fallback = term & (own_mass == 0.0)
     stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
     return stars

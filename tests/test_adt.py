@@ -1,16 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from branchgen import (
+    STRATEGY_DRAGEN,
     AdtError,
+    GenSpec,
     ParseError,
     adhoc_genspec,
     build_cdg,
+    empirical_stats,
     extinction_probability,
     load_probmap,
+    neighbors,
     parse_universe,
     predict_constructors,
     predict_foreign,
@@ -19,7 +24,10 @@ from branchgen import (
     renormalize_probmap,
     resolve_constructor,
     sample_dragen,
+    sample_values,
+    star_probs,
     terminal_constructors,
+    uniform_cost,
     uniform_probmap,
     universe_hash,
     validate_probmap,
@@ -526,6 +534,88 @@ class TestProbMaps:
         doc = {"probabilities": dict.fromkeys(tree_u.family_constructors(), 0.3)}
         with pytest.raises(AdtError):
             load_probmap(doc, tree_u)
+
+
+# A family (Tree) with foreign types (Bool, Atom), for the map readers below
+RULE_SRC = """
+data Bool = True | False
+data Atom = AInt Int | AUnit Unit
+data Tree = LeafA | LeafB Bool | LeafC Atom | Node Tree Tree
+"""
+
+# One bad entry of each kind, with the message every reader gives for it
+# (``{c}`` is the constructor)
+BAD_ENTRIES = {
+    "missing": (None, "missing probability entries: ['{c}']"),
+    "negative": (-0.5, "probability of {c} must be finite and nonnegative, got -0.5"),
+    "nan": (float("nan"), "probability of {c} must be finite and nonnegative, got nan"),
+    "inf": (float("inf"), "probability of {c} must be finite and nonnegative, got inf"),
+    "bool": (True, "probability of {c} must be a number, got True"),
+    "string": ("0.25", "probability of {c} must be a number, got '0.25'"),
+}
+
+
+def _spec(u, probs, stars):
+    return GenSpec(u.root, 4, STRATEGY_DRAGEN, probs, stars, universe_hash(u))
+
+
+# Each entry point, called with a family map, a foreign map and a star map
+# (the ones it reads)
+MAP_READERS = {
+    "predict_constructors": lambda u, fam, fgn, st: predict_constructors(u, fam, 5),
+    "star_probs": lambda u, fam, fgn, st: star_probs(u, fam),
+    "extinction_probability": lambda u, fam, fgn, st: extinction_probability(u, fam),
+    "predict_foreign": lambda u, fam, fgn, st: predict_foreign(
+        u, predict_constructors(u, fam, 5), fgn),
+    "sample_dragen": lambda u, fam, fgn, st: sample_dragen(u, _spec(u, fam, st), 0, 0, fgn),
+    "sample_values": lambda u, fam, fgn, st: list(
+        sample_values(u, _spec(u, fam, st), 0, 3, foreign_probs=fgn)),
+    "empirical_stats": lambda u, fam, fgn, st: empirical_stats(u, _spec(u, fam, st), 10, 0, fgn),
+    "neighbors": lambda u, fam, fgn, st: neighbors(u, fam, 0.1),
+    "CostFunction.__call__": lambda u, fam, fgn, st: uniform_cost(u)(5, fam),
+}
+SAMPLERS = ("sample_dragen", "sample_values", "empirical_stats")
+# (entry point, map given the bad entry, constructor given it, kind of entry);
+# a star map may leave a terminal out, which reads 0
+READS = [(name, which, cid, kind) for name, which, cid in (
+    [(name, "family", "Tree.LeafA") for name in MAP_READERS if name != "predict_foreign"]
+    + [("predict_foreign", "foreign", "Atom.AInt")]
+    + [(name, "foreign", "Atom.AInt") for name in SAMPLERS]
+    + [(name, "stars", "Tree.LeafA") for name in SAMPLERS])
+    for kind in BAD_ENTRIES if (which, kind) != ("stars", "missing")]
+
+
+class TestProbabilityRule:
+    """Every map a prediction, a cost, a search or a sampler reads follows
+    one rule: each entry present, a number, finite and nonnegative."""
+
+    @pytest.mark.parametrize("name, which, cid, kind", READS,
+                             ids=[f"{name}-{which}-{kind}" for name, which, _, kind in READS])
+    def test_every_map_reader_gives_the_same_error(self, name, which, cid, kind):
+        u = parse_universe(RULE_SRC, "Tree")
+        family = uniform_probmap(u, u.family)
+        maps = {"family": family,
+                "foreign": uniform_probmap(u, ["Bool", "Atom"]),
+                "stars": star_probs(u, family)}
+        value, message = BAD_ENTRIES[kind]
+        bad = dict(maps[which])
+        if value is None:
+            del bad[cid]
+        else:
+            bad[cid] = value
+        maps[which] = bad
+        with pytest.raises(AdtError) as exc:
+            MAP_READERS[name](u, maps["family"], maps["foreign"], maps["stars"])
+        assert str(exc.value) == message.format(c=cid)
+
+    def test_numpy_and_integer_entries_are_numbers(self):
+        u = parse_universe(RULE_SRC, "Tree")
+        family = uniform_probmap(u, u.family)
+        want = predict_constructors(u, family, 5).totals()
+        assert predict_constructors(u, {c: np.float64(p) for c, p in family.items()},
+                                    5).totals() == want
+        one = {c: 0 for c in family} | {"Tree.LeafA": 1}
+        assert star_probs(u, one) == {"Tree.LeafA": 1.0, "Tree.LeafB": 0.0, "Tree.LeafC": 0.0}
 
 
 class TestResolve:

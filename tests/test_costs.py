@@ -24,7 +24,7 @@ from branchgen import (
     without_cost,
     without_types_cost,
 )
-from branchgen.prediction import predict_batch
+from branchgen.costs import Scorer
 
 
 class TestChiSquare:
@@ -81,9 +81,9 @@ class TestUniform:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             costs = [cost(size, probs) for size in (1000, 1300, 5000)]
-            batch = cost.scores(1000, [probs, uniform_probmap(tree_u)])
+            fine = cost(1000, uniform_probmap(tree_u))
         assert costs == [np.inf] * 3
-        assert batch[0] == np.inf and np.isfinite(batch[1])
+        assert np.isfinite(fine)
 
     def test_pure(self, tree_u):
         cost = uniform_cost(tree_u)
@@ -116,6 +116,13 @@ class TestWeighted:
     def test_nonpositive_weight(self, tree_u):
         with pytest.raises(AdtError, match="positive"):
             weighted_cost(tree_u, {"Tree.Node": 0})
+        # a weight must be a number, as a probability must: not a string,
+        # and not a bool, though float takes both
+        for bad in ("3", True):
+            with pytest.raises(AdtError) as exc:
+                weighted_cost(tree_u, {"LeafA": bad})
+            assert str(exc.value) == f"weight for Tree.LeafA must be a number, got {bad!r}"
+        assert weighted_cost(tree_u, {"LeafA": np.int64(3)}).targets == (("Tree.LeafA", 3.0),)
 
     def test_unlisted_do_not_contribute(self, tree_u):
         cost = weighted_cost(tree_u, {"Tree.LeafA": 1})
@@ -307,37 +314,39 @@ class TestBatchedScores:
         for m in starved:
             maps.insert(rng.randint(0, len(maps)), m)
 
-        batched, batched_warnings = _recorded(lambda: cost.scores(size, maps))
+        p = helpers.family_rows(u, maps)
+        batched, batched_warnings = _recorded(lambda: Scorer(cost, size)(p))
         single, single_warnings = _recorded(lambda: [cost(size, m) for m in maps])
         assert batched == single
         assert batched == [helpers.scalar_cost(cost, size, m) for m in maps]
-        assert batched_warnings == single_warnings
-        assert len(batched_warnings) >= len(starved)
+        # one map at a time warns once per (map, type), a scorer once per type
+        assert batched_warnings == list(dict.fromkeys(single_warnings))
+        assert len(single_warnings) >= len(starved)
 
     def test_empty_batch(self, tree_u):
-        assert uniform_cost(tree_u).scores(10, []) == []
+        assert Scorer(uniform_cost(tree_u), 10)(np.empty((0, 4))) == []
 
     @pytest.mark.parametrize("row, bad", [([-0.5, 0.5, 0.5, 0.5], "Tree.LeafA.*got -0.5"),
                                           ([0.2, np.nan, 0.3, 0.5], "Tree.LeafB.*got nan"),
                                           ([0.2, 0.3, 0.5, np.inf], "Tree.Node.*got inf")])
     def test_probability_matrix_is_checked_as_maps_are(self, tree_u, row, bad):
-        # a batch's maps are checked entry by entry, each error naming its
+        # a map's entries are checked one by one, each error naming its
         # constructor
-        maps = [dict(zip(tree_u.family_constructors(), r))
-                for r in ([0.25, 0.25, 0.25, 0.25], row)]
+        probs = dict(zip(tree_u.family_constructors(), row))
         with pytest.raises(AdtError, match=bad):
-            uniform_cost(tree_u).scores(10, maps)
+            uniform_cost(tree_u)(10, probs)
         with pytest.raises(AdtError, match=bad):
-            predict_batch(tree_u, maps, 10)
+            predict_constructors(tree_u, probs, 10)
 
     def test_negative_and_nan_entries_in_one_matrix(self, tree_u):
-        # the first bad entry of the batch, in row-major order, is reported
-        maps = [dict(zip(tree_u.family_constructors(), r))
-                for r in ([-0.5, 0.5, 0.5, 0.5], [np.nan, 0.2, 0.3, 0.5])]
-        with pytest.raises(AdtError, match="Tree.LeafA must be finite and nonnegative, got -0.5"):
-            uniform_cost(tree_u).scores(10, maps)
-        with pytest.raises(AdtError, match="Tree.LeafA must be finite and nonnegative, got -0.5"):
-            predict_batch(tree_u, maps, 10)
+        # the first bad entry of a map, in declaration order, is reported
+        for row, bad in (([-0.5, np.nan, 0.5, 0.5], "Tree.LeafA .* got -0.5"),
+                         ([np.nan, -0.5, 0.3, 0.5], "Tree.LeafA .* got nan")):
+            probs = dict(zip(tree_u.family_constructors(), row))
+            with pytest.raises(AdtError, match=bad):
+                uniform_cost(tree_u)(10, probs)
+            with pytest.raises(AdtError, match=bad):
+                predict_constructors(tree_u, probs, 10)
 
 
 EXCLUSIONS = {"only": only_cost, "without": without_cost,

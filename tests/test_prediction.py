@@ -29,7 +29,6 @@ from branchgen.prediction import (
     _scatter,
     _terminal_mass,
     _type_matrices,
-    predict_batch,
     predict_schedule,
 )
 from branchgen.spec import build_schedule
@@ -267,14 +266,14 @@ class TestScatterKernels:
             assert _same_bits(_terminal_mass(cu, p), helpers.terminal_mass_add_at(cu, p))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                stars = Process(u, 1).stars(p, p)
+                stars = Process(u, 1).stars(p)
             assert all("all terminal constructors of" in str(w.message) for w in caught)
             assert _same_bits(stars, helpers.star_vectors_masked(cu, p))
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 1, 2, 7, 30]),
-           zeros=st.booleans(), huge=st.booleans(), every=st.booleans())
-    def test_stars_match_the_where_formula(self, seed, k, zeros, huge, every):
+           zeros=st.booleans(), huge=st.booleans())
+    def test_stars_match_the_where_formula(self, seed, k, zeros, huge):
         # the padded division where every type has terminal mass, the
         # where form where one starves; with huge entries a type's terminal
         # mass can overflow to inf, which reads p / inf = 0
@@ -284,13 +283,10 @@ class TestScatterKernels:
         p = _batch(rng, u, k, zeros)
         if huge:
             p[np.array([[rng.random() < 0.3 for _ in range(p.shape[1])] for _ in range(k)])] = 1e308
-        cols = None if every else np.array(sorted(rng.sample(range(cu.nfamily_ctors),
-                                                             rng.randint(1, cu.nfamily_ctors))))
-        pc = p if cols is None else p[:, cols]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with np.errstate(over="ignore"):
-                got, want = Process(u, 1, cols).stars(p, pc), helpers.stars_where(cu, cols, p)
+                got, want = Process(u, 1).stars(p), helpers.stars_where(cu, p)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -310,15 +306,15 @@ class TestScatterKernels:
         u, _ = helpers.random_universe(random.Random(7), max_types=10, max_ctors=60)
         cu = u.compiled
         maps = _maps(random.Random(8), u, 5, zeros=False)
-        branching, last = predict_batch(u, maps, 6)
-        one = predict_batch(u, maps[:1], 6)
+        branching, last = helpers.predict_rows(u, maps, 6)
+        one = helpers.predict_rows(u, maps[:1], 6)
         assert _same_bits(one[0], branching[:1]) and _same_bits(one[1], last[:1])
-        for got in predict_batch(u, [], 6):
+        for got in helpers.predict_rows(u, [], 6):
             assert _same_bits(got, np.zeros((0, cu.nfamily_ctors)))
         empty = np.zeros((0, cu.nfamily_ctors))
         assert _same_bits(_fill(cu, np.zeros((0, cu.nfamily)), empty),
                           np.zeros((0, cu.nfamily)))
-        assert _same_bits(Process(u, 1).stars(empty, empty), empty)
+        assert _same_bits(Process(u, 1).stars(empty), empty)
 
     def test_family_without_fields(self):
         # no (constructor, family field) pairs: the fill adds no weights
@@ -360,7 +356,7 @@ class TestLevelDoubling:
         u = parse_universe("data R = RL | RN R | RS S\ndata S = SL | SN S S | SR R", "R")
         probs = {"R.RL": 0.5, "R.RN": 0.5, "R.RS": 0.0, "S.SL": 0.2, "S.SN": 0.7, "S.SR": 0.1}
         cu = u.compiled
-        m = _type_matrices(cu, _family_probs(cu, [probs]))
+        m = _type_matrices(cu, _family_probs(cu, probs))
         v = np.zeros((1, 1, cu.nfamily))
         v[0, 0, cu.index["R"]] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -368,7 +364,7 @@ class TestLevelDoubling:
         for got, exp in zip(_level_sums(v, m, 4999), want):
             assert np.isfinite(exp).all()
             np.testing.assert_allclose(got, exp, rtol=1e-12, atol=1e-290)
-        branching, last = predict_batch(u, [probs], 5000)
+        branching, last = helpers.predict_rows(u, [probs], 5000)
         assert branching[0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         assert np.isfinite(last).all()
 
@@ -380,7 +376,7 @@ class TestLevelDoubling:
         probs = {"R.RL": 0.5, "R.RN": 0.5 - 1e-250, "R.RS": 1e-250,
                  "S.SL": 0.05, "S.SN": 0.9, "S.SR": 0.05}
         cu = u.compiled
-        m = _type_matrices(cu, _family_probs(cu, [probs]))
+        m = _type_matrices(cu, _family_probs(cu, probs))
         v = np.zeros((1, 1, cu.nfamily))
         v[0, 0, cu.index["R"]] = 1.0
         for n in (1500, 2047, 2048, 2100, 2200):
@@ -392,7 +388,7 @@ class TestLevelDoubling:
                 assert np.isfinite(g[finite]).all()
                 np.testing.assert_allclose(g[finite], w[finite], rtol=1e-12, atol=1e-290)
         assert not np.isfinite(want[1]).all()  # the loop itself overflows by 2200
-        branching, last = predict_batch(u, [probs], 2101)
+        branching, last = helpers.predict_rows(u, [probs], 2101)
         assert np.isfinite(branching).all() and np.isfinite(last).all()
         assert branching[0, cu.ctors.index("S.SN")] > 1e286
 
@@ -613,13 +609,13 @@ class TestPredict:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 30))
     def test_batch_branching_is_the_public_population(self, seed, size):
-        # predict_batch and expected_population run one level loop, so the
+        # the engine and expected_population run one level loop, so the
         # engine's branching counts equal the public formula bit for bit
         rng = random.Random(seed)
         u, _ = helpers.random_universe(rng)
         cu = u.compiled
         maps = [helpers.random_probmap(rng, u) for _ in range(3)]
-        branching, _ = predict_batch(u, maps, size)
+        branching, _ = helpers.predict_rows(u, maps, size)
         for row, probs in zip(branching, maps):
             pop = expected_population(initial_population(u, probs, "type"),
                                       mean_matrix_types(u, probs), size - 1).values
@@ -661,7 +657,7 @@ class TestPredict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             totals = predict_constructors(tree_u, probs, 5000).totals()
-            batch = predict_batch(tree_u, [probs, uniform_probmap(tree_u)], 5000)
+            batch = helpers.predict_rows(tree_u, [probs, uniform_probmap(tree_u)], 5000)
             with pytest.raises(AdtError, match="size 5000 overflow a double"):
                 prediction_report_json(tree_u, probs, 5000)
         assert not np.isfinite(list(totals.values())).all()

@@ -27,6 +27,7 @@ from branchgen import (
 )
 from branchgen.costs import CostFunction, Scorer
 from branchgen.prediction import _family_probs, _type_matrices
+from branchgen import search
 from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP, _Rows
 from test_acceptance import TABLE_CFG, TABLE_ROWS
 
@@ -171,11 +172,14 @@ class TestOptimize:
             optimize(cost, 10, uniform_probmap(tree_u))
 
     def test_config_validation(self):
-        for bad in (0.0, -0.1, float("nan"), float("inf")):
+        for bad in (0.0, -0.1, float("nan"), float("inf"), "0.1"):
             with pytest.raises(AdtError, match=r"delta must be in \(0, 1\)"):
                 SearchConfig(delta=bad)
-        with pytest.raises(AdtError):
-            SearchConfig(epsilon=0.0)
+        for bad in (0.0, "1"):
+            with pytest.raises(AdtError, match="epsilon must be positive and finite"):
+                SearchConfig(epsilon=bad)
+        with pytest.raises(AdtError, match="quantum must be positive and finite"):
+            SearchConfig(quantum="1e-6")
         with pytest.raises(AdtError):
             SearchConfig(max_steps=0)
         for bad in (float("nan"), float("inf")):
@@ -212,7 +216,7 @@ class TestOptimize:
                                            "and nonnegative, got -0.5"):
             neighbors(tree_u, probs, 0.01)
         # neighbors takes the deltas SearchConfig takes, and no others
-        for bad in (float("inf"), float("nan"), -0.1, 0.0, 1.0):
+        for bad in (float("inf"), float("nan"), -0.1, 0.0, 1.0, "0.1", True):
             with pytest.raises(AdtError, match=r"delta must be in \(0, 1\)"):
                 neighbors(tree_u, uniform_probmap(tree_u), bad)
 
@@ -366,22 +370,27 @@ class TestScoringRoutes:
         init = uniform_probmap(u, u.family)
         assert _run(Forwarding(cost), 10, init, config) == _run(cost, 10, init, config)
 
-    def test_overridden_scores_is_scored_per_map(self, tree_u):
-        # the inherited __call__ runs the overridden scores on one map at a
-        # time, and the search follows the stock cost's path
-        batches = []
+    def test_subclass_keeping_call_is_scored_by_one_scorer(self, tree_u, monkeypatch):
+        # the route reads __call__ alone: a subclass that inherits it is
+        # scored through one Scorer per search, not called once per map
+        built = []
+
+        class Counting(Scorer):
+            def __init__(self, cost, size):
+                built.append(size)
+                super().__init__(cost, size)
+
+        class Tagged(CostFunction):
+            tag = "tagged"
+
         inner = uniform_cost(tree_u)
-
-        class Counting(CostFunction):
-            def scores(self, size, maps):
-                batches.append(len(maps))
-                return super().scores(size, maps)
-
-        cost = Counting(inner.label, inner.universe, inner.targets, inner.pinned)
+        cost = Tagged(inner.label, inner.universe, inner.targets, inner.pinned)
         init = uniform_probmap(tree_u)
+        want = _run(inner, 10, init, None)
+        monkeypatch.setattr(search, "Scorer", Counting)
         got = _run(cost, 10, init, None)
-        assert got == _run(inner, 10, init, None)
-        assert batches == [1] * got[3] and got[3] > len(got[1])
+        assert got == want and built == [10]
+        assert _run(Forwarding(cost), 10, init, None) == want and built == [10]
 
 
 class TestTableOneLandscape:
@@ -516,8 +525,8 @@ def _candidates(rng, u, cost, delta, starve):
 def _search_scorer(cost, size, init):
     """The scorer ``optimize`` builds for ``cost``, focused on ``init``,
     and the warnings scoring ``init`` gave."""
-    scorer = Scorer(cost, size, warn_once=True)
-    _, caught = _recorded(lambda: scorer(_family_probs(cost.universe.compiled, [init])))
+    scorer = Scorer(cost, size)
+    _, caught = _recorded(lambda: scorer(_family_probs(cost.universe.compiled, init)))
     scorer.move(0)
     return scorer, caught
 
@@ -542,8 +551,8 @@ class TestFocusRows:
         full, full_warnings = _recorded(lambda: Scorer(cost, size)(p))
         assert _same_bits(scored, full)
         assert _same_bits(scorer.batch, _type_matrices(u.compiled, p))
-        # the full build warns once per (map, type); the search's scorer
-        # once per type, and not again for a type it warned about on the focus
+        # each scorer warns once per type; the search's scorer not again for
+        # a type it warned about on the focus
         assert scored_warnings == [w for w in dict.fromkeys(full_warnings)
                                    if w not in init_warnings]
 
@@ -653,7 +662,7 @@ class TestScorer:
             warnings.simplefilter("ignore")
             scorer, _ = _search_scorer(cost, size, init)
             got = scorer(p, types)
-            want = [cost.scores(size, [m])[0] for m in maps]
+            want = [cost(size, m) for m in maps]
         # a supercritical map's counts may overflow to inf, and inf * 0 is
         # nan: the bytes compare nans too
         assert np.array(got).tobytes() == np.array(want).tobytes()
