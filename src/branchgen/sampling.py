@@ -214,10 +214,9 @@ class _Program:
     draws like any positive one, so every negative size is class -1. A
     visit entry is ``[cum, opts, t]``: the class's bisect table, per
     constructor what the walk does after drawing it, and the type. That is
-    the constructor's shared ``Value`` when it has no fields, else
-    ``(marker, kids, ground)``: its ``_Assemble`` marker, the visit entries
-    of its family and foreign fields right to left (the order they are
-    pushed in), and the modes of its ground fields in field order.
+    the constructor's shared ``Value`` when it has no fields, else its
+    ``_ctor_plan`` with the visit entries of its family and foreign fields
+    in ``kids`` (right to left, the order they are pushed in).
 
     Class -1 holds every type (foreign visits are always there) and is
     built at once. The classes from ``size`` down hold the family types and
@@ -271,28 +270,21 @@ class _Program:
             self._fill(s, entries, below)
 
 
-class _Assemble(tuple):
-    """``(cid, n, pick)``: the tree walk's marker that builds a node of
-    constructor ``cid`` from the last ``n`` items built. Those are the
-    node's ground atoms in field order, then its other children left to
-    right; ``pick`` puts them in field order, or is None when they are."""
-
-    __slots__ = ()
-
-
 def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
     """A nullary constructor's one shared ``Value`` (Values are immutable),
-    else ``(marker, kids, ground)``: its ``_Assemble`` marker, the (target,
-    is family) of its other fields right to left, and the modes of its
-    ground fields in field order."""
+    else ``((cid, pick, n), kids, ground)``: ``pick`` takes its ``n``
+    children in field order from the top of the build stack, where they lie
+    in reverse draw order; ``kids`` are the (target, is family) of its other
+    fields right to left, and ``ground`` its ground fields' modes in order."""
     if not row:
         return Value(cid)
     ground = [k for k, (_, target) in enumerate(row) if target < 0]
     slots = [k for k, (_, target) in enumerate(row) if target >= 0]
-    order = [(ground + slots).index(k) for k in range(len(row))]
-    pick = None if order == sorted(order) else itemgetter(*order)
+    drawn = ground + slots
+    pick = (itemgetter(*[~drawn.index(k) for k in range(len(row))]) if len(row) > 1
+            else lambda built: (built[-1],))
     kids = tuple((row[k][1], row[k][0] == MODE_FAMILY) for k in reversed(slots))
-    return _Assemble((cid, len(row), pick)), kids, tuple(row[k][0] for k in ground)
+    return (cid, pick, len(row)), kids, tuple(row[k][0] for k in ground)
 
 
 def _table(row: list[float]) -> tuple[list[float], list[float]]:
@@ -336,26 +328,26 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
     call that asks for it again.
 
     The last program built is kept per compiled universe under the key
-    ``(strategy, size, probs, stars, foreign_probs)``, with copies of the
-    maps it was given (None stays None). A hit is one comparison of that
-    key with the caller's maps, so a map changed in place builds a new
-    program; the schedule and tables are built only on a miss. Callers
-    that miss at the same time may each build one; each walks its own, so
-    the race costs only time."""
+    ``(strategy, size, probs, stars, foreign_probs)``, each map as a
+    ``_snapshot``. A hit is one comparison of that key with the caller's,
+    so a map changed in place builds a new program, and so does an entry
+    that only equals the old one (``True == 1.0``): the schedule, which
+    checks every entry, and the tables are built only on a miss. Callers
+    that miss at the same time may each build one; the race costs time."""
     cu = u.compiled
-    key = (strategy, size, probs, stars, foreign_probs)
+    key = (strategy, size, _snapshot(probs), _snapshot(stars), _snapshot(foreign_probs))
     cached = _PROGRAMS.get(cu)
     if cached is not None and cached[0] == key:
         return cached[1]
     tables = _Tables(cu, build_schedule(u, strategy, size, probs, stars, foreign_probs))
     program = _Program(cu, tables, cu.index[u.root], size)
-    _PROGRAMS[cu] = ((strategy, size, _copy(probs), _copy(stars), _copy(foreign_probs)),
-                     program)
+    _PROGRAMS[cu] = key, program
     return program
 
 
-def _copy(m: Mapping[str, float] | None) -> dict[str, float] | None:
-    return None if m is None else dict(m)
+def _snapshot(m: Mapping[str, float] | None) -> list | None:
+    """``m``'s keys, then its values, then their types, in order, or None."""
+    return None if m is None else [*m, *m.values(), *map(type, m.values())]
 
 
 def _build_walk(program: _Program, rng: random.Random,
@@ -363,33 +355,21 @@ def _build_walk(program: _Program, rng: random.Random,
     """Run one generation of ``program`` on ``rng`` and build its frozen
     value tree; the only tree walker.
 
-    The stack holds visit entries and ``_Assemble`` markers. A visit draws
-    its constructor, appends the ground atoms to ``built`` in field order,
-    then pushes the node's marker below its children's visits. Values are
-    built in post-order onto ``built``, so when a marker is popped the
-    node's fields are the last items there. Children are visited
-    depth-first from left to right.
-    """
+    Two passes over one list. The first draws in pre-order, children
+    depth-first from left to right: each constructor goes onto ``seq``,
+    then its ground atoms in field order. The second reads ``seq``
+    backwards, where every node follows its children, and builds each
+    node from the top of a stack; a draw past ``budget`` builds none."""
     rand = rng.random
-    new, set_constructor, set_children = _new_node, _set_constructor, _set_children
-    built: list = []
-    put = built.append
+    seq: list = []
+    put = seq.append
     emitted = 0
     stack: list = [program.root]
-    pop, push, extend = stack.pop, stack.append, stack.extend
+    pop, extend = stack.pop, stack.extend
     while True:
         try:
             while stack:
                 visit = pop()
-                if visit.__class__ is _Assemble:
-                    cid, n, pick = visit
-                    fields = built[-n:]
-                    del built[-n:]
-                    node = new(Value)
-                    set_constructor(node, cid)
-                    set_children(node, tuple(fields) if pick is None else pick(fields))
-                    put(node)
-                    continue
                 i = bisect_right(visit[0], rand())
                 if budget is not None:
                     emitted += 1
@@ -399,24 +379,45 @@ def _build_walk(program: _Program, rng: random.Random,
                 if opt.__class__ is Value:
                     put(opt)
                     continue
-                marker, kids, ground = opt
+                build, kids, ground = opt
+                put(build)
                 for mode in ground:
                     put(_draw_ground(mode, rng))
-                push(marker)
                 extend(kids)
-            return built[0]
+            break
         except IndexError:
             if visit:  # drew from a dead type's table (see _table)
                 raise program.tables.dead_type_error(visit[2]) from None
             # a stub: visit[0] failed before the draw, so visit it again
             program.grow(visit)
-            push(visit)
+            stack.append(visit)
+    new, set_constructor, set_children = _new_node, _set_constructor, _set_children
+    built: list = []
+    push = built.append
+    for item in reversed(seq):
+        if item.__class__ is tuple:
+            cid, pick, n = item
+            node = new(Value)
+            set_constructor(node, cid)
+            set_children(node, pick(built))
+            built[-n:] = (node,)
+        else:
+            push(item)
+    return built[0]
 
 
 def _walk(program: _Program, seed: int, index: int,
           budget: int | None = None) -> Value | BudgetExhausted:
     """Value ``index`` of ``seed`` on ``program``: one tree walk on its own stream."""
     return _build_walk(program, random.Random(stream_seed(seed, index)), budget)
+
+
+def _seed(seed: int) -> int:
+    return as_integer(seed, "seed must be an integer")
+
+
+def _index(index: int) -> int:
+    return as_integer(index, "sample index must be a nonnegative integer", 0)
 
 
 def _bounded_size(size: int) -> int:
@@ -449,7 +450,7 @@ def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
     size, _ = _checked(u, spec, STRATEGY_DRAGEN)
     program = _walk_program(u, STRATEGY_DRAGEN, size, spec.probabilities,
                             spec.star_probabilities, foreign_probs)
-    v = _walk(program, seed, index)
+    v = _walk(program, _seed(seed), _index(index))
     assert isinstance(v, Value)
     return v
 
@@ -458,7 +459,8 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
                     seed: int, index: int = 0) -> Value:
     """One value from the halving generator; the probability map is ignored
     (choices are uniform) and is accepted only for interface parity."""
-    v = _walk(_walk_program(u, STRATEGY_MEGADETH, _bounded_size(size)), seed, index)
+    v = _walk(_walk_program(u, STRATEGY_MEGADETH, _bounded_size(size)), _seed(seed),
+              _index(index))
     assert isinstance(v, Value)
     return v
 
@@ -466,7 +468,8 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
 def sample_derive(u: ADTUniverse, budget: int, seed: int,
                   index: int = 0) -> Value | BudgetExhausted:
     """One value from the unbounded uniform generator, or BudgetExhausted."""
-    return _walk(_walk_program(u, STRATEGY_DERIVE, -1), seed, index, _positive_budget(budget))
+    return _walk(_walk_program(u, STRATEGY_DERIVE, -1), _seed(seed), _index(index),
+                 _positive_budget(budget))
 
 
 def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
@@ -477,6 +480,7 @@ def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
     i is what ``sample_dragen(u, spec, seed, i, foreign_probs)`` returns, or
     with no ``foreign_probs``, ``sample_megadeth(u, spec.probabilities,
     spec.size, seed, i)`` or ``sample_derive(u, budget, seed, i)``."""
+    seed, count = _seed(seed), as_integer(count, "sample count must be a positive integer", 1)
     size, budget = _checked(u, spec, spec.strategy, budget)
     program = _walk_program(u, spec.strategy, size, spec.probabilities,
                             spec.star_probabilities, foreign_probs)
@@ -520,6 +524,7 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
     sample i's statistics do not replay the value of index i.
     """
     samples = as_integer(samples, "sample count must be a positive integer", 1)
+    seed = _seed(seed)
     size, budget = _checked(u, spec, spec.strategy, budget)
     cu = u.compiled
     tables = _Tables(cu, build_schedule(u, spec.strategy, size, spec.probabilities,
@@ -656,44 +661,39 @@ _SEXP = _Format(lambda cid: ("(" + unqualify(cid) + " ", "(" + unqualify(cid) + 
 _JSON = _Format(lambda cid: ('{"constructor": "' + cid + '", "children": [',
                              '{"constructor": "' + cid + '", "children": []}'),
                 ", ", "]}", _atom_json)
-# stack marker for the end of a node's children
-_CLOSE = object()
 
 
 def _render(v: Value, fmt: _Format) -> str:
-    """Print ``v`` in ``fmt``, iteratively, so values of any depth print."""
+    """Print ``v`` in ``fmt``, iteratively, so values of any depth print.
+    Each open node is a frame, the iterator over its children. ``k`` picks
+    a constructor's memo piece: 0 when it opens its parent's children, 2
+    (after the separator) when it follows a sibling."""
     memo, sep, close, atom = fmt.memo, fmt.sep, fmt.close, fmt.atom
     out: list[str] = []
     put = out.append
-    stack: list = [v]
-    pop, push, extend = stack.pop, stack.append, stack.extend
-    # index of the next node's piece in its memo entry: 0 when it opens its
-    # parent's children, 2 (the piece after the separator) when it follows
-    # a sibling
-    k = 0
-    while stack:
-        node = pop()
-        if node is _CLOSE:
-            put(close)
-        elif isinstance(node, Value):
-            try:
-                pieces = memo[node.constructor]
-            except KeyError:
-                pieces = fmt.memoize(node.constructor)
-            children = node.children
-            if children:
-                put(pieces[k])
-                push(_CLOSE)
-                extend(children[::-1])
-                k = 0
-                continue
-            put(pieces[k + 1])
-        elif k:
-            put(sep + atom(node))
+    frames: list = []
+    children, k = iter((v,)), 0
+    while True:
+        for node in children:
+            if isinstance(node, Value):
+                try:
+                    pieces = memo[node.constructor]
+                except KeyError:
+                    pieces = fmt.memoize(node.constructor)
+                if node.children:
+                    put(pieces[k])
+                    frames.append(children)
+                    children, k = iter(node.children), 0
+                    break
+                put(pieces[k + 1])
+            else:
+                put(sep + atom(node) if k else atom(node))
+            k = 2
         else:
-            put(atom(node))
-        k = 2
-    return "".join(out)
+            if not frames:
+                return "".join(out)
+            put(close)
+            children, k = frames.pop(), 2
 
 
 def value_to_sexp(v: Value) -> str:

@@ -615,8 +615,9 @@ def typecheck_value(v, u):
 
 
 # ---------------------------------------------------------------------------
-# Reference tree walk and serializers: the two-phase forms that the one-pass
-# walk and the table-driven serializers replaced, kept as oracles.
+# Reference tree walk and serializers: the node-by-node forms that the
+# program-driven walk and the table-driven serializers replaced, kept as
+# oracles.
 # ---------------------------------------------------------------------------
 
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))

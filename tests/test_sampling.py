@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import math
 import pickle
 import random
@@ -10,6 +11,7 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import helpers
 from branchgen import (
     AdtError,
     BudgetExhausted,
+    GenSpec,
     Value,
     adhoc_genspec,
     empirical_stats,
@@ -258,6 +261,26 @@ class TestDerive:
                                 1_000, seed=2, budget=100)
         assert sum(stats.size_histogram.values()) + stats.budget_exhausted == 1_000
 
+    def test_aborted_draw_builds_no_node(self, derive_u, monkeypatch):
+        built = []
+
+        def new_node(cls):
+            built.append(cls)
+            return object.__new__(cls)
+
+        monkeypatch.setattr(sampling, "_new_node", new_node)
+        outcomes = set()
+        for i in range(12):
+            built.clear()
+            v = sample_derive(derive_u, budget=10 ** 5, seed=0, index=i)
+            if isinstance(v, BudgetExhausted):
+                assert built == []
+            else:  # one build per internal node; the leaves are shared
+                counts = count_constructors(v)
+                assert len(built) == counts.get("T.B", 0) + counts.get("T.C", 0)
+            outcomes.add(type(v))
+        assert outcomes == {Value, BudgetExhausted}
+
     def test_values_typecheck(self, composite_u):
         for i in range(60):
             v = sample_derive(composite_u, budget=500, seed=19, index=i)
@@ -336,6 +359,11 @@ class TestEmpiricalStats:
         assert stats.mean_counts["C"] == float(statistics.mean(Fraction(x) for x in xs))
 
 
+def _bad_args(*checks):
+    """(argument, bad value, message) for each bad value of each check."""
+    return [(arg, bad, message) for arg, bads, message in checks for bad in bads]
+
+
 class TestSamplerSetup:
     # sample_values and empirical_stats check a spec the same way
     @staticmethod
@@ -384,6 +412,56 @@ class TestSamplerSetup:
         with pytest.raises(AdtError, match="sample count must be a positive integer"):
             empirical_stats(tree_u, dragen_spec(tree_u, 3), bad, 0)
 
+    # seeds are any integers, indices at least 0, value counts at least 1;
+    # a bool, a float or None is an error, though ``int`` or ``range`` would
+    # take some of them
+    SEED = ("seed", [1.5, True, None, "3"], "seed must be an integer")
+    INDEX = ("index", [1.5, True, -1], "sample index must be a nonnegative integer")
+    COUNT = ("count", [1.5, True, 0, -2], "sample count must be a positive integer")
+
+    @pytest.mark.parametrize("arg, bad, message", _bad_args(SEED, INDEX))
+    def test_sample_dragen_arguments(self, tree_u, arg, bad, message):
+        spec = dragen_spec(tree_u, 3)
+        kwargs = {"seed": 0, "index": 0, arg: bad}
+        with pytest.raises(AdtError, match=message):
+            sample_dragen(tree_u, spec, **kwargs)
+        assert sample_dragen(tree_u, spec, -5, 2) == helpers.reference_sample(
+            tree_u, "dragen", -5, 2, spec=spec)
+
+    @pytest.mark.parametrize("arg, bad, message", _bad_args(SEED, INDEX))
+    def test_sample_megadeth_arguments(self, tree_u, arg, bad, message):
+        kwargs = {"seed": 0, "index": 0, arg: bad}
+        with pytest.raises(AdtError, match=message):
+            sample_megadeth(tree_u, None, 3, **kwargs)
+        assert sample_megadeth(tree_u, None, 3, -5, 2) == helpers.reference_sample(
+            tree_u, "megadeth", -5, 2, size=3)
+
+    @pytest.mark.parametrize("arg, bad, message", _bad_args(SEED, INDEX))
+    def test_sample_derive_arguments(self, tree_u, arg, bad, message):
+        kwargs = {"seed": 0, "index": 0, arg: bad}
+        with pytest.raises(AdtError, match=message):
+            sample_derive(tree_u, 100, **kwargs)
+        assert sample_derive(tree_u, 100, -5, 2) == helpers.reference_sample(
+            tree_u, "derive", -5, 2, budget=100)
+
+    @pytest.mark.parametrize("arg, bad, message", _bad_args(SEED, COUNT))
+    def test_sample_values_arguments(self, tree_u, arg, bad, message):
+        spec = dragen_spec(tree_u, 3)
+        kwargs = {"seed": 0, "count": 3, arg: bad}
+        # checked at the call, before any value is drawn
+        with pytest.raises(AdtError, match=message):
+            sample_values(tree_u, spec, **kwargs)
+        assert list(sample_values(tree_u, spec, -5, 3)) == [
+            helpers.reference_sample(tree_u, "dragen", -5, i, spec=spec) for i in range(3)]
+
+    @pytest.mark.parametrize("arg, bad, message", _bad_args(SEED))
+    def test_empirical_stats_arguments(self, tree_u, arg, bad, message):
+        spec = dragen_spec(tree_u, 3)
+        kwargs = {"samples": 10, "seed": 0, arg: bad}
+        with pytest.raises(AdtError, match=message):
+            empirical_stats(tree_u, spec, **kwargs)
+        assert empirical_stats(tree_u, spec, 10, -5).samples == 10
+
     def test_numpy_integers_pass(self, tree_u):
         spec = dragen_spec(tree_u, np.int64(3))
         assert type(spec.size) is int
@@ -391,6 +469,9 @@ class TestSamplerSetup:
         stats = empirical_stats(tree_u, spec, np.int64(10), 0)
         assert type(stats.samples) is int and stats.samples == 10
         assert sample_derive(tree_u, np.int64(100), 0) == sample_derive(tree_u, 100, 0)
+        assert sample_derive(tree_u, 100, np.int64(7), np.int64(2)) == sample_derive(
+            tree_u, 100, 7, 2)
+        assert len(list(sample_values(tree_u, spec, np.int64(7), np.int64(3)))) == 3
 
 
 class TestEngineMatchesTreeWalk:
@@ -551,8 +632,8 @@ def _assert_matches_reference(u, strategy, seed, count, spec, size, budget):
 
 
 class TestWalkMatchesReference:
-    """The one-pass walk and the piece-table serializers equal the two-phase
-    walk and the node-by-node serializers in ``helpers``."""
+    """The program-driven walk and the piece-table serializers equal the
+    node-by-node walk and serializers in ``helpers``."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -654,6 +735,32 @@ class TestWalkProgramCache:
             assert list(sample_values(u, mega, 9, i + 1, foreign_probs=fp))[i] == want
             want = helpers.reference_sample(u, "derive", 9, i, budget=50, foreign_probs=fp)
             assert list(sample_values(u, derive, 9, i + 1, 50, fp))[i] == want
+
+    @pytest.mark.parametrize("which", ["probabilities", "star_probabilities", "foreign"])
+    def test_entry_equal_to_the_last_but_of_another_type(self, which):
+        # True == 1.0, but only 1.0 is a probability: a repeat call raises
+        # the error of the same call made first
+        u = parse_universe(ATOMS_SRC, "Tree")
+        spec = dragen_spec(u, 4)
+        fp = _foreign_map(u, random.Random(0))
+        m, name = {"probabilities": (spec.probabilities, "Tree.LeafA"),
+                   "star_probabilities": (spec.star_probabilities, "Tree.LeafA"),
+                   "foreign": (fp, "Bool.True")}[which]
+        errors = []
+        for repeat in (False, True):
+            sampling._PROGRAMS.pop(u.compiled, None)
+            if repeat:
+                m[name] = 1.0
+                sample_dragen(u, spec, 0, 0, fp)
+                program = self.cached(u)
+                m[name] = 1  # equal, and a probability too, but still a new program
+                sample_dragen(u, spec, 0, 0, fp)
+                assert self.cached(u) is not program
+            m[name] = True
+            with pytest.raises(AdtError) as err:
+                sample_dragen(u, spec, 0, 0, fp)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == f"probability of {name} must be a number, got True"
 
     def test_dead_type_error_on_a_cache_hit(self):
         u = parse_universe("data A = LA | NA B A\ndata B = LB | NB A", "A")
@@ -922,3 +1029,63 @@ def splitmix_reference(x):
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
     return x ^ (x >> 31)
+
+
+_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+# family fields between ground fields, so building a node reorders its items
+_INTERLEAVED_SRC = "data L = Nil | Cons Int L Char | Two L Double L Unit"
+
+
+def _pin_case(name):
+    """(universe, spec, budget) of one pinned configuration."""
+    def read(file, root):
+        return parse_universe((_INPUTS / file).read_text(encoding="utf-8"), root)
+
+    if name == "dragen.tree":
+        return read("tree.adt", "Tree"), GenSpec.load(_INPUTS / "tree_weighted_spec.json"), None
+    if name == "dragen.composite":
+        u = read("composite.adt", "Tree")
+        return u, dragen_spec(u, 10), None
+    if name == "dragen.interleaved":
+        u = parse_universe(_INTERLEAVED_SRC, "L")
+        return u, dragen_spec(u, 6, {"L.Nil": 0.4, "L.Cons": 0.3, "L.Two": 0.3}), None
+    if name == "megadeth.tree":
+        u = read("tree.adt", "Tree")
+        return u, adhoc_genspec(u, 10, "megadeth"), None
+    if name == "derive.t1t2":
+        u = read("t1t2.adt", "T1")
+        return u, adhoc_genspec(u, -1, "derive"), None
+    u = read("derive.adt", "T")
+    return u, adhoc_genspec(u, -1, "derive"), 1000
+
+
+class TestPinnedValues:
+    """Values 0-99 at seed 0, printed in both formats, hash to the digests
+    recorded when this test was written: any change to a drawn or printed
+    value fails here."""
+
+    DIGESTS = {
+        "dragen.tree":
+            "b8c4c9b75ef45f67a49b795f46f1fcd1085e83305209f12b87b867cdaab1ebdc",
+        "dragen.composite":
+            "278e619c462a78dd17db6dae91cce4d821a519f7ac93d9c9767e512221329855",
+        "dragen.interleaved":
+            "1227b1814e27cd14be0bb3c7acbc09aaf358a95e9c40522dc0adeeea2de68f72",
+        "megadeth.tree":
+            "d31921b6572128162130bfd1baf5b033e32510656a2a7a23bfc4108713085083",
+        "derive.t1t2":
+            "411ef980d1853172e490bcba5a70658ab081402b91c8c9cb880b8c98420051bb",
+        "derive.T":
+            "ab28bed13509521e815ed9df58b8a42167f42ea08efa885b9bce563e09e51833",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        u, spec, budget = _pin_case(name)
+        digest = hashlib.sha256()
+        args = () if budget is None else (budget,)
+        for v in sample_values(u, spec, 0, 100, *args):
+            text = ("#budget-exhausted\n" if isinstance(v, BudgetExhausted)
+                    else value_to_sexp(v) + "\n" + value_to_json(v) + "\n")
+            digest.update(text.encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
