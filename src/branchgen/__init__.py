@@ -47,7 +47,6 @@ from .sampling import (
     BudgetExhausted,
     SampleStats,
     Value,
-    adhoc_genspec,
     empirical_stats,
     histogram_csv,
     sample_derive,
@@ -70,6 +69,7 @@ from .spec import (
     STRATEGY_DRAGEN,
     STRATEGY_MEGADETH,
     GenSpec,
+    adhoc_genspec,
 )
 
 __version__ = "0.1.0"

@@ -83,11 +83,7 @@ class ConstructorDecl:
 @dataclass(frozen=True)
 class TypeDecl:
     name: str
-    params: tuple[str, ...]
     constructors: tuple[ConstructorDecl, ...]
-    # (template name, argument type ids) when this decl was produced by
-    # instantiating a generic declaration; None for plain declarations.
-    origin: tuple[str, tuple[str, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -332,9 +328,9 @@ class _Parser:
 _Target = tuple[str, str]
 
 
-# A type to fill in: (type id, declaration, type-variable substitution, and
-# (template name, argument type ids) for an instantiation or None).
-_Job = tuple[str, _RawDecl, dict[str, _Target], tuple[str, tuple[str, ...]] | None]
+# A type to fill in: (type id, declaration, type-variable substitution). An
+# instantiation is a job whose declaration has parameters.
+_Job = tuple[str, _RawDecl, dict[str, _Target]]
 
 
 class _Monomorphizer:
@@ -346,12 +342,11 @@ class _Monomorphizer:
     def __init__(self, raw: Mapping[str, _RawDecl]):
         self.templates = {n: d for n, d in raw.items() if d.params}
         self.concrete = {n: d for n, d in raw.items() if not d.params}
-        # id -> (origin, [(ctor name, [target])]), in visiting order
-        self.out: dict[str, tuple[tuple[str, tuple[str, ...]] | None,
-                                  list[tuple[str, list[_Target]]]]] = {}
+        # id -> [(ctor name, [target])], in visiting order
+        self.out: dict[str, list[tuple[str, list[_Target]]]] = {}
 
     def run(self) -> None:
-        stack = [iter([(name, decl, {}, None) for name, decl in self.concrete.items()])]
+        stack = [iter([(name, decl, {}) for name, decl in self.concrete.items()])]
         while stack:
             job = next(stack[-1], None)
             if job is None:
@@ -360,13 +355,13 @@ class _Monomorphizer:
                 stack.append(self._open(job))
 
     def _open(self, job: _Job):
-        tid, decl, subst, origin = job
-        if origin is not None and len(self.out) >= _MAX_INSTANTIATIONS:
+        tid, decl, subst = job
+        if decl.params and len(self.out) >= _MAX_INSTANTIATIONS:
             raise AdtError(
                 f"too many generic instantiations (>{_MAX_INSTANTIATIONS}); "
                 "polymorphic recursion is not supported")
         ctors: list[tuple[str, list[_Target]]] = []
-        self.out[tid] = (origin, ctors)
+        self.out[tid] = ctors
         return self._fill(decl, subst, ctors)
 
     def _fill(self, decl: _RawDecl, subst: dict[str, _Target], ctors: list):
@@ -385,7 +380,7 @@ class _Monomorphizer:
             if syn.name in GROUND_ATOMS:
                 return ("g", syn.name)
             if syn.name in self.concrete:
-                refs.append((syn.name, self.concrete[syn.name], {}, None))
+                refs.append((syn.name, self.concrete[syn.name], {}))
                 return ("t", syn.name)
             if syn.name in self.templates:
                 n = len(self.templates[syn.name].params)
@@ -402,9 +397,8 @@ class _Monomorphizer:
                 f"{syn.name} expects {len(template.params)} argument(s), "
                 f"got {len(syn.args)} in {where}")
         args = tuple(self._resolve(a, subst, where, refs) for a in syn.args)
-        rendered = tuple(a[1] for a in args)
-        tid = f"{syn.name}<{','.join(rendered)}>"
-        refs.append((tid, template, dict(zip(template.params, args)), (syn.name, rendered)))
+        tid = f"{syn.name}<{','.join(a[1] for a in args)}>"
+        refs.append((tid, template, dict(zip(template.params, args))))
         return ("t", tid)
 
 
@@ -513,7 +507,7 @@ def parse_universe(source: str, root: str) -> ADTUniverse:
     mono.run()
 
     graph: dict[str, tuple[str, ...]] = {}
-    for tid, (_, ctors) in mono.out.items():
+    for tid, ctors in mono.out.items():
         targets = []
         for _, fields in ctors:
             targets.extend(t for kind, t in fields if kind == "t")
@@ -529,7 +523,7 @@ def parse_universe(source: str, root: str) -> ADTUniverse:
     family = tuple(tid for tid in mono.out if tid in family_set)
 
     decls: dict[str, TypeDecl] = {}
-    for tid, (origin, ctors) in mono.out.items():
+    for tid, ctors in mono.out.items():
         resolved = []
         for cname, fields in ctors:
             rfields = tuple(
@@ -537,7 +531,7 @@ def parse_universe(source: str, root: str) -> ADTUniverse:
                 else Field(FAMILY if t in family_set else FOREIGN, t)
                 for kind, t in fields)
             resolved.append(ConstructorDecl(cname, rfields))
-        decls[tid] = TypeDecl(tid, (), tuple(resolved), origin)
+        decls[tid] = TypeDecl(tid, tuple(resolved))
 
     return ADTUniverse(decls, root, family, graph, raw_decls)
 
@@ -720,7 +714,6 @@ class CDG:
     """Constructor dependency graph from family constructors through the
     acyclic foreign types they reach."""
 
-    nodes: tuple[str, ...]
     edges: tuple[CdgEdge, ...]
 
 
@@ -732,7 +725,7 @@ def build_cdg(u: ADTUniverse) -> CDG:
         for t in dict.fromkeys(t for mode, t in cu.rows[c] if mode == MODE_FOREIGN)
         for child in cu.ctors[cu.slices[t]]
     ]
-    return CDG(cu.ctors, tuple(edges))
+    return CDG(tuple(edges))
 
 
 # ---------------------------------------------------------------------------

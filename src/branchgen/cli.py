@@ -30,7 +30,6 @@ from .prediction import predict_schedule, prediction_report_json
 from .sampling import (
     DEFAULT_DERIVE_BUDGET,
     BudgetExhausted,
-    adhoc_genspec,
     empirical_stats,
     histogram_csv,
     sample_values,
@@ -38,7 +37,7 @@ from .sampling import (
     value_to_sexp,
 )
 from .search import SearchConfig, derive_generator_with_trace
-from .spec import STRATEGIES, STRATEGY_DRAGEN, GenSpec, build_schedule
+from .spec import STRATEGIES, STRATEGY_DRAGEN, GenSpec, adhoc_genspec, build_schedule
 
 VERIFY_SE_MULTIPLE = 4.0
 _VERIFY_EPS = 1e-9
@@ -223,11 +222,6 @@ def _cmd_optimize(args) -> int:
     if args.size < 1:
         raise AdtError("--size must be at least 1")
     cost = parse_cost_expression(u, args.cost)
-    quantum = SearchConfig.quantum
-    if args.delta < quantum:
-        # every bumped map would key as its focus, and the search would stop at once
-        raise AdtError(f"--delta must be at least the search quantum {quantum:g}, "
-                       f"got {args.delta:g}")
     config = SearchConfig(delta=args.delta, epsilon=args.epsilon,
                           max_steps=args.max_steps)
     spec, trace = derive_generator_with_trace(u, args.size, cost, config)
@@ -264,13 +258,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     u, spec, foreign = _universe_and_spec(args)
-    schedule = build_schedule(u, spec.strategy, spec.size, spec.probabilities,
-                              spec.star_probabilities, foreign)
-    if schedule.levels is None:
-        raise AdtError("verify compares against the prediction model, which covers "
-                       "the size-bounded strategies (dragen, megadeth)")
+    predicted = predict_schedule(u, build_schedule(
+        u, spec.strategy, spec.size, spec.probabilities, spec.star_probabilities, foreign))
     seed = _seed_of(args)
-    predicted = predict_schedule(u, schedule)
     stats = empirical_stats(u, spec, args.count, seed, foreign)
 
     rows = {}

@@ -51,6 +51,15 @@ def _family_probs(cu: CompiledUniverse, probs: Mapping[str, float]) -> np.ndarra
     return np.array([read_probabilities(probs, cu.ctors[:cu.nfamily_ctors])])
 
 
+def _foreign_probs(u: ADTUniverse, probs: Mapping[str, float] | None) -> list[float]:
+    """The foreign constructors' probabilities in ``probs``, uniform when
+    it is None, checked by ``read_probabilities``."""
+    cu = u.compiled
+    if probs is None:
+        probs = uniform_probmap(u, cu.types[cu.nfamily:])
+    return read_probabilities(probs, cu.ctors[cu.nfamily_ctors:])
+
+
 def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
     """One type mean matrix per row of ``p``, each summed constructor by
     constructor in declaration order.
@@ -366,7 +375,12 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
 def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
     """Expected count of every constructor, foreign ones too, under a
     size-bounded ``spec.Schedule``: the engine on its rows, run for its
-    levels, then its final row on the final level."""
+    levels, then its final row on the final level. A schedule with no final
+    level (derive's) is an ``AdtError``: its process is unbounded, and this
+    model does not cover it."""
+    if schedule.levels is None:
+        raise AdtError("verify compares against the prediction model, which covers "
+                       "the size-bounded strategies (dragen, megadeth)")
     cu, nfc = u.compiled, u.compiled.nfamily_ctors
     process = Process(u, schedule.levels)
     branching, last = process.counts(np.array([schedule.rows[:nfc]]),
@@ -385,9 +399,7 @@ def predict_foreign(u: ADTUniverse, report: PredictionReport,
     type's constructors by their probabilities."""
     cu = u.compiled
     nfc = cu.nfamily_ctors
-    if foreign_probs is None:
-        foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
-    foreign = read_probabilities(foreign_probs, cu.ctors[nfc:])
+    foreign = _foreign_probs(u, foreign_probs)
 
     # Types are in topological order, so each foreign type has all of its
     # placeholders before its own constructors are reached.

@@ -36,18 +36,15 @@ from .adt import (
     AdtError,
     CompiledUniverse,
     as_integer,
-    uniform_probmap,
     unqualify,
-    universe_hash,
 )
-from .prediction import star_probs
 from .spec import (
-    STRATEGIES,
     STRATEGY_DERIVE,
     STRATEGY_DRAGEN,
     STRATEGY_MEGADETH,
     GenSpec,
     Schedule,
+    _bounded_size,
     build_schedule,
 )
 
@@ -420,12 +417,6 @@ def _index(index: int) -> int:
     return as_integer(index, "sample index must be a nonnegative integer", 0)
 
 
-def _bounded_size(size: int) -> int:
-    """``size`` for a size-bounded strategy, which never reaches size 0 from
-    a negative size and would run unbounded."""
-    return as_integer(size, "generator size must be a nonnegative integer", 0)
-
-
 def _positive_budget(budget: int) -> int:
     return as_integer(budget, "budget must be a positive integer", 1)
 
@@ -434,9 +425,9 @@ def _checked(u: ADTUniverse, spec: GenSpec, strategy: str,
              budget: int | None = None) -> tuple[int, int | None]:
     """Size and budget for sampling ``spec`` under ``strategy``, checked;
     derive samples at size -1 within ``budget`` (default
-    ``DEFAULT_DERIVE_BUDGET``), the size-bounded strategies with no budget."""
-    if strategy not in STRATEGIES:
-        raise AdtError(f"unknown strategy {strategy!r}")
+    ``DEFAULT_DERIVE_BUDGET``), the size-bounded strategies with no budget.
+    The strategy itself is checked by ``build_schedule``, which every
+    sampler reaches before it draws."""
     if spec.root != u.root:
         raise AdtError(f"spec root {spec.root} does not match universe root {u.root}")
     if strategy == STRATEGY_DERIVE:
@@ -638,11 +629,17 @@ def _atom_json(atom) -> str:
     return str(atom)
 
 
+# Constructor ids a format's memo holds before it starts over, so that a
+# process that prints values of many universes keeps a bounded memo.
+_MEMO_IDS = 1024
+
+
 @dataclass(frozen=True)
 class _Format:
     """An output format as data: a constructor's opening and nullary pieces,
     the sibling separator, the closing piece and the atom printer. ``memo``
-    holds each constructor's pieces, bare and after the separator."""
+    holds each constructor's pieces, bare and after the separator, for at
+    most ``_MEMO_IDS`` ids: a miss on a full memo empties it first."""
 
     pieces: Callable[[str], tuple[str, str]]
     sep: str
@@ -651,6 +648,8 @@ class _Format:
     memo: dict = field(default_factory=dict)
 
     def memoize(self, cid: str) -> tuple[str, str, str, str]:
+        if len(self.memo) >= _MEMO_IDS:
+            self.memo.clear()
         head, leaf = self.pieces(cid)
         pieces = self.memo[cid] = (head, leaf, self.sep + head, self.sep + leaf)
         return pieces
@@ -713,23 +712,3 @@ def histogram_csv(stats: SampleStats) -> str:
         lines.append(f"{size},{stats.size_histogram[size]}")
     return "\n".join(lines) + "\n"
 
-
-def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
-                  probs: Mapping[str, float] | None = None) -> GenSpec:
-    """Package an untuned generator spec (uniform probabilities unless
-    given) for direct sampling without an optimizer run."""
-    if strategy not in STRATEGIES:
-        raise AdtError(f"unknown strategy {strategy!r}")
-    if strategy != STRATEGY_DERIVE:
-        size = _bounded_size(size)
-    family_probs = {c: p for c, p in (probs or uniform_probmap(u, u.family)).items()
-                    if u.is_family(u.ctor_type(c))}
-    stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, family_probs)
-    return GenSpec(
-        root=u.root,
-        size=size,
-        strategy=strategy,
-        probabilities=family_probs,
-        star_probabilities=stars,
-        universe_hash=universe_hash(u),
-    )

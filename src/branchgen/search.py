@@ -3,7 +3,10 @@
 Neighbors of a probability map bump one constructor by +delta or -delta
 (clamped at 0) and renormalize that constructor's type over its unpinned
 constructors. The search repeatedly moves to the cheapest not-yet-visited
-neighbor while each move improves the cost by more than epsilon.
+neighbor while each move improves the cost by more than epsilon. A map is
+visited when its probabilities, rounded to multiples of ``QUANTUM``, match
+a visited map's; a step must be at least ``QUANTUM``, or every neighbor
+would round to the map it leaves.
 """
 
 from __future__ import annotations
@@ -22,28 +25,21 @@ from .adt import (
     read_probabilities,
     renormalize_probmap,
     uniform_probmap,
-    universe_hash,
 )
 from .costs import CostFunction, Scorer
-from .prediction import _family_probs, star_probs
-from .spec import STRATEGY_DRAGEN, GenSpec  # GenSpec is re-exported from here
+from .prediction import _family_probs
+from .spec import STRATEGY_DRAGEN, GenSpec, adhoc_genspec  # GenSpec is re-exported from here
 
 LOCAL_MINIMUM = "LocalMinimum"
 EPSILON_STOP = "EpsilonStop"
 STEP_CAP = "StepCap"
 
+QUANTUM = 1e-6  # the grid on which visited maps are told apart
+
 
 def _check_delta(delta: float) -> None:
-    if not (is_number(delta) and 0.0 < delta < 1.0):
-        raise AdtError("delta must be in (0, 1)")
-
-
-def _check_quantum(quantum: float) -> None:
-    if not (is_number(quantum) and 0.0 < quantum < math.inf):
-        raise AdtError("quantum must be positive and finite")
-    if not math.isfinite(1.0 / quantum):
-        # p / quantum would overflow, and every map would quantize alike
-        raise AdtError(f"quantum {quantum!r} is too small: its reciprocal overflows")
+    if not (is_number(delta) and QUANTUM <= delta < 1.0):
+        raise AdtError(f"delta must be in [{QUANTUM:g}, 1), got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -51,14 +47,12 @@ class SearchConfig:
     delta: float = 0.01
     epsilon: float = 1e-6
     max_steps: int = 10_000
-    quantum: float = 1e-6
 
     def __post_init__(self):
         _check_delta(self.delta)
         if not (is_number(self.epsilon) and 0.0 < self.epsilon < math.inf):
             raise AdtError("epsilon must be positive and finite")
         as_integer(self.max_steps, "max_steps must be an integer of at least 1", 1)
-        _check_quantum(self.quantum)
 
 
 @dataclass
@@ -117,18 +111,17 @@ class _Rows:
     def row(self, probs: Mapping[str, float]) -> np.ndarray:
         return np.array([*read_probabilities(probs, self.order), 0.0])
 
-    def quantized(self, rows: np.ndarray, quantum: float) -> list[bytes]:
-        """Each row's key: round(p / quantum) per entry, half to even as
+    def quantized(self, rows: np.ndarray) -> list[bytes]:
+        """Each row's key: round(p / QUANTUM) per entry, half to even as
         ``round`` does, as bytes (+ 0.0 folds -0.0 into 0.0)."""
-        keys = np.rint(rows / quantum) + 0.0
+        keys = np.rint(rows / QUANTUM) + 0.0
         # one void scalar per row, which ``tolist`` gives as its bytes
         return keys.view(self.row_bytes).ravel().tolist()
 
     def as_dict(self, row: np.ndarray) -> dict[str, float]:
         return dict(zip(self.keys, row.take(self.to_keys).tolist()))
 
-    def fresh(self, x: np.ndarray, quantum: float,
-              seen: set[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    def fresh(self, x: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray, np.ndarray]:
         """The candidates one step from the row ``x`` whose keys are not in
         ``seen``, in enumeration order, and the column each one bumped;
         their keys join ``seen``.
@@ -158,7 +151,7 @@ class _Rows:
             rows.put(self.flat_siblings, entries / np.where(live[:, None], total, 1.0))
             rows, bumped = rows.compress(live, axis=0), bumped.compress(live)
         new = []
-        for i, key in enumerate(self.quantized(rows, quantum)):
+        for i, key in enumerate(self.quantized(rows)):
             if key not in seen:
                 seen.add(key)
                 new.append(i)
@@ -168,8 +161,7 @@ class _Rows:
 
 
 def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
-              pinned: frozenset[str] | set[str] = frozenset(),
-              quantum: float = 1e-6) -> list[dict[str, float]]:
+              pinned: frozenset[str] | set[str] = frozenset()) -> list[dict[str, float]]:
     """Candidate probability maps one delta-step away.
 
     Constructors are bumped in sorted-id order, +delta before -delta, so
@@ -178,10 +170,9 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
     order of ``probs``.
     """
     _check_delta(delta)
-    _check_quantum(quantum)
     rows = _Rows(u, probs, pinned, delta)
     x = rows.row(probs)
-    fresh, _ = rows.fresh(x, quantum, set(rows.quantized(x[None], quantum)))
+    fresh, _ = rows.fresh(x, set(rows.quantized(x[None])))
     return [rows.as_dict(r) for r in fresh]
 
 
@@ -222,7 +213,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
     rows = _Rows(u, init, cost.pinned, cfg.delta)
     x = rows.row(init)
-    visited = set(rows.quantized(x[None], cfg.quantum))
+    visited = set(rows.quantized(x[None]))
     if scorer is not None:
         family = np.array([rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]],
                           dtype=np.intp)
@@ -232,7 +223,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
 
     outcome = STEP_CAP
     for _ in range(cfg.max_steps):
-        fresh, bumped = rows.fresh(x, cfg.quantum, visited)
+        fresh, bumped = rows.fresh(x, visited)
         if not len(fresh):
             outcome = LOCAL_MINIMUM
             break
@@ -266,12 +257,4 @@ def derive_generator_with_trace(
     init = renormalize_probmap(
         u, uniform_probmap(u, u.family), pinned=cost.pinned)
     tuned, trace = optimize(cost, size, init, config)
-    spec = GenSpec(
-        root=u.root,
-        size=size,
-        strategy=STRATEGY_DRAGEN,
-        probabilities=tuned,
-        star_probabilities=star_probs(u, tuned),
-        universe_hash=universe_hash(u),
-    )
-    return spec, trace
+    return adhoc_genspec(u, size, STRATEGY_DRAGEN, tuned), trace

@@ -1,6 +1,7 @@
-"""Generator specs: the sampling strategies, the schedule that says what
-each strategy draws at each size, and the tuned-generator record that
-``optimize`` writes and the samplers read."""
+"""Generator specs: the sampling strategies and their checks, the schedule
+that says what each strategy draws at each size, and the generator record
+that ``optimize`` writes and the samplers read, with its one factory,
+``adhoc_genspec``."""
 
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ from .adt import (
     read_probabilities,
     require_terminals,
     uniform_probmap,
+    universe_hash,
 )
+from .prediction import _foreign_probs, star_probs
 
 STRATEGY_DRAGEN = "dragen"
 STRATEGY_MEGADETH = "megadeth"
@@ -31,6 +34,18 @@ _RULES = {
     STRATEGY_MEGADETH: (False, lambda sz: sz // 2, lambda n: int(n).bit_length()),
     STRATEGY_DERIVE: (False, lambda sz: -1, lambda n: None),
 }
+
+
+def _check_strategy(strategy: str) -> str:
+    if strategy not in STRATEGIES:
+        raise AdtError(f"unknown strategy {strategy!r}")
+    return strategy
+
+
+def _bounded_size(size: int) -> int:
+    """``size`` for a size-bounded strategy, which never reaches size 0 from
+    a negative size and would run unbounded."""
+    return as_integer(size, "generator size must be a nonnegative integer", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +71,12 @@ def build_schedule(u: ADTUniverse, strategy: str, size: int,
     0); the others ignore both and draw uniformly, megadeth over the
     terminals on the final level. Foreign types draw by ``foreign_probs``
     (default uniform) at every size. Each entry read is checked by
-    ``read_probabilities``."""
-    tuned, child, count_levels = _RULES[strategy]
+    ``read_probabilities``; an unknown strategy is an ``AdtError``."""
+    tuned, child, count_levels = _RULES[_check_strategy(strategy)]
     cu, levels = u.compiled, count_levels(size)
     family = cu.ctors[:cu.nfamily_ctors]
     rows = final = read_probabilities(probs, family) if tuned else [1.0] * len(family)
-    if foreign_probs is None:
-        foreign_probs = uniform_probmap(u, cu.types[cu.nfamily:])
-    foreign = read_probabilities(foreign_probs, cu.ctors[cu.nfamily_ctors:])
+    foreign = _foreign_probs(u, foreign_probs)
     if levels is not None:
         require_terminals(cu)
         if tuned:
@@ -79,7 +92,7 @@ def build_schedule(u: ADTUniverse, strategy: str, size: int,
 
 @dataclass
 class GenSpec:
-    """A tuned generator: root, size, strategy, and its probability maps."""
+    """A generator: root, size, strategy, and its probability maps."""
 
     root: str
     size: int
@@ -119,8 +132,7 @@ class GenSpec:
                 raise TypeError(*exc.args) from None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AdtError(f"malformed generator spec: {exc!r}") from None
-        if spec.strategy not in STRATEGIES:
-            raise AdtError(f"unknown strategy {spec.strategy!r}")
+        _check_strategy(spec.strategy)
         if spec.size < 0:
             raise AdtError("generator size must be nonnegative")
         return spec
@@ -140,3 +152,22 @@ class GenSpec:
         except json.JSONDecodeError as exc:
             raise AdtError(f"malformed generator spec {path}: {exc}") from None
         return cls.from_json_dict(data)
+
+
+def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
+                  probs: Mapping[str, float] | None = None) -> GenSpec:
+    """Package a generator spec (uniform probabilities unless given) for
+    direct sampling, or for ``optimize``'s tuned map."""
+    if _check_strategy(strategy) != STRATEGY_DERIVE:
+        size = _bounded_size(size)
+    family_probs = {c: p for c, p in (probs or uniform_probmap(u, u.family)).items()
+                    if u.is_family(u.ctor_type(c))}
+    stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, family_probs)
+    return GenSpec(
+        root=u.root,
+        size=size,
+        strategy=strategy,
+        probabilities=family_probs,
+        star_probabilities=stars,
+        universe_hash=universe_hash(u),
+    )

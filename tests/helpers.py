@@ -27,6 +27,7 @@ from branchgen import (
     star_probs,
     terminal_constructors,
 )
+from branchgen import search
 from branchgen.adt import (
     FAMILY,
     GROUND,
@@ -502,18 +503,18 @@ def reference_pinned(u, kind, names):
     return frozenset(pinned)
 
 
-def _quantized(probs, order, quantum):
-    return tuple(round(probs[c] / quantum) for c in order)
+def _quantized(probs, order):
+    return tuple(round(probs[c] / search.QUANTUM) for c in order)
 
 
-def _reference_keyed(u, probs, delta, pinned, quantum):
+def _reference_keyed(u, probs, delta, pinned):
     """Yield (quantized key, candidate) pairs in enumeration order, one dict
     per candidate: bump each unpinned constructor (sorted ids) by +delta,
     then -delta, clamped at 0, and divide its type's unpinned entries by
     their total. The total is added left to right in an explicit loop,
     which is what ``sum`` does for floats up to Python 3.11."""
     order = tuple(sorted(probs))
-    seen = {_quantized(probs, order, quantum)}
+    seen = {_quantized(probs, order)}
     by_type = {}
     for cid in order:
         by_type.setdefault(u.ctor_type(cid), []).append(cid)
@@ -531,16 +532,16 @@ def _reference_keyed(u, probs, delta, pinned, quantum):
                 continue
             for c in free:
                 candidate[c] = candidate[c] / total
-            key = _quantized(candidate, order, quantum)
+            key = _quantized(candidate, order)
             if key in seen:
                 continue
             seen.add(key)
             yield key, candidate
 
 
-def reference_neighbors(u, probs, delta, pinned=frozenset(), quantum=1e-6):
+def reference_neighbors(u, probs, delta, pinned=frozenset()):
     """What ``neighbors`` must return, built one dict at a time."""
-    return [cand for _, cand in _reference_keyed(u, probs, delta, pinned, quantum)]
+    return [cand for _, cand in _reference_keyed(u, probs, delta, pinned)]
 
 
 def reference_optimize(cost, size, init, config):
@@ -550,13 +551,13 @@ def reference_optimize(cost, size, init, config):
     focus = dict(init)
     focus_cost = cost(size, focus)
     evaluations = 1
-    visited = {_quantized(focus, tuple(sorted(init)), config.quantum)}
+    visited = {_quantized(focus, tuple(sorted(init)))}
     steps = [(dict(focus), focus_cost)]
     outcome = "StepCap"
     for _ in range(config.max_steps):
         fresh = []
         for key, cand in _reference_keyed(cost.universe, focus, config.delta,
-                                          cost.pinned, config.quantum):
+                                          cost.pinned):
             if key not in visited:
                 visited.add(key)
                 fresh.append(cand)

@@ -213,8 +213,9 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--size", "0", "--size must be at least 1"),
-        # every candidate would quantize to the start map's key
-        ("--delta", "5e-7", "--delta must be at least the search quantum 1e-06, got 5e-07"),
+        # every candidate would quantize to the start map's key; the search
+        # refuses it, and the CLI prints its message
+        ("--delta", "5e-7", "delta must be in [1e-06, 1), got 5e-07"),
     ], ids=["size-zero", "delta-below-quantum"])
     def test_rejected_with_message(self, capsys, tree_file, flag, value, message):
         code, out, err = run(capsys, "optimize", "-f", tree_file, "--root", "Tree",

@@ -729,6 +729,12 @@ class TestSchedulePrediction:
                        "Bool.True": (a / 2 + 2 * b) / 2, "Bool.False": (a / 2 + 2 * b) / 2}
 
 
+    def test_derive_is_refused(self, tree_u):
+        # derive's process is unbounded: it has no final level to predict
+        with pytest.raises(AdtError, match="covers the size-bounded strategies"):
+            predict_schedule(tree_u, build_schedule(tree_u, "derive", -1))
+
+
 class TestConstructorTypeConsistency:
     def test_generation_theorem_fixtures(self, tree_u, treep_u, t1t2_u):
         for u in (tree_u, treep_u, t1t2_u):

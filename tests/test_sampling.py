@@ -227,6 +227,21 @@ class TestSchedule:
                                    "derive": None}[strategy]
 
 
+    def test_unknown_strategy(self, tree_u):
+        # the schedule's check is the samplers' (see TestSamplerSetup) and a
+        # spec file's; a sampler's bad strategy never enters the program cache
+        data = dragen_spec(tree_u, 3).to_json_dict()
+        data["strategy"] = "quickcheck"
+        spec = dragen_spec(tree_u, 3)
+        spec.strategy = "quickcheck"
+        for call in (lambda: build_schedule(tree_u, "quickcheck", 3),
+                     lambda: GenSpec.from_json_dict(data),
+                     lambda: sample_values(tree_u, spec, 0, 1)):
+            with pytest.raises(AdtError, match="^unknown strategy 'quickcheck'$"):
+                call()
+        assert sampling._PROGRAMS.get(tree_u.compiled, ((None,),))[0][0] != "quickcheck"
+
+
 class TestDerive:
     def test_terminal_only_never_aborts(self):
         u = parse_universe("data U = A | B", "U")
@@ -591,6 +606,18 @@ class TestSerialization:
             v = Value("W.N", (v,))
         assert value_to_sexp(v).startswith("(N (N ")
         assert value_to_json(v).endswith('"children": []}' + "]}" * 50_000)
+
+    def test_memo_is_bounded(self):
+        # the ids a process prints from many universes, each a throwaway:
+        # the memo starts over once full, and still prints each one right
+        for i in range(5000):
+            v = Value(f"U{i}.Node", (Value(f"U{i}.Leaf"), 7))
+            assert value_to_sexp(v) == "(Node (Leaf) 7)"
+            assert value_to_json(v) == (f'{{"constructor": "U{i}.Node", "children": ['
+                                        f'{{"constructor": "U{i}.Leaf", "children": []}}, 7]}}')
+        # 10,000 ids in all, more than a memo holds
+        for fmt in (sampling._SEXP, sampling._JSON):
+            assert 0 < len(fmt.memo) <= sampling._MEMO_IDS < 10_000
 
     def test_histogram_csv(self, tree_u):
         stats = empirical_stats(tree_u, dragen_spec(tree_u, 5), 100, seed=3)

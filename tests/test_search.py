@@ -1,10 +1,11 @@
 import random
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from branchgen import (
@@ -172,23 +173,30 @@ class TestOptimize:
             optimize(cost, 10, uniform_probmap(tree_u))
 
     def test_config_validation(self):
-        for bad in (0.0, -0.1, float("nan"), float("inf"), "0.1"):
-            with pytest.raises(AdtError, match=r"delta must be in \(0, 1\)"):
+        for bad in (0.0, -0.1, float("nan"), float("inf"), 1.0, "0.1"):
+            with pytest.raises(AdtError, match=r"delta must be in \[1e-06, 1\), got "):
                 SearchConfig(delta=bad)
         for bad in (0.0, "1"):
             with pytest.raises(AdtError, match="epsilon must be positive and finite"):
                 SearchConfig(epsilon=bad)
-        with pytest.raises(AdtError, match="quantum must be positive and finite"):
-            SearchConfig(quantum="1e-6")
         with pytest.raises(AdtError):
             SearchConfig(max_steps=0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(AdtError):
                 SearchConfig(epsilon=bad)
             with pytest.raises(AdtError):
-                SearchConfig(quantum=bad)
-            with pytest.raises(AdtError):
                 SearchConfig(max_steps=bad)
+
+    def test_delta_below_the_quantum_is_refused(self, tree_u):
+        # a smaller step rounds every neighbor to the map it leaves, so the
+        # search would stop after one evaluation
+        message = r"delta must be in \[1e-06, 1\), got 5e-07"
+        with pytest.raises(AdtError, match=message):
+            SearchConfig(delta=5e-7)
+        with pytest.raises(AdtError, match=message):
+            neighbors(tree_u, uniform_probmap(tree_u), 5e-7)
+        assert SearchConfig(delta=search.QUANTUM).delta == 1e-6
+        assert len(neighbors(tree_u, uniform_probmap(tree_u), search.QUANTUM)) == 8
 
 
     @pytest.mark.parametrize("bad", [True, 2.5, "10"])
@@ -196,13 +204,6 @@ class TestOptimize:
         with pytest.raises(AdtError, match="max_steps must be an integer of at least 1"):
             SearchConfig(max_steps=bad)
         assert SearchConfig(max_steps=np.int64(3)).max_steps == 3
-
-    def test_quantum_reciprocal_must_be_finite(self, tree_u):
-        with pytest.raises(AdtError, match="reciprocal"):
-            SearchConfig(quantum=1e-320)
-        with pytest.raises(AdtError, match="reciprocal"):
-            neighbors(tree_u, uniform_probmap(tree_u), 0.01, quantum=1e-320)
-        assert SearchConfig(quantum=1e-300).quantum == 1e-300
 
     def test_non_finite_probability_is_an_error(self, tree_u):
         for bad in (float("nan"), float("inf")):
@@ -217,7 +218,7 @@ class TestOptimize:
             neighbors(tree_u, probs, 0.01)
         # neighbors takes the deltas SearchConfig takes, and no others
         for bad in (float("inf"), float("nan"), -0.1, 0.0, 1.0, "0.1", True):
-            with pytest.raises(AdtError, match=r"delta must be in \(0, 1\)"):
+            with pytest.raises(AdtError, match=r"delta must be in \[1e-06, 1\), got "):
                 neighbors(tree_u, uniform_probmap(tree_u), bad)
 
 
@@ -260,7 +261,9 @@ def _items(m):
 
 class TestRowsMatchReference:
     """The row-based enumeration and search equal the dict-based reference
-    in ``helpers``: same maps with ``==``, same key order, same path."""
+    in ``helpers``: same maps with ``==``, same key order, same path. Both
+    read ``search.QUANTUM``, which the tests also coarsen, so that many
+    candidates share a key."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -268,21 +271,25 @@ class TestRowsMatchReference:
            quantum=st.sampled_from([1e-6, 1e-3, 0.02]),
            wide=st.booleans())
     def test_neighbors(self, seed, delta, quantum, wide):
+        assume(quantum <= delta)  # a smaller step is refused
         rng = random.Random(seed)
         u, _ = helpers.random_universe(rng, *((10, 40) if wide else (4, 8)))
         probs, pinned = _search_input(rng, u, delta)
-        got = neighbors(u, probs, delta, pinned, quantum)
-        want = helpers.reference_neighbors(u, probs, delta, pinned, quantum)
+        with patch.object(search, "QUANTUM", quantum):
+            got = neighbors(u, probs, delta, pinned)
+            want = helpers.reference_neighbors(u, probs, delta, pinned)
         assert [_items(m) for m in got] == [_items(m) for m in want]
 
     def test_keys_round_half_to_even(self):
-        # at quantum 1 the focus entry 0.5 quantizes to 0, as round() does,
-        # so a candidate at (0.4, 0.2, 0.4) repeats the focus key
+        # at quantum 0.25 the focus entry 0.125 quantizes to 0, as round()
+        # does, so the candidate at (0, 3/7, 4/7) repeats the focus key
         u = parse_universe("data U = A | B | C", "U")
-        probs = {"U.A": 0.25, "U.B": 0.25, "U.C": 0.5}
-        got = neighbors(u, probs, 0.25, quantum=1.0)
-        assert got == helpers.reference_neighbors(u, probs, 0.25, quantum=1.0)
-        assert {"U.A": 0.4, "U.B": 0.2, "U.C": 0.4} not in got
+        probs = {"U.A": 0.125, "U.B": 0.375, "U.C": 0.5}
+        with patch.object(search, "QUANTUM", 0.25):
+            got = neighbors(u, probs, 0.25)
+            assert got == helpers.reference_neighbors(u, probs, 0.25)
+        assert {"U.A": 0.0, "U.B": 0.375 / 0.875, "U.C": 0.5 / 0.875} not in got
+        assert len(got) == 4
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 130),
@@ -295,8 +302,9 @@ class TestRowsMatchReference:
         rows = _Rows(u, u.family_constructors(), frozenset(), 0.01)
         m = np.array([[rng.choice([0.0, -0.0, 0.5, rng.random()]) for _ in rows.order] + [0.0]
                       for _ in range(k)]).reshape(k, len(rows.order) + 1)
-        assert rows.quantized(m, quantum) == [
-            (np.rint(r / quantum) + 0.0).tobytes() for r in m]
+        with patch.object(search, "QUANTUM", quantum):
+            keys = rows.quantized(m)
+        assert keys == [(np.rint(r / quantum) + 0.0).tobytes() for r in m]
 
     def test_negative_zero_keys_like_zero(self):
         # A's -delta bump clamps -0.0 to 0.0 and leaves the map unchanged
@@ -313,14 +321,16 @@ class TestRowsMatchReference:
            quantum=st.sampled_from([1e-6, 1e-3, 0.02]),
            size=st.integers(1, 10))
     def test_optimize(self, seed, kind, delta, quantum, size):
+        assume(quantum <= delta)  # a smaller step is refused
         rng = random.Random(seed)
         u, _ = helpers.random_universe(rng)
         cost = _random_cost(rng, u, kind)
         probs, _ = _search_input(rng, u, delta)
         init = renormalize_probmap(u, probs, cost.pinned)
-        config = SearchConfig(delta=delta, quantum=quantum, max_steps=40)
         # a step may move all of a type's terminals to 0, which warns
-        with warnings.catch_warnings(record=True) as caught:
+        with patch.object(search, "QUANTUM", quantum), \
+                warnings.catch_warnings(record=True) as caught:
+            config = SearchConfig(delta=delta, max_steps=40)
             warnings.simplefilter("always")
             best, trace = optimize(cost, size, init, config)
             ref_best, ref_steps, ref_outcome, ref_evaluations = helpers.reference_optimize(
@@ -515,7 +525,7 @@ def _candidates(rng, u, cost, delta, starve):
     if starve:
         init = _starve(rng, u, init, cost.pinned)
     rows = _Rows(u, init, cost.pinned, delta)
-    fresh, bumped = rows.fresh(rows.row(init), 1e-6, set())
+    fresh, bumped = rows.fresh(rows.row(init), set())
     cu = u.compiled
     p = fresh[:, [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]]
     types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in bumped], dtype=np.intp)
