@@ -3,14 +3,17 @@
 What each strategy draws at each size is its schedule (``spec.build_schedule``):
 dragen and megadeth are size-bounded and draw by its final row at size 0;
 derive is unbounded and aborts once the emitted constructor count exceeds
-a budget. The walk and the statistics read only the schedule.
+a budget. The value programs and the statistics read only the schedule.
 
 Randomness contract: streams are derived with splitmix64 from a base seed
-and an index. Values come from tree walks, one random.Random (MT19937)
-stream per sample index. Statistics come from a level-wise simulation, one
-numpy PCG64 stream per block of samples: it has the tree walk's
-constructor-count distribution but does not replay its draws. Identical
-seeds reproduce identical values and identical statistics.
+and an index. Values come from one random.Random (MT19937) stream per
+sample index, drawn by the configuration's program: Python functions
+compiled per type for dragen and megadeth, and a tree walk for derive and
+for any configuration too deep to recurse. Both make the same draws in the
+same order. Statistics come from a level-wise simulation, one numpy PCG64
+stream per block of samples: it has the programs' constructor-count
+distribution but does not replay their draws. Identical seeds reproduce
+identical values and identical statistics.
 """
 
 from __future__ import annotations
@@ -55,7 +58,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 
-_F_INT, _F_DOUBLE, _F_CHAR = (MODE_GROUND[atom] for atom in ("Int", "Double", "Char"))
+# Per ground mode, what a field of it draws from its value's stream; a Unit
+# draws nothing. The walk and the compiled programs both call these.
+_GROUND_DRAWS = {MODE_GROUND["Int"]: lambda rng: rng.randint(-100, 100),
+                 MODE_GROUND["Double"]: lambda rng: rng.random(),
+                 MODE_GROUND["Char"]: lambda rng: rng.choice(_PRINTABLE),
+                 MODE_GROUND["Unit"]: lambda rng: None}
 
 # Samples the statistics engine simulates together: its working arrays are
 # bounded by this, not by the sample count.
@@ -65,6 +73,10 @@ _BLOCK = 4096
 # Python ints.
 _SQUARE_SAFE = 1 << 25
 _INT64_MAX = np.iinfo(np.int64).max
+# The deepest recursion a compiled program may make: its levels plus one,
+# plus its longest chain of foreign types. Deeper configurations keep the
+# walk; this leaves wide headroom under the default recursion limit (1000).
+_COMPILED_DEPTH_MAX = 100
 
 
 def splitmix64(x: int) -> int:
@@ -156,8 +168,9 @@ def _frozen_delattr(self, name):
 Value.__getstate__, Value.__setstate__ = _getstate, _setstate
 Value.__setattr__, Value.__delattr__ = _frozen_setattr, _frozen_delattr
 
-# The tree walk builds each node by setting its two slots directly, which
-# skips the generated __init__ and the frozen __setattr__ it works around.
+# The walk and the compiled programs build each node by setting its two
+# slots directly, which skips the generated __init__ and the frozen
+# __setattr__ it works around.
 _new_node = object.__new__
 _set_constructor = Value.constructor.__set__
 _set_children = Value.children.__set__
@@ -204,7 +217,8 @@ class _Tables:
 
 class _Program:
     """The tree walk's program for walks of ``tables`` from ``root_pos`` at
-    ``size``; ``root`` is the root's visit entry.
+    ``size``; ``root`` is the root's visit entry. Only derive and the
+    configurations too deep for a compiled program (``_compile``) walk.
 
     There is one visit entry per size class and type. The size classes are
     ``size``, its child size, and so on down to 0, then -1: a negative size
@@ -272,7 +286,7 @@ def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
     else ``((cid, pick, n), kids, ground)``: ``pick`` takes its ``n``
     children in field order from the top of the build stack, where they lie
     in reverse draw order; ``kids`` are the (target, is family) of its other
-    fields right to left, and ``ground`` its ground fields' modes in order."""
+    fields right to left, and ``ground`` its ground fields' draws in order."""
     if not row:
         return Value(cid)
     ground = [k for k, (_, target) in enumerate(row) if target < 0]
@@ -281,7 +295,7 @@ def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
     pick = (itemgetter(*[~drawn.index(k) for k in range(len(row))]) if len(row) > 1
             else lambda built: (built[-1],))
     kids = tuple((row[k][1], row[k][0] == MODE_FAMILY) for k in reversed(slots))
-    return (cid, pick, len(row)), kids, tuple(row[k][0] for k in ground)
+    return (cid, pick, len(row)), kids, tuple(_GROUND_DRAWS[row[k][0]] for k in ground)
 
 
 def _table(row: list[float]) -> tuple[list[float], list[float]]:
@@ -301,28 +315,106 @@ def _table(row: list[float]) -> tuple[list[float], list[float]]:
     return p, cum
 
 
-def _draw_ground(mode: int, rng: random.Random):
-    if mode == _F_INT:
-        return rng.randint(-100, 100)
-    if mode == _F_DOUBLE:
-        return rng.random()
-    if mode == _F_CHAR:
-        return rng.choice(_PRINTABLE)
-    return None  # Unit consumes no randomness
+def _depth(cu: CompiledUniverse, levels: int) -> int:
+    """The deepest nesting of a compiled program's calls: ``levels`` + 1
+    family levels, then the longest chain of foreign types (acyclic, and
+    ordered so that each precedes the types its fields reference)."""
+    chain = [0] * len(cu.types)
+    for t in reversed(range(cu.nfamily, len(cu.types))):
+        s = cu.slices[t]
+        chain[t] = 1 + max((chain[target] for row in cu.rows[s] for _, target in row
+                            if target >= 0), default=0)
+    return levels + 1 + max(chain)
 
 
-# The last walk program per compiled universe, as (key, program). A
-# program holds no reference to its universe, so the weak key drops both
-# with the universe.
-_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple, _Program]] = WeakKeyDictionary()
+def _compile(cu: CompiledUniverse, tables: _Tables, root_pos: int,
+             levels: int) -> Callable[[random.Random], Value]:
+    """``tables`` compiled to Python: ``draw(rng)`` is one value from
+    ``root_pos`` with ``levels`` levels above the final one, by the walk's
+    draws in the walk's order.
+
+    Each type is one function of the stream, as ``r`` (its ``random``) and
+    ``g``. A family type's also takes the levels left, ``k``: while ``k`` is
+    positive it draws by ``cum_any`` and gives its family children ``k - 1``,
+    and at 0 it draws by ``cum_final``. A foreign type's draws by
+    ``cum_any``. Constructor ids and shared values enter the source only as
+    bindings of its namespace, so the code is one function per type at any
+    size."""
+    ns = {"new": _new_node, "Value": Value, "sc": _set_constructor, "sch": _set_children,
+          "dead": tables.dead_type_error, "levels": levels}
+    src = [f"def draw(g):\n    return t{root_pos}(levels, g.random, g)"]
+    for t in range(len(cu.types)):
+        if t < cu.nfamily:
+            src += [f"def t{t}(k, r, g):", "    x = r()", "    if k:",
+                    *_choice_source(cu, ns, t, tables.cum_any[t], " " * 8),
+                    *_choice_source(cu, ns, t, tables.cum_final[t], "    ")]
+        else:
+            src += [f"def t{t}(r, g):", "    x = r()",
+                    *_choice_source(cu, ns, t, tables.cum_any[t], "    ")]
+    exec(compile("\n".join(src) + "\n", "<branchgen program>", "exec"), ns)
+    return ns["draw"]
+
+
+def _choice_source(cu: CompiledUniverse, ns: dict, t: int, cum: list[float],
+                   pad: str) -> list[str]:
+    """Lines that pick and build type ``t``'s constructor for the draw
+    ``x`` by the bisect table ``cum``: the first constructor whose entry
+    exceeds ``x``, as ``bisect_right`` picks, by an if-chain on the entries
+    (``repr`` prints them exactly) that leaves out the constructors no draw
+    in [0, 1) reaches. A dead table raises ``dead_type_error``."""
+    live, lo = [], 0.0
+    for j, hi in enumerate(cum):
+        if lo < hi and lo < 1.0:
+            live.append((cu.slices[t].start + j, hi))
+        lo = max(lo, hi)
+    if not live:
+        return [f"{pad}raise dead({t})"]
+    out = []
+    for n, (c, hi) in enumerate(live):
+        body = pad
+        if n < len(live) - 1:
+            out.append(f"{pad}if x < {hi!r}:")
+            body += "    "
+        out += [body + line for line in _node_source(cu, ns, c)]
+    return out
+
+
+def _node_source(cu: CompiledUniverse, ns: dict, c: int) -> list[str]:
+    """Lines that return constructor ``c``'s node: its shared ``Value`` if
+    it is nullary, else a node built as the walk builds one, from its ground
+    atoms drawn in field order, then its other fields from left to right."""
+    row = cu.rows[c]
+    if not row:
+        ns[f"L{c}"] = Value(cu.ctors[c])
+        return [f"return L{c}"]
+    ns[f"C{c}"] = cu.ctors[c]
+    lines, fields = [], []
+    for k, (mode, target) in enumerate(row):
+        if target < 0:
+            ns[f"d{mode}"] = _GROUND_DRAWS[mode]
+            lines.append(f"a{k} = d{mode}(g)")
+            fields.append(f"a{k}")
+        else:
+            fields.append(f"t{target}({'k - 1, ' if mode == MODE_FAMILY else ''}r, g)")
+    return [*lines, f"n = new(Value); sc(n, C{c}); sch(n, ({', '.join(fields)},)); return n"]
+
+
+# The last program per compiled universe, as (key, program). A program
+# holds no reference to its universe, so the weak key drops both with the
+# universe.
+_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple, _Program | Callable]] = (
+    WeakKeyDictionary())
 
 
 def _walk_program(u: ADTUniverse, strategy: str, size: int,
                   probs: Mapping[str, float] | None = None,
                   stars: Mapping[str, float] | None = None,
-                  foreign_probs: Mapping[str, float] | None = None) -> _Program:
-    """The walk program of one configuration, shared by every ``sample_*``
-    call that asks for it again.
+                  foreign_probs: Mapping[str, float] | None = None,
+                  ) -> _Program | Callable[[random.Random], Value]:
+    """The program of one configuration, shared by every ``sample_*`` call
+    that asks for it again: ``_compile``'s ``draw`` when the configuration is
+    size-bounded and its calls nest at most ``_COMPILED_DEPTH_MAX`` deep,
+    else a walk ``_Program``.
 
     The last program built is kept per compiled universe under the key
     ``(strategy, size, probs, stars, foreign_probs)``, each map as a
@@ -336,8 +428,12 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
     cached = _PROGRAMS.get(cu)
     if cached is not None and cached[0] == key:
         return cached[1]
-    tables = _Tables(cu, build_schedule(u, strategy, size, probs, stars, foreign_probs))
-    program = _Program(cu, tables, cu.index[u.root], size)
+    schedule = build_schedule(u, strategy, size, probs, stars, foreign_probs)
+    tables, root_pos, levels = _Tables(cu, schedule), cu.index[u.root], schedule.levels
+    if levels is not None and _depth(cu, levels) <= _COMPILED_DEPTH_MAX:
+        program = _compile(cu, tables, root_pos, levels)
+    else:
+        program = _Program(cu, tables, root_pos, size)
     _PROGRAMS[cu] = key, program
     return program
 
@@ -378,8 +474,8 @@ def _build_walk(program: _Program, rng: random.Random,
                     continue
                 build, kids, ground = opt
                 put(build)
-                for mode in ground:
-                    put(_draw_ground(mode, rng))
+                for draw in ground:
+                    put(draw(rng))
                 extend(kids)
             break
         except IndexError:
@@ -403,10 +499,14 @@ def _build_walk(program: _Program, rng: random.Random,
     return built[0]
 
 
-def _walk(program: _Program, seed: int, index: int,
+def _walk(program: _Program | Callable[[random.Random], Value], seed: int, index: int,
           budget: int | None = None) -> Value | BudgetExhausted:
-    """Value ``index`` of ``seed`` on ``program``: one tree walk on its own stream."""
-    return _build_walk(program, random.Random(stream_seed(seed, index)), budget)
+    """Value ``index`` of ``seed`` on ``program``, on its own stream: one call
+    of a compiled program, or one tree walk within ``budget``."""
+    rng = random.Random(stream_seed(seed, index))
+    if program.__class__ is _Program:
+        return _build_walk(program, rng, budget)
+    return program(rng)
 
 
 def _seed(seed: int) -> int:

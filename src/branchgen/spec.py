@@ -43,8 +43,9 @@ def _check_strategy(strategy: str) -> str:
 
 
 def _bounded_size(size: int) -> int:
-    """``size`` for a size-bounded strategy, which never reaches size 0 from
-    a negative size and would run unbounded."""
+    """``size`` as a generator's size, under any strategy: a size-bounded
+    one never reaches size 0 from a negative size and would run unbounded,
+    and a spec's size is read back by this rule. Derive ignores its size."""
     return as_integer(size, "generator size must be a nonnegative integer", 0)
 
 
@@ -133,8 +134,7 @@ class GenSpec:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AdtError(f"malformed generator spec: {exc!r}") from None
         _check_strategy(spec.strategy)
-        if spec.size < 0:
-            raise AdtError("generator size must be nonnegative")
+        _bounded_size(spec.size)
         return spec
 
     def save(self, path) -> None:
@@ -158,8 +158,8 @@ def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
                   probs: Mapping[str, float] | None = None) -> GenSpec:
     """Package a generator spec (uniform probabilities unless given) for
     direct sampling, or for ``optimize``'s tuned map."""
-    if _check_strategy(strategy) != STRATEGY_DERIVE:
-        size = _bounded_size(size)
+    _check_strategy(strategy)
+    size = _bounded_size(size)
     family_probs = {c: p for c, p in (probs or uniform_probmap(u, u.family)).items()
                     if u.is_family(u.ctor_type(c))}
     stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, family_probs)

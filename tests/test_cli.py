@@ -309,7 +309,7 @@ class TestSample:
         if strategy == "derive":
             assert 0 < want.count("(#budget-exhausted)") < len(want)
 
-    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth", "derive"])
     def test_negative_size_rejected(self, capsys, tree_file, strategy):
         code, out, err = run(capsys, "sample", "-f", tree_file, "--root", "Tree",
                              "--size", "-1", "--strategy", strategy, "--count", "5")
@@ -317,9 +317,13 @@ class TestSample:
         assert err.startswith("error:") and "nonnegative" in err
 
     def test_derive_ignores_size(self, capsys, tree_file):
-        code, out, _ = run(capsys, "sample", "-f", tree_file, "--root", "Tree",
-                           "--size", "-1", "--strategy", "derive", "--count", "5")
-        assert code == 0 and len(out.splitlines()) == 5
+        outs = []
+        for size in ("0", "7"):
+            code, out, _ = run(capsys, "sample", "-f", tree_file, "--root", "Tree",
+                               "--size", size, "--strategy", "derive", "--count", "5")
+            assert code == 0 and len(out.splitlines()) == 5
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_dead_type_reached(self, capsys, tmp_path):
         path = tmp_path / "ab.adt"
@@ -445,7 +449,7 @@ class TestHistogram:
         small = sum(n for size, n in hist.items() if size <= 5)
         assert small / 4000 >= 0.6
 
-    @pytest.mark.parametrize("strategy", ["dragen", "megadeth"])
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth", "derive"])
     def test_negative_size_rejected(self, capsys, tree_file, strategy):
         code, out, err = run(capsys, "histogram", "-f", tree_file, "--root", "Tree",
                              "--size", "-1", "--strategy", strategy, "--count", "200")

@@ -6,9 +6,12 @@ import math
 import pickle
 import random
 import statistics
+import sys
 import threading
 import time
 import tracemalloc
+import types
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -721,6 +724,186 @@ def _foreign_map(u, rng):
     return {c: rng.random() for c in cu.ctors[cu.nfamily_ctors:]}
 
 
+def _outcome(call):
+    """What ``call()`` returns, or the text of the AdtError it raises."""
+    try:
+        return call()
+    except AdtError as exc:
+        return f"AdtError: {exc}"
+
+
+def _zeroed_map(rng, u, tame):
+    """A dragen map of ``u`` with zero and pinned entries. With ``tame``
+    each family type keeps positive terminal weight, and its spawning
+    constructors share at most 1/(2·fan) of it, so a value's expected
+    size is bounded at any size."""
+    cu = u.compiled
+    fan = max(1, int(cu.counts[:, :cu.nfamily].sum(axis=1).max()))
+    probs = {}
+    for s in cu.slices[:cu.nfamily]:
+        ids, term = cu.ctors[s], cu.family_terminal[s].tolist()
+        w = [rng.choice([0.0, 1.0, rng.random()]) for _ in ids]
+        if rng.random() < 0.2:  # pin one constructor
+            pin = rng.choice([j for j in range(len(ids)) if term[j] or not tame])
+            w = [float(j == pin) for j in range(len(ids))]
+        if tame:
+            if not sum(x for x, t in zip(w, term) if t):
+                w[term.index(True)] = 1.0
+            mass = sum(x for x, t in zip(w, term) if t)
+            spawn = sum(x for x, t in zip(w, term) if not t)
+            if spawn:
+                w = [x if t else x * mass / (2 * fan * spawn) for x, t in zip(w, term)]
+        total = sum(w)
+        probs.update({c: x / total if total else 0.0 for c, x in zip(ids, w)})
+    return probs
+
+
+class TestCompiledPrograms:
+    """Dragen and megadeth values come from per-type Python functions,
+    compiled from the walk's tables; derive, and configurations deeper than
+    ``_COMPILED_DEPTH_MAX``, keep the walk."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), strategy=st.sampled_from(["dragen", "megadeth"]),
+           size=st.one_of(st.integers(0, 6), st.integers(7, 110)))
+    def test_compiled_values_equal_the_walk(self, seed, strategy, size):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, extras=True)
+        cu = u.compiled
+        with warnings.catch_warnings():  # terminals all at 0 fall back to uniform stars
+            warnings.simplefilter("ignore", UserWarning)
+            spec = dragen_spec(u, size, _zeroed_map(rng, u, tame=size > 6))
+        for c in spec.star_probabilities:
+            if rng.random() < 0.3:
+                spec.star_probabilities[c] = 0.0
+        foreign = {c: rng.choice([0.0, rng.random()]) for c in cu.ctors[cu.nfamily_ctors:]}
+        maps = spec.probabilities, spec.star_probabilities, foreign
+        schedule = build_schedule(u, strategy, size, *maps)
+        tables, root = sampling._Tables(cu, schedule), cu.index[u.root]
+        walk = sampling._Program(cu, tables, root, size)
+        compiled = sampling._compile(cu, tables, root, schedule.levels)
+        chosen = sampling._walk_program(u, strategy, size, *maps)
+        deep = sampling._depth(cu, schedule.levels) > sampling._COMPILED_DEPTH_MAX
+        assert (chosen.__class__ is sampling._Program) == deep
+        for i in range(8):
+            streams = [random.Random(stream_seed(seed, i)) for _ in range(2)]
+            want = _outcome(lambda: sampling._build_walk(walk, streams[0]))
+            assert _outcome(lambda: compiled(streams[1])) == want
+            assert streams[0].getstate() == streams[1].getstate()
+            assert _outcome(lambda: sampling._walk(chosen, seed, i)) == want
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_a_draw_equal_to_a_table_entry(self, tree_u, size):
+        # bisect_right passes an entry equal to the draw, zero-width
+        # constructors included; a stream of chosen draws checks the edges
+        spec = dragen_spec(tree_u, size, {"Tree.LeafA": 0.25, "Tree.LeafB": 0.0,
+                                          "Tree.LeafC": 0.25, "Tree.Node": 0.5})
+        schedule = build_schedule(tree_u, "dragen", size, spec.probabilities,
+                                  spec.star_probabilities)
+        cu = tree_u.compiled
+        tables = sampling._Tables(cu, schedule)
+        compiled = sampling._compile(cu, tables, 0, schedule.levels)
+        walk = sampling._Program(cu, tables, 0, size)
+        entries = {*tables.cum_any[0], *tables.cum_final[0]}
+        for x in sorted(entries | {math.nextafter(e, 0.0) for e in entries} | {0.0}):
+            if x < 1.0:
+                got, want = (draw(types.SimpleNamespace(random=iter([x, 0.0, 0.0]).__next__))
+                             for draw in (compiled, lambda g: sampling._build_walk(walk, g)))
+                assert got == want
+
+    @pytest.mark.parametrize("case", ["family", "star", "foreign"])
+    def test_dead_tables_raise_the_walks_error(self, case):
+        u = parse_universe(ATOMS_SRC, "Tree")
+        cu = u.compiled
+        spec = dragen_spec(u, 0 if case == "star" else 3)
+        foreign = None
+        if case == "family":
+            spec.probabilities = dict.fromkeys(spec.probabilities, 0.0)
+            message = "generation reached type Tree, whose constructors all have probability 0"
+        elif case == "star":
+            spec.star_probabilities = dict.fromkeys(spec.star_probabilities, 0.0)
+            message = ("generation reached type Tree at size 0, whose terminal "
+                       "constructors all have star probability 0")
+        else:
+            spec.probabilities = {c: float(c == "Tree.LeafC") for c in spec.probabilities}
+            foreign = {c: 0.0 if c.startswith("Atom.") else 0.5
+                       for c in cu.ctors[cu.nfamily_ctors:]}
+            message = "generation reached type Atom, whose constructors all have probability 0"
+        schedule = build_schedule(u, "dragen", spec.size, spec.probabilities,
+                                  spec.star_probabilities, foreign)
+        tables, root = sampling._Tables(cu, schedule), cu.index[u.root]
+        compiled = sampling._compile(cu, tables, root, schedule.levels)
+        walk = sampling._Program(cu, tables, root, spec.size)
+        for call in (lambda: compiled(random.Random(stream_seed(5, 0))),
+                     lambda: sampling._build_walk(walk, random.Random(stream_seed(5, 0))),
+                     lambda: sample_dragen(u, spec, 5, 0, foreign)):
+            assert _outcome(call) == f"AdtError: {message}"
+
+    @pytest.mark.parametrize("src, root, chain", [
+        ("data Tree = LeafA | LeafB | LeafC | Node Tree Tree", "Tree", 0),
+        (ATOMS_SRC, "Tree", 2),  # Maybe<Bool> -> Bool
+    ], ids=["tree", "atoms"])
+    def test_one_level_past_the_cap_walks(self, src, root, chain):
+        u = parse_universe(src, root)
+        cu = u.compiled
+        probs = _zeroed_map(random.Random(1), u, tame=True)
+        largest = sampling._COMPILED_DEPTH_MAX - 1 - chain
+        for size, walks in ((largest, False), (largest + 1, True)):
+            assert sampling._depth(cu, size) == size + 1 + chain
+            spec = dragen_spec(u, size, probs)
+            for i in range(40):
+                want = helpers.reference_sample(u, "dragen", 3, i, spec=spec)
+                assert sample_dragen(u, spec, 3, i) == want
+            program = sampling._PROGRAMS[cu][1]
+            assert (program.__class__ is sampling._Program) == walks
+
+    def test_largest_compiled_depth_inside_deep_caller_frames(self):
+        u = parse_universe("data Bool = True | False\ndata Maybe a = Nothing | Just a\n"
+                           "data W = Stop (Maybe (Maybe Bool)) | N W", "W")
+        cu = u.compiled
+        size = sampling._COMPILED_DEPTH_MAX - 1 - 3  # Maybe<Maybe<Bool>> -> Maybe<Bool> -> Bool
+        assert sampling._depth(cu, size) == sampling._COMPILED_DEPTH_MAX
+        spec = dragen_spec(u, size, {"W.Stop": 1e-12, "W.N": 1.0 - 1e-12})
+        foreign = {c: 0.0 if c.endswith(".Nothing") else 1.0
+                   for c in cu.ctors[cu.nfamily_ctors:]}
+
+        def nested(n):
+            return nested(n - 1) if n else sample_dragen(u, spec, 0, 0, foreign)
+
+        v = nested(500)
+        assert sampling._PROGRAMS[cu][1].__class__ is not sampling._Program
+        counts = count_constructors(v)
+        assert counts["W.N"] == size and counts["W.Stop"] == 1
+        assert sum(n for c, n in counts.items() if c.endswith(".Just")) == 2
+        assert v == helpers.reference_sample(u, "dragen", 0, 0, spec=spec, foreign_probs=foreign)
+
+    def test_threads_share_a_compiled_program(self, tree_u):
+        spec = dragen_spec(tree_u, 10, {"Tree.LeafA": 0.2, "Tree.LeafB": 0.15,
+                                        "Tree.LeafC": 0.15, "Tree.Node": 0.5})
+        program = sampling._walk_program(tree_u, "dragen", 10, spec.probabilities,
+                                         spec.star_probabilities)
+        assert program.__class__ is not sampling._Program
+        want = [sampling._walk(program, 8, i) for i in range(300)]
+        got: dict = {}
+
+        def run(k):
+            for i in range(k, 300, 4):
+                got[i] = sampling._walk(program, 8, i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside draws
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got[i] for i in range(300)] == want
+
+
 class TestWalkProgramCache:
     """Each compiled universe keeps the last walk program it sampled with,
     keyed by its tables' contents: a hit replays the same values, a changed
@@ -748,7 +931,7 @@ class TestWalkProgramCache:
         rng = random.Random(3)
         spec = dragen_spec(u, 5, helpers.random_probmap(rng, u))
         maps = [_foreign_map(u, rng), _foreign_map(u, rng)]
-        mega, derive = adhoc_genspec(u, 4, "megadeth"), adhoc_genspec(u, -1, "derive")
+        mega, derive = adhoc_genspec(u, 4, "megadeth"), adhoc_genspec(u, 0, "derive")
         for i in range(12):
             for fp in maps:
                 want = helpers.reference_sample(u, "dragen", 9, i, spec=spec,
@@ -1081,9 +1264,9 @@ def _pin_case(name):
         return u, adhoc_genspec(u, 10, "megadeth"), None
     if name == "derive.t1t2":
         u = read("t1t2.adt", "T1")
-        return u, adhoc_genspec(u, -1, "derive"), None
+        return u, adhoc_genspec(u, 0, "derive"), None
     u = read("derive.adt", "T")
-    return u, adhoc_genspec(u, -1, "derive"), 1000
+    return u, adhoc_genspec(u, 0, "derive"), 1000
 
 
 class TestPinnedValues:

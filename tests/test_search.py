@@ -12,6 +12,7 @@ from branchgen import (
     AdtError,
     GenSpec,
     SearchConfig,
+    adhoc_genspec,
     derive_generator_with_trace,
     neighbors,
     optimize,
@@ -465,11 +466,30 @@ class TestDeriveGenerator:
                 "root": "T", "size": 1, "strategy": "nope",
                 "probabilities": {}, "starProbabilities": {},
                 "universeHash": ""})
-        with pytest.raises(AdtError, match="generator size must be nonnegative"):
+        with pytest.raises(AdtError, match="generator size must be a nonnegative integer, got -1"):
             GenSpec.from_json_dict({
                 "root": "T", "size": -1, "strategy": "dragen",
                 "probabilities": {}, "starProbabilities": {},
                 "universeHash": ""})
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth", "derive"])
+    def test_adhoc_specs_obey_the_file_format_size_rule(self, tree_u, tmp_path, strategy):
+        # a numpy size is kept as an int, so the spec saves and loads back
+        spec = adhoc_genspec(tree_u, np.int64(3), strategy)
+        assert type(spec.size) is int
+        path = tmp_path / "spec.json"
+        spec.save(path)
+        assert GenSpec.load(path) == spec
+        # a negative size fails the factory and the format with one message
+        errors = []
+        data = spec.to_json_dict()
+        data["size"] = -1
+        for call in (lambda: adhoc_genspec(tree_u, -1, strategy),
+                     lambda: GenSpec.from_json_dict(data)):
+            with pytest.raises(AdtError) as err:
+                call()
+            errors.append(str(err.value))
+        assert errors == ["generator size must be a nonnegative integer, got -1"] * 2
 
     @pytest.mark.parametrize("text, message", [
         (None, "cannot read {path}: No such file or directory"),
