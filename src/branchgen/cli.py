@@ -210,8 +210,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_predict(args) -> int:
     u = _load_universe(args)
-    if args.size < 1:
-        raise AdtError("--size must be at least 1")
     probs, foreign = _probs_arg(u, args.probs)
     _emit(prediction_report_json(u, probs, args.size, foreign))
     return 0
@@ -219,8 +217,6 @@ def _cmd_predict(args) -> int:
 
 def _cmd_optimize(args) -> int:
     u = _load_universe(args)
-    if args.size < 1:
-        raise AdtError("--size must be at least 1")
     cost = parse_cost_expression(u, args.cost)
     config = SearchConfig(delta=args.delta, epsilon=args.epsilon,
                           max_steps=args.max_steps)

@@ -54,7 +54,9 @@ class CostFunction:
         on the map's totals, bit for bit. A cost that overflows a double
         reads inf or nan, without a warning."""
         scorer = Scorer(self, size)
-        return scorer(_family_probs(scorer.cu, probs))[0]
+        cost = scorer(_family_probs(scorer.cu, probs))[0]
+        scorer.warn()
+        return cost
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -70,8 +72,9 @@ class Scorer(Process):
     """``cost``'s scores at one size, on the prediction engine. A cost's
     ``__call__`` builds one per map; ``optimize`` builds one per search, so
     the size, the expected counts and the terminal check are checked once,
-    and a step only predicts and sums. A type whose terminals starve warns
-    the first time it does and is silent after (see ``Process``)."""
+    and a step only predicts and sums. A call does not warn about starved
+    terminals; its caller warns for the rows it keeps (see
+    ``Process.warn``)."""
 
     def __init__(self, cost: CostFunction, size: int):
         _check_size(size)

@@ -17,7 +17,7 @@ with the samplers, and sums in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Container, Mapping
 
 import numpy as np
 
@@ -210,6 +210,7 @@ def star_probs(u: ADTUniverse, probs: Mapping[str, float]) -> dict[str, float]:
     cu = u.compiled
     process = Process(u, 0)  # checks the terminals first
     stars = process.stars(_family_probs(cu, probs))[0].tolist()
+    process.warn()
     return {cid: stars[c] for c, cid in enumerate(cu.ctors[:len(stars)]) if cu.terminal[c]}
 
 
@@ -248,9 +249,10 @@ class Process:
     row is computed as in a batch of one.
 
     A type with probability mass left but none on its terminals falls back
-    to uniform terminals on the final level, and warns (see ``stars``) the
-    first time it does in this engine: ``warned`` holds the types already
-    warned about.
+    to uniform terminals on the final level. ``stars`` records where that
+    happens, and the caller warns (see ``warn``) for the rows it keeps, the
+    first time each type starves in this engine: ``warned`` holds the types
+    already warned about.
 
     Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
     a count that overflows a double reads inf or nan, without a numpy
@@ -265,6 +267,7 @@ class Process:
         self.root = cu.index[u.root]
         self.start = np.empty((0, 1, cu.nfamily))
         self.focus = self.batch = None
+        self.starved: list[list[int]] = []
         self.warned: set[int] = set()
 
     def matrices(self, p: np.ndarray, types: np.ndarray | None = None) -> np.ndarray:
@@ -297,8 +300,11 @@ class Process:
 
     def stars(self, p: np.ndarray) -> np.ndarray:
         """p*, one row per row of ``p``, zero for non-terminals; a starved
-        type falls back to uniform terminals (see the class). A type with no
-        mass at all is the dead-type form and stays silent.
+        type falls back to uniform terminals, and ``starved`` lists its
+        (row, type) pairs in row order, without a warning: a search scores
+        rows it may never reach, and warns only for those it does (see
+        ``warn``). A type with no mass at all is the dead-type form and is
+        not listed.
 
         When every type has terminal mass, p* is one division by the
         column's terminal mass plus ``pad``, which is 0 at a terminal and
@@ -310,21 +316,28 @@ class Process:
         mass = _terminal_mass(cu, p)
         own_mass = mass.take(owner, axis=1)
         if mass.all():
+            self.starved = []
             return p / (own_mass + self.pad)
         stars = p / np.where(terminal & (own_mass > 0.0), own_mass, np.inf)
         starved = mass == 0.0
         # a starved type's mass, if any, is on its spawning constructors;
         # the pads of a type with none read one of its zero terminals
         live_types = (p.take(cu.type_cols, axis=1) > 0.0).any(axis=2)
-        for t in np.argwhere(starved & live_types)[:, 1].tolist():
-            if t not in self.warned:
-                self.warned.add(t)
-                warn_probability(
-                    f"all terminal constructors of {cu.types[t]} have probability 0; "
-                    "using a uniform terminal distribution at the last level")
+        self.starved = np.argwhere(starved & live_types).tolist()
         fallback = terminal & starved.take(owner, axis=1)
         stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
         return stars
+
+    def warn(self, rows: Container[int] | None = None) -> None:
+        """Warn about each type that starves in ``rows`` (all, if None) of
+        the last ``stars`` call, in row order, the first time it does in
+        this engine."""
+        for row, t in self.starved:
+            if (rows is None or row in rows) and t not in self.warned:
+                self.warned.add(t)
+                warn_probability(
+                    f"all terminal constructors of {self.cu.types[t]} have probability 0; "
+                    "using a uniform terminal distribution at the last level")
 
     def counts(self, p: np.ndarray, stars: np.ndarray,
                types: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +378,9 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     size = _check_size(size)
     process = Process(u, size)
     p = _family_probs(process.cu, probs)
-    branching, last = process.counts(p, process.stars(p))
+    stars = process.stars(p)
+    process.warn()
+    branching, last = process.counts(p, stars)
     report = {cid: ConstructorExpectation(b, l)
               for cid, b, l in zip(u.compiled.ctors, branching[0].tolist(), last[0].tolist())}
     return PredictionReport(size, report)

@@ -399,10 +399,11 @@ def _node_source(cu: CompiledUniverse, ns: dict, c: int) -> list[str]:
     return [*lines, f"n = new(Value); sc(n, C{c}); sch(n, ({', '.join(fields)},)); return n"]
 
 
-# The last program per compiled universe, as (key, program). A program
-# holds no reference to its universe, so the weak key drops both with the
-# universe.
-_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple, _Program | Callable]] = (
+# The last ``_PROGRAMS_KEPT`` programs per compiled universe, most recent
+# first, as (key, program) pairs. A program holds no reference to its
+# universe, so the weak key drops them all with the universe.
+_PROGRAMS_KEPT = 4
+_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple[tuple, _Program | Callable], ...]] = (
     WeakKeyDictionary())
 
 
@@ -416,25 +417,30 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
     size-bounded and its calls nest at most ``_COMPILED_DEPTH_MAX`` deep,
     else a walk ``_Program``.
 
-    The last program built is kept per compiled universe under the key
-    ``(strategy, size, probs, stars, foreign_probs)``, each map as a
-    ``_snapshot``. A hit is one comparison of that key with the caller's,
-    so a map changed in place builds a new program, and so does an entry
-    that only equals the old one (``True == 1.0``): the schedule, which
-    checks every entry, and the tables are built only on a miss. Callers
-    that miss at the same time may each build one; the race costs time."""
+    The last ``_PROGRAMS_KEPT`` programs used are kept per compiled
+    universe, most recent first, each under the key ``(strategy, size,
+    probs, stars, foreign_probs)``, each map as a ``_snapshot``; so callers
+    that alternate a few configurations build each once. A hit on the most
+    recent is one comparison of that key with the caller's. A map changed
+    in place builds a new program, and so does an entry that only equals
+    the old one (``True == 1.0``): the schedule, which checks every entry,
+    and the tables are built only on a miss. Callers that miss at the same
+    time may each build one; the race costs time."""
     cu = u.compiled
     key = (strategy, size, _snapshot(probs), _snapshot(stars), _snapshot(foreign_probs))
-    cached = _PROGRAMS.get(cu)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+    cached = _PROGRAMS.get(cu, ())
+    for i, (old, program) in enumerate(cached):
+        if old == key:
+            if i:
+                _PROGRAMS[cu] = (cached[i], *cached[:i], *cached[i + 1:])
+            return program
     schedule = build_schedule(u, strategy, size, probs, stars, foreign_probs)
     tables, root_pos, levels = _Tables(cu, schedule), cu.index[u.root], schedule.levels
     if levels is not None and _depth(cu, levels) <= _COMPILED_DEPTH_MAX:
         program = _compile(cu, tables, root_pos, levels)
     else:
         program = _Program(cu, tables, root_pos, size)
-    _PROGRAMS[cu] = key, program
+    _PROGRAMS[cu] = ((key, program), *cached[:_PROGRAMS_KEPT - 1])
     return program
 
 

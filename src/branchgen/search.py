@@ -7,6 +7,16 @@ neighbor while each move improves the cost by more than epsilon. A map is
 visited when its probabilities, rounded to multiples of ``QUANTUM``, match
 a visited map's; a step must be at least ``QUANTUM``, or every neighbor
 would round to the map it leaves.
+
+The search mostly repeats its last move, so one scorer call covers up to
+``BATCH_ROWS`` candidates: those of the focus, and those of the maps that
+repeating the last accepted move reaches (a Hooke-Jeeves pattern move, used
+only to choose what to score early). The steps are then taken one at a
+time, as if each had been scored alone. The search reads a block only when
+it accepted the repeated move and that row has the bytes of the block's
+focus, so the path, the visited set, the evaluation count and the warnings
+are those of a search that scores one step per call; a guess that misses
+costs time only.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ EPSILON_STOP = "EpsilonStop"
 STEP_CAP = "StepCap"
 
 QUANTUM = 1e-6  # the grid on which visited maps are told apart
+BATCH_ROWS = 64  # a search scores up to this many candidates in one call
 
 
 def _check_delta(delta: float) -> None:
@@ -72,9 +83,10 @@ class SearchTrace:
 class _Rows:
     """Probability maps over one key set as float rows, one column per key
     in sorted-id order, then a pad column that is zero in every row. A
-    search step bumps every unpinned column by +delta and then by -delta;
-    the candidates are built as one matrix, and a dict is made only for a
-    row that leaves the search."""
+    search step bumps every unpinned column by +delta and then by -delta:
+    its k candidates, one per move, are built as one matrix, and a dict is
+    made only for a row that leaves the search. The tables serve up to
+    ``depth`` foci at once, ``BATCH_ROWS`` // k of them (at least one)."""
 
     def __init__(self, u: ADTUniverse, keys: Iterable[str],
                  pinned: frozenset[str] | set[str], delta: float):
@@ -92,19 +104,36 @@ class _Rows:
             if cid not in pinned:
                 free.setdefault(types[i], []).append(i)
         bumped = [i for i, cid in enumerate(self.order) if cid not in pinned]
-        width = max(map(len, free.values()), default=0)
-        # each bumped column's free siblings (itself included), padded with
-        # the pad column n
-        siblings = [free[types[i]] + [n] * (width - len(free[types[i]])) for i in bumped]
-        # two candidates per bumped column: +delta, then -delta
+        # two moves per bumped column, +delta then -delta: each one's column
         self.bumped = np.repeat(np.array(bumped, dtype=np.intp), 2)
-        self.siblings = np.repeat(np.array(siblings, dtype=np.intp).reshape(-1, width), 2, axis=0)
-        self.shift = np.tile([delta, -delta], len(bumped))
-        # the cells a candidate writes, as flat indices into the k x (n + 1)
-        # candidate matrix, for ``take`` and ``put``
-        at = np.arange(len(self.bumped))
-        self.flat_bumped = at * (n + 1) + self.bumped
-        self.flat_siblings = at[:, None] * (n + 1) + self.siblings
+        k = 2 * len(bumped)
+        self.depth = max(1, BATCH_ROWS // k) if k else 1
+        # for ``chain``, each move's place among its column's free siblings
+        # (itself included), its shift, those siblings, and their cells in
+        # rows 1 to depth - 1 of a row matrix; a search of depth 1 never
+        # chains
+        self.moves = []
+        if self.depth > 1:
+            below = np.arange(1, self.depth)[:, None] * (n + 1)
+            cells = {t: (np.array(cols, dtype=np.intp), (below + cols).ravel())
+                     for t, cols in free.items()}
+            self.moves = [(free[types[i]].index(i), d, *cells[types[i]])
+                          for i in bumped for d in (delta, -delta)]
+        width = max(map(len, free.values()), default=0)
+        # the siblings padded with the pad column n, one row per move
+        siblings = np.repeat(np.array([free[types[i]] + [n] * (width - len(free[types[i]]))
+                                       for i in bumped], dtype=np.intp).reshape(-1, width),
+                             2, axis=0)
+        # per candidate of ``depth`` blocks of k: its shift, and the cells it
+        # writes, as flat indices into the candidate matrix, for ``take``
+        # and ``put``
+        at = np.arange(self.depth * k)
+        self.shift = np.tile([delta, -delta], self.depth * len(bumped))
+        self.flat_bumped = at * (n + 1) + np.tile(self.bumped, self.depth)
+        self.flat_siblings = at[:, None] * (n + 1) + np.tile(siblings, (self.depth, 1))
+        # each candidate's move, and where each block ends
+        self.candidate_moves = np.tile(np.arange(k), self.depth)
+        self.ends = np.arange(1, self.depth + 1) * k
         # a row's bytes as one void scalar, for ``quantized``
         self.row_bytes = np.dtype((np.void, (n + 1) * np.dtype(float).itemsize))
 
@@ -121,43 +150,73 @@ class _Rows:
     def as_dict(self, row: np.ndarray) -> dict[str, float]:
         return dict(zip(self.keys, row.take(self.to_keys).tolist()))
 
-    def fresh(self, x: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates one step from the row ``x`` whose keys are not in
-        ``seen``, in enumeration order, and the column each one bumped;
-        their keys join ``seen``.
+    def chain(self, x: np.ndarray, move: int, m: int) -> np.ndarray:
+        """``x`` and the maps that repeating ``move`` from it reaches, up to
+        m rows, each the candidate that ``candidates`` builds for ``move``
+        from the row before, bit for bit: the same clamp, total summed left
+        to right and divisions, in Python floats. A dead candidate ends it."""
+        at, shift, siblings, cells = self.moves[move]
+        entries = x.take(siblings).tolist()
+        written: list[float] = []
+        for f in range(1, m):
+            entries[at] = max(entries[at] + shift, 0.0)
+            total = entries[0]
+            for e in entries[1:]:
+                total += e
+            if not total > 0.0:
+                m = f
+                break
+            entries = [e / total for e in entries]
+            written += entries
+        foci = np.empty((m, len(x)))
+        foci[:] = x
+        foci.put(cells[:len(written)], written)
+        return foci
+
+    def candidates(self, foci: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                     list[bytes]]:
+        """The candidates one step from each row of ``foci``, one block per
+        focus, each in enumeration order; each one's move, the end of each
+        block, and their keys (see ``quantized``).
 
         A candidate sets the bumped entry to max(0, p ± delta) and divides
         the bumped type's free entries by their total, which is summed left
         to right in column order (as ``sum`` does), so every value equals
         the one-map-at-a-time arithmetic bit for bit. A candidate whose
-        total is not positive is skipped."""
-        if not len(self.bumped):
-            return np.empty((0, len(x))), self.bumped
-        rows = np.empty((len(self.bumped), len(x)))
-        rows[:] = x
+        total is not positive is dead, and skipped."""
+        m, k = len(foci), len(self.bumped)
+        if not k:
+            return np.empty((0, foci.shape[1])), self.bumped, np.zeros(m, dtype=np.intp), []
+        end = m * k
+        rows = foci.repeat(k, axis=0)
         # p is finite and at least 0, and 0 < delta < 1, so p - delta is
         # never -0.0 and the clamp gives what where(p ± delta > 0, ..., 0) does
-        rows.put(self.flat_bumped, np.maximum(x.take(self.bumped) + self.shift, 0.0))
-        entries = rows.take(self.flat_siblings)
+        rows.put(self.flat_bumped[:end], np.maximum(
+            foci.take(self.bumped, axis=1).ravel() + self.shift[:end], 0.0))
+        flat_siblings = self.flat_siblings[:end]
+        entries = rows.take(flat_siblings)
         # a cumulative sum adds sequentially; the zero padding leaves a
         # total unchanged
         total = np.add.accumulate(entries, axis=1)[:, -1:]
-        bumped = self.bumped
         if total.min() > 0.0:
-            rows.put(self.flat_siblings, entries / total)
-        else:
-            # a dead candidate's entries are all 0, and stay 0 until dropped
-            live = total[:, 0] > 0.0
-            rows.put(self.flat_siblings, entries / np.where(live[:, None], total, 1.0))
-            rows, bumped = rows.compress(live, axis=0), bumped.compress(live)
-        new = []
-        for i, key in enumerate(self.quantized(rows)):
-            if key not in seen:
-                seen.add(key)
-                new.append(i)
-        if len(new) == len(rows):
-            return rows, bumped
-        return rows.take(new, axis=0), bumped.take(new)
+            rows.put(flat_siblings, entries / total)
+            return rows, self.candidate_moves[:end], self.ends[:m], self.quantized(rows)
+        # a dead candidate's entries are all 0, and stay 0 until dropped
+        live = total[:, 0] > 0.0
+        rows.put(flat_siblings, entries / np.where(live[:, None], total, 1.0))
+        rows, position = rows.compress(live, axis=0), np.flatnonzero(live)
+        return rows, position % k, np.searchsorted(position, self.ends[:m]), self.quantized(rows)
+
+
+def _unseen(keys: list[bytes], lo: int, hi: int, seen: set[bytes]) -> list[int]:
+    """The rows from ``lo`` to ``hi`` whose keys are not in ``seen``, nor an
+    earlier row's; their keys join ``seen``."""
+    new = []
+    for i, key in enumerate(keys[lo:hi], lo):
+        if key not in seen:
+            seen.add(key)
+            new.append(i)
+    return new
 
 
 def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
@@ -171,9 +230,10 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
     """
     _check_delta(delta)
     rows = _Rows(u, probs, pinned, delta)
-    x = rows.row(probs)
-    fresh, _ = rows.fresh(x, set(rows.quantized(x[None])))
-    return [rows.as_dict(r) for r in fresh]
+    x = rows.row(probs)[None]
+    candidates, _, _, keys = rows.candidates(x)
+    return [rows.as_dict(candidates[i])
+            for i in _unseen(keys, 0, len(keys), set(rows.quantized(x)))]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -185,13 +245,27 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     probabilities), so no map is scored twice; ties between equally cheap
     neighbors resolve to the first in enumeration order. The search runs on
     rows (see ``_Rows``). A cost whose ``__call__`` is ``CostFunction``'s is
-    scored through one ``Scorer`` per run, one call per step, from the
-    focus map's type matrix; it warns once per starved type. Any other cost,
-    such as a wrapper that forwards calls, is called once per map. The run
-    is under one ``np.errstate`` that ignores overflow and invalid results,
-    so a cost that overflows reads inf or nan. Returns the best map found
-    and the trace of accepted steps, whose maps have the key order of
-    ``init``.
+    scored through one ``Scorer`` per run. Any other cost, such as a
+    wrapper that forwards calls, is called once per map, one step at a
+    time. The run is under one ``np.errstate`` that ignores overflow and
+    invalid results, so a cost that overflows reads inf or nan. Returns the
+    best map found and the trace of accepted steps, whose maps have the key
+    order of ``init``.
+
+    A scorer call covers up to ``_Rows.depth`` steps: the focus, and the
+    maps that repeating the last accepted move reaches (see
+    ``_Rows.chain``), as far as the step cap allows. All their candidates
+    are scored, and each block is filtered against the visited set only
+    when the search reaches it, so a block it never reaches leaves no key
+    behind. The steps are taken in order, exactly as one at a time; the
+    search goes on into the next block only when it accepts that move and
+    the row's bytes equal the next focus, and otherwise starts its next
+    call from the row it accepted. A call of one block scores only its
+    unvisited candidates and rebuilds only the bumped type's row of the
+    focus map's type matrix; a call of more builds every row, which gives
+    the same bits. Starved terminals warn for the candidates the search
+    keeps, in order, once per type (see ``Process.warn``). An opaque cost
+    is scored one step at a time, so it is called once per evaluation.
     """
     cfg = config or SearchConfig()
     for cid in cost.pinned:
@@ -206,6 +280,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     if type(cost).__call__ is CostFunction.__call__:
         scorer = Scorer(cost, size)
         focus_cost = scorer(_family_probs(cu, init))[0]
+        scorer.warn()
         scorer.move(0)
     else:
         focus_cost = cost(size, init)
@@ -214,38 +289,71 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     rows = _Rows(u, init, cost.pinned, cfg.delta)
     x = rows.row(init)
     visited = set(rows.quantized(x[None]))
+    depth = 1
     if scorer is not None:
+        depth = rows.depth
         family = np.array([rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]],
                           dtype=np.intp)
-        # each column's type; a type outside the family changes no row
-        column_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
-                                for cid in rows.order], dtype=np.intp)
+        # each move's type; a type outside the family changes no row
+        move_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
+                              for cid in rows.order], dtype=np.intp).take(rows.bumped)
 
-    outcome = STEP_CAP
-    for _ in range(cfg.max_steps):
-        fresh, bumped = rows.fresh(x, visited)
-        if not len(fresh):
+    outcome = None
+    move = None  # the last accepted move
+    while outcome is None:
+        left = cfg.max_steps + 1 - len(steps)
+        foci = x[None] if move is None or depth == 1 else rows.chain(x, move, min(depth, left))
+        cands, moves, ends, keys = rows.candidates(foci)
+        single = len(foci) == 1
+        if single:
+            # one step: only its unvisited candidates are scored
+            kept = _unseen(keys, 0, len(keys), visited)
+            if len(kept) < len(cands):
+                cands, moves = cands.take(kept, axis=0), moves.take(kept)
+            ends = [len(kept)]
+        if not len(cands):
             outcome = LOCAL_MINIMUM
             break
-        if scorer is not None:
-            costs = scorer(fresh.take(family, axis=1), column_type.take(bumped))
+        if scorer is None:
+            costs = [cost(size, rows.as_dict(r)) for r in cands]
+        elif single:
+            costs = scorer(cands.take(family, axis=1), move_type.take(moves))
         else:
-            costs = [cost(size, rows.as_dict(r)) for r in fresh]
-        evaluations += len(fresh)
-        best_cost = min(costs)
-        best_i = costs.index(best_cost)  # the first of the cheapest
-        gain = focus_cost - best_cost
-        if gain <= 0.0:
-            outcome = LOCAL_MINIMUM
-            break
-        if gain <= cfg.epsilon:
-            outcome = EPSILON_STOP
-            break
-        x = fresh[best_i]
-        if scorer is not None:
-            scorer.move(best_i)
-        focus_cost = best_cost
-        steps.append((rows.as_dict(x), focus_cost))
+            costs = scorer(cands.take(family, axis=1))
+        lo = 0
+        for f, hi in enumerate(ends):
+            # several blocks are each filtered once the search reaches them
+            kept = range(hi) if single else _unseen(keys, lo, hi, visited)
+            if scorer is not None:
+                scorer.warn(kept)
+            evaluations += len(kept)
+            if not kept:
+                outcome = LOCAL_MINIMUM
+                break
+            scored = costs if single else [costs[i] for i in kept]
+            best_cost = min(scored)
+            best_i = kept[scored.index(best_cost)]  # the first of the cheapest
+            gain = focus_cost - best_cost
+            if gain <= 0.0:
+                outcome = LOCAL_MINIMUM
+                break
+            if gain <= cfg.epsilon:
+                outcome = EPSILON_STOP
+                break
+            x = cands[best_i]
+            if scorer is not None:
+                scorer.move(best_i)
+            focus_cost = best_cost
+            steps.append((rows.as_dict(x), focus_cost))
+            if len(steps) > cfg.max_steps:
+                outcome = STEP_CAP
+                break
+            chained = (f + 1 < len(foci) and moves[best_i] == move
+                       and x.tobytes() == foci[f + 1].tobytes())
+            move = int(moves[best_i])
+            if not chained:
+                break
+            lo = hi
 
     return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
 

@@ -212,7 +212,7 @@ class TestOptimize:
 
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--size", "0", "--size must be at least 1"),
+        ("--size", "0", "size must be a positive integer, got 0"),
         # every candidate would quantize to the start map's key; the search
         # refuses it, and the CLI prints its message
         ("--delta", "5e-7", "delta must be in [1e-06, 1), got 5e-07"),
@@ -230,7 +230,7 @@ class TestOptimize:
 
 @pytest.mark.parametrize("argv,seed,message", [
     (("predict", "--size", "3"), None, "--root is required"),
-    (("predict", "--root", "Tree", "--size", "0"), None, "--size must be at least 1"),
+    (("predict", "--root", "Tree", "--size", "0"), None, "size must be a positive integer, got 0"),
     (("sample", "--root", "Tree", "--count", "1"), None, "either --spec or --size is required"),
     (("sample", "--root", "Tree", "--size", "3", "--count", "1"), "abc",
      "DRAGEN_SEED must be an integer, got 'abc'"),

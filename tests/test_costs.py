@@ -299,6 +299,14 @@ def _recorded(fn):
     return result, [str(w.message) for w in caught]
 
 
+def _scored(scorer, p, types=None):
+    """``scorer``'s costs of the rows of ``p``, warning for all of them, as
+    a caller that keeps every row does."""
+    costs = scorer(p, types)
+    scorer.warn()
+    return costs
+
+
 class TestBatchedScores:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -315,7 +323,7 @@ class TestBatchedScores:
             maps.insert(rng.randint(0, len(maps)), m)
 
         p = helpers.family_rows(u, maps)
-        batched, batched_warnings = _recorded(lambda: Scorer(cost, size)(p))
+        batched, batched_warnings = _recorded(lambda: _scored(Scorer(cost, size), p))
         single, single_warnings = _recorded(lambda: [cost(size, m) for m in maps])
         assert batched == single
         assert batched == [helpers.scalar_cost(cost, size, m) for m in maps]

@@ -242,7 +242,8 @@ class TestSchedule:
                      lambda: sample_values(tree_u, spec, 0, 1)):
             with pytest.raises(AdtError, match="^unknown strategy 'quickcheck'$"):
                 call()
-        assert sampling._PROGRAMS.get(tree_u.compiled, ((None,),))[0][0] != "quickcheck"
+        kept = sampling._PROGRAMS.get(tree_u.compiled, ())
+        assert all(key[0] != "quickcheck" for key, _ in kept)
 
 
 class TestDerive:
@@ -854,7 +855,7 @@ class TestCompiledPrograms:
             for i in range(40):
                 want = helpers.reference_sample(u, "dragen", 3, i, spec=spec)
                 assert sample_dragen(u, spec, 3, i) == want
-            program = sampling._PROGRAMS[cu][1]
+            program = sampling._PROGRAMS[cu][0][1]
             assert (program.__class__ is sampling._Program) == walks
 
     def test_largest_compiled_depth_inside_deep_caller_frames(self):
@@ -871,7 +872,7 @@ class TestCompiledPrograms:
             return nested(n - 1) if n else sample_dragen(u, spec, 0, 0, foreign)
 
         v = nested(500)
-        assert sampling._PROGRAMS[cu][1].__class__ is not sampling._Program
+        assert sampling._PROGRAMS[cu][0][1].__class__ is not sampling._Program
         counts = count_constructors(v)
         assert counts["W.N"] == size and counts["W.Stop"] == 1
         assert sum(n for c, n in counts.items() if c.endswith(".Just")) == 2
@@ -911,7 +912,7 @@ class TestWalkProgramCache:
 
     @staticmethod
     def cached(u):
-        return sampling._PROGRAMS[u.compiled][1]
+        return sampling._PROGRAMS[u.compiled][0][1]
 
     def test_probabilities_changed_in_place(self, tree_u):
         spec = dragen_spec(tree_u, 6)
@@ -945,6 +946,37 @@ class TestWalkProgramCache:
             assert list(sample_values(u, mega, 9, i + 1, foreign_probs=fp))[i] == want
             want = helpers.reference_sample(u, "derive", 9, i, budget=50, foreign_probs=fp)
             assert list(sample_values(u, derive, 9, i + 1, 50, fp))[i] == want
+
+    def test_alternating_configurations_compile_once_each(self, monkeypatch):
+        # dragen then megadeth per index, and dragen under two foreign maps:
+        # three configurations, each compiled once however they alternate
+        u = parse_universe(ATOMS_SRC, "Tree")
+        rng = random.Random(5)
+        spec = dragen_spec(u, 3, helpers.random_probmap(rng, u))
+        maps = [_foreign_map(u, rng), _foreign_map(u, rng)]
+        built = []
+        compile_program = sampling._compile
+
+        def counting(*args):
+            built.append(args)
+            return compile_program(*args)
+
+        monkeypatch.setattr(sampling, "_compile", counting)
+        sampling._PROGRAMS.pop(u.compiled, None)
+        for i in range(6):
+            for fp in maps:
+                want = helpers.reference_sample(u, "dragen", 1, i, spec=spec, foreign_probs=fp)
+                assert sample_dragen(u, spec, 1, i, fp) == want
+            assert sample_megadeth(u, None, 3, 1, i) == helpers.reference_sample(
+                u, "megadeth", 1, i, size=3)
+        assert len(built) == 3
+        assert len(sampling._PROGRAMS[u.compiled]) == 3 <= sampling._PROGRAMS_KEPT
+        # one more configuration than are kept drops the least recent
+        for size in range(4, 4 + sampling._PROGRAMS_KEPT):
+            sample_megadeth(u, None, size, 1, 0)
+        assert len(built) == 3 + sampling._PROGRAMS_KEPT
+        sample_megadeth(u, None, 3, 1, 0)
+        assert len(built) == 4 + sampling._PROGRAMS_KEPT
 
     @pytest.mark.parametrize("which", ["probabilities", "star_probabilities", "foreign"])
     def test_entry_equal_to_the_last_but_of_another_type(self, which):

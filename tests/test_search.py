@@ -28,10 +28,11 @@ from branchgen import (
     without_cost,
 )
 from branchgen.costs import CostFunction, Scorer
-from branchgen.prediction import _family_probs, _type_matrices
+from branchgen.prediction import LEVEL_LOOP_MAX, _family_probs, _type_matrices
 from branchgen import search
 from branchgen.search import EPSILON_STOP, LOCAL_MINIMUM, STEP_CAP, _Rows
 from test_acceptance import TABLE_CFG, TABLE_ROWS
+from test_costs import _scored
 
 
 class TestNeighbors:
@@ -545,10 +546,11 @@ def _candidates(rng, u, cost, delta, starve):
     if starve:
         init = _starve(rng, u, init, cost.pinned)
     rows = _Rows(u, init, cost.pinned, delta)
-    fresh, bumped = rows.fresh(rows.row(init), set())
+    fresh, moves, _, _ = rows.candidates(rows.row(init)[None])
     cu = u.compiled
     p = fresh[:, [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]]
-    types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in bumped], dtype=np.intp)
+    types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in rows.bumped[moves]],
+                     dtype=np.intp)
     return init, [rows.as_dict(r) for r in fresh], p, types
 
 
@@ -556,7 +558,7 @@ def _search_scorer(cost, size, init):
     """The scorer ``optimize`` builds for ``cost``, focused on ``init``,
     and the warnings scoring ``init`` gave."""
     scorer = Scorer(cost, size)
-    _, caught = _recorded(lambda: scorer(_family_probs(cost.universe.compiled, init)))
+    _, caught = _recorded(lambda: _scored(scorer, _family_probs(cost.universe.compiled, init)))
     scorer.move(0)
     return scorer, caught
 
@@ -577,8 +579,8 @@ class TestFocusRows:
         init, _, p, types = _candidates(rng, u, cost, delta, starve)
         scorer, init_warnings = _search_scorer(cost, size, init)
 
-        scored, scored_warnings = _recorded(lambda: scorer(p, types))
-        full, full_warnings = _recorded(lambda: Scorer(cost, size)(p))
+        scored, scored_warnings = _recorded(lambda: _scored(scorer, p, types))
+        full, full_warnings = _recorded(lambda: _scored(Scorer(cost, size), p))
         assert _same_bits(scored, full)
         assert _same_bits(scorer.batch, _type_matrices(u.compiled, p))
         # each scorer warns once per type; the search's scorer not again for
@@ -718,3 +720,101 @@ class TestConvergedWide60:
         assert caught and len(set(caught)) == len(caught)
         assert all(w.endswith("have probability 0; using a uniform terminal distribution "
                               "at the last level") for w in caught)
+
+
+class TestLookahead:
+    """A scorer call covers the focus and the maps that repeating the last
+    accepted move reaches (``_Rows.chain``). The search still takes its
+    steps one at a time, so it equals the one-map-at-a-time reference; a
+    step off the chain costs time only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "only", "without"]),
+           size=st.one_of(st.integers(1, 10),
+                          st.integers(LEVEL_LOOP_MAX + 1, LEVEL_LOOP_MAX + 40)),
+           delta=st.sampled_from([0.002, 0.01, 0.05]),
+           epsilon=st.sampled_from([1e-6, 1e-3, 0.3]),
+           max_steps=st.integers(1, 60), tight=st.booleans(), starve=st.booleans())
+    def test_optimize_matches_reference(self, seed, kind, size, delta, epsilon,
+                                        max_steps, tight, starve):
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
+        cost = _random_cost(rng, u, kind)
+        probs, _ = _search_input(rng, u, delta)
+        if tight:
+            # terminals at delta: their -delta bumps starve a type, also in
+            # blocks past the step the search leaves the chain at
+            for cid in u.family_constructors():
+                if not u.ctor_decl(cid).family_arity() and rng.random() < 0.7:
+                    probs[cid] = delta
+        init = renormalize_probmap(u, probs, cost.pinned)
+        if starve:
+            init = _starve(rng, u, init, cost.pinned)
+        # at most 16 moves, so a call covers at least 4 steps
+        assert _Rows(u, init, cost.pinned, delta).depth >= 4
+        config = SearchConfig(delta=delta, epsilon=epsilon, max_steps=max_steps)
+        (best, trace), caught = _recorded(lambda: optimize(cost, size, init, config))
+        ref, ref_caught = _recorded(
+            lambda: helpers.reference_optimize(cost, size, init, config))
+        # the reference warns per map and type; the search once per type,
+        # in the order the maps are scored
+        assert caught == list(dict.fromkeys(ref_caught))
+        assert _items(best) == _items(ref[0])
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
+        assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), delta=st.sampled_from([0.002, 0.01, 0.3]))
+    def test_chain_rows_are_the_built_candidates(self, seed, delta):
+        # each focus of a chain is, bit for bit, the candidate of its move
+        # that ``candidates`` builds from the focus before it
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
+        probs, pinned = _search_input(rng, u, delta)
+        rows = _Rows(u, probs, pinned, delta)
+        assume(rows.moves)
+        move = rng.randrange(len(rows.moves))
+        foci = rows.chain(rows.row(probs), move, rows.depth)
+        for f in range(1, len(foci)):
+            cands, moves, _, _ = rows.candidates(foci[f - 1][None])
+            assert foci[f].tobytes() == cands[moves.tolist().index(move)].tobytes()
+        if len(foci) < rows.depth:
+            # the chain ends where its move's candidate is dead
+            _, moves, _, _ = rows.candidates(foci[-1][None])
+            assert move not in moves.tolist()
+
+    @pytest.mark.parametrize("make_cost", [make for _, make, _ in TABLE_ROWS],
+                             ids=[name for name, _, _ in TABLE_ROWS])
+    def test_a_wrapper_is_called_once_per_evaluation(self, tree_u, make_cost):
+        cost = make_cost(tree_u)
+        calls = []
+
+        class Counting(Forwarding):
+            def __call__(self, size, probs):
+                calls.append(probs)
+                return super().__call__(size, probs)
+
+        init = renormalize_probmap(tree_u, uniform_probmap(tree_u), cost.pinned)
+        _, trace = optimize(Counting(cost), 10, init, TABLE_CFG)
+        assert len(trace.steps) > 10 and len(calls) == trace.evaluations
+
+    @pytest.mark.parametrize("make_cost", [make for _, make, _ in TABLE_ROWS],
+                             ids=[name for name, _, _ in TABLE_ROWS])
+    def test_tree_takes_fewer_scorer_calls_than_steps(self, tree_u, make_cost, monkeypatch):
+        # on Tree (8 moves) a call covers up to 8 steps, and the search
+        # repeats its last move on most of its steps
+        calls = []
+
+        class Spy(Scorer):
+            def __call__(self, p, types=None):
+                calls.append(len(p))
+                return super().__call__(p, types)
+
+        monkeypatch.setattr(search, "Scorer", Spy)
+        cost = make_cost(tree_u)
+        init = renormalize_probmap(tree_u, uniform_probmap(tree_u), cost.pinned)
+        _, trace = optimize(cost, 10, init, TABLE_CFG)
+        steps = len(trace.steps) - 1
+        assert steps > 50 and 2 * len(calls) < steps
+        assert max(calls) <= search.BATCH_ROWS
