@@ -20,6 +20,8 @@ import heapq
 import json
 import math
 import numbers
+import os
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -869,4 +871,10 @@ def load_probmap(data, u: ADTUniverse) -> dict[str, float]:
 
 
 def warn_probability(message: str) -> None:
-    warnings.warn(message, stacklevel=3)
+    """Warn at the caller's line: the first frame outside this package, found
+    by walking the stack (``warnings.warn``'s ``skip_file_prefixes`` needs
+    Python 3.12)."""
+    frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__) + os.sep
+    while frame.f_back and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)

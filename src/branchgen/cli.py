@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .adt import (
     ADTUniverse,
@@ -304,11 +305,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _COMMANDS[args.command](args)
-    except AdtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # each warning as one line, like an error
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except AdtError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -48,15 +48,15 @@ class CostFunction:
     targets: tuple[tuple[str, float], ...]
     pinned: frozenset[str]
 
-    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, size: int, probs: Mapping[str, float]) -> float:
         """The cost of ``probs`` at ``size``, on one ``Scorer``: ``chi_square``
         on the map's totals, bit for bit. A cost that overflows a double
         reads inf or nan, without a warning."""
-        scorer = Scorer(self, size)
-        cost = scorer(_family_probs(scorer.cu, probs))[0]
-        scorer.warn()
-        return cost
+        with np.errstate(over="ignore", invalid="ignore"):
+            scorer = Scorer(self, size)
+            cost = scorer(_family_probs(scorer.cu, probs))[0]
+            scorer.warn()
+            return cost
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, float, float]:

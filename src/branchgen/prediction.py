@@ -17,7 +17,7 @@ with the samplers, and sums in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -328,12 +328,13 @@ class Process:
         stars[fallback] = np.broadcast_to(1.0 / cu.terminal_count[owner], stars.shape)[fallback]
         return stars
 
-    def warn(self, rows: Container[int] | None = None) -> None:
+    def warn(self, rows: Iterable[int] | None = None) -> None:
         """Warn about each type that starves in ``rows`` (all, if None) of
         the last ``stars`` call, in row order, the first time it does in
         this engine."""
+        kept = None if rows is None or not self.starved else set(rows)
         for row, t in self.starved:
-            if (rows is None or row in rows) and t not in self.warned:
+            if (kept is None or row in kept) and t not in self.warned:
                 self.warned.add(t)
                 warn_probability(
                     f"all terminal constructors of {self.cu.types[t]} have probability 0; "
@@ -363,7 +364,6 @@ class Process:
         return branching, np.where(cu.family_terminal, last, 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
                          size: int) -> PredictionReport:
     """Expected constructor counts for a run at the given size.
@@ -378,9 +378,10 @@ def predict_constructors(u: ADTUniverse, probs: Mapping[str, float],
     size = _check_size(size)
     process = Process(u, size)
     p = _family_probs(process.cu, probs)
-    stars = process.stars(p)
-    process.warn()
-    branching, last = process.counts(p, stars)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stars = process.stars(p)
+        process.warn()
+        branching, last = process.counts(p, stars)
     report = {cid: ConstructorExpectation(b, l)
               for cid, b, l in zip(u.compiled.ctors, branching[0].tolist(), last[0].tolist())}
     return PredictionReport(size, report)

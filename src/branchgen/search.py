@@ -8,15 +8,16 @@ visited when its probabilities, rounded to multiples of ``QUANTUM``, match
 a visited map's; a step must be at least ``QUANTUM``, or every neighbor
 would round to the map it leaves.
 
-The search mostly repeats its last move, so one scorer call covers up to
-``BATCH_ROWS`` candidates: those of the focus, and those of the maps that
-repeating the last accepted move reaches (a Hooke-Jeeves pattern move, used
-only to choose what to score early). The steps are then taken one at a
-time, as if each had been scored alone. The search reads a block only when
-it accepted the repeated move and that row has the bytes of the block's
-focus, so the path, the visited set, the evaluation count and the warnings
-are those of a search that scores one step per call; a guess that misses
-costs time only.
+The search mostly repeats its last move, so each pass of its one loop
+builds up to ``BATCH_ROWS`` candidates: those of the focus, and those of
+the maps that repeating the last accepted move reaches (a Hooke-Jeeves
+pattern move, used only to choose what to build early). A stock cost scores
+them in one scorer call; an opaque cost is called on each map as the search
+keeps it. The steps are then taken one at a time, as if each had been
+scored alone. The search reads a block only when it accepted the repeated
+move and that row has the bytes of the block's focus, so the path, the
+visited set, the evaluation count and the warnings are those of a search
+that scores one step per call; a guess that misses costs time only.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class _Rows:
     search step bumps every unpinned column by +delta and then by -delta:
     its k candidates, one per move, are built as one matrix, and a dict is
     made only for a row that leaves the search. The tables serve up to
-    ``depth`` foci at once, ``BATCH_ROWS`` // k of them (at least one)."""
+    ``depth`` foci at once, ``BATCH_ROWS`` // k of them (at least one).
+    With no unpinned column there is no move, and no candidate."""
 
     def __init__(self, u: ADTUniverse, keys: Iterable[str],
                  pinned: frozenset[str] | set[str], delta: float):
@@ -121,8 +123,8 @@ class _Rows:
                           for i in bumped for d in (delta, -delta)]
         width = max(map(len, free.values()), default=0)
         # the siblings padded with the pad column n, one row per move
-        siblings = np.repeat(np.array([free[types[i]] + [n] * (width - len(free[types[i]]))
-                                       for i in bumped], dtype=np.intp).reshape(-1, width),
+        padded = [free[types[i]] + [n] * (width - len(free[types[i]])) for i in bumped]
+        siblings = np.repeat(np.array(padded, dtype=np.intp).reshape(len(bumped), width),
                              2, axis=0)
         # per candidate of ``depth`` blocks of k: its shift, and the cells it
         # writes, as flat indices into the candidate matrix, for ``take``
@@ -236,7 +238,6 @@ def neighbors(u: ADTUniverse, probs: Mapping[str, float], delta: float,
             for i in _unseen(keys, 0, len(keys), set(rows.quantized(x)))]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
              config: SearchConfig | None = None) -> tuple[dict[str, float], SearchTrace]:
     """Best-improvement descent from ``init`` under ``cost``'s constraints.
@@ -244,28 +245,28 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     Every evaluated neighbor joins the visited set (keyed by its quantized
     probabilities), so no map is scored twice; ties between equally cheap
     neighbors resolve to the first in enumeration order. The search runs on
-    rows (see ``_Rows``). A cost whose ``__call__`` is ``CostFunction``'s is
-    scored through one ``Scorer`` per run. Any other cost, such as a
-    wrapper that forwards calls, is called once per map, one step at a
-    time. The run is under one ``np.errstate`` that ignores overflow and
-    invalid results, so a cost that overflows reads inf or nan. Returns the
-    best map found and the trace of accepted steps, whose maps have the key
-    order of ``init``.
+    rows (see ``_Rows``), under one ``np.errstate`` that ignores overflow
+    and invalid results, so a cost that overflows reads inf or nan. Returns
+    the best map found and the trace of accepted steps, whose maps have the
+    key order of ``init``.
 
-    A scorer call covers up to ``_Rows.depth`` steps: the focus, and the
-    maps that repeating the last accepted move reaches (see
-    ``_Rows.chain``), as far as the step cap allows. All their candidates
-    are scored, and each block is filtered against the visited set only
-    when the search reaches it, so a block it never reaches leaves no key
-    behind. The steps are taken in order, exactly as one at a time; the
+    Each pass of the loop builds the candidates of up to ``_Rows.depth``
+    foci: the focus, and the maps that repeating the last accepted move
+    reaches (see ``_Rows.chain``), as far as the step cap allows. A cost
+    whose ``__call__`` is ``CostFunction``'s scores them all in one call of
+    one ``Scorer`` per run; a pass of one focus names each candidate's
+    bumped type, so only that type's row of the focus map's type matrix is
+    rebuilt, and a pass of more rebuilds every row, which gives the same
+    bits. Any other cost, such as a wrapper that forwards calls, is
+    opaque, and is called on each map that the search keeps, when it keeps
+    it: once per evaluation. Each block is filtered against the visited set
+    only when the search reaches it, so a block it never reaches leaves no
+    key behind. The steps are taken in order, exactly as one at a time; the
     search goes on into the next block only when it accepts that move and
     the row's bytes equal the next focus, and otherwise starts its next
-    call from the row it accepted. A call of one block scores only its
-    unvisited candidates and rebuilds only the bumped type's row of the
-    focus map's type matrix; a call of more builds every row, which gives
-    the same bits. Starved terminals warn for the candidates the search
-    keeps, in order, once per type (see ``Process.warn``). An opaque cost
-    is scored one step at a time, so it is called once per evaluation.
+    pass from the row it accepted. Starved terminals warn for the
+    candidates the search keeps, in order, once per type (see
+    ``Process.warn``).
     """
     cfg = config or SearchConfig()
     for cid in cost.pinned:
@@ -274,86 +275,71 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
 
     u = cost.universe
     cu = u.compiled
-    # Any other cost (a subclass that overrides __call__, or a wrapper that
-    # forwards calls) is opaque and is called once per map.
-    scorer = None
-    if type(cost).__call__ is CostFunction.__call__:
-        scorer = Scorer(cost, size)
-        focus_cost = scorer(_family_probs(cu, init))[0]
-        scorer.warn()
-        scorer.move(0)
-    else:
-        focus_cost = cost(size, init)
-    evaluations = 1
-    steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
-    rows = _Rows(u, init, cost.pinned, cfg.delta)
-    x = rows.row(init)
-    visited = set(rows.quantized(x[None]))
-    depth = 1
-    if scorer is not None:
-        depth = rows.depth
+    with np.errstate(over="ignore", invalid="ignore"):
+        scorer = None
+        if type(cost).__call__ is CostFunction.__call__:
+            scorer = Scorer(cost, size)
+            focus_cost = scorer(_family_probs(cu, init))[0]
+            scorer.warn()
+            scorer.move(0)
+        else:
+            focus_cost = cost(size, init)
+        evaluations = 1
+        steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
+        rows = _Rows(u, init, cost.pinned, cfg.delta)
+        x = rows.row(init)
+        visited = set(rows.quantized(x[None]))
         family = np.array([rows.column[cid] for cid in cu.ctors[:cu.nfamily_ctors]],
                           dtype=np.intp)
         # each move's type; a type outside the family changes no row
         move_type = np.array([cu.index.get(u.ctor_type(cid), cu.nfamily)
                               for cid in rows.order], dtype=np.intp).take(rows.bumped)
 
-    outcome = None
-    move = None  # the last accepted move
-    while outcome is None:
-        left = cfg.max_steps + 1 - len(steps)
-        foci = x[None] if move is None or depth == 1 else rows.chain(x, move, min(depth, left))
-        cands, moves, ends, keys = rows.candidates(foci)
-        single = len(foci) == 1
-        if single:
-            # one step: only its unvisited candidates are scored
-            kept = _unseen(keys, 0, len(keys), visited)
-            if len(kept) < len(cands):
-                cands, moves = cands.take(kept, axis=0), moves.take(kept)
-            ends = [len(kept)]
-        if not len(cands):
-            outcome = LOCAL_MINIMUM
-            break
-        if scorer is None:
-            costs = [cost(size, rows.as_dict(r)) for r in cands]
-        elif single:
-            costs = scorer(cands.take(family, axis=1), move_type.take(moves))
-        else:
-            costs = scorer(cands.take(family, axis=1))
-        lo = 0
-        for f, hi in enumerate(ends):
-            # several blocks are each filtered once the search reaches them
-            kept = range(hi) if single else _unseen(keys, lo, hi, visited)
+        outcome = None
+        move = None  # the last accepted move
+        while outcome is None:
+            left = cfg.max_steps + 1 - len(steps)
+            foci = (x[None] if move is None or rows.depth == 1
+                    else rows.chain(x, move, min(rows.depth, left)))
+            cands, moves, ends, keys = rows.candidates(foci)
             if scorer is not None:
-                scorer.warn(kept)
-            evaluations += len(kept)
-            if not kept:
-                outcome = LOCAL_MINIMUM
-                break
-            scored = costs if single else [costs[i] for i in kept]
-            best_cost = min(scored)
-            best_i = kept[scored.index(best_cost)]  # the first of the cheapest
-            gain = focus_cost - best_cost
-            if gain <= 0.0:
-                outcome = LOCAL_MINIMUM
-                break
-            if gain <= cfg.epsilon:
-                outcome = EPSILON_STOP
-                break
-            x = cands[best_i]
-            if scorer is not None:
-                scorer.move(best_i)
-            focus_cost = best_cost
-            steps.append((rows.as_dict(x), focus_cost))
-            if len(steps) > cfg.max_steps:
-                outcome = STEP_CAP
-                break
-            chained = (f + 1 < len(foci) and moves[best_i] == move
-                       and x.tobytes() == foci[f + 1].tobytes())
-            move = int(moves[best_i])
-            if not chained:
-                break
-            lo = hi
+                types = move_type.take(moves) if len(foci) == 1 else None
+                costs = scorer(cands.take(family, axis=1), types)
+            lo = 0
+            for f, hi in enumerate(ends):
+                kept = _unseen(keys, lo, hi, visited)
+                if scorer is None:
+                    scored = [cost(size, rows.as_dict(cands[i])) for i in kept]
+                else:
+                    scorer.warn(kept)
+                    scored = [costs[i] for i in kept]
+                evaluations += len(kept)
+                if not kept:
+                    outcome = LOCAL_MINIMUM
+                    break
+                best_cost = min(scored)
+                best_i = kept[scored.index(best_cost)]  # the first of the cheapest
+                gain = focus_cost - best_cost
+                if gain <= 0.0:
+                    outcome = LOCAL_MINIMUM
+                    break
+                if gain <= cfg.epsilon:
+                    outcome = EPSILON_STOP
+                    break
+                x = cands[best_i]
+                if scorer is not None:
+                    scorer.move(best_i)
+                focus_cost = best_cost
+                steps.append((rows.as_dict(x), focus_cost))
+                if len(steps) > cfg.max_steps:
+                    outcome = STEP_CAP
+                    break
+                chained = (f + 1 < len(foci) and moves[best_i] == move
+                           and x.tobytes() == foci[f + 1].tobytes())
+                move = int(moves[best_i])
+                if not chained:
+                    break
+                lo = hi
 
     return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
 

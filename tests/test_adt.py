@@ -209,7 +209,8 @@ class TestStructure:
     @pytest.mark.parametrize("lookup, message", [
         (lambda u: u.constructors_of("Nope"), "unknown type: Nope"),
         (lambda u: u.ctor_type("Tree.Nope"), "unknown constructor: Tree.Nope"),
-    ], ids=["constructors-of", "ctor-type"])
+        (lambda u: u.ctor_decl("Tree.Nope"), "unknown constructor: Tree.Nope"),
+    ], ids=["constructors-of", "ctor-type", "ctor-decl"])
     def test_lookup_of_unknown_id(self, tree_u, lookup, message):
         with pytest.raises(AdtError, match=message):
             lookup(tree_u)
@@ -484,6 +485,12 @@ class TestProbMaps:
         assert out["Tree.LeafA"] == pytest.approx(0.5)
         assert out["Tree.Node"] == pytest.approx(0.5)
         validate_probmap(tree_u, out)
+
+    def test_renormalize_all_zero_type_is_uniform(self, tree_u):
+        zeros = dict.fromkeys(tree_u.family_constructors(), 0.0)
+        assert renormalize_probmap(tree_u, zeros) == dict.fromkeys(zeros, 0.25)
+        assert renormalize_probmap(tree_u, zeros, pinned={"Tree.Node"}) == {
+            **dict.fromkeys(zeros, 1 / 3), "Tree.Node": 0.0}
 
     def test_renormalize_always_normalized(self):
         rng = random.Random(5)

@@ -137,6 +137,17 @@ class TestPredict:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "size 100000" in err
 
+    def test_starved_terminals_warn_in_one_line(self, capsys, tree_file, tmp_path):
+        probs = tmp_path / "p.json"
+        probs.write_text(json.dumps({"probabilities": {
+            "Tree.LeafA": 0, "Tree.LeafB": 0, "Tree.LeafC": 0, "Tree.Node": 1}}))
+        code, out, err = run(capsys, "predict", "-f", tree_file, "--root", "Tree",
+                             "--size", "3", "--probs", str(probs))
+        assert code == 0 and json.loads(out)["size"] == 3
+        assert err.splitlines() == [
+            "warning: all terminal constructors of Tree have probability 0; "
+            "using a uniform terminal distribution at the last level"]
+
     def test_usage_error(self, capsys, tree_file):
         code = main(["predict", "-f", tree_file, "--root", "Tree"])
         capsys.readouterr()

@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from branchgen import (
     AdtError,
+    adhoc_genspec,
     extinction_probability,
+    optimize,
     parse_universe,
     predict_constructors,
     predict_foreign,
     prediction_report_json,
     star_probs,
+    uniform_cost,
     uniform_probmap,
 )
 from branchgen.adt import flat_bins
@@ -530,6 +533,30 @@ class TestStarProbs:
             warnings.simplefilter("error")
             s = star_probs(t1t2_u, p)
         assert s["T2.C"] == 1.0
+
+
+STARVED_TREE = {"Tree.LeafA": 0.0, "Tree.LeafB": 0.0, "Tree.LeafC": 0.0, "Tree.Node": 1.0}
+
+
+class TestWarningLocation:
+    """A starved-terminal warning names the caller's line, not a line inside
+    branchgen, whichever entry point raises it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda u: predict_constructors(u, STARVED_TREE, 3),
+        lambda u: star_probs(u, STARVED_TREE),
+        lambda u: uniform_cost(u)(3, STARVED_TREE),
+        lambda u: adhoc_genspec(u, 3, "dragen", STARVED_TREE),
+        lambda u: optimize(uniform_cost(u), 3, STARVED_TREE),
+    ], ids=["predict_constructors", "star_probs", "cost", "adhoc_genspec", "optimize"])
+    def test_warning_names_the_callers_file(self, tree_u, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(tree_u)
+        assert [str(w.message) for w in caught][:1] == [
+            "all terminal constructors of Tree have probability 0; "
+            "using a uniform terminal distribution at the last level"]
+        assert [w.filename for w in caught] == [__file__] * len(caught)
 
 
 class TestPredict:

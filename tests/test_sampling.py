@@ -260,6 +260,7 @@ class TestDerive:
         finished = [r for r in results if isinstance(r, Value)]
         assert aborted and finished
         assert all(r.budget == 5 for r in aborted)
+        assert repr(aborted[0]) == "BudgetExhausted(budget=5)"
         assert all(sum(count_constructors(v).values()) <= 5 for v in finished)
 
     def test_abort_fraction_matches_extinction(self, derive_u):

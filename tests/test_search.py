@@ -49,6 +49,11 @@ class TestNeighbors:
         u = parse_universe("data U = OnlyU", "U")
         assert neighbors(u, {"U.OnlyU": 1.0}, delta=0.01) == []
 
+    def test_no_free_column_has_no_neighbors(self, tree_u):
+        probs = uniform_probmap(tree_u)
+        assert neighbors(tree_u, probs, 0.01, pinned=set(probs)) == []
+        assert neighbors(tree_u, {}, 0.01) == []
+
     def test_clamped_duplicate_dropped(self, tree_u):
         probs = {"Tree.LeafA": 0.0, "Tree.LeafB": 0.4, "Tree.LeafC": 0.3,
                  "Tree.Node": 0.3}
@@ -82,6 +87,22 @@ class TestNeighbors:
 
 
 class TestOptimize:
+    def test_every_constructor_pinned_stops_at_the_start(self, tree_u):
+        family = tree_u.family_constructors()
+        cost = CostFunction("pinned", tree_u, (("Tree.Node", 1.0),), frozenset(family))
+        init = dict.fromkeys(family, 0.0)
+        best, trace = optimize(cost, 10, init)
+        assert best == init and trace.steps == [(init, 10.0)]
+        assert (trace.outcome, trace.evaluations) == (LOCAL_MINIMUM, 1)
+
+    def test_no_targets_scores_zero_and_stops(self, tree_u):
+        cost = CostFunction("none", tree_u, (), frozenset())
+        init = uniform_probmap(tree_u)
+        assert cost(10, init) == 0.0
+        best, trace = optimize(cost, 10, init)
+        assert best == init and trace.steps == [(init, 0.0)]
+        assert (trace.outcome, trace.evaluations) == (LOCAL_MINIMUM, 9)
+
     def test_no_neighbors_is_local_minimum(self):
         u = parse_universe("data U = OnlyU", "U")
         cost = uniform_cost(u)
@@ -798,6 +819,41 @@ class TestLookahead:
         init = renormalize_probmap(tree_u, uniform_probmap(tree_u), cost.pinned)
         _, trace = optimize(Counting(cost), 10, init, TABLE_CFG)
         assert len(trace.steps) > 10 and len(calls) == trace.evaluations
+
+    def test_chain_stops_at_a_dead_candidate(self, tree_u):
+        # LeafA - delta clamps Tree's only mass to 0: move 1 has no candidate
+        probs = {"Tree.LeafA": 0.001, "Tree.LeafB": 0.0, "Tree.LeafC": 0.0, "Tree.Node": 0.0}
+        rows = _Rows(tree_u, probs, frozenset(), 0.01)
+        x = rows.row(probs)
+        assert rows.depth == 8 and 1 not in rows.candidates(x[None])[1].tolist()
+        assert rows.chain(x, 1, rows.depth).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("make_cost", [make for _, make, _ in TABLE_ROWS],
+                             ids=[name for name, _, _ in TABLE_ROWS])
+    def test_a_wrapper_shares_the_lookahead(self, tree_u, make_cost, monkeypatch):
+        # an opaque cost is called on the reference search's maps, in order,
+        # while one candidate build covers several steps
+        cost = make_cost(tree_u)
+        init = renormalize_probmap(tree_u, uniform_probmap(tree_u), cost.pinned)
+        seen, ref_seen, builds = [], [], []
+
+        class Recording(Forwarding):
+            def __init__(self, cost, log):
+                super().__init__(cost)
+                self.log = log
+
+            def __call__(self, size, probs):
+                self.log.append(_items(probs))
+                return super().__call__(size, probs)
+
+        helpers.reference_optimize(Recording(cost, ref_seen), 10, init, TABLE_CFG)
+        candidates = _Rows.candidates
+        monkeypatch.setattr(_Rows, "candidates",
+                            lambda rows, foci: builds.append(len(foci)) or candidates(rows, foci))
+        _, trace = optimize(Recording(cost, seen), 10, init, TABLE_CFG)
+        steps = len(trace.steps) - 1
+        assert steps > 50 and len(builds) < steps
+        assert seen == ref_seen
 
     @pytest.mark.parametrize("make_cost", [make for _, make, _ in TABLE_ROWS],
                              ids=[name for name, _, _ in TABLE_ROWS])
