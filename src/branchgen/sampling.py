@@ -1,9 +1,12 @@
 """Random value generation under three strategies, plus empirical statistics.
 
-What each strategy draws at each size is its schedule (``spec.build_schedule``):
-dragen and megadeth are size-bounded and draw by its final row at size 0;
-derive is unbounded and aborts once the emitted constructor count exceeds
-a budget. The value programs and the statistics read only the schedule.
+What each strategy draws at each level is its schedule (``spec.build_schedule``).
+Dragen and megadeth are size-bounded: every program and the statistics
+count its ``levels`` down, a node at 0 draws by its final row, and family
+children get one level fewer than their parent. Derive is unbounded: it
+starts at -1, so it never reaches 0, and aborts once the emitted
+constructor count exceeds a budget. The value programs and the statistics
+read only the schedule.
 
 Randomness contract: streams are derived with splitmix64 from a base seed
 and an index. Values come from one random.Random (MT19937) stream per
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -190,24 +192,25 @@ class BudgetExhausted:
 class _Tables:
     """Choice tables for one schedule, over the universe's compiled types
     and field rows. Per type, ``p_any`` and ``p_final`` hold the schedule's
-    rows at positive sizes and on the final level, cut after the last
+    rows above the final level and on it, cut after the last
     positive entry (empty for a dead type); ``cum_any`` and ``cum_final``
-    are the bisect tables derived from them, and ``child_size`` is the
-    schedule's child rule."""
+    are the bisect tables derived from them. ``levels`` is the schedule's
+    count of levels above the final one, or -1 for derive, which has none."""
 
-    __slots__ = ("types", "p_any", "p_final", "cum_any", "cum_final", "child_size")
+    __slots__ = ("types", "p_any", "p_final", "cum_any", "cum_final", "levels")
 
     def __init__(self, cu: CompiledUniverse, schedule: Schedule):
         self.types = cu.types
-        self.child_size = schedule.child
+        self.levels = -1 if schedule.levels is None else schedule.levels
         rows, final = schedule.rows, schedule.final
         self.p_any, self.cum_any = zip(*[_table(rows[s]) for s in cu.slices])
         self.p_final, self.cum_final = zip(*[_table(final[s]) for s in cu.slices])
 
     def dead_type_error(self, t: int) -> AdtError:
-        """The error for a draw from type ``t``'s empty table. A draw at a
-        positive size fails only when ``p_any`` is empty, so a type with
-        probability there failed at size 0, on its star probabilities."""
+        """The error for a draw from type ``t``'s empty table. A draw above
+        the final level fails only when ``p_any`` is empty, so a type with
+        probability there failed on the final level (size 0), on its star
+        probabilities."""
         if self.p_any[t]:
             return AdtError(f"generation reached type {self.types[t]} at size 0, whose "
                             "terminal constructors all have star probability 0")
@@ -216,77 +219,33 @@ class _Tables:
 
 
 class _Program:
-    """The tree walk's program for walks of ``tables`` from ``root_pos`` at
-    ``size``; ``root`` is the root's visit entry. Only derive and the
+    """The tree walk's program for walks of ``tables`` from ``root_pos``:
+    per type, per constructor, its ``_ctor_plan``. Only derive and the
     configurations too deep for a compiled program (``_compile``) walk.
 
-    There is one visit entry per size class and type. The size classes are
-    ``size``, its child size, and so on down to 0, then -1: a negative size
-    draws like any positive one, so every negative size is class -1. A
-    visit entry is ``[cum, opts, t]``: the class's bisect table, per
-    constructor what the walk does after drawing it, and the type. That is
-    the constructor's shared ``Value`` when it has no fields, else its
-    ``_ctor_plan`` with the visit entries of its family and foreign fields
-    in ``kids`` (right to left, the order they are pushed in).
+    A walk visits ``(type, k)`` pairs, ``k`` being the levels left, and
+    starts from ``root``, the root type at ``tables.levels``. Nothing in a
+    program depends on the level, so it is immutable, and walks at any size
+    and on any thread share it."""
 
-    Class -1 holds every type (foreign visits are always there) and is
-    built at once. The classes from ``size`` down hold the family types and
-    are built as walks reach them: the deepest class built links to a class
-    of stubs, empty entries, and the first visit of a stub builds its class
-    (``grow``). So a program is only as deep as the walks on it have gone,
-    and a walk at a huge size costs what it visits."""
+    __slots__ = ("tables", "root", "plans")
 
-    __slots__ = ("tables", "root", "_plans", "_foreign", "_frontier", "_lock")
-
-    def __init__(self, cu: CompiledUniverse, tables: _Tables, root_pos: int, size: int):
+    def __init__(self, cu: CompiledUniverse, tables: _Tables, root_pos: int):
         self.tables = tables
-        self._plans = [[_ctor_plan(cu.ctors[c], cu.rows[c]) for c in range(s.start, s.stop)]
-                       for s in cu.slices]
-        self._lock = threading.Lock()
-        foreign = self._foreign = [[] for _ in cu.types]
-        self._fill(-1, foreign, foreign)
-        if size < 0:
-            self._frontier = None
-            self.root = foreign[root_pos]
-        else:
-            stubs = [[] for _ in range(cu.nfamily)]
-            self._frontier = (size, stubs)
-            self.root = stubs[root_pos]
-
-    def _fill(self, s: int, entries: list[list], below: list[list]) -> None:
-        """Fill the entries of class ``s``, whose family children are the
-        entries ``below``."""
-        cum = self.tables.cum_final if s == 0 else self.tables.cum_any
-        foreign = self._foreign
-        for t, entry in enumerate(entries):
-            opts = [plan if plan.__class__ is Value else
-                    (plan[0], tuple([(below if family else foreign)[target]
-                                     for target, family in plan[1]]), plan[2])
-                    for plan in self._plans[t]]
-            entry.extend((cum[t], opts, t))
-
-    def grow(self, stub: list) -> None:
-        """Build the class of ``stub``, an entry a walk reached unbuilt, and
-        stub the class below it. The lock keeps the one class of stubs
-        consistent when walks on several threads reach it at once."""
-        with self._lock:
-            if stub:  # another walk built it meanwhile
-                return
-            s, entries = self._frontier
-            if s == 0:  # the final level draws terminals, so no family child
-                below, self._frontier = self._foreign, None
-            else:
-                below = [[] for _ in entries]
-                self._frontier = (self.tables.child_size(s), below)
-            self._fill(s, entries, below)
+        self.root = (root_pos, tables.levels)
+        self.plans = tuple(tuple(_ctor_plan(cu.ctors[c], cu.rows[c])
+                                 for c in range(s.start, s.stop)) for s in cu.slices)
 
 
 def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
     """A nullary constructor's one shared ``Value`` (Values are immutable),
-    else ``((cid, pick, n), kids, ground)``: ``pick`` takes its ``n``
-    children in field order from the top of the build stack, where they lie
-    in reverse draw order; ``kids`` are the (target, is family) of its other
-    fields right to left, and ``ground`` its ground fields' draws in order."""
+    else ``((cid, pick, n), kids, targets, ground)``: ``pick`` takes its
+    ``n`` children in field order from the top of the build stack, where
+    they lie in reverse draw order; ``kids`` are the ``(target, -1)`` visits
+    of its other fields right to left, the order they are pushed in;
+    ``targets`` are those fields' types, in the same order, if one of them
+    is a family field, else empty; and ``ground`` its ground fields' draws
+    in order."""
     if not row:
         return Value(cid)
     ground = [k for k, (_, target) in enumerate(row) if target < 0]
@@ -294,8 +253,10 @@ def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
     drawn = ground + slots
     pick = (itemgetter(*[~drawn.index(k) for k in range(len(row))]) if len(row) > 1
             else lambda built: (built[-1],))
-    kids = tuple((row[k][1], row[k][0] == MODE_FAMILY) for k in reversed(slots))
-    return (cid, pick, len(row)), kids, tuple(_GROUND_DRAWS[row[k][0]] for k in ground)
+    targets = tuple(row[k][1] for k in reversed(slots))
+    family = any(row[k][0] == MODE_FAMILY for k in slots)
+    return ((cid, pick, len(row)), tuple((target, -1) for target in targets),
+            targets if family else (), tuple(_GROUND_DRAWS[row[k][0]] for k in ground))
 
 
 def _table(row: list[float]) -> tuple[list[float], list[float]]:
@@ -439,7 +400,7 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
     if levels is not None and _depth(cu, levels) <= _COMPILED_DEPTH_MAX:
         program = _compile(cu, tables, root_pos, levels)
     else:
-        program = _Program(cu, tables, root_pos, size)
+        program = _Program(cu, tables, root_pos)
     _PROGRAMS[cu] = ((key, program), *cached[:_PROGRAMS_KEPT - 1])
     return program
 
@@ -455,41 +416,46 @@ def _build_walk(program: _Program, rng: random.Random,
     value tree; the only tree walker.
 
     Two passes over one list. The first draws in pre-order, children
-    depth-first from left to right: each constructor goes onto ``seq``,
-    then its ground atoms in field order. The second reads ``seq``
-    backwards, where every node follows its children, and builds each
-    node from the top of a stack; a draw past ``budget`` builds none."""
+    depth-first from left to right, from a stack of ``(type, k)`` visits
+    (``k`` = 0 draws by the final row). Each constructor goes onto ``seq``,
+    then its ground atoms in field order. A node at ``k`` > 0 with a family
+    field visits its fields at ``k - 1``, foreign ones too, whose final row
+    is their row at every size; every other node pushes its plan's
+    ``(target, -1)`` visits. The second pass reads ``seq`` backwards, where
+    every node follows its children, and builds each node from the top of
+    a stack; a draw past ``budget`` builds none."""
     rand = rng.random
+    tables = program.tables
+    plans, cum_any, cum_final = program.plans, tables.cum_any, tables.cum_final
     seq: list = []
     put = seq.append
     emitted = 0
     stack: list = [program.root]
-    pop, extend = stack.pop, stack.extend
-    while True:
-        try:
-            while stack:
-                visit = pop()
-                i = bisect_right(visit[0], rand())
-                if budget is not None:
-                    emitted += 1
-                    if emitted > budget:
-                        return BudgetExhausted(budget)
-                opt = visit[1][i]
-                if opt.__class__ is Value:
-                    put(opt)
-                    continue
-                build, kids, ground = opt
-                put(build)
-                for draw in ground:
-                    put(draw(rng))
+    pop, append, extend = stack.pop, stack.append, stack.extend
+    try:
+        while stack:
+            t, k = pop()
+            i = bisect_right(cum_final[t] if k == 0 else cum_any[t], rand())
+            if budget is not None:
+                emitted += 1
+                if emitted > budget:
+                    return BudgetExhausted(budget)
+            opt = plans[t][i]
+            if opt.__class__ is Value:
+                put(opt)
+                continue
+            build, kids, targets, ground = opt
+            put(build)
+            for draw in ground:
+                put(draw(rng))
+            if k > 0 and targets:
+                k -= 1
+                for target in targets:
+                    append((target, k))
+            else:
                 extend(kids)
-            break
-        except IndexError:
-            if visit:  # drew from a dead type's table (see _table)
-                raise program.tables.dead_type_error(visit[2]) from None
-            # a stub: visit[0] failed before the draw, so visit it again
-            program.grow(visit)
-            stack.append(visit)
+    except IndexError:  # drew from a dead type's table (see _table)
+        raise tables.dead_type_error(t) from None
     new, set_constructor, set_children = _new_node, _set_constructor, _set_children
     built: list = []
     push = built.append
@@ -650,13 +616,16 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
 
 def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: int,
                   n: int, budget: int | None, rng: np.random.Generator):
-    """Simulate n generations from ``root_pos`` at ``size`` and return their
-    (n x constructors) counts and the mask of those that passed ``budget``.
+    """Simulate n generations from ``root_pos`` and return their (n x
+    constructors) counts and the mask of those that passed ``budget``;
+    ``size`` only names the generations in an overflow error.
 
-    Level k holds the placeholders at depth k. They share one remaining size,
-    and each is an independent draw from its type's table, so a type's
-    constructor counts at a level are one multinomial draw per generation.
-    Only generations with placeholders left stay in the working arrays.
+    A level holds the placeholders at one depth. They share the levels
+    left, ``k``, counted down from ``tables.levels``: at 0 they draw by the
+    final row (which a foreign type shares with every size). Each is an
+    independent draw from its type's table, so a type's constructor counts
+    at a level are one multinomial draw per generation. Only generations
+    with placeholders left stay in the working arrays.
 
     A level whose counts could pass int64 is expanded in Python ints, and a
     count past 2**63 - 1 is an error: no count wraps.
@@ -672,7 +641,7 @@ def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: in
     todo[:, root_pos] = 1
     emitted = np.zeros(n, dtype=np.int64)
     limit = np.inf if budget is None else budget
-    sz = size
+    k = tables.levels
     while live.size:
         emitted += todo.sum(axis=1)
         passed = emitted > limit
@@ -680,7 +649,7 @@ def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: in
         todo[passed] = 0
         exact = emitted.max() > safe
         fields = cu.counts.astype(object) if exact else cu.counts
-        tables_at = tables.p_final if sz == 0 else tables.p_any
+        tables_at = tables.p_final if k == 0 else tables.p_any
         nxt = np.zeros(todo.shape, dtype=fields.dtype)
         for t in np.flatnonzero(todo.any(axis=0)):
             p = tables_at[t]
@@ -697,7 +666,7 @@ def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: in
         going = nxt.any(axis=1)
         live, emitted = live[going], emitted[going]
         todo = nxt[going].astype(np.int64, copy=False)
-        sz = tables.child_size(sz)
+        k -= 1
     return counts, over
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .adt import (
     ADTUniverse,
@@ -27,12 +27,13 @@ STRATEGY_DERIVE = "derive"
 STRATEGIES = (STRATEGY_DRAGEN, STRATEGY_MEGADETH, STRATEGY_DERIVE)
 
 # Per strategy: whether the family draws by the spec's maps (else
-# uniformly), the size of a node's family children given its own, and the
-# number of levels above the final one at a size (None: no final level).
+# uniformly), and the number of levels above the final one at a size (None:
+# no final level). Dragen's children are one size smaller, so a size has as
+# many levels; megadeth's are half its size, so it has one per bit.
 _RULES = {
-    STRATEGY_DRAGEN: (True, lambda sz: sz - 1, lambda n: n),
-    STRATEGY_MEGADETH: (False, lambda sz: sz // 2, lambda n: int(n).bit_length()),
-    STRATEGY_DERIVE: (False, lambda sz: -1, lambda n: None),
+    STRATEGY_DRAGEN: (True, lambda n: n),
+    STRATEGY_MEGADETH: (False, lambda n: int(n).bit_length()),
+    STRATEGY_DERIVE: (False, lambda n: None),
 }
 
 
@@ -51,15 +52,16 @@ def _bounded_size(size: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """What a generator draws at each size. ``rows`` and ``final`` hold
-    every compiled constructor's probability at positive sizes and on the
-    final level (size 0), normalized per type (all zero for a type with no
-    weight); ``child`` maps a node's size to its family children's, and
-    ``levels`` counts the levels above the final one (None: there is none)."""
+    """What a generator draws at each level. ``rows`` and ``final`` hold
+    every compiled constructor's probability above the final level and on
+    it, normalized per type (all zero for a type with no weight); a foreign
+    type's two rows are equal. ``levels`` counts the levels above the final
+    one (None: there is none). It is the one level rule: a value's root has
+    ``levels`` levels left, and each family child one fewer than its parent,
+    down to the final level at 0."""
 
     rows: list[float]
     final: list[float]
-    child: Callable[[int], int]
     levels: int | None
 
 
@@ -73,7 +75,7 @@ def build_schedule(u: ADTUniverse, strategy: str, size: int,
     terminals on the final level. Foreign types draw by ``foreign_probs``
     (default uniform) at every size. Each entry read is checked by
     ``read_probabilities``; an unknown strategy is an ``AdtError``."""
-    tuned, child, count_levels = _RULES[_check_strategy(strategy)]
+    tuned, count_levels = _RULES[_check_strategy(strategy)]
     cu, levels = u.compiled, count_levels(size)
     family = cu.ctors[:cu.nfamily_ctors]
     rows = final = read_probabilities(probs, family) if tuned else [1.0] * len(family)
@@ -88,7 +90,7 @@ def build_schedule(u: ADTUniverse, strategy: str, size: int,
     rows, final = ([w / total if total > 0.0 else 0.0
                     for s in cu.slices for total in [sum(ws[s])] for w in ws[s]]
                    for ws in (rows + foreign, final + foreign))
-    return Schedule(rows, final, child, levels)
+    return Schedule(rows, final, levels)
 
 
 @dataclass

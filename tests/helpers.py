@@ -682,6 +682,12 @@ def reference_walk(cu, tables, child_size, root_pos, size, rng, budget=None):
     return frozen[id(holder[0])]
 
 
+# The oracle's own rule for the size of a node's family children, per
+# strategy; the library keeps only a count of levels (``Schedule.levels``).
+REFERENCE_CHILD_SIZE = {"dragen": lambda sz: sz - 1, "megadeth": lambda sz: sz // 2,
+                        "derive": lambda sz: -1}
+
+
 def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
                      foreign_probs=None):
     """Value ``index`` of ``seed`` by ``reference_walk``: ``spec`` for dragen
@@ -698,8 +704,8 @@ def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
     cu = u.compiled
     schedule = build_schedule(u, strategy, size, probs, stars, foreign_probs)
     rng = random.Random(stream_seed(seed, index))
-    return reference_walk(cu, _Tables(cu, schedule), schedule.child, cu.index[u.root], size,
-                          rng, budget)
+    return reference_walk(cu, _Tables(cu, schedule), REFERENCE_CHILD_SIZE[strategy],
+                          cu.index[u.root], size, rng, budget)
 
 
 def megadeth_oracle(u, size):

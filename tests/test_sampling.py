@@ -195,7 +195,8 @@ class TestMegadeth:
 
 
 class TestSchedule:
-    """``build_schedule``: one row per size class, normalized per type."""
+    """``build_schedule``: a row above the final level and one on it,
+    normalized per type, and the count of levels."""
 
     @staticmethod
     def normalized(weights):
@@ -224,11 +225,24 @@ class TestSchedule:
         for got, want in ((schedule.rows, weights), (schedule.final, finals)):
             for s in cu.slices:
                 assert got[s] == self.normalized(want[s])
-        assert schedule.child(size) == {"dragen": size - 1, "megadeth": size // 2,
-                                        "derive": -1}[strategy]
         assert schedule.levels == {"dragen": size, "megadeth": size.bit_length(),
                                    "derive": None}[strategy]
 
+    @pytest.mark.parametrize("strategy, top", [("dragen", 16), ("megadeth", 130)])
+    def test_levels_count_the_reference_child_steps(self, tree_u, strategy, top):
+        # the levels are the steps the oracle's child-size rule takes from
+        # the size down to 0; dragen's rule takes one per unit, so its sizes
+        # stop at 2^16
+        child = helpers.REFERENCE_CHILD_SIZE[strategy]
+        spec = dragen_spec(tree_u, 0)
+        for size in [*range(301), *(2 ** k for k in range(top + 1))]:
+            steps, sz = 0, size
+            while sz:
+                sz, steps = child(sz), steps + 1
+            schedule = build_schedule(tree_u, strategy, size, spec.probabilities,
+                                      spec.star_probabilities)
+            assert schedule.levels == steps
+        assert build_schedule(tree_u, "derive", 2 ** 130).levels is None
 
     def test_unknown_strategy(self, tree_u):
         # the schedule's check is the samplers' (see TestSamplerSetup) and a
@@ -696,6 +710,40 @@ class TestWalkMatchesReference:
         aborted = _assert_matches_reference(derive_u, "derive", 3, 40, spec, 0, 12)
         assert 0 < aborted < 40
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), strategy_size=st.one_of(
+        st.tuples(st.sampled_from(["dragen", "megadeth"]), st.integers(0, 110)),
+        st.tuples(st.just("megadeth"), st.integers(1, 130).flatmap(
+            lambda k: st.sampled_from([2 ** k - 1, 2 ** k, 2 ** k + 1])))))
+    def test_walk_program_at_every_level_count(self, seed, strategy_size):
+        # the walk itself, not the compiled program _walk_program would pick
+        strategy, size = strategy_size
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, extras=True)
+        while size > 110 and _uniform_radius(u) >= 1.0:  # keep 2^130 sizes finite
+            u, _ = helpers.random_universe(rng, extras=True)
+        cu = u.compiled
+        with warnings.catch_warnings():  # terminals all at 0 fall back to uniform stars
+            warnings.simplefilter("ignore", UserWarning)
+            spec = dragen_spec(u, size, _zeroed_map(rng, u, tame=size > 6))
+        for c in spec.star_probabilities:
+            if rng.random() < 0.3:
+                spec.star_probabilities[c] = 0.0
+        foreign = {c: rng.choice([0.0, rng.random()]) for c in cu.ctors[cu.nfamily_ctors:]}
+        schedule = build_schedule(u, strategy, size, spec.probabilities,
+                                  spec.star_probabilities, foreign)
+        program = sampling._Program(cu, sampling._Tables(cu, schedule), cu.index[u.root])
+        for i in range(6):
+            got = _outcome(lambda: sampling._build_walk(
+                program, random.Random(stream_seed(seed, i))))
+            try:
+                want = helpers.reference_sample(u, strategy, seed, i, size=size, spec=spec,
+                                                foreign_probs=foreign)
+            except IndexError:  # the oracle's draw from a dead table
+                assert got.startswith("AdtError: generation reached type ")
+            else:
+                assert got == want
+
     def test_atoms_are_sampled(self):
         u = parse_universe(ATOMS_SRC, "Tree")
         text = " ".join(value_to_sexp(v) for v in sample_values(u, dragen_spec(u, 6), 5, 200))
@@ -724,6 +772,13 @@ def _foreign_map(u, rng):
     """Random weights for every foreign constructor of ``u``."""
     cu = u.compiled
     return {c: rng.random() for c in cu.ctors[cu.nfamily_ctors:]}
+
+
+def _uniform_radius(u):
+    """The spectral radius of ``u``'s family under uniform choice: below 1,
+    a value's expected size is bounded at any number of levels."""
+    m = helpers.mean_matrix_types(u, uniform_probmap(u, u.family)).entries
+    return float(np.abs(np.linalg.eigvals(m)).max())
 
 
 def _outcome(call):
@@ -782,7 +837,7 @@ class TestCompiledPrograms:
         maps = spec.probabilities, spec.star_probabilities, foreign
         schedule = build_schedule(u, strategy, size, *maps)
         tables, root = sampling._Tables(cu, schedule), cu.index[u.root]
-        walk = sampling._Program(cu, tables, root, size)
+        walk = sampling._Program(cu, tables, root)
         compiled = sampling._compile(cu, tables, root, schedule.levels)
         chosen = sampling._walk_program(u, strategy, size, *maps)
         deep = sampling._depth(cu, schedule.levels) > sampling._COMPILED_DEPTH_MAX
@@ -805,7 +860,7 @@ class TestCompiledPrograms:
         cu = tree_u.compiled
         tables = sampling._Tables(cu, schedule)
         compiled = sampling._compile(cu, tables, 0, schedule.levels)
-        walk = sampling._Program(cu, tables, 0, size)
+        walk = sampling._Program(cu, tables, 0)
         entries = {*tables.cum_any[0], *tables.cum_final[0]}
         for x in sorted(entries | {math.nextafter(e, 0.0) for e in entries} | {0.0}):
             if x < 1.0:
@@ -835,7 +890,7 @@ class TestCompiledPrograms:
                                   spec.star_probabilities, foreign)
         tables, root = sampling._Tables(cu, schedule), cu.index[u.root]
         compiled = sampling._compile(cu, tables, root, schedule.levels)
-        walk = sampling._Program(cu, tables, root, spec.size)
+        walk = sampling._Program(cu, tables, root)
         for call in (lambda: compiled(random.Random(stream_seed(5, 0))),
                      lambda: sampling._build_walk(walk, random.Random(stream_seed(5, 0))),
                      lambda: sample_dragen(u, spec, 5, 0, foreign)):
@@ -1050,9 +1105,9 @@ class TestWalkProgramCache:
                     program = program or self.cached(u)
                     assert self.cached(u) is program
 
-    def test_huge_size_builds_only_the_classes_reached(self, tree_u):
-        # subcritical, so walks stay shallow: a program built down to size 0
-        # would take gigabytes and minutes at this size
+    def test_huge_size_costs_only_what_walks_visit(self, tree_u):
+        # subcritical, so walks stay shallow: nothing is built per level, so
+        # the size costs nothing by itself
         spec = dragen_spec(tree_u, 10 ** 7, {"Tree.LeafA": 0.3, "Tree.LeafB": 0.2,
                                              "Tree.LeafC": 0.2, "Tree.Node": 0.3})
         tracemalloc.start()
@@ -1065,25 +1120,49 @@ class TestWalkProgramCache:
         for i in range(30):
             assert got[i] == helpers.reference_sample(tree_u, "dragen", 5, i, spec=spec)
 
-    def test_classes_grow_on_threads_at_once(self, tree_u):
+    def test_a_walk_program_keeps_nothing_per_level(self):
+        # test_deep_chain's spec: one value 10^5 levels deep
+        u = parse_universe("data W = Stop | N W", "W")
+        spec = dragen_spec(u, 10 ** 5, {"W.Stop": 1e-12, "W.N": 1.0 - 1e-12})
+        tracemalloc.start()
+        try:
+            v = sample_dragen(u, spec, 0)
+            del v
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert self.cached(u).__class__ is sampling._Program
+        assert kept < 2 ** 20
+
+    def test_four_threads_share_one_immutable_program(self, tree_u):
         spec = dragen_spec(tree_u, 300, {"Tree.LeafA": 0.2, "Tree.LeafB": 0.15,
                                          "Tree.LeafC": 0.15, "Tree.Node": 0.5})
         program = sampling._walk_program(tree_u, "dragen", 300, spec.probabilities,
                                          spec.star_probabilities)
+        assert program.__class__ is sampling._Program
+        plans = program.plans
         got: dict = {}
 
         def run(k):
             for i in range(k, 60, 4):
                 got[i] = sampling._walk(program, 8, i)
 
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside walks
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert sorted(got) == list(range(60))
         for i in range(60):
             assert got[i] == helpers.reference_sample(tree_u, "dragen", 8, i, spec=spec)
+        assert program.plans is plans and program.root == (0, 300)
 
 
 _ATOMS = st.one_of(
