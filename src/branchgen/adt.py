@@ -434,7 +434,7 @@ def live_support(u: ADTUniverse, pinned: np.ndarray) -> tuple[np.ndarray, np.nda
             break
         live = still
     reached = np.zeros(nf, dtype=bool)
-    reached[list(_reachable([cu.index[u.root]], live_graph(cu, live)))] = True
+    reached[list(_reachable([cu.root], live_graph(cu, live)))] = True
     return live, reached
 
 
@@ -623,14 +623,16 @@ class CompiledUniverse:
     which keeps it.
 
     Types in play are the family, then the reachable foreign types in
-    ``reachable_foreign_types`` order. Constructors follow their types in
-    declaration order, so each type's constructors are contiguous.
+    ``reachable_foreign_types`` order, and ``root`` is the root's index
+    among them. Constructors follow their types in declaration order, so
+    each type's constructors are contiguous.
     """
 
     def __init__(self, u: ADTUniverse):
         self.types = u.family + reachable_foreign_types(u)
         self.nfamily = len(u.family)
         self.index = {tid: t for t, tid in enumerate(self.types)}
+        self.root = self.index[u.root]
         ctors: list[str] = []
         owner: list[int] = []
         slices: list[slice] = []

@@ -122,32 +122,20 @@ def _load_universe(args, root: str | None = None) -> ADTUniverse:
     return parse_universe(source, root)
 
 
-def _probs_arg(u: ADTUniverse, path: str | None):
-    """The family map and the foreign map of ``--probs``. Without a file
-    the family map is uniform. The foreign map is None (uniform) unless the
-    file has foreign entries, which then override a uniform foreign map."""
-    if not path:
-        return uniform_probmap(u, u.family), None
-    probs = load_probmap(_read_file(path), u)
-    family = {c: p for c, p in probs.items() if u.is_family(u.ctor_type(c))}
-    foreign = {c: p for c, p in probs.items() if c not in family}
-    if not foreign:
-        return family, None
-    return family, {**uniform_probmap(u, reachable_foreign_types(u)), **foreign}
+def _probs_arg(u: ADTUniverse, path: str | None) -> dict[str, float]:
+    """The map of ``--probs``, family and foreign entries alike, or without
+    a file the uniform family map (foreign types then draw uniformly)."""
+    return load_probmap(_read_file(path), u) if path else uniform_probmap(u, u.family)
 
 
 def _check_spec(u: ADTUniverse, spec: GenSpec) -> None:
     """A spec's probabilities must meet a --probs file's rules and name every
-    family constructor and no other (sampling would ignore a foreign entry);
-    its star probabilities name family terminals only."""
+    family constructor; foreign entries, like a --probs file's, set their
+    types' draws. Its star probabilities name family terminals only."""
     validate_probmap(u, spec.probabilities)
     missing = [c for c in u.family_constructors() if c not in spec.probabilities]
     if missing:
         raise AdtError(f"generator spec has no probabilities for {missing}")
-    foreign = [c for c in spec.probabilities if not u.is_family(u.ctor_type(c))]
-    if foreign:
-        raise AdtError(f"generator spec probabilities are of family constructors only; "
-                       f"got {foreign}")
     terminals = {c for t in u.family for c in terminal_constructors(t, u)}
     for cid, p in spec.star_probabilities.items():
         if cid not in terminals or not 0.0 <= p <= 1.0:
@@ -155,12 +143,12 @@ def _check_spec(u: ADTUniverse, spec: GenSpec) -> None:
                            f"got {cid} = {p}")
 
 
-def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | None]:
-    """Resolve declarations, generator spec and foreign map: the spec from
-    --spec (hash-checked, then ``_check_spec``; its root used unless --root
-    overrides), or assembled ad hoc from --size/--strategy/--probs. The foreign
-    map is that of --probs, else None (uniform). --probs applies to ad hoc
-    dragen runs only, and is an error where it could not apply."""
+def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
+    """Resolve declarations and generator spec: the spec from --spec
+    (hash-checked, then ``_check_spec``; its root used unless --root
+    overrides), or assembled ad hoc from --size/--strategy/--probs, whose map
+    the spec then holds whole. --probs applies to ad hoc dragen runs only,
+    and is an error where it could not apply."""
     if args.count < 1:
         raise AdtError("--count must be at least 1")
     if args.spec and args.probs:
@@ -175,15 +163,14 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec, dict[str, float] | N
         _check_spec(u, spec)
         if args.strategy:
             spec.strategy = args.strategy
-        return u, spec, None
+        return u, spec
     strategy = args.strategy or STRATEGY_DRAGEN
     if args.probs and strategy != STRATEGY_DRAGEN:
         raise AdtError(f"--probs applies to the dragen strategy only; {strategy} is uniform")
     u = _load_universe(args)
     if args.size is None:
         raise AdtError("either --spec or --size is required")
-    probs, foreign = _probs_arg(u, args.probs)
-    return u, adhoc_genspec(u, args.size, strategy, probs), foreign
+    return u, adhoc_genspec(u, args.size, strategy, _probs_arg(u, args.probs))
 
 
 def _emit(document: dict) -> None:
@@ -211,8 +198,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_predict(args) -> int:
     u = _load_universe(args)
-    probs, foreign = _probs_arg(u, args.probs)
-    _emit(prediction_report_json(u, probs, args.size, foreign))
+    _emit(prediction_report_json(u, _probs_arg(u, args.probs), args.size))
     return 0
 
 
@@ -240,10 +226,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    u, spec, foreign = _universe_and_spec(args)
+    u, spec = _universe_and_spec(args)
     seed = _seed_of(args)
     render = value_to_sexp if args.format == "sexp" else value_to_json
-    for value in sample_values(u, spec, seed, args.count, args.budget, foreign):
+    for value in sample_values(u, spec, seed, args.count, args.budget):
         if isinstance(value, BudgetExhausted):
             line = ('{"budgetExhausted": true}' if args.format == "json"
                     else "(#budget-exhausted)")
@@ -254,11 +240,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    u, spec, foreign = _universe_and_spec(args)
+    u, spec = _universe_and_spec(args)
     predicted = predict_schedule(u, build_schedule(
-        u, spec.strategy, spec.size, spec.probabilities, spec.star_probabilities, foreign))
+        u, spec.strategy, spec.size, spec.probabilities, spec.star_probabilities))
     seed = _seed_of(args)
-    stats = empirical_stats(u, spec, args.count, seed, foreign)
+    stats = empirical_stats(u, spec, args.count, seed)
 
     rows = {}
     all_pass = True
@@ -282,9 +268,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    u, spec, foreign = _universe_and_spec(args)
+    u, spec = _universe_and_spec(args)
     seed = _seed_of(args)
-    stats = empirical_stats(u, spec, args.count, seed, foreign, args.budget)
+    stats = empirical_stats(u, spec, args.count, seed, args.budget)
     sys.stdout.write(histogram_csv(stats))
     return 0
 

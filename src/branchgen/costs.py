@@ -204,7 +204,7 @@ def _types_cost(u: ADTUniverse, excluded: list[str], label: str) -> CostFunction
 
     cu = u.compiled
     live, reached = live_support(u, np.isin(cu.family_owner, [cu.index[t] for t in excluded]))
-    if not live[cu.slices[cu.index[u.root]]].any():
+    if not live[cu.slices[cu.root]].any():
         raise ConstraintError(
             "exclusion disconnects the family: no constructor of the root "
             f"type {u.root} survives")

@@ -32,7 +32,6 @@ from .adt import (
     live_graph,
     read_probabilities,
     require_terminals,
-    uniform_probmap,
     warn_probability,
 )
 
@@ -51,13 +50,18 @@ def _family_probs(cu: CompiledUniverse, probs: Mapping[str, float]) -> np.ndarra
     return np.array([read_probabilities(probs, cu.ctors[:cu.nfamily_ctors])])
 
 
-def _foreign_probs(u: ADTUniverse, probs: Mapping[str, float] | None) -> list[float]:
-    """The foreign constructors' probabilities in ``probs``, uniform when
-    it is None, checked by ``read_probabilities``."""
-    cu = u.compiled
-    if probs is None:
-        probs = uniform_probmap(u, cu.types[cu.nfamily:])
-    return read_probabilities(probs, cu.ctors[cu.nfamily_ctors:])
+def _foreign_weights(cu: CompiledUniverse, probs: Mapping[str, float] | None) -> list[float]:
+    """The foreign constructors' probabilities in the map ``probs``, type
+    by type: a type it names by its entries, checked by
+    ``read_probabilities`` (so a type named in part is an ``AdtError``),
+    and a type it does not name (or None) uniform."""
+    probs = probs or {}
+    out: list[float] = []
+    for s in cu.slices[cu.nfamily:]:
+        ctors = cu.ctors[s]
+        out += (read_probabilities(probs, ctors) if any(c in probs for c in ctors)
+                else [1.0 / len(ctors)] * len(ctors))
+    return out
 
 
 def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
@@ -264,7 +268,7 @@ class Process:
         self.levels = levels
         # added to a column's terminal mass: p / inf is 0 off the terminals
         self.pad = np.where(cu.family_terminal, 0.0, np.inf)
-        self.root = cu.index[u.root]
+        self.root = cu.root
         self.start = np.empty((0, 1, cu.nfamily))
         self.focus = self.batch = None
         self.starved: list[list[int]] = []
@@ -408,14 +412,15 @@ def predict_schedule(u: ADTUniverse, schedule) -> dict[str, float]:
 
 
 def predict_foreign(u: ADTUniverse, report: PredictionReport,
-                    foreign_probs: Mapping[str, float] | None = None) -> dict[str, float]:
+                    probs: Mapping[str, float] | None = None) -> dict[str, float]:
     """Expected counts of foreign constructors, propagated through the
     acyclic foreign types: each expected parent contributes its field
     multiplicities, and each value of a foreign type splits among that
-    type's constructors by their probabilities."""
+    type's constructors by their probabilities in the map ``probs``, by
+    ``_foreign_weights``' rule (uniform where it names none)."""
     cu = u.compiled
     nfc = cu.nfamily_ctors
-    foreign = _foreign_probs(u, foreign_probs)
+    foreign = _foreign_weights(cu, probs)
 
     # Types are in topological order, so each foreign type has all of its
     # placeholders before its own constructors are reached.
@@ -551,13 +556,13 @@ def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     return yc
 
 
-def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int,
-                           foreign_probs: Mapping[str, float] | None = None) -> dict:
-    """Assemble the full report document: expected totals, last-level terms,
-    foreign expectations, and per-type extinction probabilities. Raises
-    AdtError when an expectation overflows a double, which JSON cannot hold."""
+def prediction_report_json(u: ADTUniverse, probs: Mapping[str, float], size: int) -> dict:
+    """Assemble the full report document of the map ``probs``: expected
+    totals, last-level terms, foreign expectations, and per-type extinction
+    probabilities. Raises AdtError when an expectation overflows a double,
+    which JSON cannot hold."""
     report = predict_constructors(u, probs, size)
-    foreign = predict_foreign(u, report, foreign_probs)
+    foreign = predict_foreign(u, report, probs)
     expected = {cid: e.total for cid, e in sorted(report.per_constructor.items())}
     last = {cid: e.last_level for cid, e in sorted(report.per_constructor.items())}
     if not np.isfinite([*expected.values(), *last.values(), *foreign.values()]).all():

@@ -219,8 +219,8 @@ class _Tables:
 
 
 class _Program:
-    """The tree walk's program for walks of ``tables`` from ``root_pos``:
-    per type, per constructor, its ``_ctor_plan``. Only derive and the
+    """The tree walk's program for walks of ``tables`` from the root: per
+    type, per constructor, its ``_ctor_plan``. Only derive and the
     configurations too deep for a compiled program (``_compile``) walk.
 
     A walk visits ``(type, k)`` pairs, ``k`` being the levels left, and
@@ -230,9 +230,9 @@ class _Program:
 
     __slots__ = ("tables", "root", "plans")
 
-    def __init__(self, cu: CompiledUniverse, tables: _Tables, root_pos: int):
+    def __init__(self, cu: CompiledUniverse, tables: _Tables):
         self.tables = tables
-        self.root = (root_pos, tables.levels)
+        self.root = (cu.root, tables.levels)
         self.plans = tuple(tuple(_ctor_plan(cu.ctors[c], cu.rows[c])
                                  for c in range(s.start, s.stop)) for s in cu.slices)
 
@@ -288,10 +288,9 @@ def _depth(cu: CompiledUniverse, levels: int) -> int:
     return levels + 1 + max(chain)
 
 
-def _compile(cu: CompiledUniverse, tables: _Tables, root_pos: int,
-             levels: int) -> Callable[[random.Random], Value]:
-    """``tables`` compiled to Python: ``draw(rng)`` is one value from
-    ``root_pos`` with ``levels`` levels above the final one, by the walk's
+def _compile(cu: CompiledUniverse, tables: _Tables) -> Callable[[random.Random], Value]:
+    """``tables`` compiled to Python: ``draw(rng)`` is one value from the
+    root with ``tables.levels`` levels above the final one, by the walk's
     draws in the walk's order.
 
     Each type is one function of the stream, as ``r`` (its ``random``) and
@@ -302,8 +301,8 @@ def _compile(cu: CompiledUniverse, tables: _Tables, root_pos: int,
     bindings of its namespace, so the code is one function per type at any
     size."""
     ns = {"new": _new_node, "Value": Value, "sc": _set_constructor, "sch": _set_children,
-          "dead": tables.dead_type_error, "levels": levels}
-    src = [f"def draw(g):\n    return t{root_pos}(levels, g.random, g)"]
+          "dead": tables.dead_type_error, "levels": tables.levels}
+    src = [f"def draw(g):\n    return t{cu.root}(levels, g.random, g)"]
     for t in range(len(cu.types)):
         if t < cu.nfamily:
             src += [f"def t{t}(k, r, g):", "    x = r()", "    if k:",
@@ -371,7 +370,6 @@ _PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple[tuple, _Program | Cal
 def _walk_program(u: ADTUniverse, strategy: str, size: int,
                   probs: Mapping[str, float] | None = None,
                   stars: Mapping[str, float] | None = None,
-                  foreign_probs: Mapping[str, float] | None = None,
                   ) -> _Program | Callable[[random.Random], Value]:
     """The program of one configuration, shared by every ``sample_*`` call
     that asks for it again: ``_compile``'s ``draw`` when the configuration is
@@ -380,27 +378,27 @@ def _walk_program(u: ADTUniverse, strategy: str, size: int,
 
     The last ``_PROGRAMS_KEPT`` programs used are kept per compiled
     universe, most recent first, each under the key ``(strategy, size,
-    probs, stars, foreign_probs)``, each map as a ``_snapshot``; so callers
-    that alternate a few configurations build each once. A hit on the most
+    probs, stars)``, each map as a ``_snapshot``; so callers that alternate
+    a few configurations build each once. A hit on the most
     recent is one comparison of that key with the caller's. A map changed
     in place builds a new program, and so does an entry that only equals
     the old one (``True == 1.0``): the schedule, which checks every entry,
     and the tables are built only on a miss. Callers that miss at the same
     time may each build one; the race costs time."""
     cu = u.compiled
-    key = (strategy, size, _snapshot(probs), _snapshot(stars), _snapshot(foreign_probs))
+    key = (strategy, size, _snapshot(probs), _snapshot(stars))
     cached = _PROGRAMS.get(cu, ())
     for i, (old, program) in enumerate(cached):
         if old == key:
             if i:
                 _PROGRAMS[cu] = (cached[i], *cached[:i], *cached[i + 1:])
             return program
-    schedule = build_schedule(u, strategy, size, probs, stars, foreign_probs)
-    tables, root_pos, levels = _Tables(cu, schedule), cu.index[u.root], schedule.levels
+    schedule = build_schedule(u, strategy, size, probs, stars)
+    tables, levels = _Tables(cu, schedule), schedule.levels
     if levels is not None and _depth(cu, levels) <= _COMPILED_DEPTH_MAX:
-        program = _compile(cu, tables, root_pos, levels)
+        program = _compile(cu, tables)
     else:
-        program = _Program(cu, tables, root_pos)
+        program = _Program(cu, tables)
     _PROGRAMS[cu] = ((key, program), *cached[:_PROGRAMS_KEPT - 1])
     return program
 
@@ -507,12 +505,11 @@ def _checked(u: ADTUniverse, spec: GenSpec, strategy: str,
     return _bounded_size(spec.size), None
 
 
-def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0,
-                  foreign_probs: Mapping[str, float] | None = None) -> Value:
+def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0) -> Value:
     """One value from a tuned size-bounded generator."""
     size, _ = _checked(u, spec, STRATEGY_DRAGEN)
     program = _walk_program(u, STRATEGY_DRAGEN, size, spec.probabilities,
-                            spec.star_probabilities, foreign_probs)
+                            spec.star_probabilities)
     v = _walk(program, _seed(seed), _index(index))
     assert isinstance(v, Value)
     return v
@@ -536,17 +533,16 @@ def sample_derive(u: ADTUniverse, budget: int, seed: int,
 
 
 def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
-                  budget: int = DEFAULT_DERIVE_BUDGET,
-                  foreign_probs: Mapping[str, float] | None = None,
-                  ) -> Iterator[Value | BudgetExhausted]:
+                  budget: int = DEFAULT_DERIVE_BUDGET) -> Iterator[Value | BudgetExhausted]:
     """Values 0 .. count-1 of ``spec``'s strategy, on one walk program. Value
-    i is what ``sample_dragen(u, spec, seed, i, foreign_probs)`` returns, or
-    with no ``foreign_probs``, ``sample_megadeth(u, spec.probabilities,
-    spec.size, seed, i)`` or ``sample_derive(u, budget, seed, i)``."""
+    i is what ``sample_dragen(u, spec, seed, i)``, ``sample_megadeth(u,
+    spec.probabilities, spec.size, seed, i)`` or ``sample_derive(u, budget,
+    seed, i)`` returns; the last two only while ``spec.probabilities`` has
+    no foreign entries, as they draw every foreign type uniformly."""
     seed, count = _seed(seed), as_integer(count, "sample count must be a positive integer", 1)
     size, budget = _checked(u, spec, spec.strategy, budget)
     program = _walk_program(u, spec.strategy, size, spec.probabilities,
-                            spec.star_probabilities, foreign_probs)
+                            spec.star_probabilities)
     return (_walk(program, seed, i, budget) for i in range(count))
 
 
@@ -576,7 +572,6 @@ class SampleStats:
 
 
 def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
-                    foreign_probs: Mapping[str, float] | None = None,
                     budget: int | None = None) -> SampleStats:
     """Simulate ``samples`` generations and aggregate means, standard errors
     and the size histogram; ``budget`` applies to the derive strategy only.
@@ -591,7 +586,7 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
     size, budget = _checked(u, spec, spec.strategy, budget)
     cu = u.compiled
     tables = _Tables(cu, build_schedule(u, spec.strategy, size, spec.probabilities,
-                                        spec.star_probabilities, foreign_probs))
+                                        spec.star_probabilities))
     ctors = cu.ctors
     sums = [0] * len(ctors)
     sumsq = [0] * len(ctors)
@@ -599,8 +594,8 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
     aborted = 0
     for b, start in enumerate(range(0, samples, _BLOCK)):
         rng = np.random.Generator(np.random.PCG64(stream_seed(seed, b)))
-        counts, over = _block_counts(cu, tables, cu.index[u.root], size,
-                                     min(_BLOCK, samples - start), budget, rng)
+        counts, over = _block_counts(cu, tables, size, min(_BLOCK, samples - start),
+                                     budget, rng)
         done = counts[~over]
         aborted += int(over.sum())
         hist.update(done.sum(axis=1).tolist())
@@ -614,9 +609,9 @@ def empirical_stats(u: ADTUniverse, spec: GenSpec, samples: int, seed: int,
                          dict(zip(ctors, sumsq)), dict(hist), aborted)
 
 
-def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: int,
-                  n: int, budget: int | None, rng: np.random.Generator):
-    """Simulate n generations from ``root_pos`` and return their (n x
+def _block_counts(cu: CompiledUniverse, tables: _Tables, size: int, n: int,
+                  budget: int | None, rng: np.random.Generator):
+    """Simulate n generations from the root and return their (n x
     constructors) counts and the mask of those that passed ``budget``;
     ``size`` only names the generations in an overflow error.
 
@@ -638,7 +633,7 @@ def _block_counts(cu: CompiledUniverse, tables: _Tables, root_pos: int, size: in
     over = np.zeros(n, dtype=bool)
     live = np.arange(n)
     todo = np.zeros((n, len(cu.types)), dtype=np.int64)
-    todo[:, root_pos] = 1
+    todo[:, cu.root] = 1
     emitted = np.zeros(n, dtype=np.int64)
     limit = np.inf if budget is None else budget
     k = tables.levels

@@ -19,7 +19,7 @@ from .adt import (
     uniform_probmap,
     universe_hash,
 )
-from .prediction import _foreign_probs, star_probs
+from .prediction import _foreign_weights, star_probs
 
 STRATEGY_DRAGEN = "dragen"
 STRATEGY_MEGADETH = "megadeth"
@@ -67,19 +67,19 @@ class Schedule:
 
 def build_schedule(u: ADTUniverse, strategy: str, size: int,
                    probs: Mapping[str, float] | None = None,
-                   stars: Mapping[str, float] | None = None,
-                   foreign_probs: Mapping[str, float] | None = None) -> Schedule:
-    """The schedule of ``strategy`` at ``size``: dragen draws by ``probs``,
-    and on the final level by ``stars`` (a terminal they do not name reads
-    0); the others ignore both and draw uniformly, megadeth over the
-    terminals on the final level. Foreign types draw by ``foreign_probs``
-    (default uniform) at every size. Each entry read is checked by
-    ``read_probabilities``; an unknown strategy is an ``AdtError``."""
+                   stars: Mapping[str, float] | None = None) -> Schedule:
+    """The schedule of ``strategy`` at ``size``: dragen draws its family by
+    ``probs``, and on the final level by ``stars`` (a terminal they do not
+    name reads 0); the others ignore both and draw uniformly, megadeth over
+    the terminals on the final level. Foreign types draw by ``probs`` under
+    every strategy, at every size (see ``_foreign_weights``). Each entry
+    read is checked by ``read_probabilities``; an unknown strategy is an
+    ``AdtError``."""
     tuned, count_levels = _RULES[_check_strategy(strategy)]
     cu, levels = u.compiled, count_levels(size)
     family = cu.ctors[:cu.nfamily_ctors]
     rows = final = read_probabilities(probs, family) if tuned else [1.0] * len(family)
-    foreign = _foreign_probs(u, foreign_probs)
+    foreign = _foreign_weights(cu, probs)
     if levels is not None:
         require_terminals(cu)
         if tuned:
@@ -158,18 +158,20 @@ class GenSpec:
 
 def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
                   probs: Mapping[str, float] | None = None) -> GenSpec:
-    """Package a generator spec (uniform probabilities unless given) for
-    direct sampling, or for ``optimize``'s tuned map."""
+    """Package a generator spec for direct sampling, or for ``optimize``'s
+    tuned map: ``probs`` (uniform over the family unless given), foreign
+    entries and all. An id that names no constructor is an ``AdtError``."""
     _check_strategy(strategy)
     size = _bounded_size(size)
-    family_probs = {c: p for c, p in (probs or uniform_probmap(u, u.family)).items()
-                    if u.is_family(u.ctor_type(c))}
-    stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, family_probs)
+    probs = dict(probs or uniform_probmap(u, u.family))
+    for cid in probs:
+        u.ctor_type(cid)  # raises on an unknown id
+    stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, probs)
     return GenSpec(
         root=u.root,
         size=size,
         strategy=strategy,
-        probabilities=family_probs,
+        probabilities=probs,
         star_probabilities=stars,
         universe_hash=universe_hash(u),
     )

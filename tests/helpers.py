@@ -692,8 +692,9 @@ def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
                      foreign_probs=None):
     """Value ``index`` of ``seed`` by ``reference_walk``: ``spec`` for dragen
     (its size is used), ``size`` for megadeth, ``budget`` for derive, and
-    ``foreign_probs`` for every strategy. The size-bounded strategies
-    ignore the budget, as the samplers do."""
+    ``foreign_probs`` for every strategy, over any foreign entries of the
+    spec's map. The size-bounded strategies ignore the budget, as the
+    samplers do."""
     probs = stars = None
     if strategy == "dragen":
         probs, stars, size = spec.probabilities, spec.star_probabilities, spec.size
@@ -701,8 +702,10 @@ def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
         size = -1
     else:
         budget = None
+    if foreign_probs is not None:
+        probs = {**(probs or {}), **foreign_probs}
     cu = u.compiled
-    schedule = build_schedule(u, strategy, size, probs, stars, foreign_probs)
+    schedule = build_schedule(u, strategy, size, probs, stars)
     rng = random.Random(stream_seed(seed, index))
     return reference_walk(cu, _Tables(cu, schedule), REFERENCE_CHILD_SIZE[strategy],
                           cu.index[u.root], size, rng, budget)

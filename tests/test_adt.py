@@ -34,6 +34,7 @@ from branchgen import (
 )
 from branchgen import adt
 from branchgen.adt import ADTUniverse, reachable_foreign_types
+from branchgen.spec import build_schedule
 from conftest import COMPOSITE_SRC, T1T2_SRC, TREE_SRC, TREEPP_SRC
 from helpers import branching_factor
 
@@ -566,20 +567,19 @@ def _spec(u, probs, stars):
     return GenSpec(u.root, 4, STRATEGY_DRAGEN, probs, stars, universe_hash(u))
 
 
-# Each entry point, called with a family map, a foreign map and a star map
-# (the ones it reads)
+# Each entry point, called with one map (family and foreign entries) and a
+# star map (the ones it reads)
 MAP_READERS = {
-    "predict_constructors": lambda u, fam, fgn, st: predict_constructors(u, fam, 5),
-    "star_probs": lambda u, fam, fgn, st: star_probs(u, fam),
-    "extinction_probability": lambda u, fam, fgn, st: extinction_probability(u, fam),
-    "predict_foreign": lambda u, fam, fgn, st: predict_foreign(
-        u, predict_constructors(u, fam, 5), fgn),
-    "sample_dragen": lambda u, fam, fgn, st: sample_dragen(u, _spec(u, fam, st), 0, 0, fgn),
-    "sample_values": lambda u, fam, fgn, st: list(
-        sample_values(u, _spec(u, fam, st), 0, 3, foreign_probs=fgn)),
-    "empirical_stats": lambda u, fam, fgn, st: empirical_stats(u, _spec(u, fam, st), 10, 0, fgn),
-    "neighbors": lambda u, fam, fgn, st: neighbors(u, fam, 0.1),
-    "CostFunction.__call__": lambda u, fam, fgn, st: uniform_cost(u)(5, fam),
+    "predict_constructors": lambda u, probs, st: predict_constructors(u, probs, 5),
+    "star_probs": lambda u, probs, st: star_probs(u, probs),
+    "extinction_probability": lambda u, probs, st: extinction_probability(u, probs),
+    "predict_foreign": lambda u, probs, st: predict_foreign(
+        u, predict_constructors(u, probs, 5), probs),
+    "sample_dragen": lambda u, probs, st: sample_dragen(u, _spec(u, probs, st), 0, 0),
+    "sample_values": lambda u, probs, st: list(sample_values(u, _spec(u, probs, st), 0, 3)),
+    "empirical_stats": lambda u, probs, st: empirical_stats(u, _spec(u, probs, st), 10, 0),
+    "neighbors": lambda u, probs, st: neighbors(u, probs, 0.1),
+    "CostFunction.__call__": lambda u, probs, st: uniform_cost(u)(5, probs),
 }
 SAMPLERS = ("sample_dragen", "sample_values", "empirical_stats")
 # (entry point, map given the bad entry, constructor given it, kind of entry);
@@ -612,8 +612,40 @@ class TestProbabilityRule:
             bad[cid] = value
         maps[which] = bad
         with pytest.raises(AdtError) as exc:
-            MAP_READERS[name](u, maps["family"], maps["foreign"], maps["stars"])
+            MAP_READERS[name](u, {**maps["family"], **maps["foreign"]}, maps["stars"])
         assert str(exc.value) == message.format(c=cid)
+
+    def test_a_foreign_type_the_map_does_not_name_draws_uniformly(self):
+        # Bool is named and Atom is not: Atom reads as if its uniform
+        # entries were given, under every strategy
+        u = parse_universe(RULE_SRC, "Tree")
+        named = {**uniform_probmap(u, u.family), "Bool.True": 0.9, "Bool.False": 0.1}
+        full = {**named, **uniform_probmap(u, ["Atom"])}
+        report = predict_constructors(u, named, 5)
+        assert predict_foreign(u, report, named) == predict_foreign(u, report, full)
+        assert predict_foreign(u, report, named) != predict_foreign(u, report)
+        for strategy in ("dragen", "megadeth", "derive"):
+            rows = [build_schedule(u, strategy, 4, m, star_probs(u, m)).rows
+                    for m in (named, full)]
+            assert rows[0] == rows[1]
+        specs = [_spec(u, m, star_probs(u, m)) for m in (named, full)]
+        for i in range(20):
+            assert sample_dragen(u, specs[0], 3, i) == sample_dragen(u, specs[1], 3, i)
+
+    @pytest.mark.parametrize("name", ["predict_foreign", *SAMPLERS])
+    def test_a_foreign_type_named_in_part_is_an_error(self, name):
+        u = parse_universe(RULE_SRC, "Tree")
+        family = uniform_probmap(u, u.family)
+        with pytest.raises(AdtError) as exc:
+            MAP_READERS[name](u, {**family, "Bool.True": 1.0}, star_probs(u, family))
+        assert str(exc.value) == "missing probability entries: ['Bool.False']"
+
+    @pytest.mark.parametrize("strategy", ["dragen", "megadeth", "derive"])
+    def test_adhoc_genspec_rejects_an_unknown_constructor(self, strategy):
+        u = parse_universe(RULE_SRC, "Tree")
+        probs = {**uniform_probmap(u, u.family), "Tree.Nope": 0.5}
+        with pytest.raises(AdtError, match=r"^unknown constructor: Tree\.Nope$"):
+            adhoc_genspec(u, 3, strategy, probs)
 
     def test_numpy_and_integer_entries_are_numbers(self):
         u = parse_universe(RULE_SRC, "Tree")

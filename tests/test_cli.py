@@ -703,21 +703,35 @@ def test_non_number_spec_probability_fails_cleanly(capsys, tree_file, tmp_path, 
     message = TypeError(f"probability of {cid} must be a number, got {value!r}")
     assert err == f"error: malformed generator spec: {message!r}\n"
 
-@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
-def test_spec_rejects_foreign_probabilities(capsys, tmp_path, command):
-    # sampling reads foreign weights only from --probs, so a spec's foreign
-    # entries would be ignored
-    path = tmp_path / "composite.adt"
-    path.write_text(COMPOSITE_SRC)
-    data = adhoc_genspec(parse_universe(COMPOSITE_SRC, "Tree"), 5, "dragen").to_json_dict()
+def test_spec_foreign_entries_apply(capsys, tmp_path):
+    # a tuned spec's foreign entries set their types' draws, as a --probs
+    # file's do: sample and verify follow them, and verify predicts what
+    # predict does for the same map
+    adt, spec, pfile = (str(tmp_path / name) for name in ("c.adt", "spec.json", "p.json"))
+    (tmp_path / "c.adt").write_text(COMPOSITE_SRC)
+    code, _, _ = run(capsys, "optimize", "-f", adt, "--root", "Tree", "--size", "5",
+                     "--out", spec)
+    assert code == 0
+    data = json.loads((tmp_path / "spec.json").read_text())
     data["probabilities"].update({"Bool.True": 0.95, "Bool.False": 0.05})
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(data))
-    code, out, err = run(capsys, command, "-f", str(path), "--spec", str(spec),
-                         "--count", "5")
-    assert code == 1 and out == ""
-    assert err == ("error: generator spec probabilities are of family constructors only; "
-                   "got ['Bool.True', 'Bool.False']\n")
+    (tmp_path / "spec.json").write_text(json.dumps(data))
+    (tmp_path / "p.json").write_text(json.dumps({"probabilities": data["probabilities"]}))
+    code, out, _ = run(capsys, "sample", "-f", adt, "--spec", spec, "--count", "300",
+                       "--seed", "1", "--format", "json")
+    assert code == 0
+    assert out.count('"Bool.True"') > 10 * out.count('"Bool.False"')
+    code, out, _ = run(capsys, "verify", "-f", adt, "--spec", spec, "--count", "3000",
+                       "--seed", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    _, out, _ = run(capsys, "predict", "-f", adt, "--root", "Tree", "--size", "5",
+                    "--probs", pfile)
+    predicted = json.loads(out)["foreign"]
+    for cid in ("Bool.True", "Bool.False"):
+        assert doc["perConstructor"][cid]["predicted"] == pytest.approx(
+            predicted[cid], rel=1e-12, abs=0)
+    assert predicted["Bool.True"] > 10 * predicted["Bool.False"]
 
 
 @pytest.mark.parametrize("command", ["sample", "verify", "histogram"])

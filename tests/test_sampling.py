@@ -213,7 +213,7 @@ class TestSchedule:
         probs = helpers.random_probmap(rng, u)
         stars = {c: rng.choice([0.0, rng.random()]) for c in probs}
         foreign = _foreign_map(u, rng)
-        schedule = build_schedule(u, strategy, size, probs, stars, foreign)
+        schedule = build_schedule(u, strategy, size, {**probs, **foreign}, stars)
         tuned = strategy == "dragen"
         weights = [probs[c] if tuned else 1.0 for c in cu.ctors[:cu.nfamily_ctors]]
         finals = [(stars[c] if tuned else 1.0) if term else 0.0
@@ -730,9 +730,9 @@ class TestWalkMatchesReference:
             if rng.random() < 0.3:
                 spec.star_probabilities[c] = 0.0
         foreign = {c: rng.choice([0.0, rng.random()]) for c in cu.ctors[cu.nfamily_ctors:]}
-        schedule = build_schedule(u, strategy, size, spec.probabilities,
-                                  spec.star_probabilities, foreign)
-        program = sampling._Program(cu, sampling._Tables(cu, schedule), cu.index[u.root])
+        schedule = build_schedule(u, strategy, size, {**spec.probabilities, **foreign},
+                                  spec.star_probabilities)
+        program = sampling._Program(cu, sampling._Tables(cu, schedule))
         for i in range(6):
             got = _outcome(lambda: sampling._build_walk(
                 program, random.Random(stream_seed(seed, i))))
@@ -834,11 +834,11 @@ class TestCompiledPrograms:
             if rng.random() < 0.3:
                 spec.star_probabilities[c] = 0.0
         foreign = {c: rng.choice([0.0, rng.random()]) for c in cu.ctors[cu.nfamily_ctors:]}
-        maps = spec.probabilities, spec.star_probabilities, foreign
+        maps = {**spec.probabilities, **foreign}, spec.star_probabilities
         schedule = build_schedule(u, strategy, size, *maps)
-        tables, root = sampling._Tables(cu, schedule), cu.index[u.root]
-        walk = sampling._Program(cu, tables, root)
-        compiled = sampling._compile(cu, tables, root, schedule.levels)
+        tables = sampling._Tables(cu, schedule)
+        walk = sampling._Program(cu, tables)
+        compiled = sampling._compile(cu, tables)
         chosen = sampling._walk_program(u, strategy, size, *maps)
         deep = sampling._depth(cu, schedule.levels) > sampling._COMPILED_DEPTH_MAX
         assert (chosen.__class__ is sampling._Program) == deep
@@ -859,8 +859,8 @@ class TestCompiledPrograms:
                                   spec.star_probabilities)
         cu = tree_u.compiled
         tables = sampling._Tables(cu, schedule)
-        compiled = sampling._compile(cu, tables, 0, schedule.levels)
-        walk = sampling._Program(cu, tables, 0)
+        compiled = sampling._compile(cu, tables)
+        walk = sampling._Program(cu, tables)
         entries = {*tables.cum_any[0], *tables.cum_final[0]}
         for x in sorted(entries | {math.nextafter(e, 0.0) for e in entries} | {0.0}):
             if x < 1.0:
@@ -873,7 +873,6 @@ class TestCompiledPrograms:
         u = parse_universe(ATOMS_SRC, "Tree")
         cu = u.compiled
         spec = dragen_spec(u, 0 if case == "star" else 3)
-        foreign = None
         if case == "family":
             spec.probabilities = dict.fromkeys(spec.probabilities, 0.0)
             message = "generation reached type Tree, whose constructors all have probability 0"
@@ -883,17 +882,17 @@ class TestCompiledPrograms:
                        "constructors all have star probability 0")
         else:
             spec.probabilities = {c: float(c == "Tree.LeafC") for c in spec.probabilities}
-            foreign = {c: 0.0 if c.startswith("Atom.") else 0.5
-                       for c in cu.ctors[cu.nfamily_ctors:]}
+            spec.probabilities.update({c: 0.0 if c.startswith("Atom.") else 0.5
+                                       for c in cu.ctors[cu.nfamily_ctors:]})
             message = "generation reached type Atom, whose constructors all have probability 0"
         schedule = build_schedule(u, "dragen", spec.size, spec.probabilities,
-                                  spec.star_probabilities, foreign)
-        tables, root = sampling._Tables(cu, schedule), cu.index[u.root]
-        compiled = sampling._compile(cu, tables, root, schedule.levels)
-        walk = sampling._Program(cu, tables, root)
+                                  spec.star_probabilities)
+        tables = sampling._Tables(cu, schedule)
+        compiled = sampling._compile(cu, tables)
+        walk = sampling._Program(cu, tables)
         for call in (lambda: compiled(random.Random(stream_seed(5, 0))),
                      lambda: sampling._build_walk(walk, random.Random(stream_seed(5, 0))),
-                     lambda: sample_dragen(u, spec, 5, 0, foreign)):
+                     lambda: sample_dragen(u, spec, 5, 0)):
             assert _outcome(call) == f"AdtError: {message}"
 
     @pytest.mark.parametrize("src, root, chain", [
@@ -920,19 +919,19 @@ class TestCompiledPrograms:
         cu = u.compiled
         size = sampling._COMPILED_DEPTH_MAX - 1 - 3  # Maybe<Maybe<Bool>> -> Maybe<Bool> -> Bool
         assert sampling._depth(cu, size) == sampling._COMPILED_DEPTH_MAX
-        spec = dragen_spec(u, size, {"W.Stop": 1e-12, "W.N": 1.0 - 1e-12})
         foreign = {c: 0.0 if c.endswith(".Nothing") else 1.0
                    for c in cu.ctors[cu.nfamily_ctors:]}
+        spec = dragen_spec(u, size, {"W.Stop": 1e-12, "W.N": 1.0 - 1e-12, **foreign})
 
         def nested(n):
-            return nested(n - 1) if n else sample_dragen(u, spec, 0, 0, foreign)
+            return nested(n - 1) if n else sample_dragen(u, spec, 0, 0)
 
         v = nested(500)
         assert sampling._PROGRAMS[cu][0][1].__class__ is not sampling._Program
         counts = count_constructors(v)
         assert counts["W.N"] == size and counts["W.Stop"] == 1
         assert sum(n for c, n in counts.items() if c.endswith(".Just")) == 2
-        assert v == helpers.reference_sample(u, "dragen", 0, 0, spec=spec, foreign_probs=foreign)
+        assert v == helpers.reference_sample(u, "dragen", 0, 0, spec=spec)
 
     def test_threads_share_a_compiled_program(self, tree_u):
         spec = dragen_spec(tree_u, 10, {"Tree.LeafA": 0.2, "Tree.LeafB": 0.15,
@@ -986,30 +985,32 @@ class TestWalkProgramCache:
     def test_strategies_and_foreign_maps_alternate(self):
         u = parse_universe(ATOMS_SRC, "Tree")
         rng = random.Random(3)
-        spec = dragen_spec(u, 5, helpers.random_probmap(rng, u))
+        family = helpers.random_probmap(rng, u)
         maps = [_foreign_map(u, rng), _foreign_map(u, rng)]
-        mega, derive = adhoc_genspec(u, 4, "megadeth"), adhoc_genspec(u, 0, "derive")
+        specs = [dragen_spec(u, 5, {**family, **fp}) for fp in maps]
+        mega, derive = (adhoc_genspec(u, size, strategy, {**family, **maps[-1]})
+                        for size, strategy in ((4, "megadeth"), (0, "derive")))
         for i in range(12):
-            for fp in maps:
-                want = helpers.reference_sample(u, "dragen", 9, i, spec=spec,
-                                                foreign_probs=fp)
-                assert sample_dragen(u, spec, 9, i, fp) == want
+            for spec in specs:
+                want = helpers.reference_sample(u, "dragen", 9, i, spec=spec)
+                assert sample_dragen(u, spec, 9, i) == want
             assert sample_megadeth(u, None, 4, 9, i) == helpers.reference_sample(
                 u, "megadeth", 9, i, size=4)
             assert sample_derive(u, 200, 9, i) == helpers.reference_sample(
                 u, "derive", 9, i, budget=200)
-            want = helpers.reference_sample(u, "megadeth", 9, i, size=4, foreign_probs=fp)
-            assert list(sample_values(u, mega, 9, i + 1, foreign_probs=fp))[i] == want
-            want = helpers.reference_sample(u, "derive", 9, i, budget=50, foreign_probs=fp)
-            assert list(sample_values(u, derive, 9, i + 1, 50, fp))[i] == want
+            want = helpers.reference_sample(u, "megadeth", 9, i, size=4, foreign_probs=maps[-1])
+            assert list(sample_values(u, mega, 9, i + 1))[i] == want
+            want = helpers.reference_sample(u, "derive", 9, i, budget=50, foreign_probs=maps[-1])
+            assert list(sample_values(u, derive, 9, i + 1, 50))[i] == want
 
     def test_alternating_configurations_compile_once_each(self, monkeypatch):
         # dragen then megadeth per index, and dragen under two foreign maps:
         # three configurations, each compiled once however they alternate
         u = parse_universe(ATOMS_SRC, "Tree")
         rng = random.Random(5)
-        spec = dragen_spec(u, 3, helpers.random_probmap(rng, u))
+        family = helpers.random_probmap(rng, u)
         maps = [_foreign_map(u, rng), _foreign_map(u, rng)]
+        specs = [dragen_spec(u, 3, {**family, **fp}) for fp in maps]
         built = []
         compile_program = sampling._compile
 
@@ -1020,9 +1021,9 @@ class TestWalkProgramCache:
         monkeypatch.setattr(sampling, "_compile", counting)
         sampling._PROGRAMS.pop(u.compiled, None)
         for i in range(6):
-            for fp in maps:
-                want = helpers.reference_sample(u, "dragen", 1, i, spec=spec, foreign_probs=fp)
-                assert sample_dragen(u, spec, 1, i, fp) == want
+            for spec in specs:
+                want = helpers.reference_sample(u, "dragen", 1, i, spec=spec)
+                assert sample_dragen(u, spec, 1, i) == want
             assert sample_megadeth(u, None, 3, 1, i) == helpers.reference_sample(
                 u, "megadeth", 1, i, size=3)
         assert len(built) == 3
@@ -1040,23 +1041,23 @@ class TestWalkProgramCache:
         # the error of the same call made first
         u = parse_universe(ATOMS_SRC, "Tree")
         spec = dragen_spec(u, 4)
-        fp = _foreign_map(u, random.Random(0))
+        spec.probabilities.update(_foreign_map(u, random.Random(0)))
         m, name = {"probabilities": (spec.probabilities, "Tree.LeafA"),
                    "star_probabilities": (spec.star_probabilities, "Tree.LeafA"),
-                   "foreign": (fp, "Bool.True")}[which]
+                   "foreign": (spec.probabilities, "Bool.True")}[which]
         errors = []
         for repeat in (False, True):
             sampling._PROGRAMS.pop(u.compiled, None)
             if repeat:
                 m[name] = 1.0
-                sample_dragen(u, spec, 0, 0, fp)
+                sample_dragen(u, spec, 0, 0)
                 program = self.cached(u)
                 m[name] = 1  # equal, and a probability too, but still a new program
-                sample_dragen(u, spec, 0, 0, fp)
+                sample_dragen(u, spec, 0, 0)
                 assert self.cached(u) is not program
             m[name] = True
             with pytest.raises(AdtError) as err:
-                sample_dragen(u, spec, 0, 0, fp)
+                sample_dragen(u, spec, 0, 0)
             errors.append(str(err.value))
         assert errors[0] == errors[1] == f"probability of {name} must be a number, got True"
 
