@@ -147,8 +147,9 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
     """Resolve declarations and generator spec: the spec from --spec
     (hash-checked, then ``_check_spec``; its root used unless --root
     overrides), or assembled ad hoc from --size/--strategy/--probs, whose map
-    the spec then holds whole. --probs applies to ad hoc dragen runs only,
-    and is an error where it could not apply."""
+    the spec then holds whole. megadeth and derive draw the family
+    uniformly, so there --probs may name foreign types only, laid over the
+    uniform family map. --probs is an error where it could not apply."""
     if args.count < 1:
         raise AdtError("--count must be at least 1")
     if args.spec and args.probs:
@@ -165,12 +166,15 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
             spec.strategy = args.strategy
         return u, spec
     strategy = args.strategy or STRATEGY_DRAGEN
-    if args.probs and strategy != STRATEGY_DRAGEN:
-        raise AdtError(f"--probs applies to the dragen strategy only; {strategy} is uniform")
     u = _load_universe(args)
     if args.size is None:
         raise AdtError("either --spec or --size is required")
-    return u, adhoc_genspec(u, args.size, strategy, _probs_arg(u, args.probs))
+    probs = _probs_arg(u, args.probs)
+    if args.probs and strategy != STRATEGY_DRAGEN:
+        if any(c in probs for c in u.family_constructors()):
+            raise AdtError(f"--probs applies to the dragen strategy only; {strategy} is uniform")
+        probs = {**uniform_probmap(u, u.family), **probs}
+    return u, adhoc_genspec(u, args.size, strategy, probs)
 
 
 def _emit(document: dict) -> None:

@@ -40,7 +40,7 @@ DOUBLING_ROW_EXP = 500          # the doubling's block rows stay below 2^this
 _LDEXP_CLIP = 1 << 20
 EXTINCTION_TOL = 1e-15          # Newton stops once no entry moves more than this
 EXTINCTION_MAX_ITER = 300
-EXTINCTION_RHO_SLACK = 1e-12    # rounding allowed in the spectral radius test
+EXTINCTION_RHO_SLACK = 1e-12    # sure extinction below spectral radius 1 + this
 LOG_ZERO = -1e3                 # log 0 in the extinction solve; exp(-745) is 0.0
 
 
@@ -501,10 +501,17 @@ def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     types that cannot finish).
 
     When every constructor of the component with probability has only
-    fields that terminate surely below it, and its mean matrix has spectral
-    radius at most 1 (up to ``EXTINCTION_RHO_SLACK`` for rounding), the
-    process dies out surely (Harris 1963) and the result is exactly 0: there
-    Newton's iterates would only approach it at one bit per step. Otherwise
+    fields that terminate surely below it, and its mean matrix M has
+    spectral radius at most s = 1 + ``EXTINCTION_RHO_SLACK`` (the slack
+    absorbs rounding in M), the process dies out surely (Harris 1963) and
+    the result is exactly 0: there Newton's iterates would only approach it
+    at one bit per step. The radius is tested by one linear solve, not an
+    eigendecomposition: for nonnegative M it is below s exactly when
+    (sI - M) x = 1 has a solution with every entry positive (Berman &
+    Plemmons 1979, ch. 6: Collatz-Wielandt gives one direction, the Neumann
+    series the other), and a singular sI - M, an eigenvalue equal to s,
+    counts as sure too. The solve is LAPACK's ``dgesv``, which Newton's
+    steps call anyway. Otherwise
     Newton runs on y = 1 - f(1 - y) from y = 1, falling monotonically to the
     answer, at the end quadratically. Each type's 1 - f is summed term by
     term, as sum over C of p(C) * (1 - product over its fields of (1 - y)),
@@ -513,8 +520,8 @@ def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     q is to 1. The Jacobian comes from the same logarithms, since the
     derivative of a monomial in x_s is k_s times the monomial over x_s. The
     log of x = 0 is ``LOG_ZERO``, below the log of every positive double, so
-    that a monomial holding it is 0.0. A 1x1 system is solved without a
-    LAPACK call."""
+    that a monomial holding it is 0.0. A 1x1 component is tested, and its
+    system solved, without a LAPACK call."""
     n = len(comp)
     local = np.full(len(y), -1)
     local[comp] = np.arange(n)
@@ -529,8 +536,15 @@ def _extinction_component(p: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     coef = pr[:, None] * inner
     if not log_outer.any():
         means = _scatter(flat_bins(row_type, np.arange(n), n), coef, (n, n))
-        rho = means[0, 0] if n == 1 else np.abs(np.linalg.eigvals(means)).max()
-        if rho <= 1.0 + EXTINCTION_RHO_SLACK:
+        s = 1.0 + EXTINCTION_RHO_SLACK
+        if n == 1:
+            sure = means[0, 0] <= s
+        else:
+            try:
+                sure = (np.linalg.solve(s * np.eye(n) - means, np.ones(n)) > 0.0).all()
+            except np.linalg.LinAlgError:  # an eigenvalue equal to s
+                sure = True
+        if sure:
             return np.zeros(n)
     # Per constructor: columns 0..n-1 its monomial's derivatives, summed per
     # type into the Jacobian, and column n its complement, summed into 1 - f.

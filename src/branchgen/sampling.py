@@ -517,9 +517,9 @@ def sample_dragen(u: ADTUniverse, spec: GenSpec, seed: int, index: int = 0) -> V
 
 def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
                     seed: int, index: int = 0) -> Value:
-    """One value from the halving generator; the probability map is ignored
-    (choices are uniform) and is accepted only for interface parity."""
-    v = _walk(_walk_program(u, STRATEGY_MEGADETH, _bounded_size(size)), _seed(seed),
+    """One value from the halving generator: the family draws uniformly,
+    the foreign types by ``probs`` (see ``build_schedule``)."""
+    v = _walk(_walk_program(u, STRATEGY_MEGADETH, _bounded_size(size), probs), _seed(seed),
               _index(index))
     assert isinstance(v, Value)
     return v
@@ -537,8 +537,8 @@ def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
     """Values 0 .. count-1 of ``spec``'s strategy, on one walk program. Value
     i is what ``sample_dragen(u, spec, seed, i)``, ``sample_megadeth(u,
     spec.probabilities, spec.size, seed, i)`` or ``sample_derive(u, budget,
-    seed, i)`` returns; the last two only while ``spec.probabilities`` has
-    no foreign entries, as they draw every foreign type uniformly."""
+    seed, i)`` returns; the last only while ``spec.probabilities`` has no
+    foreign entries, as it draws every foreign type uniformly."""
     seed, count = _seed(seed), as_integer(count, "sample count must be a positive integer", 1)
     size, budget = _checked(u, spec, spec.strategy, budget)
     program = _walk_program(u, spec.strategy, size, spec.probabilities,

@@ -14,6 +14,8 @@ from branchgen import (
     value_to_sexp,
 )
 from branchgen.cli import main
+from branchgen.prediction import predict_schedule
+from branchgen.spec import build_schedule
 from conftest import COMPOSITE_SRC, DERIVE_SRC, T1T2_SRC, TREE_SRC, TREEP_SRC
 
 
@@ -732,6 +734,36 @@ def test_spec_foreign_entries_apply(capsys, tmp_path):
         assert doc["perConstructor"][cid]["predicted"] == pytest.approx(
             predicted[cid], rel=1e-12, abs=0)
     assert predicted["Bool.True"] > 10 * predicted["Bool.False"]
+
+
+@pytest.mark.parametrize("strategy", ["megadeth", "derive"])
+def test_foreign_probs_apply_under_uniform_strategies(capsys, tmp_path, strategy):
+    # megadeth and derive draw the family uniformly, but a --probs file that
+    # names foreign types only sets their draws, as a spec's foreign entries do
+    adt, pfile = str(tmp_path / "c.adt"), tmp_path / "p.json"
+    (tmp_path / "c.adt").write_text(COMPOSITE_SRC)
+    foreign = {"Bool.True": 0.95, "Bool.False": 0.05}
+    pfile.write_text(json.dumps({"probabilities": foreign}))
+    args = ("-f", adt, "--root", "Tree", "--size", "5", "--strategy", strategy,
+            "--probs", str(pfile), "--seed", "1")
+    code, out, _ = run(capsys, "sample", *args, "--count", "300", "--format", "json")
+    assert code == 0
+    assert out.count('"Bool.True"') > 10 * out.count('"Bool.False"')
+    if strategy == "megadeth":
+        code, out, _ = run(capsys, "verify", *args, "--count", "3000")
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] is True
+        u = parse_universe(COMPOSITE_SRC, "Tree")
+        want = predict_schedule(u, build_schedule(u, "megadeth", 5, foreign))
+        for cid in foreign:
+            assert doc["perConstructor"][cid]["predicted"] == want[cid]
+    # one family entry and the file is refused: the family draws uniformly
+    pfile.write_text(json.dumps({"probabilities": {
+        **foreign, "Tree.LeafA": 0.25, "Tree.LeafB": 0.25, "Tree.LeafC": 0.25,
+        "Tree.Node": 0.25}}))
+    code, out, err = run(capsys, "sample", *args, "--count", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: --probs") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["sample", "verify", "histogram"])

@@ -1,6 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -882,11 +883,15 @@ class TestExtinctionNewton:
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), max_types=st.sampled_from([3, 6, 10]),
-           zeros=st.booleans())
-    def test_random_universes(self, seed, max_types, zeros):
+           zeros=st.booleans(), coarse=st.booleans())
+    def test_random_universes(self, seed, max_types, zeros, coarse):
         rng = random.Random(seed)
         u, _ = helpers.random_universe(rng, max_types, max_ctors=6 * max_types)
         probs = helpers.random_probmap(rng, u)
+        if coarse:
+            # entries from {0, 1/4, 1/2, 1} make exactly critical components
+            # common, where the sure-extinction test meets its slack
+            probs = {c: rng.choice([0.0, 0.25, 0.5, 1.0]) for c in probs}
         if zeros:
             # zero entries may cut the family into several components, or
             # leave a type that can no longer finish a value
@@ -940,6 +945,59 @@ class TestExtinctionNewton:
         # mean matrix [[0.5, 0.5], [1, 0]] has spectral radius 1
         probs = {"T1.A": 0.5, "T1.B": 0.5, "T2.C": 0.0, "T2.D": 1.0}
         assert extinction_probability(t1t2_u, probs) == {"T1": 1.0, "T2": 1.0}
+
+    # Families whose mean matrix has every row sum exactly 1 under binary
+    # fractions, so spectral radius exactly 1; "nudge" moves 1e-6 of one
+    # type's terminal mass to its recursive constructor
+    CRITICAL = [
+        ("data A = A0 | A1 B A | A2 B\ndata B = B0 | B1 A A",
+         {"A.A0": 0.25, "A.A1": 0.25, "A.A2": 0.5, "B.B0": 0.5, "B.B1": 0.5},
+         ("B.B0", "B.B1")),
+        ("data A = A0 | A1 B C\ndata B = B0 | B1 C | B2 A A A\ndata C = C0 | C1 A B",
+         {"A.A0": 0.5, "A.A1": 0.5, "B.B0": 0.5, "B.B1": 0.25, "B.B2": 0.25,
+          "C.C0": 0.5, "C.C1": 0.5},
+         ("C.C0", "C.C1")),
+        ("data A = A0 | A1 B C\ndata B = B0 | B1 C D | B2 B\ndata C = C0 | C1 D D\n"
+         "data D = D0 | D1 A A | D2 A B C D",
+         {"A.A0": 0.5, "A.A1": 0.5, "B.B0": 0.25, "B.B1": 0.25, "B.B2": 0.5,
+          "C.C0": 0.5, "C.C1": 0.5, "D.D0": 0.625, "D.D1": 0.25, "D.D2": 0.125},
+         ("D.D0", "D.D2")),
+    ]
+
+    @pytest.mark.parametrize("src,probs,nudge", CRITICAL, ids=["2", "3", "4"])
+    def test_critical_components_are_exactly_one(self, src, probs, nudge):
+        u = parse_universe(src, "A")
+        assert extinction_probability(u, probs) == dict.fromkeys(u.family, 1.0)
+        terminal, recursive = nudge
+        probs = {**probs, terminal: probs[terminal] - 1e-6,
+                 recursive: probs[recursive] + 1e-6}
+        got = extinction_probability(u, probs)
+        want = helpers.extinction_oracle(u, probs)
+        for tid in want:
+            assert got[tid] < 1.0 and abs(got[tid] - want[tid]) <= 1e-12, tid
+
+    def test_sure_extinction_needs_no_eigenvalues(self, t1t2_u, monkeypatch):
+        # the sure-extinction test is one linear solve, whatever the
+        # component's size and whether it is critical, sub- or supercritical
+        def eigvals(*_):
+            raise AssertionError("np.linalg.eigvals called")
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        probs = {"T1.A": 0.5, "T1.B": 0.5, "T2.C": 0.0, "T2.D": 1.0}
+        assert extinction_probability(t1t2_u, probs) == {"T1": 1.0, "T2": 1.0}
+        u = parse_universe("data A = A0 | A1 A B | A2 A A\n"
+                           "data B = B0 | B1 B B | B2 A", "A")
+        probs = {"A.A0": 0.4, "A.A1": 0.3, "A.A2": 0.3,
+                 "B.B0": 0.3, "B.B1": 0.7, "B.B2": 0.0}
+        assert extinction_probability(u, probs)["A"] < 1.0
+        probs["B.B2"] = 0.5
+        assert extinction_probability(u, probs)["A"] < 1.0
+        u = parse_universe((Path(__file__).parent / "wide60_seed0.adt").read_text(), "T0")
+        uniform = uniform_probmap(u, u.family)
+        assert max(extinction_probability(u, uniform).values()) < 1.0
+        terminal_half = {c: 0.5 if i == 0 else 0.5 / (len(cs) - 1)
+                         for t in u.family for cs in [u.constructors_of(t)]
+                         for i, c in enumerate(cs)}
+        assert extinction_probability(u, terminal_half) == dict.fromkeys(u.family, 1.0)
 
     def test_reducible_family(self):
         # B2 = 0 leaves B unable to reach A, so B is a component below A

@@ -179,6 +179,21 @@ class TestMegadeth:
              for i in range(20)]
         assert a == b
 
+    def test_foreign_entries_apply(self, composite_u):
+        # the family draws uniformly, the foreign types by the map, and value
+        # i is sample_values' value i for a megadeth spec with that map
+        probs = {**uniform_probmap(composite_u, composite_u.family),
+                 "Bool.True": 0.95, "Bool.False": 0.05}
+        spec = adhoc_genspec(composite_u, 5, "megadeth", probs)
+        got = [sample_megadeth(composite_u, probs, 5, seed=3, index=i) for i in range(200)]
+        assert got == list(sample_values(composite_u, spec, 3, 200))
+        plain = [sample_megadeth(composite_u, None, 5, seed=3, index=i) for i in range(200)]
+        (t_true, t_false), (p_true, p_false) = (
+            [sum(count_constructors(v).get(cid, 0) for v in values)
+             for cid in ("Bool.True", "Bool.False")] for values in (got, plain))
+        assert t_true > 10 * t_false
+        assert p_true < 2 * p_false
+
     def test_values_typecheck(self, composite_u, t1t2_u):
         for u in (composite_u, t1t2_u):
             probs = uniform_probmap(u, u.family)
