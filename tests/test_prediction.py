@@ -984,13 +984,15 @@ class TestExtinctionNewton:
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
         probs = {"T1.A": 0.5, "T1.B": 0.5, "T2.C": 0.0, "T2.D": 1.0}
         assert extinction_probability(t1t2_u, probs) == {"T1": 1.0, "T2": 1.0}
+        # test_reducible_family's universe, with B2 > 0 joining A and B
+        # into one supercritical component
         u = parse_universe("data A = A0 | A1 A B | A2 A A\n"
                            "data B = B0 | B1 B B | B2 A", "A")
         probs = {"A.A0": 0.4, "A.A1": 0.3, "A.A2": 0.3,
-                 "B.B0": 0.3, "B.B1": 0.7, "B.B2": 0.0}
-        assert extinction_probability(u, probs)["A"] < 1.0
-        probs["B.B2"] = 0.5
-        assert extinction_probability(u, probs)["A"] < 1.0
+                 "B.B0": 0.3, "B.B1": 0.7, "B.B2": 0.5}
+        got = extinction_probability(u, probs)
+        want = helpers.extinction_oracle(u, probs)
+        assert all(abs(got[t] - want[t]) <= 1e-12 < 1.0 - got[t] for t in want)
         u = parse_universe((Path(__file__).parent / "wide60_seed0.adt").read_text(), "T0")
         uniform = uniform_probmap(u, u.family)
         assert max(extinction_probability(u, uniform).values()) < 1.0
