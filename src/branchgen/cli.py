@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--size", type=int, help="size when no spec is given")
         p.add_argument("--strategy", choices=STRATEGIES,
                        help="override or choose the sampling strategy")
-        p.add_argument("--probs", help="probability map JSON for ad-hoc dragen sampling")
+        p.add_argument("--probs", help="probability map JSON for ad hoc runs: its family "
+                                       "entries apply under dragen, its foreign entries "
+                                       "under every strategy")
         p.add_argument("--count", type=int, required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--budget", type=int, default=DEFAULT_DERIVE_BUDGET,
@@ -153,7 +155,7 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
     if args.count < 1:
         raise AdtError("--count must be at least 1")
     if args.spec and args.probs:
-        raise AdtError("--probs applies to ad hoc dragen runs; it cannot be combined with --spec")
+        raise AdtError("--probs applies to ad hoc runs; it cannot be combined with --spec")
     if args.spec:
         spec = GenSpec.load(args.spec)
         u = _load_universe(args, root=args.root or spec.root)
@@ -172,7 +174,8 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
     probs = _probs_arg(u, args.probs)
     if args.probs and strategy != STRATEGY_DRAGEN:
         if any(c in probs for c in u.family_constructors()):
-            raise AdtError(f"--probs applies to the dragen strategy only; {strategy} is uniform")
+            raise AdtError(f"--probs may name only foreign types under {strategy}; "
+                           "its family draws uniformly")
         probs = {**uniform_probmap(u, u.family), **probs}
     return u, adhoc_genspec(u, args.size, strategy, probs)
 

@@ -525,10 +525,12 @@ def sample_megadeth(u: ADTUniverse, probs: Mapping[str, float], size: int,
     return v
 
 
-def sample_derive(u: ADTUniverse, budget: int, seed: int,
-                  index: int = 0) -> Value | BudgetExhausted:
-    """One value from the unbounded uniform generator, or BudgetExhausted."""
-    return _walk(_walk_program(u, STRATEGY_DERIVE, -1), _seed(seed), _index(index),
+def sample_derive(u: ADTUniverse, budget: int, seed: int, index: int = 0,
+                  probs: Mapping[str, float] | None = None) -> Value | BudgetExhausted:
+    """One value from the unbounded generator, or BudgetExhausted: the
+    family draws uniformly, the foreign types by ``probs`` (see
+    ``build_schedule``)."""
+    return _walk(_walk_program(u, STRATEGY_DERIVE, -1, probs), _seed(seed), _index(index),
                  _positive_budget(budget))
 
 
@@ -537,8 +539,7 @@ def sample_values(u: ADTUniverse, spec: GenSpec, seed: int, count: int,
     """Values 0 .. count-1 of ``spec``'s strategy, on one walk program. Value
     i is what ``sample_dragen(u, spec, seed, i)``, ``sample_megadeth(u,
     spec.probabilities, spec.size, seed, i)`` or ``sample_derive(u, budget,
-    seed, i)`` returns; the last only while ``spec.probabilities`` has no
-    foreign entries, as it draws every foreign type uniformly."""
+    seed, i, spec.probabilities)`` returns."""
     seed, count = _seed(seed), as_integer(count, "sample count must be a positive integer", 1)
     size, budget = _checked(u, spec, spec.strategy, budget)
     program = _walk_program(u, spec.strategy, size, spec.probabilities,

@@ -8,16 +8,26 @@ visited when its probabilities, rounded to multiples of ``QUANTUM``, match
 a visited map's; a step must be at least ``QUANTUM``, or every neighbor
 would round to the map it leaves.
 
-The search mostly repeats its last move, so each pass of its one loop
-builds up to ``BATCH_ROWS`` candidates: those of the focus, and those of
-the maps that repeating the last accepted move reaches (a Hooke-Jeeves
-pattern move, used only to choose what to build early). A stock cost scores
-them in one scorer call; an opaque cost is called on each map as the search
-keeps it. The steps are then taken one at a time, as if each had been
-scored alone. The search reads a block only when it accepted the repeated
-move and that row has the bytes of the block's focus, so the path, the
-visited set, the evaluation count and the warnings are those of a search
-that scores one step per call; a guess that misses costs time only.
+A search's accepted path tends to have two phases: long runs of one move,
+then a zig-zag among sibling moves whose runs last one or two steps. So
+each pass of its one loop builds the candidates of several foci, chosen
+from the last two accepted moves (used only to choose what to build
+early):
+
+- when they are equal, the focus and the maps that repeating the move
+  reaches (a Hooke-Jeeves pattern move), a chain that starts at
+  ``BATCH_ROWS`` candidates and doubles, up to ``LOOKAHEAD_ROWS``, after
+  each pass the search follows to its end;
+- when they differ, the focus and each of its candidates but the one that
+  undoes the last move, so a zig-zag takes two steps per pass.
+
+A stock cost scores a pass's candidates in one scorer call; an opaque cost
+is called on each map as the search keeps it. The steps are then taken one
+at a time, as if each had been scored alone. After each step the search
+goes on into the block whose focus has the bytes of the row it accepted,
+if there is one, so the path, the visited set, the evaluation count and
+the warnings are those of a search that scores one step per call; a guess
+that misses costs time only.
 """
 
 from __future__ import annotations
@@ -46,7 +56,8 @@ EPSILON_STOP = "EpsilonStop"
 STEP_CAP = "StepCap"
 
 QUANTUM = 1e-6  # the grid on which visited maps are told apart
-BATCH_ROWS = 64  # a search scores up to this many candidates in one call
+BATCH_ROWS = 64  # a search's passes start at this many candidates
+LOOKAHEAD_ROWS = 256  # and score at most this many in one call
 
 
 def _check_delta(delta: float) -> None:
@@ -86,9 +97,12 @@ class _Rows:
     in sorted-id order, then a pad column that is zero in every row. A
     search step bumps every unpinned column by +delta and then by -delta:
     its k candidates, one per move, are built as one matrix, and a dict is
-    made only for a row that leaves the search. The tables serve up to
-    ``depth`` foci at once, ``BATCH_ROWS`` // k of them (at least one).
-    With no unpinned column there is no move, and no candidate."""
+    made only for a row that leaves the search. A pass starts with
+    ``depth`` foci, ``BATCH_ROWS`` // k of them (at least one), and the
+    tables serve up to ``cap`` foci, ``LOOKAHEAD_ROWS`` // k of them. With
+    more than ``BATCH_ROWS`` // 2 moves, ``depth`` is 1 and a search builds
+    one block per pass. With no unpinned column there is no move, and no
+    candidate."""
 
     def __init__(self, u: ADTUniverse, keys: Iterable[str],
                  pinned: frozenset[str] | set[str], delta: float):
@@ -110,13 +124,14 @@ class _Rows:
         self.bumped = np.repeat(np.array(bumped, dtype=np.intp), 2)
         k = 2 * len(bumped)
         self.depth = max(1, BATCH_ROWS // k) if k else 1
+        self.cap = max(1, LOOKAHEAD_ROWS // k) if self.depth > 1 else 1
         # for ``chain``, each move's place among its column's free siblings
         # (itself included), its shift, those siblings, and their cells in
-        # rows 1 to depth - 1 of a row matrix; a search of depth 1 never
+        # rows 1 to cap - 1 of a row matrix; a search of depth 1 never
         # chains
         self.moves = []
         if self.depth > 1:
-            below = np.arange(1, self.depth)[:, None] * (n + 1)
+            below = np.arange(1, self.cap)[:, None] * (n + 1)
             cells = {t: (np.array(cols, dtype=np.intp), (below + cols).ravel())
                      for t, cols in free.items()}
             self.moves = [(free[types[i]].index(i), d, *cells[types[i]])
@@ -126,28 +141,31 @@ class _Rows:
         padded = [free[types[i]] + [n] * (width - len(free[types[i]])) for i in bumped]
         siblings = np.repeat(np.array(padded, dtype=np.intp).reshape(len(bumped), width),
                              2, axis=0)
-        # per candidate of ``depth`` blocks of k: its shift, and the cells it
+        # per candidate of ``cap`` blocks of k: its shift, and the cells it
         # writes, as flat indices into the candidate matrix, for ``take``
         # and ``put``
-        at = np.arange(self.depth * k)
-        self.shift = np.tile([delta, -delta], self.depth * len(bumped))
-        self.flat_bumped = at * (n + 1) + np.tile(self.bumped, self.depth)
-        self.flat_siblings = at[:, None] * (n + 1) + np.tile(siblings, (self.depth, 1))
+        at = np.arange(self.cap * k)
+        self.shift = np.tile([delta, -delta], self.cap * len(bumped))
+        self.flat_bumped = at * (n + 1) + np.tile(self.bumped, self.cap)
+        self.flat_siblings = at[:, None] * (n + 1) + np.tile(siblings, (self.cap, 1))
         # each candidate's move, and where each block ends
-        self.candidate_moves = np.tile(np.arange(k), self.depth)
-        self.ends = np.arange(1, self.depth + 1) * k
-        # a row's bytes as one void scalar, for ``quantized``
+        self.candidate_moves = np.tile(np.arange(k), self.cap)
+        self.ends = np.arange(1, self.cap + 1) * k
+        # a row's bytes as one void scalar, for ``as_bytes``
         self.row_bytes = np.dtype((np.void, (n + 1) * np.dtype(float).itemsize))
 
     def row(self, probs: Mapping[str, float]) -> np.ndarray:
         return np.array([*read_probabilities(probs, self.order), 0.0])
 
+    def as_bytes(self, rows: np.ndarray) -> list[bytes]:
+        """Each row's bytes: one void scalar per row, which ``tolist`` gives
+        as bytes."""
+        return rows.view(self.row_bytes).ravel().tolist()
+
     def quantized(self, rows: np.ndarray) -> list[bytes]:
         """Each row's key: round(p / QUANTUM) per entry, half to even as
         ``round`` does, as bytes (+ 0.0 folds -0.0 into 0.0)."""
-        keys = np.rint(rows / QUANTUM) + 0.0
-        # one void scalar per row, which ``tolist`` gives as its bytes
-        return keys.view(self.row_bytes).ravel().tolist()
+        return self.as_bytes(np.rint(rows / QUANTUM) + 0.0)
 
     def as_dict(self, row: np.ndarray) -> dict[str, float]:
         return dict(zip(self.keys, row.take(self.to_keys).tolist()))
@@ -174,6 +192,13 @@ class _Rows:
         foci[:] = x
         foci.put(cells[:len(written)], written)
         return foci
+
+    def branch(self, x: np.ndarray, move: int) -> np.ndarray:
+        """``x`` and its live candidates but the one that undoes ``move``
+        (the other shift of its column), in enumeration order, up to
+        ``cap`` rows."""
+        cands, moves, _, _ = self.candidates(x[None])
+        return np.concatenate([x[None], cands[moves != move ^ 1][:self.cap - 1]])
 
     def candidates(self, foci: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                                      list[bytes]]:
@@ -250,22 +275,26 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     the best map found and the trace of accepted steps, whose maps have the
     key order of ``init``.
 
-    Each pass of the loop builds the candidates of up to ``_Rows.depth``
-    foci: the focus, and the maps that repeating the last accepted move
-    reaches (see ``_Rows.chain``), as far as the step cap allows. A cost
-    whose ``__call__`` is ``CostFunction``'s scores them all in one call of
-    one ``Scorer`` per run; a pass of one focus names each candidate's
-    bumped type, so only that type's row of the focus map's type matrix is
-    rebuilt, and a pass of more rebuilds every row, which gives the same
-    bits. Any other cost, such as a wrapper that forwards calls, is
-    opaque, and is called on each map that the search keeps, when it keeps
-    it: once per evaluation. Each block is filtered against the visited set
-    only when the search reaches it, so a block it never reaches leaves no
-    key behind. The steps are taken in order, exactly as one at a time; the
-    search goes on into the next block only when it accepts that move and
-    the row's bytes equal the next focus, and otherwise starts its next
-    pass from the row it accepted. Starved terminals warn for the
-    candidates the search keeps, in order, once per type (see
+    Each pass of the loop builds the candidates of several foci, from the
+    last two accepted moves. When they are equal, the foci are the focus
+    and the maps that repeating that move reaches (see ``_Rows.chain``),
+    as far as the step cap allows: ``_Rows.depth`` of them, twice as many
+    after each pass that the search followed to its last block, up to
+    ``_Rows.cap``. When they differ, the foci are the focus and its
+    candidates but the one that undoes the last move (see
+    ``_Rows.branch``). A cost whose ``__call__`` is ``CostFunction``'s
+    scores them all in one call of one ``Scorer`` per run; a pass of one
+    focus names each candidate's bumped type, so only that type's row of
+    the focus map's type matrix is rebuilt, and a pass of more rebuilds
+    every row, which gives the same bits. Any other cost, such as a
+    wrapper that forwards calls, is opaque, and is called on each map that
+    the search keeps, when it keeps it: once per evaluation. Each block is
+    filtered against the visited set only when the search reaches it, so
+    a block it never reaches leaves no key behind. The steps are taken in
+    order, exactly as one at a time; after each one the search goes on
+    into the block whose focus has the accepted row's bytes, and where
+    there is none it starts its next pass from that row. Starved terminals
+    warn for the candidates the search keeps, in order, once per type (see
     ``Process.warn``).
     """
     cfg = config or SearchConfig()
@@ -296,18 +325,26 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                               for cid in rows.order], dtype=np.intp).take(rows.bumped)
 
         outcome = None
-        move = None  # the last accepted move
+        move = last = None  # the last two accepted moves, the latest first
+        length = rows.depth  # the next chain's
         while outcome is None:
-            left = cfg.max_steps + 1 - len(steps)
-            foci = (x[None] if move is None or rows.depth == 1
-                    else rows.chain(x, move, min(rows.depth, left)))
+            run = move is not None and move == last and rows.depth > 1
+            if run:
+                foci = rows.chain(x, move, min(length, cfg.max_steps + 1 - len(steps)))
+            elif move is None or rows.depth == 1:
+                foci = x[None]
+            else:
+                foci = rows.branch(x, move)
             cands, moves, ends, keys = rows.candidates(foci)
             if scorer is not None:
                 types = move_type.take(moves) if len(foci) == 1 else None
                 costs = scorer(cands.take(family, axis=1), types)
-            lo = 0
-            for f, hi in enumerate(ends):
-                kept = _unseen(keys, lo, hi, visited)
+            # each focus's block (equal foci have equal blocks)
+            block = {} if len(foci) == 1 else dict(zip(rows.as_bytes(foci), range(len(foci))))
+            starts = [0, *ends.tolist()]
+            f = 0
+            while f is not None:
+                kept = _unseen(keys, starts[f], starts[f + 1], visited)
                 if scorer is None:
                     scored = [cost(size, rows.as_dict(cands[i])) for i in kept]
                 else:
@@ -327,19 +364,19 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                     outcome = EPSILON_STOP
                     break
                 x = cands[best_i]
-                if scorer is not None:
-                    scorer.move(best_i)
                 focus_cost = best_cost
                 steps.append((rows.as_dict(x), focus_cost))
                 if len(steps) > cfg.max_steps:
                     outcome = STEP_CAP
                     break
-                chained = (f + 1 < len(foci) and moves[best_i] == move
-                           and x.tobytes() == foci[f + 1].tobytes())
-                move = int(moves[best_i])
-                if not chained:
-                    break
-                lo = hi
+                last, move = move, int(moves[best_i])
+                used, f = f, block.get(x.tobytes())
+            if outcome is None:  # the pass ended where no block starts
+                # a chain that the search used to its end doubles
+                length = (min(2 * length, rows.cap) if run and used == len(foci) - 1
+                          else rows.depth)
+                if scorer is not None:
+                    scorer.move(best_i)
 
     return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
 

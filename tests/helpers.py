@@ -38,8 +38,7 @@ from branchgen.adt import (
     unqualify,
 )
 from branchgen.prediction import Process, _family_probs, _level_sums, _type_matrices
-from branchgen.sampling import BudgetExhausted, _Tables, stream_seed
-from branchgen.spec import build_schedule
+from branchgen.sampling import BudgetExhausted, stream_seed
 
 
 # Foreign types and ground atoms that ``random_universe(..., extras=True)``
@@ -688,6 +687,70 @@ REFERENCE_CHILD_SIZE = {"dragen": lambda sz: sz - 1, "megadeth": lambda sz: sz /
                         "derive": lambda sz: -1}
 
 
+@dataclass
+class OracleTables:
+    """What ``reference_walk`` reads of a schedule: per compiled type, the
+    probabilities above the final level and on it, each cut after its last
+    positive entry, and their bisect tables."""
+
+    p_any: list
+    cum_any: list
+    p_final: list
+    cum_final: list
+
+
+def _oracle_normalized(weights):
+    total = sum(weights)
+    return [w / total if total > 0.0 else 0.0 for w in weights]
+
+
+def _oracle_table(row):
+    """``row`` up to its last positive entry and its running sums, the last
+    one 1.0; a row with no positive entry is empty, and its table is -1.0
+    per constructor, below every draw."""
+    live = [i for i, w in enumerate(row) if w > 0.0]
+    if not live:
+        return [], [-1.0] * len(row)
+    p = row[:live[-1] + 1]
+    cum, run = [], 0.0
+    for w in p:
+        run += w
+        cum.append(run)
+    cum[-1] = 1.0
+    return p, cum
+
+
+def schedule_oracle(u, strategy, size, probs=None, stars=None):
+    """The choice tables of ``strategy`` at ``size``, from the type
+    declarations alone (the compiled universe gives only the order of the
+    types, by which the walk indexes them). Dragen draws each family type
+    by ``probs``, and at size 0 its terminals by ``stars`` (an unnamed
+    terminal reads 0); megadeth and derive draw the family uniformly,
+    megadeth only its terminals at size 0, and derive has no size 0. A
+    foreign type draws by ``probs`` if it names one of its constructors,
+    else uniformly. Each type is normalized by its ``sum``."""
+    probs, stars = probs or {}, stars or {}
+    any_rows, final_rows = [], []
+    for tid in u.compiled.types:
+        ctors = u.decls[tid].constructors
+        ids = [f"{tid}.{c.name}" for c in ctors]
+        if not u.is_family(tid):
+            named = any(c in probs for c in ids)
+            above = final = [probs[c] if named else 1.0 / len(ids) for c in ids]
+        elif strategy == "dragen":
+            above = [probs[c] for c in ids]
+            final = [0.0 if k.family_arity() else stars.get(c, 0.0) for c, k in zip(ids, ctors)]
+        else:
+            above = [1.0] * len(ids)
+            final = (above if strategy == "derive"
+                     else [0.0 if k.family_arity() else 1.0 for k in ctors])
+        any_rows.append(_oracle_table(_oracle_normalized(above)))
+        final_rows.append(_oracle_table(_oracle_normalized(final)))
+    p_any, cum_any = map(list, zip(*any_rows))
+    p_final, cum_final = map(list, zip(*final_rows))
+    return OracleTables(p_any, cum_any, p_final, cum_final)
+
+
 def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
                      foreign_probs=None):
     """Value ``index`` of ``seed`` by ``reference_walk``: ``spec`` for dragen
@@ -705,10 +768,9 @@ def reference_sample(u, strategy, seed, index, size=-1, spec=None, budget=None,
     if foreign_probs is not None:
         probs = {**(probs or {}), **foreign_probs}
     cu = u.compiled
-    schedule = build_schedule(u, strategy, size, probs, stars)
     rng = random.Random(stream_seed(seed, index))
-    return reference_walk(cu, _Tables(cu, schedule), REFERENCE_CHILD_SIZE[strategy],
-                          cu.index[u.root], size, rng, budget)
+    return reference_walk(cu, schedule_oracle(u, strategy, size, probs, stars),
+                          REFERENCE_CHILD_SIZE[strategy], cu.index[u.root], size, rng, budget)
 
 
 def megadeth_oracle(u, size):

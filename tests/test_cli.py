@@ -586,7 +586,12 @@ def test_probs_rejected_where_it_cannot_apply(capsys, tree_file, tmp_path, comma
     code, out, err = run(capsys, command, "-f", tree_file, *extra, "--probs", str(probs),
                          "--count", "10", "--seed", "1")
     assert code == 1 and out == ""
-    assert err.startswith("error: --probs") and err.count("\n") == 1
+    if setting == "spec":
+        assert err == ("error: --probs applies to ad hoc runs; "
+                       "it cannot be combined with --spec\n")
+    else:
+        assert err == (f"error: --probs may name only foreign types under {setting}; "
+                       "its family draws uniformly\n")
 
 
 @pytest.mark.parametrize("command", ["predict", "verify"])

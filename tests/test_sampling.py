@@ -243,6 +243,31 @@ class TestSchedule:
         assert schedule.levels == {"dragen": size, "megadeth": size.bit_length(),
                                    "derive": None}[strategy]
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 9),
+           strategy=st.sampled_from(["dragen", "megadeth", "derive"]),
+           zeros=st.booleans(), foreign=st.booleans())
+    def test_oracle_tables_are_the_librarys(self, seed, size, strategy, zeros, foreign):
+        # ``helpers.schedule_oracle`` writes the rules afresh from the
+        # declarations; its tables equal the samplers' bit for bit, zero
+        # tails, dead types, unnamed stars and foreign types named or not
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, extras=True)
+        cu = u.compiled
+        probs = helpers.random_probmap(rng, u)
+        if zeros:
+            probs = {c: rng.choice([0.0, p]) for c, p in probs.items()}
+        stars = {c: rng.choice([0.0, rng.random()]) for c in probs if rng.random() < 0.8}
+        if foreign:
+            probs.update((c, rng.choice([0.0, rng.random()]))
+                         for t in cu.types[cu.nfamily:] if rng.random() < 0.5
+                         for c in u.constructors_of(t))
+        got = sampling._Tables(cu, build_schedule(u, strategy, size, probs, stars))
+        want = helpers.schedule_oracle(u, strategy, size, probs, stars)
+        for name in ("p_any", "cum_any", "p_final", "cum_final"):
+            assert ([[x.hex() for x in row] for row in getattr(got, name)]
+                    == [[x.hex() for x in row] for row in getattr(want, name)])
+
     @pytest.mark.parametrize("strategy, top", [("dragen", 16), ("megadeth", 130)])
     def test_levels_count_the_reference_child_steps(self, tree_u, strategy, top):
         # the levels are the steps the oracle's child-size rule takes from
@@ -329,6 +354,17 @@ class TestDerive:
                 assert len(built) == counts.get("T.B", 0) + counts.get("T.C", 0)
             outcomes.add(type(v))
         assert outcomes == {Value, BudgetExhausted}
+
+    def test_foreign_entries_apply(self, composite_u):
+        # the family draws uniformly, the foreign types by the map, and value
+        # i is sample_values' value i for a derive spec with that map
+        probs = {**uniform_probmap(composite_u, composite_u.family),
+                 "Bool.True": 0.95, "Bool.False": 0.05}
+        spec = adhoc_genspec(composite_u, 0, "derive", probs)
+        got = [sample_derive(composite_u, 500, 3, i, probs) for i in range(50)]
+        assert got == list(sample_values(composite_u, spec, 3, 50, budget=500))
+        plain = [sample_derive(composite_u, 500, 3, i) for i in range(50)]
+        assert sum(a != b for a, b in zip(got, plain)) > 10
 
     def test_values_typecheck(self, composite_u):
         for i in range(60):

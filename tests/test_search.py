@@ -744,10 +744,13 @@ class TestConvergedWide60:
 
 
 class TestLookahead:
-    """A scorer call covers the focus and the maps that repeating the last
-    accepted move reaches (``_Rows.chain``). The search still takes its
-    steps one at a time, so it equals the one-map-at-a-time reference; a
-    step off the chain costs time only."""
+    """A scorer call covers the focus and, after a repeated move, the maps
+    that repeating it reaches (``_Rows.chain``), a chain that doubles each
+    time the search follows it to its end; after two different moves, the
+    focus's candidates but the one that undoes the last move
+    (``_Rows.branch``). The search still takes its steps one at a time, so
+    it equals the one-map-at-a-time reference; a step off the lookahead
+    costs time only."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -858,8 +861,8 @@ class TestLookahead:
     @pytest.mark.parametrize("make_cost", [make for _, make, _ in TABLE_ROWS],
                              ids=[name for name, _, _ in TABLE_ROWS])
     def test_tree_takes_fewer_scorer_calls_than_steps(self, tree_u, make_cost, monkeypatch):
-        # on Tree (8 moves) a call covers up to 8 steps, and the search
-        # repeats its last move on most of its steps
+        # on Tree (8 moves) a chain covers up to 32 steps and a branch pass
+        # 2, and the search repeats its last move on most of its steps
         calls = []
 
         class Spy(Scorer):
@@ -873,4 +876,92 @@ class TestLookahead:
         _, trace = optimize(cost, 10, init, TABLE_CFG)
         steps = len(trace.steps) - 1
         assert steps > 50 and 2 * len(calls) < steps
-        assert max(calls) <= search.BATCH_ROWS
+        assert max(calls) <= search.LOOKAHEAD_ROWS
+
+    def test_table_one_rows_take_at_most_270_scorer_calls(self, tree_u, monkeypatch):
+        # 408 with a fixed chain of 8 foci; grown chains and branch passes
+        # take 270
+        calls = []
+
+        class Spy(Scorer):
+            def __call__(self, p, types=None):
+                calls.append(len(p))
+                return super().__call__(p, types)
+
+        monkeypatch.setattr(search, "Scorer", Spy)
+        for _, make_cost, _ in TABLE_ROWS:
+            cost = make_cost(tree_u)
+            init = renormalize_probmap(tree_u, uniform_probmap(tree_u), cost.pinned)
+            optimize(cost, 10, init, TABLE_CFG)
+        assert len(calls) <= 270
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["only", "without"]),
+           size=st.integers(1, 10), delta=st.sampled_from([0.002, 0.01]),
+           max_steps=st.integers(1, 400), starve=st.booleans())
+    def test_long_searches_match_reference(self, seed, kind, size, delta, max_steps, starve):
+        # runs long enough for chains to grow to the cap and for zig-zags
+        # of branch passes, and step caps that cut either one mid-pass
+        rng = random.Random(seed)
+        u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
+        cost = _random_cost(rng, u, kind)
+        probs, _ = _search_input(rng, u, delta)
+        init = renormalize_probmap(u, probs, cost.pinned)
+        if starve:
+            init = _starve(rng, u, init, cost.pinned)
+        # at most 16 moves, so a branch pass holds every candidate but the
+        # undo
+        assert len(_Rows(u, init, cost.pinned, delta).bumped) <= 16
+        config = SearchConfig(delta=delta, max_steps=max_steps)
+        (best, trace), caught = _recorded(lambda: optimize(cost, size, init, config))
+        ref, ref_caught = _recorded(
+            lambda: helpers.reference_optimize(cost, size, init, config))
+        assert caught == list(dict.fromkeys(ref_caught))
+        assert _items(best) == _items(ref[0])
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
+        assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
+
+    @pytest.mark.parametrize("max_steps", [100, 204, 205, 10_000])
+    def test_grown_chains_and_branches_match_reference(self, tree_u, monkeypatch, max_steps):
+        # uniform on Tree: a 203-step run of Node +delta, taken in a pass of
+        # one block, a branch pass, and chains of 8, 16 and 32 foci, then a
+        # zig-zag among the leaves in branch passes of two steps; the caps
+        # shorten a grown chain, stop at the step that leaves the run, and
+        # cut a branch pass after its first step
+        lengths = []
+        chain = _Rows.chain
+        monkeypatch.setattr(_Rows, "chain",
+                            lambda rows, x, move, m: lengths.append(m) or chain(rows, x, move, m))
+        cost = uniform_cost(tree_u)
+        init = uniform_probmap(tree_u)
+        config = SearchConfig(delta=0.002, max_steps=max_steps)
+        best, trace = optimize(cost, 10, init, config)
+        ref = helpers.reference_optimize(cost, 10, init, config)
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
+        assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
+        assert max(lengths) == _Rows(tree_u, init, frozenset(), 0.002).cap == 32
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    def test_branch_passes_past_16_moves_match_reference(self, monkeypatch, n):
+        # at 18 to 32 moves a branch pass holds only the first candidates
+        # that fit in ``cap`` foci
+        arity = [0, 1, 2, 0, 1, 3, 0, 2, 1, 0, 1, 2, 0, 1, 2, 0]
+        u = parse_universe("data T = " + " | ".join(
+            f"K{i}" + " T" * arity[i] for i in range(n)), "T")
+        cost, init = uniform_cost(u), uniform_probmap(u)
+        config = SearchConfig(delta=0.002, max_steps=120)
+        cap = _Rows(u, init, frozenset(), 0.002).cap
+        assert cap < 2 * n
+        branches = []
+        branch = _Rows.branch
+
+        def recording(rows, x, move):
+            branches.append(branch(rows, x, move))
+            return branches[-1]
+
+        monkeypatch.setattr(_Rows, "branch", recording)
+        _, trace = optimize(cost, 10, init, config)
+        ref = helpers.reference_optimize(cost, 10, init, config)
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
+        assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
+        assert sum(len(foci) == cap for foci in branches) > 10
