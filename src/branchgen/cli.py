@@ -89,8 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "under every strategy")
         p.add_argument("--count", type=int, required=True)
         p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int, default=DEFAULT_DERIVE_BUDGET,
-                       help="derive-strategy constructor budget")
+        if name != "verify":  # verify refuses derive
+            p.add_argument("--budget", type=int, default=DEFAULT_DERIVE_BUDGET,
+                           help="derive-strategy constructor budget")
         if name == "sample":
             p.add_argument("--format", choices=("sexp", "json"), default="sexp")
     return parser
@@ -150,10 +151,8 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
     (hash-checked, then ``_check_spec``; its root used unless --root
     overrides), or assembled ad hoc from --size/--strategy/--probs, whose map
     the spec then holds whole. megadeth and derive draw the family
-    uniformly, so there --probs may name foreign types only, laid over the
-    uniform family map. --probs is an error where it could not apply."""
-    if args.count < 1:
-        raise AdtError("--count must be at least 1")
+    uniformly, so there --probs may name foreign types only. --probs is an
+    error where it could not apply."""
     if args.spec and args.probs:
         raise AdtError("--probs applies to ad hoc runs; it cannot be combined with --spec")
     if args.spec:
@@ -176,7 +175,6 @@ def _universe_and_spec(args) -> tuple[ADTUniverse, GenSpec]:
         if any(c in probs for c in u.family_constructors()):
             raise AdtError(f"--probs may name only foreign types under {strategy}; "
                            "its family draws uniformly")
-        probs = {**uniform_probmap(u, u.family), **probs}
     return u, adhoc_genspec(u, args.size, strategy, probs)
 
 

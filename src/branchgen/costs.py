@@ -72,8 +72,9 @@ class Scorer(Process):
     """``cost``'s scores at one size, on the prediction engine. A cost's
     ``__call__`` builds one per map; ``optimize`` builds one per search, so
     the size, the expected counts and the terminal check are checked once,
-    and a step only predicts and sums. A call does not warn about starved
-    terminals; its caller warns for the rows it keeps (see
+    and a step only predicts and sums. It keeps no state of the search,
+    which passes the row whose neighbors it scores. A call does not warn
+    about starved terminals; its caller warns for the rows it keeps (see
     ``Process.warn``)."""
 
     def __init__(self, cost: CostFunction, size: int):
@@ -87,18 +88,19 @@ class Scorer(Process):
                            f"got {e[~((0.0 < e) & (e < math.inf))][0]}")
         super().__init__(cost.universe, size)
 
-    def __call__(self, p: np.ndarray, types: np.ndarray | None = None) -> list[float]:
+    def __call__(self, p: np.ndarray, types: np.ndarray | None = None,
+                 focus: np.ndarray | None = None) -> list[float]:
         """The cost of each row of ``p``, a family-probability matrix whose
         entries are already checked (see ``_family_probs``): a search checks
         its rows once. ``types`` names the family type each row changes from
-        the focus (see ``Process.matrices``).
+        the family row ``focus`` (see ``Process.matrices``).
 
         The targets' totals are taken from every constructor's with one
         ``take``. The chi-square sum is one cumulative sum per map over the
         targets in order (``np.add.accumulate``, the kernel of ``cumsum``
         without its method's overhead), which adds the terms left to right
         as ``chi_square`` does."""
-        branching, last = self.counts(p, self.stars(p), types)
+        branching, last = self.counts(p, self.stars(p), types, focus)
         d = (branching + last).take(self.columns, axis=1) - self.expected
         terms = d * d / self.expected
         if not terms.shape[1]:

@@ -248,9 +248,10 @@ class Process:
     levels, then a final level that draws only terminals, over every family
     constructor, one row per map. What does not change between calls is
     done once, here: the terminal check, the star pad (see ``stars``), and
-    the root's start rows (kept for the largest batch served). A search
-    also keeps its focus map's type matrix here (see ``matrices``). Each
-    row is computed as in a batch of one.
+    the root's start rows (kept for the largest batch served). It keeps no
+    state of a search: a caller that scores one map's neighbors passes
+    that map's row (see ``matrices``). Each row is computed as in a batch
+    of one.
 
     A type with probability mass left but none on its terminals falls back
     to uniform terminals on the final level. ``stars`` records where that
@@ -270,37 +271,31 @@ class Process:
         self.pad = np.where(cu.family_terminal, 0.0, np.inf)
         self.root = cu.root
         self.start = np.empty((0, 1, cu.nfamily))
-        self.focus = self.batch = None
         self.starved: list[list[int]] = []
         self.warned: set[int] = set()
 
-    def matrices(self, p: np.ndarray, types: np.ndarray | None = None) -> np.ndarray:
-        """The type mean matrix of each row of ``p``, kept as the batch, so
-        that ``move(i)`` makes row i the focus.
+    def matrices(self, p: np.ndarray, types: np.ndarray | None = None,
+                 focus: np.ndarray | None = None) -> np.ndarray:
+        """The type mean matrix of each row of ``p``.
 
-        With ``types``, row i of ``p`` agrees with the focus map outside the
-        constructors of family type types[i] (an index of nfamily or more
-        changes none of them), so only that type's row is summed, as in
-        ``_type_matrices``, into a copy of the focus matrix: the result is
-        the same bit for bit. A one-type family has no other rows to reuse,
-        so it takes the full build."""
+        With ``types``, row i of ``p`` agrees with the family row ``focus``
+        outside the constructors of family type types[i] (an index of
+        nfamily or more changes none of them), so only that type's row is
+        summed, as in ``_type_matrices``, into a copy of the focus's matrix:
+        the result is the same bit for bit. A one-type family has no other
+        rows to reuse, so it takes the full build."""
         cu = self.cu
         if types is None or cu.nfamily == 1:
-            m = _type_matrices(cu, p)
-        else:
-            m = np.repeat(self.focus[None], len(p), axis=0)
-            rows = np.flatnonzero(types < cu.nfamily)
-            t = types[rows]
-            prod = p[rows[:, None], cu.type_cols[t], None] * cu.type_counts[t]
-            changed = np.zeros((len(rows), cu.nfamily))
-            for j in range(prod.shape[1]):
-                changed += prod[:, j]
-            m[rows, t] = changed
-        self.batch = m
+            return _type_matrices(cu, p)
+        m = _type_matrices(cu, focus[None]).repeat(len(p), axis=0)
+        rows = np.flatnonzero(types < cu.nfamily)
+        t = types[rows]
+        prod = p[rows[:, None], cu.type_cols[t], None] * cu.type_counts[t]
+        changed = np.zeros((len(rows), cu.nfamily))
+        for j in range(prod.shape[1]):
+            changed += prod[:, j]
+        m[rows, t] = changed
         return m
-
-    def move(self, i: int) -> None:
-        self.focus = self.batch[i]
 
     def stars(self, p: np.ndarray) -> np.ndarray:
         """p*, one row per row of ``p``, zero for non-terminals; a starved
@@ -344,12 +339,12 @@ class Process:
                     f"all terminal constructors of {self.cu.types[t]} have probability 0; "
                     "using a uniform terminal distribution at the last level")
 
-    def counts(self, p: np.ndarray, stars: np.ndarray,
-               types: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def counts(self, p: np.ndarray, stars: np.ndarray, types: np.ndarray | None = None,
+               focus: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Expected branching and last-level counts of the family
         constructors, one row per row of ``p``: the root draws by ``p`` on
-        the levels (type matrices from ``matrices(p, types)``), then by
-        ``stars`` on the final level."""
+        the levels (type matrices from ``matrices(p, types, focus)``), then
+        by ``stars`` on the final level."""
         cu = self.cu
         if len(self.start) < len(p):
             self.start = np.zeros((len(p), 1, cu.nfamily))
@@ -358,7 +353,7 @@ class Process:
         # stacked vector-matrix product.
         v = self.start[:len(p)]
         if self.levels:
-            v, pop = _level_sums(v, self.matrices(p, types), self.levels - 1)
+            v, pop = _level_sums(v, self.matrices(p, types, focus), self.levels - 1)
             v, pop = v[:, 0], pop[:, 0]
             branching = pop.take(cu.family_owner, axis=1) * p
             fill = _fill(cu, v, p)

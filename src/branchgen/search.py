@@ -15,19 +15,20 @@ from the last two accepted moves (used only to choose what to build
 early):
 
 - when they are equal, the focus and the maps that repeating the move
-  reaches (a Hooke-Jeeves pattern move), a chain that starts at
-  ``BATCH_ROWS`` candidates and doubles, up to ``LOOKAHEAD_ROWS``, after
-  each pass the search follows to its end;
+  reaches (a Hooke-Jeeves pattern move), a chain that starts at a quarter
+  of ``LOOKAHEAD_ROWS`` candidates and doubles, up to ``LOOKAHEAD_ROWS``,
+  after each pass the search follows to its end;
 - when they differ, the focus and each of its candidates but the one that
   undoes the last move, so a zig-zag takes two steps per pass.
 
-A stock cost scores a pass's candidates in one scorer call; an opaque cost
-is called on each map as the search keeps it. The steps are then taken one
-at a time, as if each had been scored alone. After each step the search
-goes on into the block whose focus has the bytes of the row it accepted,
-if there is one, so the path, the visited set, the evaluation count and
-the warnings are those of a search that scores one step per call; a guess
-that misses costs time only.
+A stock cost scores a pass's candidates in one call of a scorer that keeps
+no state of the search; an opaque cost is called on each map as the search
+keeps it. The steps are then taken one at a time, as if each had been
+scored alone. After each step the search goes on into the block whose
+focus has the bytes of the row it accepted, if there is one, so the path,
+the visited set, the evaluation count and the warnings are those of a
+search that scores one step per call; a guess that misses costs time
+only.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ EPSILON_STOP = "EpsilonStop"
 STEP_CAP = "StepCap"
 
 QUANTUM = 1e-6  # the grid on which visited maps are told apart
-BATCH_ROWS = 64  # a search's passes start at this many candidates
-LOOKAHEAD_ROWS = 256  # and score at most this many in one call
+LOOKAHEAD_ROWS = 256  # a search scores at most this many candidates in one call
 
 
 def _check_delta(delta: float) -> None:
@@ -97,12 +97,11 @@ class _Rows:
     in sorted-id order, then a pad column that is zero in every row. A
     search step bumps every unpinned column by +delta and then by -delta:
     its k candidates, one per move, are built as one matrix, and a dict is
-    made only for a row that leaves the search. A pass starts with
-    ``depth`` foci, ``BATCH_ROWS`` // k of them (at least one), and the
-    tables serve up to ``cap`` foci, ``LOOKAHEAD_ROWS`` // k of them. With
-    more than ``BATCH_ROWS`` // 2 moves, ``depth`` is 1 and a search builds
-    one block per pass. With no unpinned column there is no move, and no
-    candidate."""
+    made only for a row that leaves the search. The tables serve up to
+    ``cap`` foci, ``LOOKAHEAD_ROWS`` // k of them, and a chain starts with
+    ``depth`` foci, a quarter of that. Where ``depth`` would be below 2
+    (more than 32 moves), both are 1 and a search builds one block per
+    pass. With no unpinned column there is no move, and no candidate."""
 
     def __init__(self, u: ADTUniverse, keys: Iterable[str],
                  pinned: frozenset[str] | set[str], delta: float):
@@ -123,24 +122,16 @@ class _Rows:
         # two moves per bumped column, +delta then -delta: each one's column
         self.bumped = np.repeat(np.array(bumped, dtype=np.intp), 2)
         k = 2 * len(bumped)
-        self.depth = max(1, BATCH_ROWS // k) if k else 1
-        self.cap = max(1, LOOKAHEAD_ROWS // k) if self.depth > 1 else 1
-        # for ``chain``, each move's place among its column's free siblings
-        # (itself included), its shift, those siblings, and their cells in
-        # rows 1 to cap - 1 of a row matrix; a search of depth 1 never
-        # chains
-        self.moves = []
-        if self.depth > 1:
-            below = np.arange(1, self.cap)[:, None] * (n + 1)
-            cells = {t: (np.array(cols, dtype=np.intp), (below + cols).ravel())
-                     for t, cols in free.items()}
-            self.moves = [(free[types[i]].index(i), d, *cells[types[i]])
-                          for i in bumped for d in (delta, -delta)]
+        self.cap = LOOKAHEAD_ROWS // k if k else 1
+        self.depth = self.cap // 4
+        if self.depth < 2:
+            self.cap = self.depth = 1
         width = max(map(len, free.values()), default=0)
-        # the siblings padded with the pad column n, one row per move
+        # each move's free siblings (itself included), padded with the pad
+        # column n, one row per move
         padded = [free[types[i]] + [n] * (width - len(free[types[i]])) for i in bumped]
-        siblings = np.repeat(np.array(padded, dtype=np.intp).reshape(len(bumped), width),
-                             2, axis=0)
+        self.siblings = siblings = np.repeat(
+            np.array(padded, dtype=np.intp).reshape(len(bumped), width), 2, axis=0)
         # per candidate of ``cap`` blocks of k: its shift, and the cells it
         # writes, as flat indices into the candidate matrix, for ``take``
         # and ``put``
@@ -174,9 +165,13 @@ class _Rows:
         """``x`` and the maps that repeating ``move`` from it reaches, up to
         m rows, each the candidate that ``candidates`` builds for ``move``
         from the row before, bit for bit: the same clamp, total summed left
-        to right and divisions, in Python floats. A dead candidate ends it."""
-        at, shift, siblings, cells = self.moves[move]
-        entries = x.take(siblings).tolist()
+        to right and divisions, in Python floats, over the move's row of
+        ``siblings``. Its pad entries are 0.0: they add +0.0 to a total
+        that is positive or +0.0, and write 0.0 back into the pad column. A
+        dead candidate ends it."""
+        cols = self.siblings[move]
+        at, shift = cols.tolist().index(self.bumped.item(move)), self.shift.item(move)
+        entries = x.take(cols).tolist()
         written: list[float] = []
         for f in range(1, m):
             entries[at] = max(entries[at] + shift, 0.0)
@@ -190,7 +185,7 @@ class _Rows:
             written += entries
         foci = np.empty((m, len(x)))
         foci[:] = x
-        foci.put(cells[:len(written)], written)
+        foci.put(np.arange(1, m)[:, None] * len(x) + cols, written)
         return foci
 
     def branch(self, x: np.ndarray, move: int) -> np.ndarray:
@@ -284,9 +279,10 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     candidates but the one that undoes the last move (see
     ``_Rows.branch``). A cost whose ``__call__`` is ``CostFunction``'s
     scores them all in one call of one ``Scorer`` per run; a pass of one
-    focus names each candidate's bumped type, so only that type's row of
-    the focus map's type matrix is rebuilt, and a pass of more rebuilds
-    every row, which gives the same bits. Any other cost, such as a
+    focus passes the focus's family row and names each candidate's bumped
+    type, so the scorer builds the focus's type matrix and rebuilds only
+    that type's row per candidate, and a pass of more builds every matrix
+    in full, which gives the same bits. Any other cost, such as a
     wrapper that forwards calls, is opaque, and is called on each map that
     the search keeps, when it keeps it: once per evaluation. Each block is
     filtered against the visited set only when the search reaches it, so
@@ -310,7 +306,6 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             scorer = Scorer(cost, size)
             focus_cost = scorer(_family_probs(cu, init))[0]
             scorer.warn()
-            scorer.move(0)
         else:
             focus_cost = cost(size, init)
         evaluations = 1
@@ -337,8 +332,9 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                 foci = rows.branch(x, move)
             cands, moves, ends, keys = rows.candidates(foci)
             if scorer is not None:
-                types = move_type.take(moves) if len(foci) == 1 else None
-                costs = scorer(cands.take(family, axis=1), types)
+                types, focus = ((move_type.take(moves), x.take(family)) if len(foci) == 1
+                                else (None, None))
+                costs = scorer(cands.take(family, axis=1), types, focus)
             # each focus's block (equal foci have equal blocks)
             block = {} if len(foci) == 1 else dict(zip(rows.as_bytes(foci), range(len(foci))))
             starts = [0, *ends.tolist()]
@@ -375,8 +371,6 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                 # a chain that the search used to its end doubles
                 length = (min(2 * length, rows.cap) if run and used == len(foci) - 1
                           else rows.depth)
-                if scorer is not None:
-                    scorer.move(best_i)
 
     return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
 

@@ -160,13 +160,15 @@ def adhoc_genspec(u: ADTUniverse, size: int, strategy: str,
                   probs: Mapping[str, float] | None = None) -> GenSpec:
     """Package a generator spec for direct sampling, or for ``optimize``'s
     tuned map: ``probs`` (uniform over the family unless given), foreign
-    entries and all. An id that names no constructor is an ``AdtError``."""
+    entries and all, and under dragen, the one strategy that reads them,
+    its star probabilities. An id that names no constructor is an
+    ``AdtError``."""
     _check_strategy(strategy)
     size = _bounded_size(size)
     probs = dict(probs or uniform_probmap(u, u.family))
     for cid in probs:
         u.ctor_type(cid)  # raises on an unknown id
-    stars = {} if strategy == STRATEGY_DERIVE else star_probs(u, probs)
+    stars = star_probs(u, probs) if strategy == STRATEGY_DRAGEN else {}
     return GenSpec(
         root=u.root,
         size=size,

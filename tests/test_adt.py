@@ -647,6 +647,17 @@ class TestProbabilityRule:
         with pytest.raises(AdtError, match=r"^unknown constructor: Tree\.Nope$"):
             adhoc_genspec(u, 3, strategy, probs)
 
+    @pytest.mark.parametrize("strategy", ["megadeth", "derive"])
+    def test_stars_only_under_dragen(self, strategy):
+        # the uniform strategies never read stars, so an ad hoc spec has
+        # none, and a foreign-only map needs no family entries
+        u = parse_universe(RULE_SRC, "Tree")
+        foreign = {"Bool.True": 0.9, "Bool.False": 0.1}
+        assert adhoc_genspec(u, 3, strategy).star_probabilities == {}
+        assert adhoc_genspec(u, 3, strategy, foreign).star_probabilities == {}
+        assert adhoc_genspec(u, 3, "dragen").star_probabilities == star_probs(
+            u, uniform_probmap(u, u.family))
+
     def test_numpy_and_integer_entries_are_numbers(self):
         u = parse_universe(RULE_SRC, "Tree")
         family = uniform_probmap(u, u.family)

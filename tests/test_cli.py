@@ -394,6 +394,13 @@ class TestVerify:
                            "--size", "5", "--count", "0")
         assert code == 1
 
+    def test_budget_is_a_usage_error(self, capsys, tree_file):
+        # verify refuses derive, the one strategy that reads a budget
+        code, out, err = run(capsys, "verify", "-f", tree_file, "--root", "Tree",
+                             "--size", "5", "--count", "100", "--budget", "5")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --budget 5" in err
+
     @pytest.mark.parametrize("src, root", [(TREE_SRC, "Tree"), (COMPOSITE_SRC, "Tree"),
                                            (T1T2_SRC, "T1")], ids=["tree", "composite", "t1t2"])
     def test_megadeth_passes(self, capsys, tmp_path, src, root):
@@ -769,6 +776,13 @@ def test_foreign_probs_apply_under_uniform_strategies(capsys, tmp_path, strategy
     code, out, err = run(capsys, "sample", *args, "--count", "3")
     assert code == 1 and out == ""
     assert err.startswith("error: --probs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "histogram"])
+def test_zero_count_is_refused_by_the_library(capsys, tree_file, command):
+    code, out, err = run(capsys, command, "-f", tree_file, "--root", "Tree", "--size", "5",
+                         "--count", "0")
+    assert (code, out, err) == (1, "", "error: sample count must be a positive integer, got 0\n")
 
 
 @pytest.mark.parametrize("command", ["sample", "verify", "histogram"])

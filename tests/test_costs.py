@@ -299,10 +299,10 @@ def _recorded(fn):
     return result, [str(w.message) for w in caught]
 
 
-def _scored(scorer, p, types=None):
+def _scored(scorer, p, types=None, focus=None):
     """``scorer``'s costs of the rows of ``p``, warning for all of them, as
     a caller that keeps every row does."""
-    costs = scorer(p, types)
+    costs = scorer(p, types, focus)
     scorer.warn()
     return costs
 

@@ -188,16 +188,15 @@ class TestSpawningRanks:
         u = _spawning_universe(rng, one_type)
         cu = u.compiled
         focus = _probability_rows(rng, 1, cu.nfamily_ctors)
-        process = Process(u, 1)
-        process.matrices(focus)
-        process.move(0)
         types = np.array([rng.randint(0, cu.nfamily) for _ in range(k)], dtype=np.intp)
         p = focus.repeat(k, axis=0)
         for i, t in enumerate(types.tolist()):
             if t < cu.nfamily:
                 s = cu.slices[t]
                 p[i, s] = _probability_rows(rng, 1, s.stop - s.start)
-        assert _same_bits(process.matrices(p, types), helpers.type_matrices_add_at(cu, p))
+        got = Process(u, 1).matrices(p, types, focus[0])
+        assert _same_bits(got, helpers.type_matrices_add_at(cu, p))
+        assert _same_bits(got, _type_matrices(cu, p))
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 12),

@@ -561,26 +561,26 @@ def _recorded(fn):
 def _candidates(rng, u, cost, delta, starve):
     """A starting map for ``cost`` (starved when ``starve``) and its first
     step's candidates: as maps, as a family-probability matrix, and with
-    the family type each one changes."""
+    the family type each one changes; and the starting map's family row."""
     probs, _ = _search_input(rng, u, delta)
     init = renormalize_probmap(u, probs, cost.pinned)
     if starve:
         init = _starve(rng, u, init, cost.pinned)
     rows = _Rows(u, init, cost.pinned, delta)
-    fresh, moves, _, _ = rows.candidates(rows.row(init)[None])
+    x = rows.row(init)
+    fresh, moves, _, _ = rows.candidates(x[None])
     cu = u.compiled
-    p = fresh[:, [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]]
+    family = [rows.column[c] for c in cu.ctors[:cu.nfamily_ctors]]
     types = np.array([cu.index[u.ctor_type(rows.order[b])] for b in rows.bumped[moves]],
                      dtype=np.intp)
-    return init, [rows.as_dict(r) for r in fresh], p, types
+    return init, [rows.as_dict(r) for r in fresh], fresh[:, family], types, x[family]
 
 
 def _search_scorer(cost, size, init):
-    """The scorer ``optimize`` builds for ``cost``, focused on ``init``,
-    and the warnings scoring ``init`` gave."""
+    """The scorer ``optimize`` builds for ``cost``, after it has scored
+    ``init``, and the warnings scoring ``init`` gave."""
     scorer = Scorer(cost, size)
     _, caught = _recorded(lambda: _scored(scorer, _family_probs(cost.universe.compiled, init)))
-    scorer.move(0)
     return scorer, caught
 
 
@@ -597,13 +597,13 @@ class TestFocusRows:
         rng = random.Random(seed)
         u, _ = helpers.random_universe(rng, max_types=10, max_ctors=40)
         cost = _random_cost(rng, u, kind)
-        init, _, p, types = _candidates(rng, u, cost, delta, starve)
+        init, _, p, types, focus = _candidates(rng, u, cost, delta, starve)
         scorer, init_warnings = _search_scorer(cost, size, init)
 
-        scored, scored_warnings = _recorded(lambda: _scored(scorer, p, types))
+        scored, scored_warnings = _recorded(lambda: _scored(scorer, p, types, focus))
         full, full_warnings = _recorded(lambda: _scored(Scorer(cost, size), p))
         assert _same_bits(scored, full)
-        assert _same_bits(scorer.batch, _type_matrices(u.compiled, p))
+        assert _same_bits(scorer.matrices(p, types, focus), _type_matrices(u.compiled, p))
         # each scorer warns once per type; the search's scorer not again for
         # a type it warned about on the focus
         assert scored_warnings == [w for w in dict.fromkeys(full_warnings)
@@ -643,9 +643,9 @@ class TestFocusRows:
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-            def __call__(self, p, types=None):
+            def __call__(self, p, types=None, focus=None):
                 calls.append((len(p), None if types is None else len(types)))
-                return super().__call__(p, types)
+                return super().__call__(p, types, focus)
 
         monkeypatch.setattr("branchgen.search.Scorer", Spy)
         _, trace = optimize(uniform_cost(u), 10, uniform_probmap(u, u.family),
@@ -695,11 +695,11 @@ class TestScorer:
     def test_one_type_matches_scalar_cost(self, seed, kind, size, starve, delta):
         rng = random.Random(seed)
         u, cost = _one_type_cost(rng, kind)
-        init, maps, p, types = _candidates(rng, u, cost, delta, starve)
+        init, maps, p, types, focus = _candidates(rng, u, cost, delta, starve)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scorer, _ = _search_scorer(cost, size, init)
-            got = scorer(p, types)
+            got = scorer(p, types, focus)
         assert _same_bits(got, [helpers.scalar_cost(cost, size, m) for m in maps])
 
     @settings(max_examples=40, deadline=None)
@@ -710,11 +710,11 @@ class TestScorer:
     def test_one_type_doubling_matches_one_map_at_a_time(self, seed, kind, size, starve, delta):
         rng = random.Random(seed)
         u, cost = _one_type_cost(rng, kind)
-        init, maps, p, types = _candidates(rng, u, cost, delta, starve)
+        init, maps, p, types, focus = _candidates(rng, u, cost, delta, starve)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scorer, _ = _search_scorer(cost, size, init)
-            got = scorer(p, types)
+            got = scorer(p, types, focus)
             want = [cost(size, m) for m in maps]
         # a supercritical map's counts may overflow to inf, and inf * 0 is
         # nan: the bytes compare nans too
@@ -741,6 +741,24 @@ class TestConvergedWide60:
         assert caught and len(set(caught)) == len(caught)
         assert all(w.endswith("have probability 0; using a uniform terminal distribution "
                               "at the last level") for w in caught)
+
+
+def _long_search_input(rng, kind, delta, starve):
+    """A family of up to 3 types and 8 constructors, a cost of ``kind`` on
+    it and a starting map for it (starved when ``starve``). The family and
+    the cost are redrawn while the cost leaves the root type one free
+    constructor: that is its first, a terminal, so every map draws only
+    that and costs the same, and the search stops at the start."""
+    while True:
+        u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
+        cost = _random_cost(rng, u, kind)
+        if sum(c not in cost.pinned for c in u.constructors_of(u.root)) > 1:
+            break
+    probs, _ = _search_input(rng, u, delta)
+    init = renormalize_probmap(u, probs, cost.pinned)
+    if starve:
+        init = _starve(rng, u, init, cost.pinned)
+    return u, cost, init
 
 
 class TestLookahead:
@@ -797,8 +815,8 @@ class TestLookahead:
         u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
         probs, pinned = _search_input(rng, u, delta)
         rows = _Rows(u, probs, pinned, delta)
-        assume(rows.moves)
-        move = rng.randrange(len(rows.moves))
+        assume(len(rows.bumped))
+        move = rng.randrange(len(rows.bumped))
         foci = rows.chain(rows.row(probs), move, rows.depth)
         for f in range(1, len(foci)):
             cands, moves, _, _ = rows.candidates(foci[f - 1][None])
@@ -866,9 +884,9 @@ class TestLookahead:
         calls = []
 
         class Spy(Scorer):
-            def __call__(self, p, types=None):
+            def __call__(self, p, types=None, focus=None):
                 calls.append(len(p))
-                return super().__call__(p, types)
+                return super().__call__(p, types, focus)
 
         monkeypatch.setattr(search, "Scorer", Spy)
         cost = make_cost(tree_u)
@@ -884,9 +902,9 @@ class TestLookahead:
         calls = []
 
         class Spy(Scorer):
-            def __call__(self, p, types=None):
+            def __call__(self, p, types=None, focus=None):
                 calls.append(len(p))
-                return super().__call__(p, types)
+                return super().__call__(p, types, focus)
 
         monkeypatch.setattr(search, "Scorer", Spy)
         for _, make_cost, _ in TABLE_ROWS:
@@ -902,13 +920,7 @@ class TestLookahead:
     def test_long_searches_match_reference(self, seed, kind, size, delta, max_steps, starve):
         # runs long enough for chains to grow to the cap and for zig-zags
         # of branch passes, and step caps that cut either one mid-pass
-        rng = random.Random(seed)
-        u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
-        cost = _random_cost(rng, u, kind)
-        probs, _ = _search_input(rng, u, delta)
-        init = renormalize_probmap(u, probs, cost.pinned)
-        if starve:
-            init = _starve(rng, u, init, cost.pinned)
+        u, cost, init = _long_search_input(random.Random(seed), kind, delta, starve)
         # at most 16 moves, so a branch pass holds every candidate but the
         # undo
         assert len(_Rows(u, init, cost.pinned, delta).bumped) <= 16
@@ -920,6 +932,23 @@ class TestLookahead:
         assert _items(best) == _items(ref[0])
         assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
         assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
+
+    def test_long_search_inputs_take_a_step(self):
+        # the examples of ``test_long_searches_match_reference`` check the
+        # lookahead only where the search moves: over 200 seeds, with each
+        # kind, delta and starving, and sizes 1 to 10, at least 90% take a
+        # step
+        stepped = 0
+        for seed in range(200):
+            kind, delta = ("only", "without")[seed % 2], (0.002, 0.01)[seed // 2 % 2]
+            u, cost, init = _long_search_input(random.Random(seed), kind, delta,
+                                               starve=seed // 4 % 2 == 1)
+            config = SearchConfig(delta=delta, max_steps=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, trace = optimize(cost, 1 + seed % 10, init, config)
+            stepped += len(trace.steps) > 1
+        assert stepped >= 180
 
     @pytest.mark.parametrize("max_steps", [100, 204, 205, 10_000])
     def test_grown_chains_and_branches_match_reference(self, tree_u, monkeypatch, max_steps):
