@@ -419,23 +419,30 @@ def _reachable(start: Iterable[str], edges: Mapping[str, Iterable[str]]) -> set[
 def live_support(u: ADTUniverse, pinned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The family constructors left live when ``pinned`` (a mask over them)
     are excluded, and the family types the root reaches along them, as
-    masks over the family constructors and types.
-
-    A constructor dies when it is pinned or has a field of a type that has
-    no live constructor left, to a fixpoint."""
+    masks over the family constructors and types: ``_live_fixpoint`` from
+    every type, where a constructor dies when it is pinned or has a field
+    of a type that has no live constructor left."""
     cu = u.compiled
-    nf, owner = cu.nfamily, cu.family_owner
-    refs = cu.counts[:cu.nfamily_ctors, :nf] > 0
-    live = ~pinned
-    while True:
-        dead_types = np.bincount(owner[live], minlength=nf) == 0
-        still = live & ~refs[:, dead_types].any(axis=1)
-        if (still == live).all():
-            break
-        live = still
-    reached = np.zeros(nf, dtype=bool)
+    live, _ = _live_fixpoint(cu, ~pinned, np.ones(cu.nfamily, dtype=bool))
+    reached = np.zeros(cu.nfamily, dtype=bool)
     reached[list(_reachable([cu.root], live_graph(cu, live)))] = True
     return live, reached
+
+
+def _live_fixpoint(cu: CompiledUniverse, allowed: np.ndarray,
+                   types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The live family constructors and the family types that have one, as
+    masks: a constructor is live when ``allowed`` and each of its family
+    fields has a type with a live constructor. Run from ``types`` all true,
+    this is the greatest fixpoint; from none, the least: the types that can
+    finish a value."""
+    refs = cu.counts[:cu.nfamily_ctors, :cu.nfamily] > 0
+    while True:
+        live = allowed & ~refs[:, ~types].any(axis=1)
+        grown = np.bincount(cu.family_owner[live], minlength=cu.nfamily) > 0
+        if (grown == types).all():
+            return live, types
+        types = grown
 
 
 def live_graph(cu: CompiledUniverse, live: np.ndarray) -> dict[int, list[int]]:

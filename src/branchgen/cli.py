@@ -299,9 +299,16 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():  # each warning as one line, like an error
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+            return code
         except AdtError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # the reader has gone: what is left in the buffer goes nowhere,
+            # so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
 
 

@@ -26,6 +26,7 @@ from .adt import (
     ADTUniverse,
     AdtError,
     CompiledUniverse,
+    _live_fixpoint,
     _reachable,
     as_integer,
     flat_bins,
@@ -65,17 +66,20 @@ def _foreign_weights(cu: CompiledUniverse, probs: Mapping[str, float] | None) ->
 
 
 def _type_matrices(cu: CompiledUniverse, p: np.ndarray) -> np.ndarray:
-    """One type mean matrix per row of ``p``, each summed constructor by
-    constructor in declaration order.
+    """One type mean matrix per row of ``p``, by ``_rank_sum``."""
+    return _rank_sum(p.take(cu.type_cols, axis=1), cu.type_counts)
 
-    Rank j adds every type's j-th spawning constructor at once, so each
-    cell gets 0.0 + a0 + a1 + ... in declaration order. A terminal's term
-    and a pad's are p * 0, that is 0.0 or -0.0, and adding either leaves a
-    sum that starts at 0.0 unchanged, so both are left out."""
-    prod = p.take(cu.type_cols, axis=1)[..., None] * cu.type_counts
-    m = np.zeros((len(p), cu.nfamily, cu.nfamily))
-    for j in range(prod.shape[2]):
-        m += prod[:, :, j]
+
+def _rank_sum(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Type mean matrix rows from spawning probabilities ``q`` (..., rank)
+    and field counts ``counts`` (..., rank, type), summed rank by rank, so
+    each cell gets 0.0 + a0 + a1 + ... in declaration order. A terminal's
+    term and a pad's are p * 0, that is 0.0 or -0.0, and adding either
+    leaves a sum that starts at 0.0 unchanged, so both are left out."""
+    prod = q[..., None] * counts
+    m = np.zeros(prod.shape[:-2] + prod.shape[-1:])
+    for j in range(prod.shape[-2]):
+        m += prod[..., j, :]
     return m
 
 
@@ -281,20 +285,15 @@ class Process:
         With ``types``, row i of ``p`` agrees with the family row ``focus``
         outside the constructors of family type types[i] (an index of
         nfamily or more changes none of them), so only that type's row is
-        summed, as in ``_type_matrices``, into a copy of the focus's matrix:
-        the result is the same bit for bit. A one-type family has no other
-        rows to reuse, so it takes the full build."""
+        summed, by ``_rank_sum`` as in ``_type_matrices``, into a copy of
+        the focus's matrix: the result is the same bit for bit."""
         cu = self.cu
-        if types is None or cu.nfamily == 1:
+        if types is None:
             return _type_matrices(cu, p)
         m = _type_matrices(cu, focus[None]).repeat(len(p), axis=0)
         rows = np.flatnonzero(types < cu.nfamily)
         t = types[rows]
-        prod = p[rows[:, None], cu.type_cols[t], None] * cu.type_counts[t]
-        changed = np.zeros((len(rows), cu.nfamily))
-        for j in range(prod.shape[1]):
-            changed += prod[:, j]
-        m[rows, t] = changed
+        m[rows, t] = _rank_sum(p[rows[:, None], cu.type_cols[t]], cu.type_counts[t])
         return m
 
     def stars(self, p: np.ndarray) -> np.ndarray:
@@ -443,7 +442,9 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> dict[s
     type's probabilities renormalized to sum to 1. Foreign and ground fields
     always terminate and contribute factor 1.
 
-    A type that cannot finish any value gets 0. The others are solved by
+    A type that cannot finish any value gets 0; the types that can are
+    ``_live_fixpoint``'s least fixpoint, run from no type over the
+    constructors with probability. The others are solved by
     decomposed Newton (Etessami & Yannakakis 2009): one strongly connected
     component of the graph their live constructors span at a time,
     bottom-up, each once the components below it are known. The solve runs
@@ -456,15 +457,8 @@ def extinction_probability(u: ADTUniverse, probs: Mapping[str, float]) -> dict[s
     mass = np.bincount(owner, p, minlength=nf)[owner]
     p = np.divide(p, mass, out=np.zeros_like(p), where=mass > 0.0)
     counts = cu.counts[:cu.nfamily_ctors, :nf]
-    # The types that can finish a value, as a least fixpoint; a constructor
-    # is live when it has probability and every field's type can finish.
-    finite = np.zeros(nf, dtype=bool)
-    while True:
-        live = (p > 0.0) & ~(counts[:, ~finite] > 0).any(axis=1)
-        grown = np.bincount(owner[live], minlength=nf) > 0
-        if (grown == finite).all():
-            break
-        finite = grown
+    # the constructors with probability whose fields' types can all finish
+    live, finite = _live_fixpoint(cu, p > 0.0, np.zeros(nf, dtype=bool))
     down = live_graph(cu, live)
     up: dict[int, list[int]] = {t: [] for t in down}
     for s, targets in down.items():

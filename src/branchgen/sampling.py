@@ -226,7 +226,7 @@ class _Program:
     A walk visits ``(type, k)`` pairs, ``k`` being the levels left, and
     starts from ``root``, the root type at ``tables.levels``. Nothing in a
     program depends on the level, so it is immutable, and walks at any size
-    and on any thread share it."""
+    and on any thread share it. A call, as of a compiled ``draw``, walks."""
 
     __slots__ = ("tables", "root", "plans")
 
@@ -235,6 +235,9 @@ class _Program:
         self.root = (cu.root, tables.levels)
         self.plans = tuple(tuple(_ctor_plan(cu.ctors[c], cu.rows[c])
                                  for c in range(s.start, s.stop)) for s in cu.slices)
+
+    def __call__(self, rng: random.Random, budget: int | None = None) -> Value | BudgetExhausted:
+        return _build_walk(self, rng, budget)
 
 
 def _ctor_plan(cid: str, row: tuple[tuple[int, int], ...]):
@@ -288,10 +291,10 @@ def _depth(cu: CompiledUniverse, levels: int) -> int:
     return levels + 1 + max(chain)
 
 
-def _compile(cu: CompiledUniverse, tables: _Tables) -> Callable[[random.Random], Value]:
-    """``tables`` compiled to Python: ``draw(rng)`` is one value from the
-    root with ``tables.levels`` levels above the final one, by the walk's
-    draws in the walk's order.
+def _compile(cu: CompiledUniverse, tables: _Tables) -> Callable[..., Value]:
+    """``tables`` compiled to Python: ``draw(rng, budget)`` is one value
+    from the root with ``tables.levels`` levels above the final one, by the
+    walk's draws in the walk's order; it ignores ``budget``, as derive walks.
 
     Each type is one function of the stream, as ``r`` (its ``random``) and
     ``g``. A family type's also takes the levels left, ``k``: while ``k`` is
@@ -302,7 +305,7 @@ def _compile(cu: CompiledUniverse, tables: _Tables) -> Callable[[random.Random],
     size."""
     ns = {"new": _new_node, "Value": Value, "sc": _set_constructor, "sch": _set_children,
           "dead": tables.dead_type_error, "levels": tables.levels}
-    src = [f"def draw(g):\n    return t{cu.root}(levels, g.random, g)"]
+    src = [f"def draw(g, budget=None):\n    return t{cu.root}(levels, g.random, g)"]
     for t in range(len(cu.types)):
         if t < cu.nfamily:
             src += [f"def t{t}(k, r, g):", "    x = r()", "    if k:",
@@ -363,14 +366,14 @@ def _node_source(cu: CompiledUniverse, ns: dict, c: int) -> list[str]:
 # first, as (key, program) pairs. A program holds no reference to its
 # universe, so the weak key drops them all with the universe.
 _PROGRAMS_KEPT = 4
-_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple[tuple, _Program | Callable], ...]] = (
+_PROGRAMS: WeakKeyDictionary[CompiledUniverse, tuple[tuple[tuple, Callable], ...]] = (
     WeakKeyDictionary())
 
 
 def _walk_program(u: ADTUniverse, strategy: str, size: int,
                   probs: Mapping[str, float] | None = None,
                   stars: Mapping[str, float] | None = None,
-                  ) -> _Program | Callable[[random.Random], Value]:
+                  ) -> Callable[..., Value | BudgetExhausted]:
     """The program of one configuration, shared by every ``sample_*`` call
     that asks for it again: ``_compile``'s ``draw`` when the configuration is
     size-bounded and its calls nest at most ``_COMPILED_DEPTH_MAX`` deep,
@@ -469,14 +472,11 @@ def _build_walk(program: _Program, rng: random.Random,
     return built[0]
 
 
-def _walk(program: _Program | Callable[[random.Random], Value], seed: int, index: int,
+def _walk(program: Callable[..., Value | BudgetExhausted], seed: int, index: int,
           budget: int | None = None) -> Value | BudgetExhausted:
-    """Value ``index`` of ``seed`` on ``program``, on its own stream: one call
-    of a compiled program, or one tree walk within ``budget``."""
-    rng = random.Random(stream_seed(seed, index))
-    if program.__class__ is _Program:
-        return _build_walk(program, rng, budget)
-    return program(rng)
+    """Value ``index`` of ``seed`` on ``program``, on its own stream, within
+    ``budget``, which only a walk ``_Program`` reads."""
+    return program(random.Random(stream_seed(seed, index)), budget)
 
 
 def _seed(seed: int) -> int:

@@ -263,12 +263,14 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
     """Best-improvement descent from ``init`` under ``cost``'s constraints.
 
     Every evaluated neighbor joins the visited set (keyed by its quantized
-    probabilities), so no map is scored twice; ties between equally cheap
-    neighbors resolve to the first in enumeration order. The search runs on
-    rows (see ``_Rows``), under one ``np.errstate`` that ignores overflow
-    and invalid results, so a cost that overflows reads inf or nan. Returns
-    the best map found and the trace of accepted steps, whose maps have the
-    key order of ``init``.
+    probabilities), so no map is scored twice, and the trace counts the
+    set's maps as its evaluations. A step is taken only when its gain is a
+    number above epsilon, so a neighbor whose cost is nan is never chosen;
+    ties between equally cheap neighbors resolve to the first in
+    enumeration order. The search runs on rows (see ``_Rows``), under one
+    ``np.errstate`` that ignores overflow and invalid results, so a cost
+    that overflows reads inf or nan. Returns the best map found and the
+    trace of accepted steps, whose maps have the key order of ``init``.
 
     Each pass of the loop builds the candidates of several foci, from the
     last two accepted moves. When they are equal, the foci are the focus
@@ -308,7 +310,6 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
             scorer.warn()
         else:
             focus_cost = cost(size, init)
-        evaluations = 1
         steps: list[tuple[dict[str, float], float]] = [(dict(init), focus_cost)]
         rows = _Rows(u, init, cost.pinned, cfg.delta)
         x = rows.row(init)
@@ -336,7 +337,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                                 else (None, None))
                 costs = scorer(cands.take(family, axis=1), types, focus)
             # each focus's block (equal foci have equal blocks)
-            block = {} if len(foci) == 1 else dict(zip(rows.as_bytes(foci), range(len(foci))))
+            block = dict(zip(rows.as_bytes(foci), range(len(foci))))
             starts = [0, *ends.tolist()]
             f = 0
             while f is not None:
@@ -346,19 +347,19 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                 else:
                     scorer.warn(kept)
                     scored = [costs[i] for i in kept]
-                evaluations += len(kept)
                 if not kept:
                     outcome = LOCAL_MINIMUM
                     break
                 best_cost = min(scored)
-                best_i = kept[scored.index(best_cost)]  # the first of the cheapest
+                if best_cost != best_cost:
+                    # min keeps a leading nan; from inf it passes over
+                    # every nan, to the least cost that is a number, or inf
+                    best_cost = min(math.inf, *scored)
                 gain = focus_cost - best_cost
-                if gain <= 0.0:
-                    outcome = LOCAL_MINIMUM
+                if not gain > cfg.epsilon:  # a nan gain takes no step either
+                    outcome = EPSILON_STOP if gain > 0.0 else LOCAL_MINIMUM
                     break
-                if gain <= cfg.epsilon:
-                    outcome = EPSILON_STOP
-                    break
+                best_i = kept[scored.index(best_cost)]  # the first of the cheapest
                 x = cands[best_i]
                 focus_cost = best_cost
                 steps.append((rows.as_dict(x), focus_cost))
@@ -372,7 +373,7 @@ def optimize(cost: CostFunction, size: int, init: Mapping[str, float],
                 length = (min(2 * length, rows.cap) if run and used == len(foci) - 1
                           else rows.depth)
 
-    return dict(steps[-1][0]), SearchTrace(steps, outcome, evaluations)
+    return dict(steps[-1][0]), SearchTrace(steps, outcome, len(visited))
 
 
 def derive_generator_with_trace(

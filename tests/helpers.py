@@ -564,12 +564,16 @@ def reference_optimize(cost, size, init, config):
             outcome = "LocalMinimum"
             break
         evaluations += len(fresh)
-        best_cost, best_i = min((cost(size, c), i) for i, c in enumerate(fresh))
+        costs = [cost(size, c) for c in fresh]
+        # a nan cost is never chosen, and a step needs a gain that is a
+        # number above epsilon
+        best_cost, best_i = min(((c, i) for i, c in enumerate(costs) if c == c),
+                                default=(float("inf"), None))
         gain = focus_cost - best_cost
-        if gain <= 0.0:
+        if not gain > 0.0:
             outcome = "LocalMinimum"
             break
-        if gain <= config.epsilon:
+        if not gain > config.epsilon:
             outcome = "EpsilonStop"
             break
         focus = fresh[best_i]

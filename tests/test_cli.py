@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +239,15 @@ class TestOptimize:
                              "--size", "10", flag, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_an_overflowing_start_fails_with_one_line(self, capsys):
+        # every map near the uniform start costs inf at size 10^4: the
+        # search takes no step, and its report cannot be printed
+        wide60 = Path(__file__).parent / "wide60_seed0.adt"
+        code, out, err = run(capsys, "optimize", "-f", str(wide60), "--root", "T0",
+                             "--size", "10000")
+        assert (code, out, err) == (
+            1, "", "error: expected constructor counts at size 10000 overflow a double\n")
+
     def test_delta_at_the_quantum_takes_steps(self, capsys, tree_file):
         code, out, _ = run(capsys, "optimize", "-f", tree_file, "--root", "Tree",
                            "--size", "10", "--delta", "1e-6", "--max-steps", "3")
@@ -268,6 +281,22 @@ class TestSample:
         assert out1 == out2
         assert len(out1.strip().splitlines()) == 5
         assert out1.startswith("(")
+
+    def test_a_closed_pipe_exits_1_without_a_traceback(self, tree_file):
+        # the reader takes one line and closes the pipe, so a later write
+        # fails; the flush at exit must not fail again
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "branchgen.cli", "sample", "-f", tree_file, "--root", "Tree",
+             "--size", "10", "--count", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"(")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_env_seed_fallback(self, capsys, tree_file, monkeypatch):
         monkeypatch.setenv("DRAGEN_SEED", "99")

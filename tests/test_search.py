@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from pathlib import Path
@@ -132,6 +133,37 @@ class TestOptimize:
                             SearchConfig(epsilon=1e9))
         assert trace.outcome == EPSILON_STOP
         assert len(trace.steps) == 1
+
+    def test_an_overflowing_start_takes_no_step(self):
+        # at size 10^4 the wide60 start and each of its neighbors cost inf,
+        # so every gain is inf - inf, which is nan, and no step is taken
+        text = (Path(__file__).parent / "wide60_seed0.adt").read_text(encoding="utf-8")
+        u = parse_universe(text, "T0")
+        cost = uniform_cost(u)
+        init = renormalize_probmap(u, uniform_probmap(u, u.family), pinned=cost.pinned)
+        (best, trace), _ = _recorded(lambda: optimize(cost, 10_000, init))
+        assert best == init and trace.steps == [(init, math.inf)]
+        assert (trace.outcome, trace.evaluations) == (LOCAL_MINIMUM, 121)
+        ref, _ = _recorded(lambda: helpers.reference_optimize(cost, 10_000, init, SearchConfig()))
+        assert (ref[1], ref[2], ref[3]) == (trace.steps, LOCAL_MINIMUM, 121)
+
+    def test_a_nan_cost_is_never_chosen(self, tree_u):
+        # an opaque cost that is nan on the start's first neighbor, the
+        # first one it scores: min() would keep that leading nan, and a nan
+        # gain is neither <= 0 nor <= epsilon
+        cost = uniform_cost(tree_u)
+        init = uniform_probmap(tree_u)
+        poisoned = neighbors(tree_u, init, 0.01)[0]
+
+        class Poisoned(Forwarding):
+            def __call__(self, size, probs):
+                return math.nan if probs == poisoned else super().__call__(size, probs)
+
+        _, trace = optimize(Poisoned(cost), 10, init)
+        ref = helpers.reference_optimize(Poisoned(cost), 10, init, SearchConfig())
+        assert len(trace.steps) > 1 and not any(math.isnan(c) for _, c in trace.steps)
+        assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
+        assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
 
     def test_step_cap(self, tree_u):
         cost = uniform_cost(tree_u)
@@ -743,18 +775,25 @@ class TestConvergedWide60:
                               "at the last level") for w in caught)
 
 
-def _long_search_input(rng, kind, delta, starve):
+def _long_search_input(rng, kind, delta, starve, tight=False):
     """A family of up to 3 types and 8 constructors, a cost of ``kind`` on
-    it and a starting map for it (starved when ``starve``). The family and
-    the cost are redrawn while the cost leaves the root type one free
-    constructor: that is its first, a terminal, so every map draws only
-    that and costs the same, and the search stops at the start."""
+    it and a starting map for it (starved when ``starve``; with ``tight``,
+    most terminals start at delta). The family and the cost are redrawn
+    while the cost leaves the root type one free constructor: that is its
+    first, a terminal, so every map draws only that and costs the same, and
+    the search stops at the start."""
     while True:
         u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
         cost = _random_cost(rng, u, kind)
         if sum(c not in cost.pinned for c in u.constructors_of(u.root)) > 1:
             break
     probs, _ = _search_input(rng, u, delta)
+    if tight:
+        # terminals at delta: their -delta bumps starve a type, also in
+        # blocks past the step the search leaves the chain at
+        for cid in u.family_constructors():
+            if not u.ctor_decl(cid).family_arity() and rng.random() < 0.7:
+                probs[cid] = delta
     init = renormalize_probmap(u, probs, cost.pinned)
     if starve:
         init = _starve(rng, u, init, cost.pinned)
@@ -780,19 +819,7 @@ class TestLookahead:
            max_steps=st.integers(1, 60), tight=st.booleans(), starve=st.booleans())
     def test_optimize_matches_reference(self, seed, kind, size, delta, epsilon,
                                         max_steps, tight, starve):
-        rng = random.Random(seed)
-        u, _ = helpers.random_universe(rng, max_types=3, max_ctors=8)
-        cost = _random_cost(rng, u, kind)
-        probs, _ = _search_input(rng, u, delta)
-        if tight:
-            # terminals at delta: their -delta bumps starve a type, also in
-            # blocks past the step the search leaves the chain at
-            for cid in u.family_constructors():
-                if not u.ctor_decl(cid).family_arity() and rng.random() < 0.7:
-                    probs[cid] = delta
-        init = renormalize_probmap(u, probs, cost.pinned)
-        if starve:
-            init = _starve(rng, u, init, cost.pinned)
+        u, cost, init = _long_search_input(random.Random(seed), kind, delta, starve, tight)
         # at most 16 moves, so a call covers at least 4 steps
         assert _Rows(u, init, cost.pinned, delta).depth >= 4
         config = SearchConfig(delta=delta, epsilon=epsilon, max_steps=max_steps)
@@ -805,6 +832,25 @@ class TestLookahead:
         assert _items(best) == _items(ref[0])
         assert [(_items(m), c) for m, c in trace.steps] == [(_items(m), c) for m, c in ref[1]]
         assert (trace.outcome, trace.evaluations) == (ref[2], ref[3])
+
+    def test_inputs_take_a_step(self):
+        # the examples of ``test_optimize_matches_reference`` check the
+        # lookahead only where the search moves: over 200 seeds, with each
+        # kind, delta, starving and tight terminals, and sizes 1 to 10, at
+        # least 90% take a step
+        stepped = 0
+        for seed in range(200):
+            kind = ("uniform", "only", "without")[seed % 3]
+            delta = (0.002, 0.01, 0.05)[seed // 3 % 3]
+            u, cost, init = _long_search_input(random.Random(seed), kind, delta,
+                                               starve=seed // 9 % 2 == 1,
+                                               tight=seed // 18 % 2 == 1)
+            config = SearchConfig(delta=delta, max_steps=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, trace = optimize(cost, 1 + seed % 10, init, config)
+            stepped += len(trace.steps) > 1
+        assert stepped >= 180
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), delta=st.sampled_from([0.002, 0.01, 0.3]))
